@@ -1,9 +1,9 @@
 """Bipartite matching between query slots and ground-truth objects.
 
-Three layers: a minimum-cost assignment solver, the class/box matching cost,
-and the per-frame label-assignment rules the tracker trains with — newborn
-objects are matched to detect queries only, while track queries inherit the
-assignment of the object they already carry.
+Three layers: a minimum-cost assignment solver (scipy's), the pairwise
+class/box matching cost, and the per-frame label-assignment rules the
+tracker trains with — newborn objects are matched to detect queries only,
+while track queries inherit the assignment of the object they already carry.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from querytrack.boxes import Box, giou, l1_box
 
@@ -22,9 +23,6 @@ __all__ = [
     "hungarian",
     "propagate_assignment",
 ]
-
-PAD_COST = 1e6  # rectangular padding; must exceed any feasible real cost
-
 
 @dataclass(frozen=True)
 class GtObject:
@@ -73,10 +71,8 @@ class Assignment:
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-total-cost one-to-one assignment of a rectangular cost matrix.
 
-    Returns min(rows, cols) (row, col) pairs sorted by row. Rectangular
-    inputs are padded internally to square with PAD_COST. Shortest
-    augmenting path formulation with dual potentials, O(n^3); ties resolve
-    deterministically toward lower column indices.
+    Returns min(rows, cols) (row, col) pairs sorted by row, as solved by
+    `scipy.optimize.linear_sum_assignment`.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
@@ -85,79 +81,34 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
         raise ValueError(f"cost matrix must be 2-d, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
-    rows, cols = cost.shape
-    n = max(rows, cols)
-    a = np.full((n + 1, n + 1), PAD_COST, dtype=np.float64)
-    a[1 : rows + 1, 1 : cols + 1] = cost
-
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match_row = np.zeros(n + 1, dtype=np.intp)  # column -> assigned row
-    way = np.zeros(n + 1, dtype=np.intp)
-    for i in range(1, n + 1):
-        match_row[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match_row[j0]
-            free = ~used
-            free[0] = False
-            cur = a[i0, free] - u[i0] - v[free]
-            idx = np.flatnonzero(free)
-            better = cur < minv[idx]
-            minv[idx[better]] = cur[better]
-            way[idx[better]] = j0
-            j1 = idx[np.argmin(minv[idx])]
-            delta = minv[j1]
-            u[match_row[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if match_row[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match_row[j0] = match_row[j1]
-            j0 = j1
-
-    out = []
-    for j in range(1, n + 1):
-        r, c = int(match_row[j]) - 1, j - 1
-        if r < rows and c < cols:
-            out.append((r, c))
-    out.sort()
-    return out
+    rows, cols = linear_sum_assignment(cost)
+    return sorted(zip(rows.tolist(), cols.tolist()))
 
 
 def build_match_cost(
     pred_probs: np.ndarray,
-    pred_boxes: list[Box],
+    pred_boxes: list[Box] | np.ndarray,
     targets: list[GtObject],
     weights,
 ) -> np.ndarray:
-    """Pairwise query/target matching cost.
+    """Pairwise query/target matching cost, [n_queries, n_targets].
 
     cost(q, t) = lambda_cls * (-p_q[class_t]) + lambda_l1 * l1 + lambda_giou * (-giou),
     the same weights the box/class losses use.
     """
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
-    m, n = pred_probs.shape[0], len(targets)
-    cost = np.zeros((m, n))
-    for q in range(m):
-        for t, tgt in enumerate(targets):
-            cost[q, t] = (
-                weights.lambda_cls * -pred_probs[q, tgt.class_id]
-                + weights.lambda_l1 * l1_box(pred_boxes[q], tgt.box)
-                + weights.lambda_giou * -giou(pred_boxes[q], tgt.box)
-            )
-    return cost
+    class_ids = [t.class_id for t in targets]
+    target_boxes = [t.box for t in targets]
+    return (
+        weights.lambda_cls * -pred_probs[:, class_ids]
+        + weights.lambda_l1 * l1_box(pred_boxes, target_boxes)
+        + weights.lambda_giou * -giou(pred_boxes, target_boxes)
+    )
 
 
 def assign_newborn(
     pred_probs: np.ndarray,
-    pred_boxes: list[Box],
+    pred_boxes: list[Box] | np.ndarray,
     gt_frame: list[GtObject],
     already_tracked_ids: set[int],
     weights,

@@ -86,6 +86,8 @@ class Tape:
         tape.backward(loss)
 
     One backward pass per tape; build a fresh tape per training step.
+    backward() drops the recorded nodes, so the graph (op outputs, backward
+    closures) is freed by reference counting once the caller lets go of it.
     """
 
     def __init__(self) -> None:
@@ -117,7 +119,9 @@ class Tape:
             raise GradientError("backward already ran on this tape; build a new one")
         self.consumed = True
         loss._accumulate(np.ones((), dtype=np.float64))
-        for out, pull in reversed(self.nodes):
+        # out._tape -> tape -> nodes -> out is a reference cycle; break it
+        nodes, self.nodes = self.nodes, []
+        for out, pull in reversed(nodes):
             if out.grad is not None:
                 pull(out.grad)
 

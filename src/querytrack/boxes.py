@@ -1,9 +1,9 @@
 """Bounding boxes in center-size form and their overlap measures.
 
-Two parallel surfaces on purpose: plain-float functions for matching costs,
-lifecycle filtering and metrics, and tensor functions (batched over [n,4]
-rows) that the losses differentiate through. Tests cross-check one against
-the other.
+Two surfaces on purpose: pairwise numpy kernels (`[m,4] x [n,4] -> [m,n]`)
+for matching costs and metrics, and tensor row ops (`[n,4] x [n,4] ->
+[n,1]`) that the losses differentiate through. Tests cross-check the
+kernels' diagonal against the row ops.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ class Box:
     """Axis-aligned box as (cx, cy, w, h), normalized to the image extent.
 
     Centers may straddle borders; w and h must be nonnegative and within a
-    loose sanity bound.
+    loose sanity bound. `np.asarray(box)` gives the 4-vector, so a Box or a
+    list of them feeds the pairwise kernels directly.
     """
 
     cx: float
@@ -41,11 +42,11 @@ class Box:
         hw, hh = self.w / 2.0, self.h / 2.0
         return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
 
-    def area(self) -> float:
-        return self.w * self.h
-
     def to_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.to_array(), dtype=dtype)
 
     @staticmethod
     def from_array(a) -> "Box":
@@ -53,39 +54,56 @@ class Box:
         return Box(cx, cy, w, h)
 
 
-def _overlap(a: Box, b: Box) -> tuple[float, float, float]:
-    """(intersection, union, enclosing) areas."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-    ih = max(0.0, min(ay2, by2) - max(ay1, by1))
+# ---------------------------------------------------------------------------
+# pairwise kernels, [m, 4] x [n, 4] -> [m, n]
+# ---------------------------------------------------------------------------
+
+
+def _rows(boxes) -> np.ndarray:
+    """A Box, a list of Box or an [m,4] array as float64 [m,4] rows."""
+    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+def _corners(rows: np.ndarray):
+    cx, cy, w, h = rows.T
+    hw, hh = w / 2.0, h / 2.0
+    return cx - hw, cy - hh, cx + hw, cy + hh
+
+
+def _pairwise_overlap(a, b):
+    """(intersection, union, enclosing) areas of every row pair, each [m,n]."""
+    a, b = _rows(a), _rows(b)
+    ax1, ay1, ax2, ay2 = (c[:, None] for c in _corners(a))
+    bx1, by1, bx2, by2 = _corners(b)
+    iw = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+    ih = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
     inter = iw * ih
-    union = a.area() + b.area() - inter
-    cw = max(ax2, bx2) - min(ax1, bx1)
-    ch = max(ay2, by2) - min(ay1, by1)
+    union = (a[:, 2] * a[:, 3])[:, None] + b[:, 2] * b[:, 3] - inter
+    cw = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
+    ch = np.maximum(ay2, by2) - np.minimum(ay1, by1)
     return inter, union, cw * ch
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union in [0, 1]; zero-area union gives 0."""
-    inter, union, _ = _overlap(a, b)
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+def _iou(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
-def giou(a: Box, b: Box) -> float:
-    """Generalized IoU in [-1, 1]: IoU minus empty enclosing-area fraction."""
-    inter, union, enclosing = _overlap(a, b)
-    i = inter / union if union > 0.0 else 0.0
-    return i - (enclosing - union) / max(enclosing, EPS_GUARD)
+def iou(a, b) -> np.ndarray:
+    """Pairwise intersection over union in [0, 1]; zero-area union gives 0."""
+    inter, union, _ = _pairwise_overlap(a, b)
+    return _iou(inter, union)
 
 
-def l1_box(a: Box, b: Box) -> float:
-    """Sum of absolute coordinate differences in (cx, cy, w, h)."""
-    return (
-        abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
-    )
+def giou(a, b) -> np.ndarray:
+    """Pairwise generalized IoU in [-1, 1]: IoU minus empty enclosing-area fraction."""
+    inter, union, enclosing = _pairwise_overlap(a, b)
+    return _iou(inter, union) - (enclosing - union) / np.maximum(enclosing, EPS_GUARD)
+
+
+def l1_box(a, b) -> np.ndarray:
+    """Pairwise sum of absolute coordinate differences in (cx, cy, w, h)."""
+    d = np.abs(_rows(a)[:, None, :] - _rows(b)[None, :, :])
+    return d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
 
 
 # ---------------------------------------------------------------------------

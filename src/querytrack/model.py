@@ -167,9 +167,6 @@ class FramePredictions:
         """Best class probability per query."""
         return self.class_probs.data.max(axis=1)
 
-    def box(self, slot: int) -> Box:
-        return Box.from_array(self.boxes.data[slot])
-
     def box_list(self) -> list[Box]:
         return [Box.from_array(row) for row in self.boxes.data]
 
@@ -530,15 +527,26 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         header = json.loads(fh.read(header_len).decode("utf-8"))
         model = TrackingModel(ModelConfig(**header["config"]))
+        missing = sorted(set(model.params) - {entry["name"] for entry in header["params"]})
+        if missing:
+            raise ValueError(f"{path}: manifest omits parameters {missing}")
         for entry in header["params"]:
             name, shape = entry["name"], tuple(entry["shape"])
             if name not in model.params:
                 raise ValueError(f"{path}: unknown parameter {name}")
             n_bytes = int(np.prod(shape)) * 8
-            data = np.frombuffer(fh.read(n_bytes), dtype="<f8").reshape(shape)
+            blob = fh.read(n_bytes)
+            if len(blob) != n_bytes:
+                raise ValueError(
+                    f"{path}: truncated payload for {name}: {len(blob)} of {n_bytes} bytes"
+                )
+            data = np.frombuffer(blob, dtype="<f8").reshape(shape)
             if model.params[name].data.shape != data.shape:
                 raise ValueError(f"{path}: shape mismatch for {name}")
             # layer structs reference the same Tensor objects, so assigning
             # .data here updates the whole model
             model.params[name].data = data.astype(np.float64).copy()
+        trailing = len(fh.read())
+        if trailing:
+            raise ValueError(f"{path}: {trailing} trailing bytes after the last payload")
     return model, header["extra"]

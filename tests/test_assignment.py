@@ -121,6 +121,15 @@ class TestMatchCost:
             prev = c
 
 
+    def test_each_column_takes_its_own_class_probability(self):
+        w = LossWeights(lambda_cls=2.0, lambda_l1=0.0, lambda_giou=0.0)
+        b = Box(0.5, 0.5, 0.2, 0.2)
+        probs = np.array([[0.1, 0.7], [0.4, 0.2], [0.9, 0.3]])
+        targets = [GtObject(0, b, class_id=1), GtObject(1, b, class_id=0), GtObject(2, b, class_id=1)]
+        cost = build_match_cost(probs, [b, b, b], targets, w)
+        np.testing.assert_array_equal(cost, -2.0 * probs[:, [1, 0, 1]])
+
+
 def make_gt(ids_boxes):
     return [GtObject(i, b) for i, b in ids_boxes]
 

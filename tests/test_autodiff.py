@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,24 @@ class TestBackward:
         tape.backward(loss)
         with pytest.raises(ad.GradientError, match="already"):
             tape.backward(loss)
+
+    def test_backward_frees_graph_without_cyclic_gc(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                hidden = ad.mul(x, x)
+                loss = ad.mul(hidden, hidden).sum()
+            tape.backward(loss)
+            assert tape.nodes == []
+            with pytest.raises(ad.GradientError, match="already"):
+                tape.backward(loss)
+            hidden_data = weakref.ref(hidden.data)
+            del hidden, loss
+            assert hidden_data() is None
+        finally:
+            gc.enable()
+        np.testing.assert_allclose(x.grad, 4.0 * np.ones(3))
 
     def test_reuse_accumulates_sum_of_uses(self):
         rng = np.random.default_rng(10)

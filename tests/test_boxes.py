@@ -114,6 +114,46 @@ class TestTensorVersions:
         assert ad.grad_check(lambda x, y: box_l1_rows(x, y).sum(), [ta, tb]).passed
 
 
+class TestPairwiseKernels:
+    def sets(self, seed, m=12, n=9):
+        rng = np.random.default_rng(seed)
+        return [random_box(rng) for _ in range(m)], [random_box(rng) for _ in range(n)]
+
+    @pytest.mark.parametrize("kernel", [iou, giou, l1_box])
+    def test_cell_equals_single_pair(self, kernel):
+        boxes_a, boxes_b = self.sets(6)
+        full = kernel(boxes_a, boxes_b)
+        assert full.shape == (12, 9)
+        for i, a in enumerate(boxes_a):
+            for j, b in enumerate(boxes_b):
+                assert kernel(a, b).shape == (1, 1)
+                assert full[i, j] == kernel(a, b)[0, 0]
+
+    @pytest.mark.parametrize("kernel", [iou, giou, l1_box])
+    def test_box_list_and_array_agree(self, kernel):
+        boxes_a, boxes_b = self.sets(7)
+        rows_a = np.stack([b.to_array() for b in boxes_a])
+        assert np.array_equal(kernel(boxes_a, boxes_b), kernel(rows_a, boxes_b))
+
+    @pytest.mark.parametrize("kernel", [iou, giou, l1_box])
+    def test_empty_sets(self, kernel):
+        boxes_a, _ = self.sets(8)
+        assert kernel(np.zeros((0, 4)), boxes_a).shape == (0, 12)
+        assert kernel(boxes_a, np.zeros((0, 4))).shape == (12, 0)
+        assert kernel([], []).shape == (0, 0)
+
+    def test_diagonal_matches_tensor_rows(self):
+        boxes_a, boxes_b = self.sets(9, m=12, n=12)
+        ta = Tensor(np.stack([b.to_array() for b in boxes_a]))
+        tb = Tensor(np.stack([b.to_array() for b in boxes_b]))
+        np.testing.assert_allclose(
+            np.diag(giou(boxes_a, boxes_b)), box_giou_rows(ta, tb).data[:, 0], rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            np.diag(l1_box(boxes_a, boxes_b)), box_l1_rows(ta, tb).data[:, 0], rtol=0, atol=1e-12
+        )
+
+
 def test_invalid_boxes_rejected():
     with pytest.raises(ValueError):
         Box(0.5, 0.5, -0.1, 0.2)

@@ -1,3 +1,7 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -344,6 +348,42 @@ class TestCheckpoint:
         assert np.array_equal(a.class_probs.data, b.class_probs.data)
         assert np.array_equal(a.boxes.data, b.boxes.data)
         assert np.array_equal(a.hidden.data, b.hidden.data)
+
+
+class TestCheckpointCorruption:
+    """Each damaged file fails loudly with an error naming the file."""
+
+    def saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, TrackingModel(TINY, seed=18))
+        return path
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match=r"model\.ckpt: 8 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-12])
+        with pytest.raises(ValueError, match=r"model\.ckpt: truncated payload"):
+            load_checkpoint(path)
+
+    def test_manifest_missing_parameter_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        version, header_len = struct.unpack("<II", raw[4:12])
+        header = json.loads(raw[12 : 12 + header_len])
+        # drop the first parameter's manifest entry and its payload, so the
+        # byte count still matches and only the manifest is wrong
+        dropped = header["params"].pop(0)
+        n_dropped = int(np.prod(dropped["shape"])) * 8
+        body = json.dumps(header, sort_keys=True).encode("utf-8")
+        payload = raw[12 + header_len + n_dropped :]
+        path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + payload)
+        with pytest.raises(ValueError, match=rf"model\.ckpt: manifest omits .*{re.escape(dropped['name'])}"):
+            load_checkpoint(path)
 
 
 def test_config_validation():
