@@ -58,12 +58,6 @@ class Assignment:
     def slots(self) -> set[int]:
         return {s for s, _ in self.pairs}
 
-    def identity_of(self, slot: int) -> int | None:
-        for s, i in self.pairs:
-            if s == slot:
-                return i
-        return None
-
     def __len__(self) -> int:
         return len(self.pairs)
 

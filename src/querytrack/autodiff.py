@@ -34,6 +34,7 @@ __all__ = [
     "absolute",
     "activation",
     "add",
+    "attention",
     "concat",
     "custom_op",
     "div",
@@ -133,13 +134,12 @@ class Tensor:
     output is a non-leaf that remembers the tape it was recorded on.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "grad_events", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.grad_events = 0
         self._tape: Tape | None = None
 
     @property
@@ -156,7 +156,6 @@ class Tensor:
 
     def reset_grad(self) -> None:
         self.grad = None
-        self.grad_events = 0
 
     def backward(self) -> None:
         if self._tape is None:
@@ -167,7 +166,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-        self.grad_events += 1
 
     # -- convenience reductions / views ------------------------------------
 
@@ -390,7 +388,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    # exp(-x) overflows to inf below about -709; 1 / (1 + inf) is the exact limit 0
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x.data))
 
     def pull(g):
         if x.requires_grad:
@@ -570,6 +570,61 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             x._accumulate(s * (g - inner))
 
     return custom_op(s, (x,), pull)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over projected rows, as one op.
+
+    q [n,d], k [m,d], v [m,d] -> [n,d]. Head h owns columns
+    [h*dh, (h+1)*dh) with dh = d / n_heads; the heads run as one batched
+    product over [n_heads, rows, dh] views. Per head, with c = 1/sqrt(dh):
+
+        S = softmax((Q Kᵀ) · c)  (row max subtracted before exp),  out = S V
+
+    and the output columns keep the head order. Backward, per head, for the
+    output gradient g:
+
+        dV = Sᵀ g,  dS = g Vᵀ,  dZ = S ⊙ (dS − rowsum(dS ⊙ S)) · c,
+        dQ = dZ K,  dK = dZᵀ Q
+
+    Gradients accumulate, so passing one tensor as both q and k is correct.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError(f"attention is 2-d only, got q={q.shape} k={k.shape} v={v.shape}")
+    n, d = q.shape
+    m = k.shape[0]
+    if k.shape != (m, d) or v.shape != (m, d) or m == 0 or d % n_heads:
+        raise ShapeError(
+            f"attention needs q [n,d], k and v [m,d] with m > 0 and d divisible by "
+            f"{n_heads} heads, got q={q.shape} k={k.shape} v={v.shape}"
+        )
+    dh = d // n_heads
+    c = 1.0 / np.sqrt(dh)
+
+    def split(x):  # [rows, d] -> [heads, rows, dh] view
+        return x.reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
+
+    def merge(x):  # [heads, rows, dh] -> [rows, d]
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    z = (qh @ kh.transpose(0, 2, 1)) * c
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def pull(g):
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(s.transpose(0, 2, 1) @ gh))
+        if q.requires_grad or k.requires_grad:
+            ds = gh @ vh.transpose(0, 2, 1)
+            dz = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * c
+            if q.requires_grad:
+                q._accumulate(merge(dz @ kh))
+            if k.requires_grad:
+                k._accumulate(merge(dz.transpose(0, 2, 1) @ qh))
+
+    return custom_op(merge(s @ vh), (q, k, v), pull)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -137,9 +137,6 @@ class QuerySet:
     def n_track(self) -> int:
         return sum(1 for r in self.records if r.kind == "track")
 
-    def track_ids(self) -> list[int]:
-        return [r.track_id for r in self.records if r.kind == "track"]
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -290,7 +287,8 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams, n_heads: int) -> Tensor:
-    """Scaled dot-product attention with per-head column slices.
+    """Scaled dot-product attention: Q/K/V projections, the batched-head op
+    `ad.attention` over the projected rows, then the output projection.
 
     Rows of the attention weights are a softmax, hence row-stochastic.
     """
@@ -299,20 +297,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams, n_
         raise ShapeError(f"width {d} not divisible by {n_heads} heads")
     if k.shape[1] != d or v.shape[1] != d or k.shape[0] != v.shape[0]:
         raise ShapeError(f"incompatible attention shapes q={q.shape} k={k.shape} v={v.shape}")
-    dh = d // n_heads
-    qp = _linear(q, p.wq, p.bq)
-    kp = _linear(k, p.wk, p.bk)
-    vp = _linear(v, p.wv, p.bv)
-    heads = []
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qs = ad.slice_axis(qp, 1, lo, hi)
-        ks = ad.slice_axis(kp, 1, lo, hi)
-        vs = ad.slice_axis(vp, 1, lo, hi)
-        logits = ad.scale(ad.matmul(qs, ad.transpose(ks)), 1.0 / np.sqrt(dh))
-        heads.append(ad.matmul(ad.softmax(logits, axis=-1), vs))
-    cat = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-    return _linear(cat, p.wo, p.bo)
+    if k.shape[0] == 0:
+        raise ShapeError(f"attention needs at least one key row, got k={k.shape}")
+    heads = ad.attention(
+        _linear(q, p.wq, p.bq), _linear(k, p.wk, p.bk), _linear(v, p.wv, p.bv), n_heads
+    )
+    return _linear(heads, p.wo, p.bo)
 
 
 def _ffn_forward(x: Tensor, p: FfnParams, kind: str) -> Tensor:
@@ -522,11 +512,24 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise ValueError(f"{path}: truncated header prefix: {len(prefix)} of 8 bytes")
+        version, header_len = struct.unpack("<II", prefix)
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        model = TrackingModel(ModelConfig(**header["config"]))
+        raw = fh.read(header_len)
+        if len(raw) != header_len:
+            raise ValueError(f"{path}: truncated header: {len(raw)} of {header_len} bytes")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: header is not valid JSON: {e}") from e
+        try:
+            cfg = ModelConfig(**header["config"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: invalid config in header: {e!r}") from e
+        model = TrackingModel(cfg)
         missing = sorted(set(model.params) - {entry["name"] for entry in header["params"]})
         if missing:
             raise ValueError(f"{path}: manifest omits parameters {missing}")

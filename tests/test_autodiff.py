@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -68,6 +69,45 @@ class TestSoftmax:
             np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-9)
 
 
+class TestAttentionOp:
+    """`ad.attention`: batched-head softmax(Q Kᵀ / sqrt(dh)) V as one tape op."""
+
+    @staticmethod
+    def weighted(q, k, v, n_heads, w):
+        return ad.mul(ad.attention(q, k, v, n_heads), w).sum()
+
+    @pytest.mark.parametrize("n,m,d,n_heads", [(3, 5, 4, 1), (2, 4, 6, 2), (4, 3, 8, 4)])
+    def test_grad_check(self, n, m, d, n_heads):
+        rng = np.random.default_rng(n * 100 + m * 10 + n_heads)
+        q, k, v = rng_tensor(rng, n, d), rng_tensor(rng, m, d), rng_tensor(rng, m, d)
+        w = rng_tensor(rng, n, d)
+        report = ad.grad_check(lambda q, k, v: self.weighted(q, k, v, n_heads, w), [q, k, v])
+        assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_grad_check_shared_query_key(self, n_heads):
+        # q is k: both gradient terms accumulate into one tensor
+        rng = np.random.default_rng(20 + n_heads)
+        x, v, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
+        report = ad.grad_check(lambda x, v: self.weighted(x, x, v, n_heads, w), [x, v])
+        assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize(
+        "q_shape,k_shape,v_shape,n_heads",
+        [
+            ((2, 4), (3, 4), (3, 4), 3),  # width not divisible by heads
+            ((2, 4), (3, 4), (2, 4), 1),  # key and value rows differ
+            ((2, 4), (3, 2), (3, 2), 1),  # key width differs
+            ((2, 4), (0, 4), (0, 4), 1),  # no key rows
+            ((4,), (3, 4), (3, 4), 1),  # not 2-d
+        ],
+    )
+    def test_bad_shapes_rejected(self, q_shape, k_shape, v_shape, n_heads):
+        q, k, v = Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape))
+        with pytest.raises(ad.ShapeError):
+            ad.attention(q, k, v, n_heads)
+
+
 class TestLayerNorm:
     def test_constant_row_is_zeroed(self):
         x = Tensor(np.full((2, 4), 3.7))
@@ -106,6 +146,17 @@ class TestElementwise:
             out = ad.sigmoid(x).sum()
         tape.backward(out)
         np.testing.assert_allclose(x.grad, 0.25, atol=1e-12)
+
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        x = Tensor([-800.0, 800.0], requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with Tape() as tape:
+                out = ad.sigmoid(x)
+                loss = out.sum()
+            tape.backward(loss)
+        assert out.data.tolist() == [0.0, 1.0]
+        assert np.isfinite(x.grad).all()
 
     def test_concat_shape(self):
         a = Tensor(np.zeros((2, 3)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -96,7 +97,81 @@ def identity_attention(d):
     return AttentionParams(eye, zero, eye, zero, eye, zero, eye, zero)
 
 
+def per_head_attention(q, k, v, p, n_heads):
+    """Reference: the projections, then one slice/transpose/matmul/softmax chain per head."""
+
+    def linear(x, w, b):
+        return ad.add(ad.matmul(x, w), b)
+
+    qp, kp, vp = linear(q, p.wq, p.bq), linear(k, p.wk, p.bk), linear(v, p.wv, p.bv)
+    dh = q.shape[1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        qs, ks, vs = (ad.slice_axis(x, 1, h * dh, (h + 1) * dh) for x in (qp, kp, vp))
+        logits = ad.scale(ad.matmul(qs, ad.transpose(ks)), 1.0 / np.sqrt(dh))
+        heads.append(ad.matmul(ad.softmax(logits, axis=-1), vs))
+    return linear(ad.concat(heads, axis=1), p.wo, p.bo)
+
+
+def random_attention(rng, d):
+    return AttentionParams(
+        *(
+            Tensor(rng.standard_normal((d, d) if i % 2 == 0 else d) / np.sqrt(d), requires_grad=True)
+            for i in range(8)
+        )
+    )
+
+
+def attention_grads(attend, q, k, v, p, n_heads, weight):
+    """Forward value and gradients of sum(attend(...) * weight) w.r.t. inputs and params."""
+    leaves = [q, k, v] + [getattr(p, f.name) for f in dataclasses.fields(p)]
+    for t in leaves:
+        t.requires_grad = True
+        t.reset_grad()
+    with Tape() as tape:
+        out = attend(q, k, v, p, n_heads)
+        loss = ad.mul(out, weight).sum()
+    tape.backward(loss)
+    return out.data, [t.grad.copy() for t in leaves]
+
+
 class TestAttention:
+    @pytest.mark.parametrize("n_heads", [1, 2, 4, 8])
+    @pytest.mark.parametrize("shared_query_key", [False, True])
+    def test_matches_per_head_reference(self, n_heads, shared_query_key):
+        rng = np.random.default_rng(40 + n_heads)
+        for _ in range(5):
+            d = n_heads * int(rng.integers(1, 5))
+            n = int(rng.integers(1, 7))
+            m = n if shared_query_key else n + int(rng.integers(1, 5))
+            q = Tensor(rng.standard_normal((n, d)))
+            k = q if shared_query_key else Tensor(rng.standard_normal((m, d)))
+            v = Tensor(rng.standard_normal((m, d)))
+            p = random_attention(rng, d)
+            weight = Tensor(rng.standard_normal((n, d)))
+            fused = attention_grads(multi_head_attention, q, k, v, p, n_heads, weight)
+            ref = attention_grads(per_head_attention, q, k, v, p, n_heads, weight)
+            np.testing.assert_allclose(fused[0], ref[0], rtol=0, atol=1e-12)
+            assert len(fused[1]) == len(ref[1]) == 11
+            for a, b in zip(fused[1], ref[1]):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_one_call_records_one_attention_node(self):
+        rng = np.random.default_rng(7)
+        q, k = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((5, 8)))
+        p = random_attention(rng, 8)
+        with Tape() as tape:
+            multi_head_attention(q, k, k, p, 4)
+            kinds = [pull.__qualname__.split(".")[0] for _, pull in tape.nodes]
+        # three input projections and the output projection (matmul + add each), one attention
+        assert sorted(kinds) == sorted(["matmul", "add"] * 4 + ["attention"])
+
+    def test_zero_key_rows_rejected(self):
+        p = identity_attention(4)
+        q, empty = Tensor(np.zeros((2, 4))), Tensor(np.zeros((0, 4)))
+        with pytest.raises(ad.ShapeError, match="at least one key row"):
+            multi_head_attention(q, empty, empty, p, 2)
+
     def test_single_zero_query(self):
         p = identity_attention(1)
         out = multi_head_attention(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[0.0]]), p, 1)
@@ -174,6 +249,11 @@ class TestDecode:
         memory = Tensor(np.zeros((4, TINY.d_model)))
         with pytest.raises(ValueError, match="empty"):
             model.decode(empty_track_set(TINY.d_model), memory)
+
+    def test_empty_memory_rejected(self):
+        model = TrackingModel(TINY)
+        with pytest.raises(ad.ShapeError, match="at least one key row"):
+            model.decode(model.frame_queries(), Tensor(np.zeros((0, TINY.d_model))))
 
     def test_memory_width_mismatch_rejected(self):
         model = TrackingModel(TINY)
@@ -383,6 +463,47 @@ class TestCheckpointCorruption:
         payload = raw[12 + header_len + n_dropped :]
         path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + payload)
         with pytest.raises(ValueError, match=rf"model\.ckpt: manifest omits .*{re.escape(dropped['name'])}"):
+            load_checkpoint(path)
+
+
+    def rewrite_config(self, path, **changes):
+        raw = path.read_bytes()
+        version, header_len = struct.unpack("<II", raw[4:12])
+        header = json.loads(raw[12 : 12 + header_len])
+        header["config"].update(changes)
+        body = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len :])
+
+    def test_truncated_header_prefix_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match=r"model\.ckpt: truncated header prefix"):
+            load_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(ValueError, match=r"model\.ckpt: truncated header"):
+            load_checkpoint(path)
+
+    def test_header_not_json_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        header_len = struct.unpack("<II", raw[4:12])[1]
+        path.write_bytes(raw[:12] + b"x" * header_len + raw[12 + header_len :])
+        with pytest.raises(ValueError, match=r"model\.ckpt: header is not valid JSON"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite_config(path, n_wings=2)
+        with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*n_wings"):
+            load_checkpoint(path)
+
+    def test_invalid_config_value_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite_config(path, d_model=7)
+        with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*d_model 7"):
             load_checkpoint(path)
 
 
