@@ -31,7 +31,6 @@ class GtObject:
     identity: int
     box: Box
     class_id: int = 0
-    visible: bool = True
 
 
 @dataclass

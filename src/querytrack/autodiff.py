@@ -11,8 +11,8 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
 - float64 only (gradient checks need double precision),
 - binary ops accept equal shapes, or a second operand whose shape is a
   suffix of the first (leading-axis expansion, e.g. bias add),
-- `log` and `div` clamp at ``EPS_GUARD`` so saturated probabilities and
-  zero-area boxes cannot produce non-finite values,
+- `log` clamps at ``EPS_GUARD`` so saturated probabilities cannot produce
+  non-finite values,
 - a tape and its tensors belong to one worker; no locking is done.
 """
 
@@ -37,7 +37,6 @@ __all__ = [
     "attention",
     "concat",
     "custom_op",
-    "div",
     "extract_patches",
     "gather_rows",
     "gelu",
@@ -45,8 +44,6 @@ __all__ = [
     "layer_norm",
     "log",
     "matmul",
-    "maximum",
-    "minimum",
     "mul",
     "pow_scalar",
     "reduce_sum",
@@ -151,9 +148,6 @@ class Tensor:
             raise ShapeError(f"item() needs one element, shape is {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def reset_grad(self) -> None:
         self.grad = None
 
@@ -171,11 +165,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     # -- operator sugar -----------------------------------------------------
 
@@ -201,9 +190,9 @@ class Tensor:
         return shift(scale(self, -1.0), other)
 
     def __truediv__(self, other):
-        if _is_number(other):
-            return scale(self, 1.0 / other)
-        return div(self, other)
+        if not _is_number(other):
+            raise TypeError(f"a Tensor divides only by a number, got {type(other).__name__}")
+        return scale(self, 1.0 / other)
 
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
@@ -307,26 +296,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return custom_op(ad * bd, (a, b), pull)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    """a / b with the denominator clamped below at EPS_GUARD.
-
-    Intended for positive denominators (areas, normalizers); where the clamp
-    engages, the denominator gradient is zero.
-    """
-    axes = _suffix_axes(a.shape, b.shape)
-    bc = np.maximum(b.data, EPS_GUARD)
-    out = a.data / bc
-    live = b.data > EPS_GUARD
-
-    def pull(g):
-        if a.requires_grad:
-            a._accumulate(g / bc)
-        if b.requires_grad:
-            b._accumulate(_reduce_to(-g * out / bc * live, axes))
-
-    return custom_op(out, (a, b), pull)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -345,36 +314,6 @@ def shift(x: Tensor, c: float) -> Tensor:
             x._accumulate(g)
 
     return custom_op(x.data + c, (x,), pull)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max, same shapes only; ties route the gradient to `a`."""
-    if a.shape != b.shape:
-        raise ShapeError(f"maximum needs equal shapes, got {a.shape} vs {b.shape}")
-    take_a = a.data >= b.data
-
-    def pull(g):
-        if a.requires_grad:
-            a._accumulate(g * take_a)
-        if b.requires_grad:
-            b._accumulate(g * ~take_a)
-
-    return custom_op(np.where(take_a, a.data, b.data), (a, b), pull)
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise min, same shapes only; ties route the gradient to `a`."""
-    if a.shape != b.shape:
-        raise ShapeError(f"minimum needs equal shapes, got {a.shape} vs {b.shape}")
-    take_a = a.data <= b.data
-
-    def pull(g):
-        if a.requires_grad:
-            a._accumulate(g * take_a)
-        if b.requires_grad:
-            b._accumulate(g * ~take_a)
-
-    return custom_op(np.where(take_a, a.data, b.data), (a, b), pull)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -489,16 +428,6 @@ def transpose(x: Tensor) -> Tensor:
             x._accumulate(g.T)
 
     return custom_op(x.data.T.copy(), (x,), pull)
-
-
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    old = x.shape
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(old))
-
-    return custom_op(x.data.reshape(shape), (x,), pull)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -1,9 +1,13 @@
 """Bounding boxes in center-size form and their overlap measures.
 
-Two surfaces on purpose: pairwise numpy kernels (`[m,4] x [n,4] -> [m,n]`)
-for matching costs and metrics, and tensor row ops (`[n,4] x [n,4] ->
-[n,1]`) that the losses differentiate through. Tests cross-check the
-kernels' diagonal against the row ops.
+The overlap geometry (corners, per-axis spans, enclosing sides and the
+intersection, union and enclosing areas) is written once, in `_overlap`,
+over broadcastable `[..., 4]` rows. Two surfaces sit on it: the pairwise
+numpy kernels `iou`/`giou`/`l1_box` (`[m,4] x [n,4] -> [m,n]`) for matching
+costs and metrics, and `box_giou_rows`, one differentiable tape op over
+aligned rows (`[n,4] x [n,4] -> [n,1]`) for the loss. `box_l1_rows` is its
+L1 counterpart, built from plain tape ops. Tests cross-check the kernels'
+diagonal against the row ops.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import querytrack.autodiff as ad
-from querytrack.autodiff import EPS_GUARD, Tensor
+from querytrack.autodiff import EPS_GUARD, ShapeError, Tensor
 
 __all__ = ["Box", "iou", "giou", "l1_box", "box_l1_rows", "box_giou_rows"]
 
@@ -65,23 +69,25 @@ def _rows(boxes) -> np.ndarray:
 
 
 def _corners(rows: np.ndarray):
-    cx, cy, w, h = rows.T
-    hw, hh = w / 2.0, h / 2.0
-    return cx - hw, cy - hh, cx + hw, cy + hh
+    """(lo, hi) corners of [..., 4] rows, each [..., 2] as (x, y)."""
+    half = rows[..., 2:] / 2.0
+    return rows[..., :2] - half, rows[..., :2] + half
 
 
-def _pairwise_overlap(a, b):
-    """(intersection, union, enclosing) areas of every row pair, each [m,n]."""
-    a, b = _rows(a), _rows(b)
-    ax1, ay1, ax2, ay2 = (c[:, None] for c in _corners(a))
-    bx1, by1, bx2, by2 = _corners(b)
-    iw = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
-    ih = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
-    inter = iw * ih
-    union = (a[:, 2] * a[:, 3])[:, None] + b[:, 2] * b[:, 3] - inter
-    cw = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
-    ch = np.maximum(ay2, by2) - np.minimum(ay1, by1)
-    return inter, union, cw * ch
+def _overlap(a: np.ndarray, b: np.ndarray):
+    """Overlap geometry of [..., 4] rows a and b, broadcast against each other.
+
+    Returns (span, sides, inter, union, enclosing): the signed overlap per
+    axis and the enclosing box's sides, each [..., 2] as (x, y), then the
+    intersection, union and enclosing areas.
+    """
+    a_lo, a_hi = _corners(a)
+    b_lo, b_hi = _corners(b)
+    span = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
+    sides = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    inter = np.maximum(0.0, span[..., 0]) * np.maximum(0.0, span[..., 1])
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    return span, sides, inter, union, sides[..., 0] * sides[..., 1]
 
 
 def _iou(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
@@ -90,13 +96,13 @@ def _iou(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
 
 def iou(a, b) -> np.ndarray:
     """Pairwise intersection over union in [0, 1]; zero-area union gives 0."""
-    inter, union, _ = _pairwise_overlap(a, b)
+    _, _, inter, union, _ = _overlap(_rows(a)[:, None], _rows(b)[None])
     return _iou(inter, union)
 
 
 def giou(a, b) -> np.ndarray:
     """Pairwise generalized IoU in [-1, 1]: IoU minus empty enclosing-area fraction."""
-    inter, union, enclosing = _pairwise_overlap(a, b)
+    _, _, inter, union, enclosing = _overlap(_rows(a)[:, None], _rows(b)[None])
     return _iou(inter, union) - (enclosing - union) / np.maximum(enclosing, EPS_GUARD)
 
 
@@ -111,36 +117,45 @@ def l1_box(a, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _col(t: Tensor, j: int) -> Tensor:
-    return ad.slice_axis(t, 1, j, j + 1)
-
-
-def _corners_t(t: Tensor):
-    cx, cy, w, h = (_col(t, j) for j in range(4))
-    hw, hh = ad.scale(w, 0.5), ad.scale(h, 0.5)
-    return ad.sub(cx, hw), ad.sub(cy, hh), ad.add(cx, hw), ad.add(cy, hh), w, h
-
-
 def box_l1_rows(pred: Tensor, target: Tensor) -> Tensor:
     """Row-wise coordinate L1 distance between [n,4] box tensors -> [n,1]."""
     return ad.absolute(ad.sub(pred, target)).sum(axis=1, keepdims=True)
 
 
 def box_giou_rows(pred: Tensor, target: Tensor) -> Tensor:
-    """Row-wise generalized IoU between [n,4] box tensors -> [n,1].
+    """Row-wise generalized IoU between [n,4] box tensors -> [n,1], as one op.
 
-    Denominators are guarded so degenerate zero-area rows stay finite.
+    The value is G = I/U - (C - U)/C = I/U - 1 + U/C over the intersection
+    I, union U and enclosing area C, with U and C clamped below at
+    EPS_GUARD so degenerate zero-area rows stay finite; where a clamp
+    engages, that denominator's gradient is zero. Backward chains G's
+    partials through the corners: a span of the intersection passes
+    gradient only where it is positive, and a min/max tie between the two
+    rows' corners routes it to the operand being differentiated. GIoU is
+    symmetric, so the target's gradient is the same rule with the rows
+    swapped.
     """
-    ax1, ay1, ax2, ay2, aw, ah = _corners_t(pred)
-    bx1, by1, bx2, by2, bw, bh = _corners_t(target)
+    if pred.data.ndim != 2 or pred.shape[1] != 4 or target.shape != pred.shape:
+        raise ShapeError(
+            f"box_giou_rows needs two [n,4] tensors, got {pred.shape} and {target.shape}"
+        )
+    a, b = pred.data, target.data
+    span, sides, inter, union, enclosing = _overlap(a, b)
+    uc, cc = np.maximum(union, EPS_GUARD), np.maximum(enclosing, EPS_GUARD)
+    i, empty = inter / uc, (enclosing - union) / cc
 
-    iw = ad.relu(ad.sub(ad.minimum(ax2, bx2), ad.maximum(ax1, bx1)))
-    ih = ad.relu(ad.sub(ad.minimum(ay2, by2), ad.maximum(ay1, by1)))
-    inter = ad.mul(iw, ih)
-    union = ad.sub(ad.add(ad.mul(aw, ah), ad.mul(bw, bh)), inter)
-    i = ad.div(inter, union)
+    def pull(g):
+        g = g[:, 0]
+        d_union = g / cc - g * i / uc * (union > EPS_GUARD)
+        d_span = (g / uc - d_union)[:, None] * (span > 0) * np.maximum(0.0, span[:, ::-1])
+        d_sides = (g * (empty * (enclosing > EPS_GUARD) - 1.0) / cc)[:, None] * sides[:, ::-1]
+        for x, x_rows, y_rows in ((pred, a, b), (target, b, a)):
+            if x.requires_grad:
+                x_lo, x_hi = _corners(x_rows)
+                y_lo, y_hi = _corners(y_rows)
+                d_lo = -d_span * (x_lo >= y_lo) - d_sides * (x_lo <= y_lo)
+                d_hi = d_span * (x_hi <= y_hi) + d_sides * (x_hi >= y_hi)
+                d_wh = (d_hi - d_lo) * 0.5 + d_union[:, None] * x_rows[:, 3:1:-1]
+                x._accumulate(np.concatenate([d_lo + d_hi, d_wh], axis=1))
 
-    cw = ad.sub(ad.maximum(ax2, bx2), ad.minimum(ax1, bx1))
-    ch = ad.sub(ad.maximum(ay2, by2), ad.minimum(ay1, by1))
-    enclosing = ad.mul(cw, ch)
-    return ad.sub(i, ad.div(ad.sub(enclosing, union), enclosing))
+    return ad.custom_op((i - empty)[:, None], (pred, target), pull)

@@ -529,11 +529,20 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
             cfg = ModelConfig(**header["config"])
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: invalid config in header: {e!r}") from e
+        for key in ("params", "extra"):
+            if key not in header:
+                raise ValueError(f"{path}: header has no {key!r} entry")
+        manifest = header["params"]
+        if not isinstance(manifest, list):
+            raise ValueError(f"{path}: header 'params' is a {type(manifest).__name__}, not a list")
+        for entry in manifest:
+            if not isinstance(entry, dict) or not {"name", "shape"} <= entry.keys():
+                raise ValueError(f"{path}: manifest entry {entry!r} needs a name and a shape")
         model = TrackingModel(cfg)
-        missing = sorted(set(model.params) - {entry["name"] for entry in header["params"]})
+        missing = sorted(set(model.params) - {entry["name"] for entry in manifest})
         if missing:
             raise ValueError(f"{path}: manifest omits parameters {missing}")
-        for entry in header["params"]:
+        for entry in manifest:
             name, shape = entry["name"], tuple(entry["shape"])
             if name not in model.params:
                 raise ValueError(f"{path}: unknown parameter {name}")

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import querytrack.autodiff as ad
-from querytrack.autodiff import Tensor
+from querytrack.autodiff import ShapeError, Tape, Tensor
 from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou, iou, l1_box
 
 
@@ -106,6 +108,55 @@ class TestTensorVersions:
                 lambda x, y: box_giou_rows(x, y).sum(), [ta, tb], tol=1e-4
             )
             assert report.passed, report.max_rel_err
+
+    def test_giou_rows_record_one_tape_node(self):
+        ta = Tensor([[0.4, 0.5, 0.3, 0.2], [0.2, 0.2, 0.1, 0.1]], requires_grad=True)
+        tb = Tensor([[0.5, 0.5, 0.2, 0.3], [0.8, 0.8, 0.1, 0.1]], requires_grad=True)
+        with Tape() as tape:
+            box_giou_rows(ta, tb)
+        assert len(tape.nodes) == 1
+
+    @pytest.mark.parametrize(
+        "pred, target",
+        [
+            # disjoint: apart on both axes, and apart in x while overlapping in y
+            ([[0.2, 0.3, 0.2, 0.1], [0.7, 0.5, 0.1, 0.3]], [[0.7, 0.75, 0.3, 0.2], [0.2, 0.52, 0.2, 0.2]]),
+            # nested: the target lies strictly inside pred, and pred inside the target
+            ([[0.5, 0.5, 0.6, 0.5], [0.41, 0.52, 0.1, 0.12]], [[0.52, 0.47, 0.2, 0.15], [0.4, 0.5, 0.4, 0.35]]),
+            # partly overlapping along both axes
+            ([[0.4, 0.5, 0.31, 0.27], [0.6, 0.3, 0.2, 0.2]], [[0.5, 0.43, 0.24, 0.33], [0.68, 0.36, 0.25, 0.1]]),
+        ],
+        ids=["disjoint", "nested", "partial"],
+    )
+    def test_giou_gradient_pred_and_target(self, pred, target):
+        ta, tb = Tensor(pred), Tensor(target)
+        weights = Tensor([[1.0], [-0.7]])
+        report = ad.grad_check(lambda x, y: ad.mul(box_giou_rows(x, y), weights).sum(), [ta, tb])
+        assert report.passed, report.max_rel_err
+
+    def test_zero_area_rows_finite(self):
+        pred = np.array([
+            [0.5, 0.5, 0.0, 0.0],  # both zero at one centre
+            [0.5, 0.5, 0.4, 0.3],  # a zero-area target inside pred
+            [0.2, 0.5, 0.0, 0.2],  # zero-width rows apart
+        ])
+        target = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.7, 0.5, 0.0, 0.2]])
+        ta, tb = Tensor(pred, requires_grad=True), Tensor(target, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with Tape() as tape:
+                out = box_giou_rows(ta, tb)
+                loss = out.sum()
+            tape.backward(loss)
+        assert np.isfinite(out.data).all()
+        np.testing.assert_array_equal(out.data[:, 0], np.diag(giou(pred, target)))
+        assert np.isfinite(ta.grad).all() and np.isfinite(tb.grad).all()
+
+    def test_giou_rows_reject_bad_shapes(self):
+        with pytest.raises(ShapeError):
+            box_giou_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        with pytest.raises(ShapeError):
+            box_giou_rows(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))))
 
     def test_l1_gradient(self):
         rng = np.random.default_rng(5)

@@ -506,6 +506,39 @@ class TestCheckpointCorruption:
         with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*d_model 7"):
             load_checkpoint(path)
 
+    def rewrite_header(self, path, edit):
+        """Apply edit(header) and write the header back, payload unchanged."""
+        raw = path.read_bytes()
+        version, header_len = struct.unpack("<II", raw[4:12])
+        header = json.loads(raw[12 : 12 + header_len])
+        edit(header)
+        body = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len :])
+
+    def test_missing_params_key_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: h.pop("params"))
+        with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'params' entry"):
+            load_checkpoint(path)
+
+    def test_manifest_entry_without_shape_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: h["params"][0].pop("shape"))
+        with pytest.raises(ValueError, match=r"model\.ckpt: manifest entry .* needs a name and a shape"):
+            load_checkpoint(path)
+
+    def test_params_not_a_list_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: h.update(params="weights"))
+        with pytest.raises(ValueError, match=r"model\.ckpt: header 'params' is a str, not a list"):
+            load_checkpoint(path)
+
+    def test_missing_extra_key_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: h.pop("extra"))
+        with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'extra' entry"):
+            load_checkpoint(path)
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
