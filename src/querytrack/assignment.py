@@ -78,6 +78,20 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(rows.tolist(), cols.tolist()))
 
 
+def _check_annotations(gt_frame: list[GtObject], n_classes: int) -> None:
+    """Reject one frame's ground truth that the matcher and the loss cannot
+    index: a class id outside [0, n_classes), or an identity given twice."""
+    seen = set()
+    for obj in gt_frame:
+        if not (isinstance(obj.class_id, (int, np.integer)) and 0 <= obj.class_id < n_classes):
+            raise ValueError(
+                f"object {obj.identity} has class_id {obj.class_id!r}, outside [0, {n_classes})"
+            )
+        if obj.identity in seen:
+            raise ValueError(f"identity {obj.identity} appears twice in one frame")
+        seen.add(obj.identity)
+
+
 def build_match_cost(
     pred_probs: np.ndarray,
     pred_boxes: list[Box] | np.ndarray,
@@ -90,6 +104,7 @@ def build_match_cost(
     the same weights the box/class losses use.
     """
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
+    _check_annotations(targets, pred_probs.shape[1])
     class_ids = [t.class_id for t in targets]
     target_boxes = [t.box for t in targets]
     return (

@@ -11,8 +11,6 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
 - float64 only (gradient checks need double precision),
 - binary ops accept equal shapes, or a second operand whose shape is a
   suffix of the first (leading-axis expansion, e.g. bias add),
-- `log` clamps at ``EPS_GUARD`` so saturated probabilities cannot produce
-  non-finite values,
 - a tape and its tensors belong to one worker; no locking is done.
 """
 
@@ -22,10 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-EPS_GUARD = 1e-12
-
 __all__ = [
-    "EPS_GUARD",
     "GradCheckReport",
     "GradientError",
     "ShapeError",
@@ -42,10 +37,7 @@ __all__ = [
     "gelu",
     "grad_check",
     "layer_norm",
-    "log",
-    "matmul",
-    "mul",
-    "pow_scalar",
+    "linear",
     "reduce_sum",
     "relu",
     "reset_grads",
@@ -53,9 +45,7 @@ __all__ = [
     "shift",
     "sigmoid",
     "slice_axis",
-    "softmax",
     "sub",
-    "transpose",
 ]
 
 
@@ -174,7 +164,9 @@ class Tensor:
     __radd__ = __add__
 
     def __mul__(self, other):
-        return scale(self, other) if _is_number(other) else mul(self, other)
+        if not _is_number(other):
+            raise TypeError(f"a Tensor multiplies only by a number, got {type(other).__name__}")
+        return scale(self, other)
 
     __rmul__ = __mul__
 
@@ -283,19 +275,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return custom_op(a.data - b.data, (a, b), pull)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    axes = _suffix_axes(a.shape, b.shape)
-    ad, bd = a.data, b.data
-
-    def pull(g):
-        if a.requires_grad:
-            a._accumulate(g * bd)
-        if b.requires_grad:
-            b._accumulate(_reduce_to(g * ad, axes))
-
-    return custom_op(ad * bd, (a, b), pull)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -365,18 +344,6 @@ def activation(x: Tensor, kind: str) -> Tensor:
     raise ValueError(f"unknown activation {kind!r}; expected 'relu' or 'gelu'")
 
 
-def log(x: Tensor) -> Tensor:
-    """log with input clamped at EPS_GUARD; zero gradient inside the clamp."""
-    xc = np.maximum(x.data, EPS_GUARD)
-    live = x.data > EPS_GUARD
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(g * live / xc)
-
-    return custom_op(np.log(xc), (x,), pull)
-
-
 def absolute(x: Tensor) -> Tensor:
     sign = np.sign(x.data)
 
@@ -387,47 +354,32 @@ def absolute(x: Tensor) -> Tensor:
     return custom_op(np.abs(x.data), (x,), pull)
 
 
-def pow_scalar(x: Tensor, p: float) -> Tensor:
-    p = float(p)
-    out = x.data**p
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(g * p * x.data ** (p - 1.0))
-
-    return custom_op(out, (x,), pull)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra / structure
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul is 2-d only, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x [n,k] @ w [k,m] + b [m] -> [n,m], as one op.
 
-    def pull(g):
-        if a.requires_grad:
-            a._accumulate(g @ bd.T)
-        if b.requires_grad:
-            b._accumulate(ad.T @ g)
-
-    return custom_op(ad @ bd, (a, b), pull)
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose is 2-d only, got {x.shape}")
+    Backward, for the output gradient g: dx = g wᵀ, dw = xᵀ g, and db is
+    the column sums of g.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(
+            f"linear needs x [n,k], w [k,m] and b [m], got {x.shape}, {w.shape} and {b.shape}"
+        )
+    xd, wd = x.data, w.data
 
     def pull(g):
         if x.requires_grad:
-            x._accumulate(g.T)
+            x._accumulate(g @ wd.T)
+        if w.requires_grad:
+            w._accumulate(xd.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
 
-    return custom_op(x.data.T.copy(), (x,), pull)
+    return custom_op(xd @ wd + b.data, (x, w, b), pull)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -486,19 +438,6 @@ def gather_rows(x: Tensor, idx) -> Tensor:
             x._accumulate(buf)
 
     return custom_op(x.data[idx].copy(), (x,), pull)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def pull(g):
-        if x.requires_grad:
-            inner = (g * s).sum(axis=axis, keepdims=True)
-            x._accumulate(s * (g - inner))
-
-    return custom_op(s, (x,), pull)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:

@@ -17,9 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 import querytrack.autodiff as ad
-from querytrack.autodiff import EPS_GUARD, ShapeError, Tensor
+from querytrack.autodiff import ShapeError, Tensor
 
 __all__ = ["Box", "iou", "giou", "l1_box", "box_l1_rows", "box_giou_rows"]
+
+# floor for the union and enclosing areas a GIoU divides by
+EPS_GUARD = 1e-12
 
 
 @dataclass(frozen=True)

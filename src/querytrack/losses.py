@@ -14,7 +14,7 @@ import numpy as np
 
 import querytrack.autodiff as ad
 from querytrack.autodiff import Tensor
-from querytrack.assignment import Assignment, GtObject
+from querytrack.assignment import Assignment, GtObject, _check_annotations
 from querytrack.boxes import box_giou_rows, box_l1_rows
 
 __all__ = [
@@ -44,22 +44,35 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-def focal_loss(probs: Tensor, targets: np.ndarray, alpha: float = 0.25, gamma: float = 2.0) -> Tensor:
-    """Summed binary focal loss of predicted probabilities against 0/1 targets.
+def focal_loss(logits: Tensor, targets: np.ndarray, alpha: float = 0.25, gamma: float = 2.0) -> Tensor:
+    """Summed binary focal loss of class logits against 0/1 targets, as one op.
 
-    Positive cells contribute -alpha * (1-p)^gamma * log p, negative cells
-    -(1-alpha) * p^gamma * log(1-p). The log clamp keeps saturated
-    probabilities finite.
+    With p = sigmoid(x), positive cells contribute -alpha * (1-p)^gamma * log p
+    and negative cells -(1-alpha) * p^gamma * log(1-p). Both logs are taken in
+    logit space, log p = -softplus(-x) and log(1-p) = -softplus(x) with
+    softplus(x) = logaddexp(0, x), and p and 1-p are their exponentials, so
+    nothing saturates: a confident mistake keeps a loss growing linearly in
+    |x| and a gradient of about alpha (positive) or 1-alpha (negative) in
+    size. A background cell at logit 40 costs 0.75 * 40 = 30 with
+    dL/dx = 0.75; a correct cell at |x| = 800 costs exactly 0. Backward, per
+    cell, dL/dx is alpha * (1-p)^gamma * (-gamma * p * softplus(-x) - (1-p))
+    for a positive and (1-alpha) * p^gamma * (gamma * (1-p) * softplus(x) + p)
+    for a negative.
     """
-    t = Tensor(np.asarray(targets, dtype=np.float64))
-    if t.shape != probs.shape:
-        raise ad.ShapeError(f"targets shape {t.shape} != probs shape {probs.shape}")
-    one_minus_p = 1.0 - probs
-    pos = ad.mul(t, ad.pow_scalar(one_minus_p, gamma) * -alpha)
-    pos = ad.mul(pos, ad.log(probs))
-    neg = ad.mul(1.0 - t, ad.pow_scalar(probs, gamma) * -(1.0 - alpha))
-    neg = ad.mul(neg, ad.log(one_minus_p))
-    return ad.add(pos, neg).sum()
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != logits.shape:
+        raise ad.ShapeError(f"targets shape {t.shape} != logits shape {logits.shape}")
+    x = logits.data
+    nlog_p, nlog_q = np.logaddexp(0.0, -x), np.logaddexp(0.0, x)
+    p, q = np.exp(-nlog_p), np.exp(-nlog_q)
+    pos, neg = t * alpha * q**gamma, (1.0 - t) * (1.0 - alpha) * p**gamma
+
+    def pull(g):
+        if logits.requires_grad:
+            d = pos * (-gamma * p * nlog_p - q) + neg * (gamma * q * nlog_q + p)
+            logits._accumulate(g * d)
+
+    return ad.custom_op(np.sum(pos * nlog_p + neg * nlog_q), (logits,), pull)
 
 
 @dataclass
@@ -98,9 +111,10 @@ def frame_loss(
     background (their object is gone); a detect pair pointing at a missing
     identity is a caller bug and raises.
     """
-    by_identity = {obj.identity: obj for obj in gt_frame}
     n_track = preds.n_track
-    n_total, n_classes = preds.class_probs.shape
+    n_total, n_classes = preds.class_logits.shape
+    _check_annotations(gt_frame, n_classes)
+    by_identity = {obj.identity: obj for obj in gt_frame}
 
     class_targets = np.zeros((n_total, n_classes))
     track_rows, track_targets = [], []
@@ -121,9 +135,9 @@ def frame_loss(
         detect_targets.append(obj.box.to_array())
 
     def block_loss(row_lo: int, row_hi: int, rows: list[int], targets: list) -> Tensor:
-        probs = ad.slice_axis(preds.class_probs, 0, row_lo, row_hi)
+        logits = ad.slice_axis(preds.class_logits, 0, row_lo, row_hi)
         loss = ad.scale(
-            focal_loss(probs, class_targets[row_lo:row_hi], weights.focal_alpha, weights.focal_gamma),
+            focal_loss(logits, class_targets[row_lo:row_hi], weights.focal_alpha, weights.focal_gamma),
             weights.lambda_cls,
         )
         if rows:

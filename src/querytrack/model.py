@@ -4,9 +4,11 @@ A frame image is cut into non-overlapping patches, linearly embedded with a
 2-d sine positional code and refined by standard self-attention; the frame's
 query set (variable track block first, fixed learnable detect block second)
 runs through pre-norm decoder layers of self-attention, cross-attention to
-the frame tokens and a feed-forward net. Sigmoid heads keep all class
-probabilities and box coordinates strictly inside (0, 1). Query order is
-slot identity: output row i always belongs to input query i.
+the frame tokens and a feed-forward net. The class head emits logits, which
+the loss takes on the tape; class probabilities are their sigmoid, derived
+off the tape for matching and scoring. The box head's sigmoid keeps box
+coordinates strictly inside (0, 1). Query order is slot identity: output
+row i always belongs to input query i.
 
 Between frames, the kept decoder states of frame t come back as the track
 block of frame t+1 and first pass through the temporal aggregation layer
@@ -154,11 +156,16 @@ class FramePredictions:
     states (`hidden`) and positions (`queries`) with one row index.
     """
 
-    class_probs: Tensor  # [n, n_classes]
+    class_logits: Tensor  # [n, n_classes]
     boxes: Tensor  # [n, 4], (cx, cy, w, h)
     hidden: Tensor  # [n, d_model]
     queries: Tensor  # [n, d_model], decoder input rows
     n_track: int
+
+    @property
+    def class_probs(self) -> Tensor:
+        """Sigmoid of the class logits, computed off the tape."""
+        return ad.sigmoid(Tensor(self.class_logits.data))
 
     def scores(self) -> np.ndarray:
         """Best class probability per query."""
@@ -168,7 +175,7 @@ class FramePredictions:
         return [Box.from_array(row) for row in self.boxes.data]
 
     def __len__(self) -> int:
-        return self.class_probs.shape[0]
+        return self.class_logits.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +289,6 @@ class _ParamFactory:
 # ---------------------------------------------------------------------------
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, w), b)
-
-
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams, n_heads: int) -> Tensor:
     """Scaled dot-product attention: Q/K/V projections, the batched-head op
     `ad.attention` over the projected rows, then the output projection.
@@ -300,13 +303,13 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams, n_
     if k.shape[0] == 0:
         raise ShapeError(f"attention needs at least one key row, got k={k.shape}")
     heads = ad.attention(
-        _linear(q, p.wq, p.bq), _linear(k, p.wk, p.bk), _linear(v, p.wv, p.bv), n_heads
+        ad.linear(q, p.wq, p.bq), ad.linear(k, p.wk, p.bk), ad.linear(v, p.wv, p.bv), n_heads
     )
-    return _linear(heads, p.wo, p.bo)
+    return ad.linear(heads, p.wo, p.bo)
 
 
 def _ffn_forward(x: Tensor, p: FfnParams, kind: str) -> Tensor:
-    return _linear(ad.activation(_linear(x, p.w1, p.b1), kind), p.w2, p.b2)
+    return ad.linear(ad.activation(ad.linear(x, p.w1, p.b1), kind), p.w2, p.b2)
 
 
 def _norm(x: Tensor, p: NormParams) -> Tensor:
@@ -400,7 +403,7 @@ class TrackingModel:
                 f"image shape {image.shape} != configured "
                 f"({cfg.image_size}, {cfg.image_size}, {cfg.n_channels})"
             )
-        x = _linear(ad.extract_patches(image, cfg.patch_size), self.patch_w, self.patch_b)
+        x = ad.linear(ad.extract_patches(image, cfg.patch_size), self.patch_w, self.patch_b)
         if self._pos is not None:
             x = ad.add(x, Tensor(self._pos))
         for layer in self.encoder_layers:
@@ -441,7 +444,7 @@ class TrackingModel:
         )
 
     def decode(self, queries: QuerySet, memory: Tensor) -> FramePredictions:
-        """Refine queries against frame tokens; emit probabilities and boxes."""
+        """Refine queries against frame tokens; emit class logits and boxes."""
         cfg = self.cfg
         if len(queries) == 0:
             raise ValueError("query set is empty; the detect block is mandatory")
@@ -459,11 +462,11 @@ class TrackingModel:
             )
             x = ad.add(x, _ffn_forward(_norm(x, layer.norm_ffn), layer.ffn, cfg.activation))
         hidden = _norm(x, self.norm_out)
-        class_probs = ad.sigmoid(_linear(hidden, self.cls_w, self.cls_b))
+        class_logits = ad.linear(hidden, self.cls_w, self.cls_b)
         boxes = ad.sigmoid(
-            _linear(ad.relu(_linear(hidden, self.box_w1, self.box_b1)), self.box_w2, self.box_b2)
+            ad.linear(ad.relu(ad.linear(hidden, self.box_w1, self.box_b1)), self.box_w2, self.box_b2)
         )
-        return FramePredictions(class_probs, boxes, hidden, queries.embeddings, queries.n_track)
+        return FramePredictions(class_logits, boxes, hidden, queries.embeddings, queries.n_track)
 
     def forward_frame(self, image: Tensor, track_set: QuerySet | None = None) -> FramePredictions:
         return self.decode(self.frame_queries(track_set), self.encode(image))
@@ -536,8 +539,16 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
         if not isinstance(manifest, list):
             raise ValueError(f"{path}: header 'params' is a {type(manifest).__name__}, not a list")
         for entry in manifest:
-            if not isinstance(entry, dict) or not {"name", "shape"} <= entry.keys():
-                raise ValueError(f"{path}: manifest entry {entry!r} needs a name and a shape")
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])
+            ):
+                raise ValueError(
+                    f"{path}: manifest entry {entry!r} needs a name and a shape "
+                    "of nonnegative integers"
+                )
         model = TrackingModel(cfg)
         missing = sorted(set(model.params) - {entry["name"] for entry in manifest})
         if missing:

@@ -129,6 +129,21 @@ class TestMatchCost:
         cost = build_match_cost(probs, [b, b, b], targets, w)
         np.testing.assert_array_equal(cost, -2.0 * probs[:, [1, 0, 1]])
 
+    @pytest.mark.parametrize(
+        "gt, message",
+        [
+            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=-1)], r"class_id -1, outside \[0, 1\)"),
+            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=1)], r"class_id 1, outside \[0, 1\)"),
+            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2)), GtObject(1, Box(0.3, 0.3, 0.1, 0.1))], "identity 1 appears twice"),
+        ],
+        ids=["negative_class", "class_past_the_last", "duplicate_identity"],
+    )
+    def test_bad_annotations_rejected(self, gt, message):
+        probs = np.array([[0.5], [0.3]])
+        boxes = [Box(0.5, 0.5, 0.2, 0.2), Box(0.4, 0.4, 0.2, 0.2)]
+        with pytest.raises(ValueError, match=message):
+            build_match_cost(probs, boxes, gt, LossWeights())
+
 
 def make_gt(ids_boxes):
     return [GtObject(i, b) for i, b in ids_boxes]

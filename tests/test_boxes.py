@@ -130,8 +130,9 @@ class TestTensorVersions:
     )
     def test_giou_gradient_pred_and_target(self, pred, target):
         ta, tb = Tensor(pred), Tensor(target)
-        weights = Tensor([[1.0], [-0.7]])
-        report = ad.grad_check(lambda x, y: ad.mul(box_giou_rows(x, y), weights).sum(), [ta, tb])
+        # the row weights [1, -0.7] times the [2,1] GIoU column: a weighted sum
+        weights, zero = Tensor([[1.0, -0.7]]), Tensor([0.0])
+        report = ad.grad_check(lambda x, y: ad.linear(weights, box_giou_rows(x, y), zero).sum(), [ta, tb])
         assert report.passed, report.max_rel_err
 
     def test_zero_area_rows_finite(self):

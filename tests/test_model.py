@@ -97,20 +97,57 @@ def identity_attention(d):
     return AttentionParams(eye, zero, eye, zero, eye, zero, eye, zero)
 
 
-def per_head_attention(q, k, v, p, n_heads):
-    """Reference: the projections, then one slice/transpose/matmul/softmax chain per head."""
+def weighted_sum(x, w):
+    """sum(x * w) for a constant array w, as one test-local tape op."""
+    w = np.asarray(w, dtype=np.float64)
 
-    def linear(x, w, b):
-        return ad.add(ad.matmul(x, w), b)
+    def pull(g):
+        if x.requires_grad:
+            x._accumulate(g * w)
 
-    qp, kp, vp = linear(q, p.wq, p.bq), linear(k, p.wk, p.bk), linear(v, p.wv, p.bv)
+    return ad.custom_op(np.sum(x.data * w), (x,), pull)
+
+
+def per_head_attention(q, k, v, p, n_heads, weight):
+    """Reference in numpy, one head at a time with 2-d products.
+
+    Returns the attention output and the gradients of sum(output * weight)
+    w.r.t. q, k, v and the eight projection parameters, in the order
+    `attention_grads` uses. When k is q, both entries hold the sum of the
+    two terms, as the tape's shared gradient does.
+    """
+    wq, bq, wk, bk, wv, bv, wo, bo = (getattr(p, f.name).data for f in dataclasses.fields(p))
+    qp, kp, vp = q.data @ wq + bq, k.data @ wk + bk, v.data @ wv + bv
     dh = q.shape[1] // n_heads
-    heads = []
-    for h in range(n_heads):
-        qs, ks, vs = (ad.slice_axis(x, 1, h * dh, (h + 1) * dh) for x in (qp, kp, vp))
-        logits = ad.scale(ad.matmul(qs, ad.transpose(ks)), 1.0 / np.sqrt(dh))
-        heads.append(ad.matmul(ad.softmax(logits, axis=-1), vs))
-    return linear(ad.concat(heads, axis=1), p.wo, p.bo)
+    c = 1.0 / np.sqrt(dh)
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
+    weights, heads = [], []
+    for hc in cols:
+        z = qp[:, hc] @ kp[:, hc].T * c
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        weights.append(e / e.sum(axis=1, keepdims=True))
+        heads.append(weights[-1] @ vp[:, hc])
+    merged = np.concatenate(heads, axis=1)
+    out = merged @ wo + bo
+
+    g = weight.data
+    g_merged = g @ wo.T
+    dqp, dkp, dvp = np.zeros_like(qp), np.zeros_like(kp), np.zeros_like(vp)
+    for hc, s in zip(cols, weights):
+        g_head = g_merged[:, hc]
+        dvp[:, hc] = s.T @ g_head
+        ds = g_head @ vp[:, hc].T
+        dz = s * (ds - (ds * s).sum(axis=1, keepdims=True)) * c
+        dqp[:, hc] = dz @ kp[:, hc]
+        dkp[:, hc] = dz.T @ qp[:, hc]
+    dq, dk = dqp @ wq.T, dkp @ wk.T
+    if k is q:
+        dq = dk = dq + dk
+    return out, [
+        dq, dk, dvp @ wv.T,
+        q.data.T @ dqp, dqp.sum(axis=0), k.data.T @ dkp, dkp.sum(axis=0),
+        v.data.T @ dvp, dvp.sum(axis=0), merged.T @ g, g.sum(axis=0),
+    ]
 
 
 def random_attention(rng, d):
@@ -122,15 +159,15 @@ def random_attention(rng, d):
     )
 
 
-def attention_grads(attend, q, k, v, p, n_heads, weight):
-    """Forward value and gradients of sum(attend(...) * weight) w.r.t. inputs and params."""
+def attention_grads(q, k, v, p, n_heads, weight):
+    """Forward value and tape gradients of sum(attention * weight) w.r.t. inputs and params."""
     leaves = [q, k, v] + [getattr(p, f.name) for f in dataclasses.fields(p)]
     for t in leaves:
         t.requires_grad = True
         t.reset_grad()
     with Tape() as tape:
-        out = attend(q, k, v, p, n_heads)
-        loss = ad.mul(out, weight).sum()
+        out = multi_head_attention(q, k, v, p, n_heads)
+        loss = weighted_sum(out, weight.data)
     tape.backward(loss)
     return out.data, [t.grad.copy() for t in leaves]
 
@@ -149,8 +186,8 @@ class TestAttention:
             v = Tensor(rng.standard_normal((m, d)))
             p = random_attention(rng, d)
             weight = Tensor(rng.standard_normal((n, d)))
-            fused = attention_grads(multi_head_attention, q, k, v, p, n_heads, weight)
-            ref = attention_grads(per_head_attention, q, k, v, p, n_heads, weight)
+            fused = attention_grads(q, k, v, p, n_heads, weight)
+            ref = per_head_attention(q, k, v, p, n_heads, weight)
             np.testing.assert_allclose(fused[0], ref[0], rtol=0, atol=1e-12)
             assert len(fused[1]) == len(ref[1]) == 11
             for a, b in zip(fused[1], ref[1]):
@@ -163,8 +200,8 @@ class TestAttention:
         with Tape() as tape:
             multi_head_attention(q, k, k, p, 4)
             kinds = [pull.__qualname__.split(".")[0] for _, pull in tape.nodes]
-        # three input projections and the output projection (matmul + add each), one attention
-        assert sorted(kinds) == sorted(["matmul", "add"] * 4 + ["attention"])
+        # three input projections and the output projection, one attention
+        assert sorted(kinds) == ["attention"] + ["linear"] * 4
 
     def test_zero_key_rows_rejected(self):
         p = identity_attention(4)
@@ -266,6 +303,7 @@ class TestDecode:
         img = random_image(rng, TINY)
         memory = model.encode(img)
         emb = Tensor(rng.standard_normal((2, TINY.d_model)))
+        box_weights = rng.standard_normal((2 + TINY.n_detect_queries, 4))
 
         def f(emb):
             qs = QuerySet(
@@ -274,7 +312,7 @@ class TestDecode:
                 + [QueryRecord("detect") for _ in range(TINY.n_detect_queries)],
             )
             preds = model.decode(qs, memory)
-            return ad.add(preds.class_probs.sum(), ad.mul(preds.boxes, preds.boxes).sum())
+            return ad.add(ad.sigmoid(preds.class_logits).sum(), weighted_sum(preds.boxes, box_weights))
 
         report = ad.grad_check(f, [emb], tol=1e-4)
         assert report.passed, report.max_rel_err
@@ -288,10 +326,11 @@ class TestTemporalAggregation:
         emb = Tensor(rng.standard_normal((2, TINY.d_model)))
         pos = Tensor(rng.standard_normal((2, TINY.d_model)))
         records = [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)]
+        box_weights = rng.standard_normal((2 + TINY.n_detect_queries, 4))
 
         def f(emb, pos, wq):  # wq is read through the model
             preds = model.forward_frame(img, QuerySet(emb, records, positions=pos))
-            return ad.add(preds.class_probs.sum(), ad.mul(preds.boxes, preds.boxes).sum())
+            return ad.add(ad.sigmoid(preds.class_logits).sum(), weighted_sum(preds.boxes, box_weights))
 
         report = ad.grad_check(f, [emb, pos, model.temporal.attn.wq], tol=1e-4)
         assert report.passed, report.max_rel_err
@@ -353,7 +392,7 @@ class TestClipGraph:
             total = None
             for _ in range(5):
                 preds = model.forward_frame(random_image(rng, TINY), track)
-                frame_sum = ad.add(preds.class_probs.sum(), preds.boxes.sum())
+                frame_sum = ad.add(preds.class_logits.sum(), preds.boxes.sum())
                 total = frame_sum if total is None else ad.add(total, frame_sum)
                 # feed hidden states back as next-frame track queries
                 track = QuerySet(
@@ -522,10 +561,18 @@ class TestCheckpointCorruption:
             load_checkpoint(path)
 
     def test_manifest_entry_without_shape_rejected(self, tmp_path):
-        path = self.saved(tmp_path)
-        self.rewrite_header(path, lambda h: h["params"][0].pop("shape"))
-        with pytest.raises(ValueError, match=r"model\.ckpt: manifest entry .* needs a name and a shape"):
-            load_checkpoint(path)
+        # a missing shape, then shapes that are no list of nonnegative integers
+        for edit in (
+            lambda entry: entry.pop("shape"),
+            lambda entry: entry.update(shape="ab"),
+            lambda entry: entry.update(shape=[-1, 8]),
+            lambda entry: entry.update(shape=[2.5]),
+            lambda entry: entry.update(shape=None),
+        ):
+            path = self.saved(tmp_path)
+            self.rewrite_header(path, lambda h: edit(h["params"][0]))
+            with pytest.raises(ValueError, match=r"model\.ckpt: manifest entry .* needs a name and a shape"):
+                load_checkpoint(path)
 
     def test_params_not_a_list_rejected(self, tmp_path):
         path = self.saved(tmp_path)
