@@ -54,9 +54,6 @@ class Assignment:
     def identities(self) -> set[int]:
         return {i for _, i in self.pairs}
 
-    def slots(self) -> set[int]:
-        return {s for s, _ in self.pairs}
-
     def __len__(self) -> int:
         return len(self.pairs)
 

@@ -26,26 +26,22 @@ __all__ = [
     "ShapeError",
     "Tape",
     "Tensor",
-    "absolute",
-    "activation",
     "add",
     "attention",
     "concat",
     "custom_op",
     "extract_patches",
     "gather_rows",
-    "gelu",
     "grad_check",
     "layer_norm",
     "linear",
+    "mlp",
     "reduce_sum",
-    "relu",
     "reset_grads",
     "scale",
     "shift",
     "sigmoid",
     "slice_axis",
-    "sub",
 ]
 
 
@@ -141,11 +137,6 @@ class Tensor:
     def reset_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        if self._tape is None:
-            raise GradientError("loss is detached: no tape recorded it")
-        self._tape.backward(self)
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -174,9 +165,9 @@ class Tensor:
         return scale(self, -1.0)
 
     def __sub__(self, other):
-        if _is_number(other):
-            return shift(self, -other)
-        return sub(self, other)
+        if not _is_number(other):
+            raise TypeError(f"a Tensor subtracts only a number, got {type(other).__name__}")
+        return shift(self, -other)
 
     def __rsub__(self, other):
         return shift(scale(self, -1.0), other)
@@ -263,18 +254,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return custom_op(a.data + b.data, (a, b), pull)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    axes = _suffix_axes(a.shape, b.shape)
-
-    def pull(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-_reduce_to(g, axes))
-
-    return custom_op(a.data - b.data, (a, b), pull)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -295,16 +274,6 @@ def shift(x: Tensor, c: float) -> Tensor:
     return custom_op(x.data + c, (x,), pull)
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(g * mask)
-
-    return custom_op(x.data * mask, (x,), pull)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     # exp(-x) overflows to inf below about -709; 1 / (1 + inf) is the exact limit 0
     with np.errstate(over="ignore"):
@@ -315,43 +284,6 @@ def sigmoid(x: Tensor) -> Tensor:
             x._accumulate(g * s * (1.0 - s))
 
     return custom_op(s, (x,), pull)
-
-
-_GELU_C = np.sqrt(2.0 / np.pi)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """tanh-form gelu; the derivative below differentiates this exact form."""
-    xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd**3)
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
-
-    def pull(g):
-        if x.requires_grad:
-            sech2 = 1.0 - t * t
-            d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-            x._accumulate(g * d)
-
-    return custom_op(out, (x,), pull)
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    if kind == "relu":
-        return relu(x)
-    if kind == "gelu":
-        return gelu(x)
-    raise ValueError(f"unknown activation {kind!r}; expected 'relu' or 'gelu'")
-
-
-def absolute(x: Tensor) -> Tensor:
-    sign = np.sign(x.data)
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(g * sign)
-
-    return custom_op(np.abs(x.data), (x,), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +312,45 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             b._accumulate(g.sum(axis=0))
 
     return custom_op(xd @ wd + b.data, (x, w, b), pull)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two-layer ReLU net relu(x [n,k] @ w1 [k,h] + b1 [h]) @ w2 [h,m] + b2 [m]
+    -> [n,m], as one op.
+
+    Backward, for the output gradient g, with a the relu output and r its
+    0/1 mask: dw2 = aᵀ g, db2 is the column sums of g, gh = (g w2ᵀ) ⊙ r,
+    dx = gh w1ᵀ, dw1 = xᵀ gh and db1 is the column sums of gh.
+    """
+    if (
+        x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+        or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:]
+        or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]
+    ):
+        raise ShapeError(
+            f"mlp needs x [n,k], w1 [k,h], b1 [h], w2 [h,m] and b2 [m], got {x.shape}, "
+            f"{w1.shape}, {b1.shape}, {w2.shape} and {b2.shape}"
+        )
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    h = xd @ w1d + b1.data
+    mask = h > 0
+    a = h * mask
+
+    def pull(g):
+        if w2.requires_grad:
+            w2._accumulate(a.T @ g)
+        if b2.requires_grad:
+            b2._accumulate(g.sum(axis=0))
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gh = (g @ w2d.T) * mask
+            if x.requires_grad:
+                x._accumulate(gh @ w1d.T)
+            if w1.requires_grad:
+                w1._accumulate(xd.T @ gh)
+            if b1.requires_grad:
+                b1._accumulate(gh.sum(axis=0))
+
+    return custom_op(a @ w2d + b2.data, (x, w1, b1, w2, b2), pull)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -461,11 +432,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         raise ShapeError(f"attention is 2-d only, got q={q.shape} k={k.shape} v={v.shape}")
     n, d = q.shape
     m = k.shape[0]
-    if k.shape != (m, d) or v.shape != (m, d) or m == 0 or d % n_heads:
+    if k.shape != (m, d) or v.shape != (m, d) or d % n_heads:
         raise ShapeError(
-            f"attention needs q [n,d], k and v [m,d] with m > 0 and d divisible by "
+            f"attention needs q [n,d], k and v [m,d] with d divisible by "
             f"{n_heads} heads, got q={q.shape} k={k.shape} v={v.shape}"
         )
+    if m == 0:
+        raise ShapeError(f"attention needs at least one key row, got k={k.shape}")
     dh = d // n_heads
     c = 1.0 / np.sqrt(dh)
 

@@ -6,8 +6,8 @@ over broadcastable `[..., 4]` rows. Two surfaces sit on it: the pairwise
 numpy kernels `iou`/`giou`/`l1_box` (`[m,4] x [n,4] -> [m,n]`) for matching
 costs and metrics, and `box_giou_rows`, one differentiable tape op over
 aligned rows (`[n,4] x [n,4] -> [n,1]`) for the loss. `box_l1_rows` is its
-L1 counterpart, built from plain tape ops. Tests cross-check the kernels'
-diagonal against the row ops.
+L1 counterpart, also one tape op. Tests cross-check the kernels' diagonal
+against the row ops.
 """
 
 from __future__ import annotations
@@ -120,9 +120,28 @@ def l1_box(a, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_rows(op: str, pred: Tensor, target: Tensor) -> None:
+    if pred.data.ndim != 2 or pred.shape[1] != 4 or target.shape != pred.shape:
+        raise ShapeError(f"{op} needs two [n,4] tensors, got {pred.shape} and {target.shape}")
+
+
 def box_l1_rows(pred: Tensor, target: Tensor) -> Tensor:
-    """Row-wise coordinate L1 distance between [n,4] box tensors -> [n,1]."""
-    return ad.absolute(ad.sub(pred, target)).sum(axis=1, keepdims=True)
+    """Row-wise coordinate L1 distance between [n,4] box tensors -> [n,1], as one op.
+
+    Backward, for the output gradient g: g · sign(pred − target) for the
+    prediction and its negation for the target.
+    """
+    _check_rows("box_l1_rows", pred, target)
+    diff = pred.data - target.data
+    sign = np.sign(diff)
+
+    def pull(g):
+        if pred.requires_grad:
+            pred._accumulate(g * sign)
+        if target.requires_grad:
+            target._accumulate(-(g * sign))
+
+    return ad.custom_op(np.abs(diff).sum(axis=1, keepdims=True), (pred, target), pull)
 
 
 def box_giou_rows(pred: Tensor, target: Tensor) -> Tensor:
@@ -138,10 +157,7 @@ def box_giou_rows(pred: Tensor, target: Tensor) -> Tensor:
     symmetric, so the target's gradient is the same rule with the rows
     swapped.
     """
-    if pred.data.ndim != 2 or pred.shape[1] != 4 or target.shape != pred.shape:
-        raise ShapeError(
-            f"box_giou_rows needs two [n,4] tensors, got {pred.shape} and {target.shape}"
-        )
+    _check_rows("box_giou_rows", pred, target)
     a, b = pred.data, target.data
     span, sides, inter, union, enclosing = _overlap(a, b)
     uc, cc = np.maximum(union, EPS_GUARD), np.maximum(enclosing, EPS_GUARD)

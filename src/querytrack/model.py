@@ -12,16 +12,17 @@ row i always belongs to input query i.
 
 Between frames, the kept decoder states of frame t come back as the track
 block of frame t+1 and first pass through the temporal aggregation layer
-(TAN, MOTR's query interaction module): one pre-norm self-attention over the
-track rows, whose query and key add each row's previous query as a
-positional term, then a feed-forward net. Its output rows are the track
-queries that enter the decoder.
+(TAN, MOTR's query interaction module): an encoder layer of its own over
+the track rows, whose attention query and key add each row's previous query
+as a positional term. Its output rows are the track queries that enter the
+decoder.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,9 +37,7 @@ __all__ = [
     "ModelConfig",
     "QueryRecord",
     "QuerySet",
-    "TemporalAggregationParams",
     "TrackingModel",
-    "empty_track_set",
     "load_checkpoint",
     "multi_head_attention",
     "save_checkpoint",
@@ -58,7 +57,6 @@ class ModelConfig:
     n_detect_queries: int = 16
     n_classes: int = 1
     ffn_dim: int = 128
-    activation: str = "relu"
     positional_encoding: bool = True
 
     def __post_init__(self):
@@ -72,8 +70,6 @@ class ModelConfig:
             )
         if self.n_detect_queries < 1 or self.n_classes < 1:
             raise ValueError("need at least one detect query and one class")
-        if self.activation not in ("relu", "gelu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def tokens_per_side(self) -> int:
@@ -141,10 +137,6 @@ class QuerySet:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-def empty_track_set(d_model: int) -> QuerySet:
-    return QuerySet(Tensor(np.zeros((0, d_model))), [])
 
 
 @dataclass
@@ -227,24 +219,6 @@ class DecoderLayerParams:
     norm_ffn: NormParams
 
 
-@dataclass
-class TemporalAggregationParams:
-    """One modified decoder layer that turns kept states into next queries.
-
-    Pre-norm, like the decoder layers: `norm_in` normalises the kept states
-    x; the attention's query and key are norm_in(x) plus the block's
-    positions (when given) and its value is norm_in(x) alone; a residual add
-    follows. `norm_ffn` then normalises the FFN input, again with a
-    residual add. MOTR's layer is post-norm; pre-norm keeps one convention
-    across the model.
-    """
-
-    attn: AttentionParams
-    norm_in: NormParams
-    ffn: FfnParams
-    norm_ffn: NormParams
-
-
 class _ParamFactory:
     """Creates named leaf tensors and collects them into a flat dict."""
 
@@ -283,6 +257,14 @@ class _ParamFactory:
         w2, b2 = self.linear(f"{name}.outer", hidden, d)
         return FfnParams(w1, b1, w2, b2)
 
+    def encoder_layer(self, name: str, d: int, hidden: int) -> EncoderLayerParams:
+        return EncoderLayerParams(
+            attn=self.attention(f"{name}.attn", d),
+            norm_attn=self.norm(f"{name}.norm_attn", d),
+            ffn=self.ffn(f"{name}.ffn", d, hidden),
+            norm_ffn=self.norm(f"{name}.norm_ffn", d),
+        )
+
 
 # ---------------------------------------------------------------------------
 # building blocks
@@ -294,26 +276,38 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams, n_
     `ad.attention` over the projected rows, then the output projection.
 
     Rows of the attention weights are a softmax, hence row-stochastic.
+    `ad.linear` and `ad.attention` check the shapes.
     """
-    d = q.shape[1]
-    if d % n_heads:
-        raise ShapeError(f"width {d} not divisible by {n_heads} heads")
-    if k.shape[1] != d or v.shape[1] != d or k.shape[0] != v.shape[0]:
-        raise ShapeError(f"incompatible attention shapes q={q.shape} k={k.shape} v={v.shape}")
-    if k.shape[0] == 0:
-        raise ShapeError(f"attention needs at least one key row, got k={k.shape}")
     heads = ad.attention(
         ad.linear(q, p.wq, p.bq), ad.linear(k, p.wk, p.bk), ad.linear(v, p.wv, p.bv), n_heads
     )
     return ad.linear(heads, p.wo, p.bo)
 
 
-def _ffn_forward(x: Tensor, p: FfnParams, kind: str) -> Tensor:
-    return ad.linear(ad.activation(ad.linear(x, p.w1, p.b1), kind), p.w2, p.b2)
+def _ffn_forward(x: Tensor, p: FfnParams) -> Tensor:
+    return ad.mlp(x, p.w1, p.b1, p.w2, p.b2)
 
 
 def _norm(x: Tensor, p: NormParams) -> Tensor:
     return ad.layer_norm(x, p.gain, p.bias)
+
+
+def _encoder_layer(
+    x: Tensor, p: EncoderLayerParams, n_heads: int, positions: Tensor | None = None
+) -> Tensor:
+    """One pre-norm self-attention + FFN layer, each with a residual add.
+
+    `norm_attn` normalises x; the attention's query and key are that plus
+    `positions` (when given), its value is the normalised x alone. `norm_ffn`
+    then normalises the FFN input. The encoder layers run it without
+    positions; the temporal aggregation layer passes the carried block's
+    previous queries. MOTR's temporal layer is post-norm; pre-norm keeps one
+    convention across the model.
+    """
+    xn = _norm(x, p.norm_attn)
+    qk = xn if positions is None else ad.add(xn, positions)
+    x = ad.add(x, multi_head_attention(qk, qk, xn, p.attn, n_heads))
+    return ad.add(x, _ffn_forward(_norm(x, p.norm_ffn), p.ffn))
 
 
 def sine_positions_2d(n_rows: int, n_cols: int, d: int) -> np.ndarray:
@@ -353,13 +347,7 @@ class TrackingModel:
 
         self.patch_w, self.patch_b = f.linear("patch_embed", in_dim, d)
         self.encoder_layers = [
-            EncoderLayerParams(
-                attn=f.attention(f"encoder.{i}.attn", d),
-                norm_attn=f.norm(f"encoder.{i}.norm_attn", d),
-                ffn=f.ffn(f"encoder.{i}.ffn", d, ffn),
-                norm_ffn=f.norm(f"encoder.{i}.norm_ffn", d),
-            )
-            for i in range(cfg.n_encoder_layers)
+            f.encoder_layer(f"encoder.{i}", d, ffn) for i in range(cfg.n_encoder_layers)
         ]
         self.decoder_layers = [
             DecoderLayerParams(
@@ -380,12 +368,7 @@ class TrackingModel:
         self.cls_w, self.cls_b = f.linear("head.class", d, cfg.n_classes, bias=-2.0)
         self.box_w1, self.box_b1 = f.linear("head.box.inner", d, d)
         self.box_w2, self.box_b2 = f.linear("head.box.outer", d, 4)
-        self.temporal = TemporalAggregationParams(
-            attn=f.attention("temporal.attn", d),
-            norm_in=f.norm("temporal.norm_in", d),
-            ffn=f.ffn("temporal.ffn", d, ffn),
-            norm_ffn=f.norm("temporal.norm_ffn", d),
-        )
+        self.temporal = f.encoder_layer("temporal", d, ffn)
         self.params = f.params
         side = cfg.tokens_per_side
         self._pos = sine_positions_2d(side, side, d) if cfg.positional_encoding else None
@@ -407,9 +390,7 @@ class TrackingModel:
         if self._pos is not None:
             x = ad.add(x, Tensor(self._pos))
         for layer in self.encoder_layers:
-            xn = _norm(x, layer.norm_attn)
-            x = ad.add(x, multi_head_attention(xn, xn, xn, layer.attn, cfg.n_heads))
-            x = ad.add(x, _ffn_forward(_norm(x, layer.norm_ffn), layer.ffn, cfg.activation))
+            x = _encoder_layer(x, layer, cfg.n_heads)
         return x
 
     # -- decoding ----------------------------------------------------------
@@ -421,12 +402,9 @@ class TrackingModel:
         output row i belongs to input row i and swapping two rows (with
         their positions) swaps the two outputs.
         """
-        cfg, p = self.cfg, self.temporal
-        x = track_set.embeddings
-        xn = _norm(x, p.norm_in)
-        qk = xn if track_set.positions is None else ad.add(xn, track_set.positions)
-        x = ad.add(x, multi_head_attention(qk, qk, xn, p.attn, cfg.n_heads))
-        return ad.add(x, _ffn_forward(_norm(x, p.norm_ffn), p.ffn, cfg.activation))
+        return _encoder_layer(
+            track_set.embeddings, self.temporal, self.cfg.n_heads, track_set.positions
+        )
 
     def frame_queries(self, track_set: QuerySet | None = None) -> QuerySet:
         """Build the decoder's query set: aggregated track block, then detect block.
@@ -460,12 +438,10 @@ class TrackingModel:
                     _norm(x, layer.norm_cross), memory, memory, layer.cross_attn, cfg.n_heads
                 ),
             )
-            x = ad.add(x, _ffn_forward(_norm(x, layer.norm_ffn), layer.ffn, cfg.activation))
+            x = ad.add(x, _ffn_forward(_norm(x, layer.norm_ffn), layer.ffn))
         hidden = _norm(x, self.norm_out)
         class_logits = ad.linear(hidden, self.cls_w, self.cls_b)
-        boxes = ad.sigmoid(
-            ad.linear(ad.relu(ad.linear(hidden, self.box_w1, self.box_b1)), self.box_w2, self.box_b2)
-        )
+        boxes = ad.sigmoid(ad.mlp(hidden, self.box_w1, self.box_b1, self.box_w2, self.box_b2))
         return FramePredictions(class_logits, boxes, hidden, queries.embeddings, queries.n_track)
 
     def forward_frame(self, image: Tensor, track_set: QuerySet | None = None) -> FramePredictions:
@@ -477,26 +453,29 @@ class TrackingModel:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"QTCK"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_checkpoint(path, model: TrackingModel, extra: dict | None = None) -> None:
     """Write config + named parameters to a deterministic binary container.
 
     Layout: magic, version, length-prefixed JSON header (config, extra
-    metadata, parameter manifest in sorted name order), then raw float64
-    little-endian parameter payloads in manifest order. Saving the same
-    model twice yields byte-identical files.
+    metadata, parameter manifest in sorted name order, `zlib.crc32` of the
+    payloads), then raw float64 little-endian parameter payloads in manifest
+    order. Saving the same model twice yields byte-identical files.
     """
     manifest = []
     payloads = []
+    crc = 0
     for name in sorted(model.params):
         data = model.params[name].data
         manifest.append({"name": name, "shape": list(data.shape)})
         payloads.append(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        crc = zlib.crc32(payloads[-1], crc)
     header = json.dumps(
         {
             "config": {f.name: getattr(model.cfg, f.name) for f in fields(model.cfg)},
+            "crc32": crc,
             "extra": extra or {},
             "params": manifest,
         },
@@ -532,9 +511,13 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
             cfg = ModelConfig(**header["config"])
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: invalid config in header: {e!r}") from e
-        for key in ("params", "extra"):
+        for key in ("params", "extra", "crc32"):
             if key not in header:
                 raise ValueError(f"{path}: header has no {key!r} entry")
+        if type(header["crc32"]) is not int:
+            raise ValueError(
+                f"{path}: header 'crc32' is a {type(header['crc32']).__name__}, not an integer"
+            )
         manifest = header["params"]
         if not isinstance(manifest, list):
             raise ValueError(f"{path}: header 'params' is a {type(manifest).__name__}, not a list")
@@ -553,6 +536,7 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
         missing = sorted(set(model.params) - {entry["name"] for entry in manifest})
         if missing:
             raise ValueError(f"{path}: manifest omits parameters {missing}")
+        crc = 0
         for entry in manifest:
             name, shape = entry["name"], tuple(entry["shape"])
             if name not in model.params:
@@ -563,12 +547,17 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
                 raise ValueError(
                     f"{path}: truncated payload for {name}: {len(blob)} of {n_bytes} bytes"
                 )
+            crc = zlib.crc32(blob, crc)
             data = np.frombuffer(blob, dtype="<f8").reshape(shape)
             if model.params[name].data.shape != data.shape:
                 raise ValueError(f"{path}: shape mismatch for {name}")
             # layer structs reference the same Tensor objects, so assigning
             # .data here updates the whole model
             model.params[name].data = data.astype(np.float64).copy()
+        if crc != header["crc32"]:
+            raise ValueError(
+                f"{path}: payload checksum {crc:#010x} != header crc32 {header['crc32']:#010x}"
+            )
         trailing = len(fh.read())
         if trailing:
             raise ValueError(f"{path}: {trailing} trailing bytes after the last payload")

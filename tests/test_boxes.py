@@ -116,6 +116,14 @@ class TestTensorVersions:
             box_giou_rows(ta, tb)
         assert len(tape.nodes) == 1
 
+    def test_l1_rows_record_one_tape_node(self):
+        ta = Tensor([[0.4, 0.5, 0.3, 0.2], [0.2, 0.2, 0.1, 0.1]], requires_grad=True)
+        tb = Tensor([[0.5, 0.5, 0.2, 0.3], [0.8, 0.8, 0.1, 0.1]], requires_grad=True)
+        with Tape() as tape:
+            out = box_l1_rows(ta, tb)
+        assert len(tape.nodes) == 1
+        np.testing.assert_allclose(out.data, [[0.3], [1.2]], rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize(
         "pred, target",
         [
@@ -159,11 +167,20 @@ class TestTensorVersions:
         with pytest.raises(ShapeError):
             box_giou_rows(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))))
 
+    def test_l1_rows_reject_bad_shapes(self):
+        with pytest.raises(ShapeError, match="box_l1_rows needs two"):
+            box_l1_rows(Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
+        with pytest.raises(ShapeError):
+            box_l1_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
     def test_l1_gradient(self):
         rng = np.random.default_rng(5)
         ta = Tensor(rng.uniform(0.2, 0.8, size=(3, 4)))
         tb = Tensor(rng.uniform(0.2, 0.8, size=(3, 4)))
-        assert ad.grad_check(lambda x, y: box_l1_rows(x, y).sum(), [ta, tb]).passed
+        # distinct row weights, so a gradient routed to the wrong row shows
+        weights, zero = Tensor([[1.0, -0.7, 2.5]]), Tensor([0.0])
+        report = ad.grad_check(lambda x, y: ad.linear(weights, box_l1_rows(x, y), zero).sum(), [ta, tb])
+        assert report.passed, report.max_rel_err
 
 
 class TestPairwiseKernels:

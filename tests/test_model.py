@@ -14,7 +14,6 @@ from querytrack.model import (
     QueryRecord,
     QuerySet,
     TrackingModel,
-    empty_track_set,
     load_checkpoint,
     multi_head_attention,
     save_checkpoint,
@@ -285,7 +284,7 @@ class TestDecode:
         model = TrackingModel(TINY)
         memory = Tensor(np.zeros((4, TINY.d_model)))
         with pytest.raises(ValueError, match="empty"):
-            model.decode(empty_track_set(TINY.d_model), memory)
+            model.decode(QuerySet(Tensor(np.zeros((0, TINY.d_model))), []), memory)
 
     def test_empty_memory_rejected(self):
         model = TrackingModel(TINY)
@@ -586,11 +585,36 @@ class TestCheckpointCorruption:
         with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'extra' entry"):
             load_checkpoint(path)
 
+    def test_flipped_payload_byte_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[-3] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"model\.ckpt: payload checksum .* != header crc32"):
+            load_checkpoint(path)
+
+    def test_missing_or_non_integer_crc32_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: h.pop("crc32"))
+        with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'crc32' entry"):
+            load_checkpoint(path)
+        for bad in ("12", 1.5, True, None):
+            path = self.saved(tmp_path)
+            self.rewrite_header(path, lambda h: h.update(crc32=bad))
+            with pytest.raises(ValueError, match=r"model\.ckpt: header 'crc32' is a \w+, not an integer"):
+                load_checkpoint(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # version 1 files carry no checksum and older parameter names
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(ValueError, match=r"model\.ckpt: unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(d_model=10, n_heads=4)
     with pytest.raises(ValueError):
         ModelConfig(image_size=60, patch_size=8)
-    with pytest.raises(ValueError):
-        ModelConfig(activation="swish")
