@@ -138,7 +138,17 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add g into .grad; the first full-shape term is stored as a copy.
+
+        The copy keeps the stored gradient from sharing memory with g, which
+        the op that made it may hand to other inputs too. Where g holds a
+        -0.0 the stored value stays -0.0 (a zero-filled start would give
+        +0.0); the two compare equal.
+        """
         if self.grad is None:
+            if g.shape == self.data.shape:
+                self.grad = g.copy()
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
@@ -411,22 +421,35 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return custom_op(x.data[idx].copy(), (x,), pull)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over projected rows, as one op.
+def attention(q: Tensor, k: Tensor, v: Tensor, proj, n_heads: int) -> Tensor:
+    """One multi-head attention block, projections included, as one op.
 
-    q [n,d], k [m,d], v [m,d] -> [n,d]. Head h owns columns
-    [h*dh, (h+1)*dh) with dh = d / n_heads; the heads run as one batched
-    product over [n_heads, rows, dh] views. Per head, with c = 1/sqrt(dh):
+    q [n,d], k [m,d], v [m,d] and proj = (wq, bq, wk, bk, wv, bv, wo, bo),
+    each weight [d,d] and each bias [d] -> [n,d]. Head h owns columns
+    [h*dh, (h+1)*dh) with dh = d / n_heads, and c = 1/sqrt(dh). Forward:
 
-        S = softmax((Q Kᵀ) · c)  (row max subtracted before exp),  out = S V
+        Q = q wq + bq,  K = k wk + bk,  V = v wv + bv
+        per head:  S_h = softmax((Q_h K_hᵀ) · c)  (row max subtracted before exp)
+        A = [S_1 V_1, ..., S_H V_H]  (heads in column order),  out = A wo + bo
 
-    and the output columns keep the head order. Backward, per head, for the
-    output gradient g:
+    The heads run as one batched product over [n_heads, rows, dh] views.
+    The softmax runs in place on the one [n_heads, n, m] logit buffer, and
+    its backward in place on the dS buffer. Backward, for the output
+    gradient g, in this order:
 
-        dV = Sᵀ g,  dS = g Vᵀ,  dZ = S ⊙ (dS − rowsum(dS ⊙ S)) · c,
-        dQ = dZ K,  dK = dZᵀ Q
+        dwo = Aᵀ g,  dbo = column sums of g,  dA = g woᵀ
+        per head:  dV_h = S_hᵀ dA_h,  dS = dA_h V_hᵀ,
+                   dZ = S_h ⊙ (dS − rowsum(dS ⊙ S_h)) · c,
+                   dQ_h = dZ K_h,  dK_h = dZᵀ Q_h
+        then for (x, w, b, dX) = (v, wv, bv, dV), (k, wk, bk, dK), (q, wq, bq, dQ):
+                   dx = dX wᵀ,  dw = xᵀ dX,  db = column sums of dX
 
-    Gradients accumulate, so passing one tensor as both q and k is correct.
+    These are the products of the unfused chain (three `linear` ops, the
+    core as its own op, the output `linear`; `tests/test_autodiff.py` builds
+    it), in the order its tape replays them. So when one tensor is passed
+    as several of q, k and v, its gradient terms accumulate in the same
+    sequence (v, then k, then q), and the output and every gradient match
+    the chain bit for bit.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise ShapeError(f"attention is 2-d only, got q={q.shape} k={k.shape} v={v.shape}")
@@ -439,6 +462,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         )
     if m == 0:
         raise ShapeError(f"attention needs at least one key row, got k={k.shape}")
+    wq, bq, wk, bk, wv, bv, wo, bo = proj
+    if any(w.shape != (d, d) for w in proj[::2]) or any(b.shape != (d,) for b in proj[1::2]):
+        raise ShapeError(
+            f"attention needs [{d},{d}] weights and [{d}] biases, got "
+            f"{[t.shape for t in proj]}"
+        )
     dh = d // n_heads
     c = 1.0 / np.sqrt(dh)
 
@@ -448,24 +477,58 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     def merge(x):  # [heads, rows, dh] -> [rows, d]
         return x.transpose(1, 0, 2).reshape(x.shape[1], d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    z = (qh @ kh.transpose(0, 2, 1)) * c
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
+    def project(x, w, b):
+        y = x.data @ w.data
+        y += b.data
+        return y
+
+    qp, kp, vp = project(q, wq, bq), project(k, wk, bk), project(v, wv, bv)
+    qh, kh, vh = split(qp), split(kp), split(vp)
+    s = qh @ kh.transpose(0, 2, 1)
+    s *= c
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    heads = merge(s @ vh)
+    out = heads @ wo.data
+    out += bo.data
+
+    need_q, need_k, need_v = (
+        x.requires_grad or w.requires_grad or b.requires_grad
+        for x, w, b in ((q, wq, bq), (k, wk, bk), (v, wv, bv))
+    )
+
+    def project_back(x, w, b, gy):
+        if x.requires_grad:
+            x._accumulate(gy @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ gy)
+        if b.requires_grad:
+            b._accumulate(gy.sum(axis=0))
 
     def pull(g):
-        gh = split(g)
-        if v.requires_grad:
-            v._accumulate(merge(s.transpose(0, 2, 1) @ gh))
-        if q.requires_grad or k.requires_grad:
-            ds = gh @ vh.transpose(0, 2, 1)
-            dz = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * c
-            if q.requires_grad:
-                q._accumulate(merge(dz @ kh))
-            if k.requires_grad:
-                k._accumulate(merge(dz.transpose(0, 2, 1) @ qh))
+        if wo.requires_grad:
+            wo._accumulate(heads.T @ g)
+        if bo.requires_grad:
+            bo._accumulate(g.sum(axis=0))
+        if not (need_q or need_k or need_v):
+            return
+        gh = split(g @ wo.data.T)
+        if need_v:
+            gv = merge(s.transpose(0, 2, 1) @ gh)
+        if need_q or need_k:
+            dz = gh @ vh.transpose(0, 2, 1)
+            dz -= (dz * s).sum(axis=-1, keepdims=True)
+            dz *= s
+            dz *= c
+        if need_v:
+            project_back(v, wv, bv, gv)
+        if need_k:
+            project_back(k, wk, bk, merge(dz.transpose(0, 2, 1) @ qh))
+        if need_q:
+            project_back(q, wq, bq, merge(dz @ kh))
 
-    return custom_op(merge(s @ vh), (q, k, v), pull)
+    return custom_op(out, (q, k, v, *proj), pull)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -477,9 +540,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         )
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is numpy's mean without its Python-level overhead; same bits
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
     y = xc * inv
     out = y * gain.data + bias.data
 
@@ -490,8 +554,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias._accumulate(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gy = g * gain.data
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * y).mean(axis=-1, keepdims=True)
+            m1 = gy.sum(axis=-1, keepdims=True) / d
+            m2 = (gy * y).sum(axis=-1, keepdims=True) / d
             x._accumulate(inv * (gy - m1 - y * m2))
 
     return custom_op(out, (x, gain, bias), pull)

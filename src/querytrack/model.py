@@ -272,16 +272,13 @@ class _ParamFactory:
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams, n_heads: int) -> Tensor:
-    """Scaled dot-product attention: Q/K/V projections, the batched-head op
-    `ad.attention` over the projected rows, then the output projection.
+    """Scaled dot-product attention block: the Q/K/V projections, the
+    batched-head softmax and the output projection, as the one op
+    `ad.attention`, which also checks the shapes.
 
     Rows of the attention weights are a softmax, hence row-stochastic.
-    `ad.linear` and `ad.attention` check the shapes.
     """
-    heads = ad.attention(
-        ad.linear(q, p.wq, p.bq), ad.linear(k, p.wk, p.bk), ad.linear(v, p.wv, p.bv), n_heads
-    )
-    return ad.linear(heads, p.wo, p.bo)
+    return ad.attention(q, k, v, (p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo), n_heads)
 
 
 def _ffn_forward(x: Tensor, p: FfnParams) -> Tensor:

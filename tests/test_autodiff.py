@@ -31,6 +31,17 @@ def weighted_sum(x, w):
     return ad.custom_op(np.sum(x.data * w), (x,), pull)
 
 
+def identity_proj(d):
+    """Attention projections that leave their rows unchanged."""
+    eye, zero = Tensor(np.eye(d)), Tensor(np.zeros(d))
+    return [eye, zero] * 4
+
+
+def random_proj(rng, d):
+    """(wq, bq, wk, bk, wv, bv, wo, bo): [d,d] weights and [d] biases."""
+    return [Tensor(rng.standard_normal((d, d) if i % 2 == 0 else d) / np.sqrt(d)) for i in range(8)]
+
+
 def square(x):
     """x**2 elementwise, as one test-local tape op."""
 
@@ -122,7 +133,7 @@ def attention_weights(logits):
     d = n + m
     k = np.zeros((m, d))
     k[:, :n] = logits.T * np.sqrt(d)
-    out = ad.attention(Tensor(np.eye(n, d)), Tensor(k), Tensor(np.eye(m, d)), 1)
+    out = ad.attention(Tensor(np.eye(n, d)), Tensor(k), Tensor(np.eye(m, d)), identity_proj(d), 1)
     return out.data[:, :m]
 
 
@@ -151,28 +162,113 @@ class TestSoftmax:
             np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-9)
 
 
+def unfused_attention(q, k, v, proj, n_heads):
+    """The attention block as four `ad.linear` ops around the batched-head core.
+
+    The core is a test-local op holding the formula the fused op replaced,
+    so this chain is the bit-for-bit reference for `ad.attention`.
+    """
+    wq, bq, wk, bk, wv, bv, wo, bo = proj
+    qp, kp, vp = ad.linear(q, wq, bq), ad.linear(k, wk, bk), ad.linear(v, wv, bv)
+    d = qp.shape[1]
+    dh = d // n_heads
+    c = 1.0 / np.sqrt(dh)
+
+    def split(x):
+        return x.reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
+
+    def merge(x):
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+    qh, kh, vh = split(qp.data), split(kp.data), split(vp.data)
+    z = (qh @ kh.transpose(0, 2, 1)) * c
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def pull(g):
+        gh = split(g)
+        if vp.requires_grad:
+            vp._accumulate(merge(s.transpose(0, 2, 1) @ gh))
+        if qp.requires_grad or kp.requires_grad:
+            ds = gh @ vh.transpose(0, 2, 1)
+            dz = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * c
+            if qp.requires_grad:
+                qp._accumulate(merge(dz @ kh))
+            if kp.requires_grad:
+                kp._accumulate(merge(dz.transpose(0, 2, 1) @ qh))
+
+    return ad.linear(ad.custom_op(merge(s @ vh), (qp, kp, vp), pull), wo, bo)
+
+
 class TestAttentionOp:
-    """`ad.attention`: batched-head softmax(Q Kᵀ / sqrt(dh)) V as one tape op."""
+    """`ad.attention`: projections, batched-head softmax(Q Kᵀ / sqrt(dh)) V and
+    the output projection as one tape op."""
 
     @staticmethod
-    def weighted(q, k, v, n_heads, w):
-        return weighted_sum(ad.attention(q, k, v, n_heads), w.data)
+    def weighted(q, k, v, proj, n_heads, w):
+        return weighted_sum(ad.attention(q, k, v, proj, n_heads), w.data)
 
     @pytest.mark.parametrize("n,m,d,n_heads", [(3, 5, 4, 1), (2, 4, 6, 2), (4, 3, 8, 4)])
     def test_grad_check(self, n, m, d, n_heads):
         rng = np.random.default_rng(n * 100 + m * 10 + n_heads)
         q, k, v = rng_tensor(rng, n, d), rng_tensor(rng, m, d), rng_tensor(rng, m, d)
         w = rng_tensor(rng, n, d)
-        report = ad.grad_check(lambda q, k, v: self.weighted(q, k, v, n_heads, w), [q, k, v])
+        report = ad.grad_check(
+            lambda q, k, v, *proj: self.weighted(q, k, v, proj, n_heads, w),
+            [q, k, v, *random_proj(rng, d)],
+        )
         assert report.passed, report.max_rel_err
+        assert len(report.rel_errs) == 11
 
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_grad_check_shared_query_key(self, n_heads):
         # q is k: both gradient terms accumulate into one tensor
         rng = np.random.default_rng(20 + n_heads)
         x, v, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
-        report = ad.grad_check(lambda x, v: self.weighted(x, x, v, n_heads, w), [x, v])
+        report = ad.grad_check(
+            lambda x, v, *proj: self.weighted(x, x, v, proj, n_heads, w),
+            [x, v, *random_proj(rng, 6)],
+        )
         assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_grad_check_shared_query_key_value(self, n_heads):
+        # q is k is v, as in the encoder layers and decoder self-attention
+        rng = np.random.default_rng(30 + n_heads)
+        x, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
+        report = ad.grad_check(
+            lambda x, *proj: self.weighted(x, x, x, proj, n_heads, w), [x, *random_proj(rng, 6)]
+        )
+        assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("sharing", ["none", "q_is_k", "k_is_v", "q_is_k_is_v"])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_bits_match_unfused_composition(self, sharing, n_heads):
+        rng = np.random.default_rng(50 + n_heads)
+        shared_qk = sharing in ("q_is_k", "q_is_k_is_v")
+        n, m, d = 5, 5 if shared_qk else 7, 4 * n_heads
+        q = Tensor(rng.standard_normal((n, d)))
+        k = q if shared_qk else Tensor(rng.standard_normal((m, d)))
+        v = {"k_is_v": k, "q_is_k_is_v": q}.get(sharing) or Tensor(rng.standard_normal((m, d)))
+        proj, w = random_proj(rng, d), rng.standard_normal((n, d))
+        leaves = [q, k, v, *proj]
+
+        def run(block):
+            for t in leaves:
+                t.requires_grad = True
+                t.reset_grad()
+            with Tape() as tape:
+                out = block(q, k, v, proj, n_heads)
+                loss = weighted_sum(out, w)
+            tape.backward(loss)
+            return out.data, [t.grad.copy() for t in leaves]
+
+        fused_out, fused_grads = run(ad.attention)
+        ref_out, ref_grads = run(unfused_attention)
+        assert np.array_equal(fused_out, ref_out)
+        assert len(fused_grads) == len(ref_grads) == 11
+        for name, a, b in zip("q k v wq bq wk bk wv bv wo bo".split(), fused_grads, ref_grads):
+            assert np.array_equal(a, b), name
 
     @pytest.mark.parametrize(
         "q_shape,k_shape,v_shape,n_heads",
@@ -187,7 +283,17 @@ class TestAttentionOp:
     def test_bad_shapes_rejected(self, q_shape, k_shape, v_shape, n_heads):
         q, k, v = Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape))
         with pytest.raises(ad.ShapeError):
-            ad.attention(q, k, v, n_heads)
+            ad.attention(q, k, v, identity_proj(q_shape[-1]), n_heads)
+
+    @pytest.mark.parametrize(
+        "index,shape", [(4, (4, 3)), (6, (3, 4)), (1, (3,)), (7, (1, 4))]
+    )
+    def test_bad_projection_shapes_rejected(self, index, shape):
+        x = Tensor(np.zeros((2, 4)))
+        proj = identity_proj(4)
+        proj[index] = Tensor(np.zeros(shape))
+        with pytest.raises(ad.ShapeError, match="weights and"):
+            ad.attention(x, x, x, proj, 2)
 
 
 class TestLayerNorm:
@@ -322,9 +428,11 @@ class TestBackward:
         b = rng_tensor(rng, 4, 6)
         c = rng_tensor(rng, 6)
 
+        proj = random_proj(rng, 6)
+
         def f(a, b, c):
             h = ad.linear(a, b, c)
-            return ad.sigmoid(ad.attention(h, h, h, 2)).sum()
+            return ad.sigmoid(ad.attention(h, h, h, proj, 2)).sum()
 
         assert ad.grad_check(f, [a, b, c], tol=1e-4).passed
 
@@ -391,13 +499,38 @@ class TestBackward:
 
         np.testing.assert_allclose(both, first + second, atol=1e-12)
 
+    @pytest.mark.parametrize("op", [ad.add, lambda a, b: ad.concat([a, b])], ids=["add", "concat"])
+    def test_gradient_storage_never_shared(self, op):
+        # both ops hand each input the output gradient or a view of it
+        rng = np.random.default_rng(13)
+        a, b = (Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(2))
+        with Tape() as tape:
+            out = op(a, b)
+            loss = weighted_sum(out, rng.standard_normal(out.shape))
+        tape.backward(loss)
+        out_grad, b_grad = out.grad.copy(), b.grad.copy()
+        a._accumulate(np.ones((2, 3)))
+        assert np.array_equal(b.grad, b_grad)
+        assert np.array_equal(out.grad, out_grad)
+
+    def test_input_added_to_itself_gets_twice_the_gradient(self):
+        rng = np.random.default_rng(14)
+        x, w = Tensor(rng.standard_normal((2, 3)), requires_grad=True), rng.standard_normal((2, 3))
+        with Tape() as tape:
+            out = ad.add(x, x)
+            loss = weighted_sum(out, w)
+        tape.backward(loss)
+        assert np.array_equal(x.grad, 2.0 * w)
+        assert np.array_equal(out.grad, w)
+
     def test_determinism_same_seed_same_bits(self):
         def run():
             rng = np.random.default_rng(11)
             x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
             b = Tensor(rng.standard_normal(4), requires_grad=True)
+            proj = [x, b] * 4
             with Tape() as tape:
-                loss = ad.attention(ad.linear(x, x, b), x, x, 2).sum()
+                loss = ad.attention(ad.linear(x, x, b), x, x, proj, 2).sum()
             tape.backward(loss)
             return loss.item(), x.grad.copy()
 
@@ -447,6 +580,7 @@ def test_randomized_gradient_sweep():
         b2 = Tensor(rng.standard_normal(m))
         pred, target = Tensor(rng.standard_normal((n, 4))), Tensor(rng.standard_normal((n, 4)))
         targets = (rng.random((n, m)) < 0.3).astype(float)
+        proj = random_proj(rng, m)
         for f, args in [
             (scalar(ad.add), [a, b]),
             (scalar(ad.linear), [a, c, bias]),
@@ -454,7 +588,7 @@ def test_randomized_gradient_sweep():
             (scalar(box_l1_rows), [pred, target]),
             (scalar(ad.sigmoid), [a]),
             (lambda x: focal_loss(x, targets), [a]),
-            (lambda q, k: ad.attention(q, k, k, 1).sum(), [a, b]),
+            (lambda q, k, *proj: ad.attention(q, k, k, proj, 1).sum(), [a, b, *proj]),
             (lambda x: ad.concat([x, x], axis=0).sum(), [a]),
         ]:
             report = ad.grad_check(f, args)
