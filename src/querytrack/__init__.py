@@ -2,9 +2,10 @@
 
 A detect-query/track-query tracker trained end to end over whole clips:
 detect queries find newborn objects, track queries carry identities forward,
-a per-frame lifecycle filter plus a temporal aggregation layer produce the
-next frame's track queries, and one clip-level loss supervises everything.
-Runs on a small tape-based numpy autodiff core.
+the caller picks which decoded slots to carry into the next frame, and a
+temporal aggregation layer turns their states into that frame's track
+queries. One clip-level loss supervises everything. Runs on a small
+tape-based numpy autodiff core.
 """
 
 from querytrack.autodiff import Tape, Tensor, grad_check

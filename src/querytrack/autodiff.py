@@ -31,6 +31,7 @@ __all__ = [
     "concat",
     "custom_op",
     "extract_patches",
+    "feed_forward",
     "gather_rows",
     "grad_check",
     "layer_norm",
@@ -324,43 +325,65 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return custom_op(xd @ wd + b.data, (x, w, b), pull)
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Two-layer ReLU net relu(x [n,k] @ w1 [k,h] + b1 [h]) @ w2 [h,m] + b2 [m]
-    -> [n,m], as one op.
-
-    Backward, for the output gradient g, with a the relu output and r its
-    0/1 mask: dw2 = aᵀ g, db2 is the column sums of g, gh = (g w2ᵀ) ⊙ r,
-    dx = gh w1ᵀ, dw1 = xᵀ gh and db1 is the column sums of gh.
-    """
+def _check_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, op: str) -> None:
     if (
         x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
         or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:]
         or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]
     ):
         raise ShapeError(
-            f"mlp needs x [n,k], w1 [k,h], b1 [h], w2 [h,m] and b2 [m], got {x.shape}, "
+            f"{op} needs x [n,k], w1 [k,h], b1 [h], w2 [h,m] and b2 [m], got {x.shape}, "
             f"{w1.shape}, {b1.shape}, {w2.shape} and {b2.shape}"
         )
-    xd, w1d, w2d = x.data, w1.data, w2.data
-    h = xd @ w1d + b1.data
+
+
+def _mlp_forward(xd: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
+    """(output, relu output a, relu mask) of relu(xd w1 + b1) w2 + b2."""
+    h = xd @ w1.data + b1.data
     mask = h > 0
     a = h * mask
+    return a @ w2.data + b2.data, a, mask
+
+
+def _mlp_backward(xd, w1, b1, w2, b2, a, mask, g, need_x: bool):
+    """Accumulate the w2, b2, w1 and b1 terms, in that order; return dx or None.
+
+    dw2 = aᵀ g, db2 = column sums of g, gh = (g w2ᵀ) ⊙ mask, dx = gh w1ᵀ,
+    dw1 = xdᵀ gh, db1 = column sums of gh.
+    """
+    if w2.requires_grad:
+        w2._accumulate(a.T @ g)
+    if b2.requires_grad:
+        b2._accumulate(g.sum(axis=0))
+    if not (need_x or w1.requires_grad or b1.requires_grad):
+        return None
+    gh = (g @ w2.data.T) * mask
+    if w1.requires_grad:
+        w1._accumulate(xd.T @ gh)
+    if b1.requires_grad:
+        b1._accumulate(gh.sum(axis=0))
+    return gh @ w1.data.T if need_x else None
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two-layer ReLU net relu(x [n,k] @ w1 [k,h] + b1 [h]) @ w2 [h,m] + b2 [m]
+    -> [n,m], as one op.
+
+    Backward, for the output gradient g, with a the relu output and r its
+    0/1 mask: dw2 = aᵀ g, db2 is the column sums of g, gh = (g w2ᵀ) ⊙ r,
+    dw1 = xᵀ gh, db1 is the column sums of gh and dx = gh w1ᵀ, accumulated
+    in that order.
+    """
+    _check_mlp(x, w1, b1, w2, b2, "mlp")
+    xd = x.data
+    out, a, mask = _mlp_forward(xd, w1, b1, w2, b2)
 
     def pull(g):
-        if w2.requires_grad:
-            w2._accumulate(a.T @ g)
-        if b2.requires_grad:
-            b2._accumulate(g.sum(axis=0))
-        if x.requires_grad or w1.requires_grad or b1.requires_grad:
-            gh = (g @ w2d.T) * mask
-            if x.requires_grad:
-                x._accumulate(gh @ w1d.T)
-            if w1.requires_grad:
-                w1._accumulate(xd.T @ gh)
-            if b1.requires_grad:
-                b1._accumulate(gh.sum(axis=0))
+        dx = _mlp_backward(xd, w1, b1, w2, b2, a, mask, g, x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx)
 
-    return custom_op(a @ w2d + b2.data, (x, w1, b1, w2, b2), pull)
+    return custom_op(out, (x, w1, b1, w2, b2), pull)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -421,47 +444,142 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return custom_op(x.data[idx].copy(), (x,), pull)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, proj, n_heads: int) -> Tensor:
-    """One multi-head attention block, projections included, as one op.
+# ---------------------------------------------------------------------------
+# layer norm and the pre-norm residual sublayers
+# ---------------------------------------------------------------------------
 
-    q [n,d], k [m,d], v [m,d] and proj = (wq, bq, wk, bk, wv, bv, wo, bo),
-    each weight [d,d] and each bias [d] -> [n,d]. Head h owns columns
-    [h*dh, (h+1)*dh) with dh = d / n_heads, and c = 1/sqrt(dh). Forward:
+_NORM_EPS = 1e-5
+
+
+def _check_norm(d: int, gain: Tensor, bias: Tensor, op: str) -> None:
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"{op} affine shapes {gain.shape}/{bias.shape} do not match ({d},)")
+
+
+def _layer_norm_forward(xd: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
+    """(output, normalised rows y, 1/std per row) of the layer norm over the last axis."""
+    d = xd.shape[-1]
+    # sum / d is numpy's mean without its Python-level overhead; same bits
+    mu = xd.sum(axis=-1, keepdims=True) / d
+    xc = xd - mu
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+    y = xc * inv
+    return y * gain.data + bias.data, y, inv
+
+
+def _layer_norm_backward(x, gain: Tensor, bias: Tensor, y, inv, g) -> None:
+    """Accumulate the gain, bias and x terms of the layer norm, in that order.
+
+    dgain = column sums of g ⊙ y, dbias = column sums of g, and with
+    gy = g ⊙ gain: dx = inv ⊙ (gy − rowmean(gy) − y ⊙ rowmean(gy ⊙ y)).
+    """
+    d = y.shape[-1]
+    if gain.requires_grad:
+        gain._accumulate((g * y).reshape(-1, d).sum(axis=0))
+    if bias.requires_grad:
+        bias._accumulate(g.reshape(-1, d).sum(axis=0))
+    if x.requires_grad:
+        gy = g * gain.data
+        m1 = gy.sum(axis=-1, keepdims=True) / d
+        m2 = (gy * y).sum(axis=-1, keepdims=True) / d
+        x._accumulate(inv * (gy - m1 - y * m2))
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    _check_norm(x.shape[-1], gain, bias, "layer_norm")
+    if eps <= 0:
+        raise ValueError("layer_norm eps must be positive")
+    out, y, inv = _layer_norm_forward(x.data, gain, bias, eps)
+
+    def pull(g):
+        _layer_norm_backward(x, gain, bias, y, inv, g)
+
+    return custom_op(out, (x, gain, bias), pull)
+
+
+class _Sink:
+    """Gradient buffer of an intermediate that a fused op keeps to itself.
+
+    It keeps the first term it is given (every term is a fresh array) where
+    `Tensor._accumulate` would copy it; later terms add in place.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad")
+
+    def __init__(self, data: np.ndarray, requires_grad: bool):
+        self.data = data
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad += g
+
+
+def attention(
+    x: Tensor, gain: Tensor, bias: Tensor, proj, n_heads: int,
+    memory: Tensor | None = None, positions: Tensor | None = None,
+) -> Tensor:
+    """One pre-norm residual attention sublayer, x + attend(LN(x)), as one op.
+
+    x [n,d] is the residual stream, gain and bias [d] its layer norm's
+    affine, and proj = (wq, bq, wk, bk, wv, bv, wo, bo), each weight [d,d]
+    and each bias [d] -> [n,d]. With xn = LN(x) (`layer_norm`'s formula),
+    the query, key and value rows are
+
+        self-attention:   q = k = xn, or xn + positions [n,d] when given;  v = xn
+        cross-attention:  q = xn;  k = v = memory [m,d]
+
+    Head h owns columns [h*dh, (h+1)*dh) with dh = d / n_heads, and
+    c = 1/sqrt(dh). Forward:
 
         Q = q wq + bq,  K = k wk + bk,  V = v wv + bv
         per head:  S_h = softmax((Q_h K_hᵀ) · c)  (row max subtracted before exp)
-        A = [S_1 V_1, ..., S_H V_H]  (heads in column order),  out = A wo + bo
+        A = [S_1 V_1, ..., S_H V_H]  (heads in column order)
+        out = x + (A wo + bo)
 
     The heads run as one batched product over [n_heads, rows, dh] views.
     The softmax runs in place on the one [n_heads, n, m] logit buffer, and
     its backward in place on the dS buffer. Backward, for the output
     gradient g, in this order:
 
-        dwo = Aᵀ g,  dbo = column sums of g,  dA = g woᵀ
+        dx = g  (the residual term),  dwo = Aᵀ g,  dbo = column sums of g,
+        dA = g woᵀ
         per head:  dV_h = S_hᵀ dA_h,  dS = dA_h V_hᵀ,
                    dZ = S_h ⊙ (dS − rowsum(dS ⊙ S_h)) · c,
                    dQ_h = dZ K_h,  dK_h = dZᵀ Q_h
-        then for (x, w, b, dX) = (v, wv, bv, dV), (k, wk, bk, dK), (q, wq, bq, dQ):
-                   dx = dX wᵀ,  dw = xᵀ dX,  db = column sums of dX
+        then for (r, w, b, dR) = (v, wv, bv, dV), (k, wk, bk, dK), (q, wq, bq, dQ):
+                   dr += dR wᵀ,  dw = rᵀ dR,  db = column sums of dR
+        with positions:  dxn += dq,  then dpositions += dq
+        then the layer norm's backward of dxn: dgain, dbias, and dx += its term
 
-    These are the products of the unfused chain (three `linear` ops, the
-    core as its own op, the output `linear`; `tests/test_autodiff.py` builds
-    it), in the order its tape replays them. So when one tensor is passed
-    as several of q, k and v, its gradient terms accumulate in the same
-    sequence (v, then k, then q), and the output and every gradient match
-    the chain bit for bit.
+    These are the products of the unfused chain (`layer_norm`, the `add` of
+    the positions, three `linear` projections, the core as its own op, the
+    output `linear` and the residual `add`; `tests/test_autodiff.py` builds
+    it), in the order its tape replays them. So every tensor that collects
+    several terms sums them in the chain's sequence (x: the residual term,
+    then the layer norm's; xn: value, key, query; memory: value, then key),
+    and the output and every gradient match the chain bit for bit.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError(f"attention is 2-d only, got q={q.shape} k={k.shape} v={v.shape}")
-    n, d = q.shape
-    m = k.shape[0]
-    if k.shape != (m, d) or v.shape != (m, d) or d % n_heads:
-        raise ShapeError(
-            f"attention needs q [n,d], k and v [m,d] with d divisible by "
-            f"{n_heads} heads, got q={q.shape} k={k.shape} v={v.shape}"
-        )
-    if m == 0:
-        raise ShapeError(f"attention needs at least one key row, got k={k.shape}")
+    if x.data.ndim != 2:
+        raise ShapeError(f"attention needs x [n,d], got {x.shape}")
+    d = x.shape[1]
+    if d % n_heads:
+        raise ShapeError(f"attention width {d} is not divisible by {n_heads} heads")
+    if memory is not None:
+        if positions is not None:
+            raise ValueError("attention adds positions in self-attention only, not with memory")
+        if memory.data.ndim != 2 or memory.shape[1] != d:
+            raise ShapeError(f"attention memory needs [m,{d}] rows, got {memory.shape}")
+    if positions is not None and positions.shape != x.shape:
+        raise ShapeError(f"attention positions {positions.shape} do not match x {x.shape}")
+    if (x if memory is None else memory).shape[0] == 0:
+        raise ShapeError(f"attention needs at least one key row, got x={x.shape} memory="
+                         f"{None if memory is None else memory.shape}")
+    _check_norm(d, gain, bias, "attention")
     wq, bq, wk, bk, wv, bv, wo, bo = proj
     if any(w.shape != (d, d) for w in proj[::2]) or any(b.shape != (d,) for b in proj[1::2]):
         raise ShapeError(
@@ -471,17 +589,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, proj, n_heads: int) -> Tensor:
     dh = d // n_heads
     c = 1.0 / np.sqrt(dh)
 
-    def split(x):  # [rows, d] -> [heads, rows, dh] view
-        return x.reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
+    def split(a):  # [rows, d] -> [heads, rows, dh] view
+        return a.reshape(a.shape[0], n_heads, dh).transpose(1, 0, 2)
 
-    def merge(x):  # [heads, rows, dh] -> [rows, d]
-        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+    def merge(a):  # [heads, rows, dh] -> [rows, d]
+        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
 
-    def project(x, w, b):
-        y = x.data @ w.data
-        y += b.data
-        return y
+    def project(r, w, b):
+        out = r.data @ w.data
+        out += b.data
+        return out
 
+    xn, y, inv = _layer_norm_forward(x.data, gain, bias, _NORM_EPS)
+    norm = _Sink(xn, x.requires_grad or gain.requires_grad or bias.requires_grad)
+    if memory is not None:
+        q, k, v = norm, memory, memory
+    else:
+        qk = norm if positions is None else _Sink(
+            xn + positions.data, norm.requires_grad or positions.requires_grad
+        )
+        q, k, v = qk, qk, norm
     qp, kp, vp = project(q, wq, bq), project(k, wk, bk), project(v, wv, bv)
     qh, kh, vh = split(qp), split(kp), split(vp)
     s = qh @ kh.transpose(0, 2, 1)
@@ -492,21 +619,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, proj, n_heads: int) -> Tensor:
     heads = merge(s @ vh)
     out = heads @ wo.data
     out += bo.data
+    out += x.data
 
     need_q, need_k, need_v = (
-        x.requires_grad or w.requires_grad or b.requires_grad
-        for x, w, b in ((q, wq, bq), (k, wk, bk), (v, wv, bv))
+        r.requires_grad or w.requires_grad or b.requires_grad
+        for r, w, b in ((q, wq, bq), (k, wk, bk), (v, wv, bv))
     )
 
-    def project_back(x, w, b, gy):
-        if x.requires_grad:
-            x._accumulate(gy @ w.data.T)
+    def project_back(r, w, b, gr):
+        if r.requires_grad:
+            r._accumulate(gr @ w.data.T)
         if w.requires_grad:
-            w._accumulate(x.data.T @ gy)
+            w._accumulate(r.data.T @ gr)
         if b.requires_grad:
-            b._accumulate(gy.sum(axis=0))
+            b._accumulate(gr.sum(axis=0))
 
     def pull(g):
+        if x.requires_grad:
+            x._accumulate(g)
         if wo.requires_grad:
             wo._accumulate(heads.T @ g)
         if bo.requires_grad:
@@ -527,38 +657,54 @@ def attention(q: Tensor, k: Tensor, v: Tensor, proj, n_heads: int) -> Tensor:
             project_back(k, wk, bk, merge(dz.transpose(0, 2, 1) @ qh))
         if need_q:
             project_back(q, wq, bq, merge(dz @ kh))
+        if positions is not None and q.grad is not None:
+            if norm.requires_grad:
+                norm._accumulate(q.grad)
+            if positions.requires_grad:
+                positions._accumulate(q.grad)
+        if norm.grad is not None:
+            _layer_norm_backward(x, gain, bias, y, inv, norm.grad)
 
-    return custom_op(out, (q, k, v, *proj), pull)
+    inputs = (x, gain, bias, *proj) + tuple(t for t in (memory, positions) if t is not None)
+    return custom_op(out, inputs, pull)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match ({d},)"
-        )
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
-    # sum / d is numpy's mean without its Python-level overhead; same bits
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
-    y = xc * inv
-    out = y * gain.data + bias.data
+def feed_forward(
+    x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
+) -> Tensor:
+    """One pre-norm residual feed-forward sublayer, x + mlp(LN(x)), as one op.
+
+    x [n,d] is the residual stream, gain and bias [d] its layer norm's
+    affine, and w1 [d,h], b1 [h], w2 [h,d], b2 [d] the net's. Forward, with
+    `layer_norm`'s and `mlp`'s formulas:
+
+        xn = LN(x),  out = x + (relu(xn w1 + b1) w2 + b2)
+
+    Backward, for the output gradient g, in this order: dx = g (the
+    residual term); `mlp`'s backward of g (dw2, db2, dw1, db1, then dxn);
+    the layer norm's backward of dxn (dgain, dbias, and dx += its term).
+    These are the products of the unfused chain `layer_norm` -> `mlp` ->
+    `add`, in the order its tape replays them, so the output and every
+    gradient match the chain bit for bit.
+    """
+    _check_mlp(x, w1, b1, w2, b2, "feed_forward")
+    d = x.shape[1]
+    if w2.shape[1] != d:
+        raise ShapeError(f"feed_forward output width {w2.shape[1]} != input width {d}")
+    _check_norm(d, gain, bias, "feed_forward")
+    xn, y, inv = _layer_norm_forward(x.data, gain, bias, _NORM_EPS)
+    out, a, mask = _mlp_forward(xn, w1, b1, w2, b2)
+    out += x.data
+    need_norm = x.requires_grad or gain.requires_grad or bias.requires_grad
 
     def pull(g):
-        if gain.requires_grad:
-            gain._accumulate((g * y).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
-            gy = g * gain.data
-            m1 = gy.sum(axis=-1, keepdims=True) / d
-            m2 = (gy * y).sum(axis=-1, keepdims=True) / d
-            x._accumulate(inv * (gy - m1 - y * m2))
+            x._accumulate(g)
+        gxn = _mlp_backward(xn, w1, b1, w2, b2, a, mask, g, need_norm)
+        if gxn is not None:
+            _layer_norm_backward(x, gain, bias, y, inv, gxn)
 
-    return custom_op(out, (x, gain, bias), pull)
+    return custom_op(out, (x, gain, bias, w1, b1, w2, b2), pull)
 
 
 def extract_patches(img: Tensor, patch: int) -> Tensor:

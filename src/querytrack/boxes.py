@@ -13,6 +13,7 @@ against the row ops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -29,9 +30,10 @@ EPS_GUARD = 1e-12
 class Box:
     """Axis-aligned box as (cx, cy, w, h), normalized to the image extent.
 
-    Centers may straddle borders; w and h must be nonnegative and within a
-    loose sanity bound. `np.asarray(box)` gives the 4-vector, so a Box or a
-    list of them feeds the pairwise kernels directly.
+    Every field must be finite. Centers may straddle borders; w and h must
+    be nonnegative and within a loose sanity bound. `np.asarray(box)` gives
+    the 4-vector, so a Box or a list of them feeds the pairwise kernels
+    directly.
     """
 
     cx: float
@@ -40,6 +42,9 @@ class Box:
     h: float
 
     def __post_init__(self):
+        if not (isfinite(self.cx) and isfinite(self.cy) and isfinite(self.w) and isfinite(self.h)):
+            name = next(n for n in ("cx", "cy", "w", "h") if not isfinite(getattr(self, n)))
+            raise ValueError(f"box {name} must be finite, got {getattr(self, name)}")
         if self.w < 0 or self.h < 0:
             raise ValueError(f"box sides must be nonnegative, got w={self.w} h={self.h}")
         if self.w > 2 or self.h > 2:
@@ -54,11 +59,6 @@ class Box:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self.to_array(), dtype=dtype)
-
-    @staticmethod
-    def from_array(a) -> "Box":
-        cx, cy, w, h = (float(v) for v in np.asarray(a).reshape(4))
-        return Box(cx, cy, w, h)
 
 
 # ---------------------------------------------------------------------------

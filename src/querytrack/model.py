@@ -4,7 +4,11 @@ A frame image is cut into non-overlapping patches, linearly embedded with a
 2-d sine positional code and refined by standard self-attention; the frame's
 query set (variable track block first, fixed learnable detect block second)
 runs through pre-norm decoder layers of self-attention, cross-attention to
-the frame tokens and a feed-forward net. The class head emits logits, which
+the frame tokens and a feed-forward net. Every layer is a stack of pre-norm
+residual sublayers x + f(LN(x)), and each sublayer, its layer norm and
+residual add included, is one tape op: `ad.attention` (through
+`multi_head_attention`) or `ad.feed_forward`. So an encoder layer is two
+ops and a decoder layer three. The class head emits logits, which
 the loss takes on the tape; class probabilities are their sigmoid, derived
 off the tape for matching and scoring. The box head's sigmoid keeps box
 coordinates strictly inside (0, 1). Query order is slot identity: output
@@ -35,6 +39,7 @@ __all__ = [
     "AttentionParams",
     "FramePredictions",
     "ModelConfig",
+    "NormParams",
     "QueryRecord",
     "QuerySet",
     "TrackingModel",
@@ -60,6 +65,17 @@ class ModelConfig:
     positional_encoding: bool = True
 
     def __post_init__(self):
+        # every size is checked before the divisibility checks divide by it;
+        # layer counts may be 0 (no encoder layers: the tokens are the patch embedding)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "positional_encoding":
+                ok, want = type(value) is bool, "a bool"
+            else:
+                least = 0 if f.name.endswith("_layers") else 1
+                ok, want = type(value) is int and value >= least, f"an integer >= {least}"
+            if not ok:
+                raise ValueError(f"{f.name} must be {want}, got {value!r}")
         if self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_model % 4:
@@ -68,8 +84,6 @@ class ModelConfig:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
-        if self.n_detect_queries < 1 or self.n_classes < 1:
-            raise ValueError("need at least one detect query and one class")
 
     @property
     def tokens_per_side(self) -> int:
@@ -164,7 +178,7 @@ class FramePredictions:
         return self.class_probs.data.max(axis=1)
 
     def box_list(self) -> list[Box]:
-        return [Box.from_array(row) for row in self.boxes.data]
+        return [Box(*row) for row in self.boxes.data.tolist()]
 
     def __len__(self) -> int:
         return self.class_logits.shape[0]
@@ -271,40 +285,38 @@ class _ParamFactory:
 # ---------------------------------------------------------------------------
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams, n_heads: int) -> Tensor:
-    """Scaled dot-product attention block: the Q/K/V projections, the
-    batched-head softmax and the output projection, as the one op
-    `ad.attention`, which also checks the shapes.
+def multi_head_attention(
+    x: Tensor, norm: NormParams, p: AttentionParams, n_heads: int,
+    memory: Tensor | None = None, positions: Tensor | None = None,
+) -> Tensor:
+    """One pre-norm residual attention sublayer, x + attend(LN(x)), as the one
+    op `ad.attention`, which also checks the shapes.
 
-    Rows of the attention weights are a softmax, hence row-stochastic.
+    Self-attention by default (query, key and value are the normalised x,
+    the query and key plus `positions` when given); with `memory`, the
+    normalised x attends to the memory rows instead. Rows of the attention
+    weights are a softmax, hence row-stochastic.
     """
-    return ad.attention(q, k, v, (p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo), n_heads)
-
-
-def _ffn_forward(x: Tensor, p: FfnParams) -> Tensor:
-    return ad.mlp(x, p.w1, p.b1, p.w2, p.b2)
-
-
-def _norm(x: Tensor, p: NormParams) -> Tensor:
-    return ad.layer_norm(x, p.gain, p.bias)
+    return ad.attention(
+        x, norm.gain, norm.bias, (p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo), n_heads,
+        memory=memory, positions=positions,
+    )
 
 
 def _encoder_layer(
     x: Tensor, p: EncoderLayerParams, n_heads: int, positions: Tensor | None = None
 ) -> Tensor:
-    """One pre-norm self-attention + FFN layer, each with a residual add.
+    """One pre-norm self-attention sublayer, then one pre-norm FFN sublayer.
 
-    `norm_attn` normalises x; the attention's query and key are that plus
-    `positions` (when given), its value is the normalised x alone. `norm_ffn`
-    then normalises the FFN input. The encoder layers run it without
-    positions; the temporal aggregation layer passes the carried block's
-    previous queries. MOTR's temporal layer is post-norm; pre-norm keeps one
-    convention across the model.
+    The attention's query and key are the `norm_attn`-normalised x plus
+    `positions` (when given), its value is the normalised x alone. The
+    encoder layers run it without positions; the temporal aggregation layer
+    passes the carried block's previous queries. MOTR's temporal layer is
+    post-norm; pre-norm keeps one convention across the model.
     """
-    xn = _norm(x, p.norm_attn)
-    qk = xn if positions is None else ad.add(xn, positions)
-    x = ad.add(x, multi_head_attention(qk, qk, xn, p.attn, n_heads))
-    return ad.add(x, _ffn_forward(_norm(x, p.norm_ffn), p.ffn))
+    x = multi_head_attention(x, p.norm_attn, p.attn, n_heads, positions=positions)
+    f = p.ffn
+    return ad.feed_forward(x, p.norm_ffn.gain, p.norm_ffn.bias, f.w1, f.b1, f.w2, f.b2)
 
 
 def sine_positions_2d(n_rows: int, n_cols: int, d: int) -> np.ndarray:
@@ -427,16 +439,13 @@ class TrackingModel:
             raise ShapeError(f"memory width {memory.shape[1]} != d_model {cfg.d_model}")
         x = queries.embeddings
         for layer in self.decoder_layers:
-            xn = _norm(x, layer.norm_self)
-            x = ad.add(x, multi_head_attention(xn, xn, xn, layer.self_attn, cfg.n_heads))
-            x = ad.add(
-                x,
-                multi_head_attention(
-                    _norm(x, layer.norm_cross), memory, memory, layer.cross_attn, cfg.n_heads
-                ),
+            x = multi_head_attention(x, layer.norm_self, layer.self_attn, cfg.n_heads)
+            x = multi_head_attention(
+                x, layer.norm_cross, layer.cross_attn, cfg.n_heads, memory=memory
             )
-            x = ad.add(x, _ffn_forward(_norm(x, layer.norm_ffn), layer.ffn))
-        hidden = _norm(x, self.norm_out)
+            f = layer.ffn
+            x = ad.feed_forward(x, layer.norm_ffn.gain, layer.norm_ffn.bias, f.w1, f.b1, f.w2, f.b2)
+        hidden = ad.layer_norm(x, self.norm_out.gain, self.norm_out.bias)
         class_logits = ad.linear(hidden, self.cls_w, self.cls_b)
         boxes = ad.sigmoid(ad.mlp(hidden, self.box_w1, self.box_b1, self.box_w2, self.box_b2))
         return FramePredictions(class_logits, boxes, hidden, queries.embeddings, queries.n_track)

@@ -42,6 +42,11 @@ def random_proj(rng, d):
     return [Tensor(rng.standard_normal((d, d) if i % 2 == 0 else d) / np.sqrt(d)) for i in range(8)]
 
 
+def random_norm(rng, d):
+    """A layer norm's gain and bias, [d] each, away from the identity."""
+    return [Tensor(1.0 + 0.3 * rng.standard_normal(d)), Tensor(0.3 * rng.standard_normal(d))]
+
+
 def square(x):
     """x**2 elementwise, as one test-local tape op."""
 
@@ -124,17 +129,27 @@ class TestMlp:
 def attention_weights(logits):
     """The row softmax inside `ad.attention`, read out for an [n,m] logit table.
 
-    One head of width d = n + m: query i is the unit row e_i, key j holds
-    column j of the logits scaled by sqrt(d) (undoing the op's 1/sqrt(d)),
-    and value j is e_j, so output row i is the weight row of query i.
+    Cross-attention in one head of width d = 2n + m, unit norm and identity
+    projections. Row i of x is e_2i - e_(2i+1): its mean is exactly 0, so
+    its layer norm is the row times a factor r that every row shares. Memory
+    row j holds logit (i, j) · sqrt(d) / r at column 2i, undoing r and the
+    op's 1/sqrt(d), and a 1 at column 2n + j. Each query then sees the
+    logits, each value is the one-hot 2n + j, and x is 0 in those columns,
+    so output column 2n + j of row i is the weight of key j for query i.
     """
     logits = np.atleast_2d(logits)
     n, m = logits.shape
-    d = n + m
-    k = np.zeros((m, d))
-    k[:, :n] = logits.T * np.sqrt(d)
-    out = ad.attention(Tensor(np.eye(n, d)), Tensor(k), Tensor(np.eye(m, d)), identity_proj(d), 1)
-    return out.data[:, :m]
+    d = 2 * n + m
+    r = 1.0 / np.sqrt(2.0 / d + 1e-5)  # the op's 1/std for a row with squares summing to 2
+    x = np.zeros((n, d))
+    x[np.arange(n), 2 * np.arange(n)] = 1.0
+    x[np.arange(n), 2 * np.arange(n) + 1] = -1.0
+    memory = np.zeros((m, d))
+    memory[:, 0 : 2 * n : 2] = logits.T * np.sqrt(d) / r
+    memory[np.arange(m), 2 * n + np.arange(m)] = 1.0
+    out = ad.attention(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d)), identity_proj(d), 1,
+                       memory=Tensor(memory))
+    return out.data[:, 2 * n :]
 
 
 class TestSoftmax:
@@ -200,90 +215,187 @@ def unfused_attention(q, k, v, proj, n_heads):
     return ad.linear(ad.custom_op(merge(s @ vh), (qp, kp, vp), pull), wo, bo)
 
 
+def unfused_attention_sublayer(x, gain, bias, proj, n_heads, memory=None, positions=None):
+    """`layer_norm`, the query/key/value choice, `unfused_attention` and the
+    residual `add`: the chain `ad.attention` replaced, op for op."""
+    xn = ad.layer_norm(x, gain, bias)
+    if memory is not None:
+        return ad.add(x, unfused_attention(xn, memory, memory, proj, n_heads))
+    qk = xn if positions is None else ad.add(xn, positions)
+    return ad.add(x, unfused_attention(qk, qk, xn, proj, n_heads))
+
+
+def unfused_feed_forward(x, gain, bias, w1, b1, w2, b2):
+    """`layer_norm`, `mlp` and the residual `add`: the chain `ad.feed_forward` replaced."""
+    return ad.add(x, ad.mlp(ad.layer_norm(x, gain, bias), w1, b1, w2, b2))
+
+
+def tape_bits(block, leaves, w, w_extra):
+    """Output and leaf gradients of sum(block() * w) + sum(leaves[0] * w_extra).
+
+    The second term is recorded after the block, so leaves[0] already holds
+    a gradient when the block's backward rule adds its terms.
+    """
+    for t in leaves:
+        t.requires_grad = True
+        t.reset_grad()
+    with Tape() as tape:
+        out = block()
+        loss = ad.add(weighted_sum(out, w), weighted_sum(leaves[0], w_extra))
+    tape.backward(loss)
+    return out.data, [t.grad.copy() for t in leaves]
+
 class TestAttentionOp:
-    """`ad.attention`: projections, batched-head softmax(Q Kᵀ / sqrt(dh)) V and
-    the output projection as one tape op."""
+    """`ad.attention`: a pre-norm residual attention sublayer, x + attend(LN(x)),
+    with its projections and batched-head softmax(Q Kᵀ / sqrt(dh)) V, as one
+    tape op."""
 
     @staticmethod
-    def weighted(q, k, v, proj, n_heads, w):
-        return weighted_sum(ad.attention(q, k, v, proj, n_heads), w.data)
+    def weighted(x, gain, bias, proj, n_heads, w, **kw):
+        return weighted_sum(ad.attention(x, gain, bias, proj, n_heads, **kw), w.data)
 
     @pytest.mark.parametrize("n,m,d,n_heads", [(3, 5, 4, 1), (2, 4, 6, 2), (4, 3, 8, 4)])
     def test_grad_check(self, n, m, d, n_heads):
+        # cross-attention: x attends to m memory rows
         rng = np.random.default_rng(n * 100 + m * 10 + n_heads)
-        q, k, v = rng_tensor(rng, n, d), rng_tensor(rng, m, d), rng_tensor(rng, m, d)
-        w = rng_tensor(rng, n, d)
+        x, memory, w = rng_tensor(rng, n, d), rng_tensor(rng, m, d), rng_tensor(rng, n, d)
         report = ad.grad_check(
-            lambda q, k, v, *proj: self.weighted(q, k, v, proj, n_heads, w),
-            [q, k, v, *random_proj(rng, d)],
+            lambda x, gain, bias, memory, *proj: self.weighted(
+                x, gain, bias, proj, n_heads, w, memory=memory
+            ),
+            [x, *random_norm(rng, d), memory, *random_proj(rng, d)],
+        )
+        assert report.passed, report.max_rel_err
+        assert len(report.rel_errs) == 12
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_grad_check_shared_query_key(self, n_heads):
+        # self-attention with positions, as in the temporal aggregation layer:
+        # query and key are LN(x) + positions, the value is LN(x)
+        rng = np.random.default_rng(20 + n_heads)
+        x, positions, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
+        report = ad.grad_check(
+            lambda x, gain, bias, positions, *proj: self.weighted(
+                x, gain, bias, proj, n_heads, w, positions=positions
+            ),
+            [x, *random_norm(rng, 6), positions, *random_proj(rng, 6)],
+        )
+        assert report.passed, report.max_rel_err
+        assert len(report.rel_errs) == 12
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_grad_check_shared_query_key_value(self, n_heads):
+        # self-attention, as in the encoder layers and decoder self-attention
+        rng = np.random.default_rng(30 + n_heads)
+        x, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
+        report = ad.grad_check(
+            lambda x, gain, bias, *proj: self.weighted(x, gain, bias, proj, n_heads, w),
+            [x, *random_norm(rng, 6), *random_proj(rng, 6)],
         )
         assert report.passed, report.max_rel_err
         assert len(report.rel_errs) == 11
 
-    @pytest.mark.parametrize("n_heads", [1, 2])
-    def test_grad_check_shared_query_key(self, n_heads):
-        # q is k: both gradient terms accumulate into one tensor
-        rng = np.random.default_rng(20 + n_heads)
-        x, v, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
-        report = ad.grad_check(
-            lambda x, v, *proj: self.weighted(x, x, v, proj, n_heads, w),
-            [x, v, *random_proj(rng, 6)],
-        )
-        assert report.passed, report.max_rel_err
-
-    @pytest.mark.parametrize("n_heads", [1, 2])
-    def test_grad_check_shared_query_key_value(self, n_heads):
-        # q is k is v, as in the encoder layers and decoder self-attention
-        rng = np.random.default_rng(30 + n_heads)
-        x, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
-        report = ad.grad_check(
-            lambda x, *proj: self.weighted(x, x, x, proj, n_heads, w), [x, *random_proj(rng, 6)]
-        )
-        assert report.passed, report.max_rel_err
-
-    @pytest.mark.parametrize("sharing", ["none", "q_is_k", "k_is_v", "q_is_k_is_v"])
+    # the reference chain's attention core gets q, k and v shared as named:
+    # q_is_k is self-attention with positions (the temporal layer), k_is_v is
+    # cross-attention with memory, q_is_k_is_v is self-attention (the encoder
+    # layers and decoder self-attention)
+    @pytest.mark.parametrize("sharing", ["q_is_k", "k_is_v", "q_is_k_is_v"])
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_bits_match_unfused_composition(self, sharing, n_heads):
         rng = np.random.default_rng(50 + n_heads)
-        shared_qk = sharing in ("q_is_k", "q_is_k_is_v")
-        n, m, d = 5, 5 if shared_qk else 7, 4 * n_heads
-        q = Tensor(rng.standard_normal((n, d)))
-        k = q if shared_qk else Tensor(rng.standard_normal((m, d)))
-        v = {"k_is_v": k, "q_is_k_is_v": q}.get(sharing) or Tensor(rng.standard_normal((m, d)))
-        proj, w = random_proj(rng, d), rng.standard_normal((n, d))
-        leaves = [q, k, v, *proj]
+        n, m, d = 5, 7, 4 * n_heads
+        x = Tensor(rng.standard_normal((n, d)))
+        extra = {
+            "q_is_k": {"positions": Tensor(rng.standard_normal((n, d)))},
+            "k_is_v": {"memory": Tensor(rng.standard_normal((m, d)))},
+            "q_is_k_is_v": {},
+        }[sharing]
+        norm, proj = random_norm(rng, d), random_proj(rng, d)
+        w, w_extra = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        leaves = [x, *norm, *extra.values(), *proj]
 
-        def run(block):
-            for t in leaves:
-                t.requires_grad = True
-                t.reset_grad()
-            with Tape() as tape:
-                out = block(q, k, v, proj, n_heads)
-                loss = weighted_sum(out, w)
-            tape.backward(loss)
-            return out.data, [t.grad.copy() for t in leaves]
+        def run(op):
+            return tape_bits(lambda: op(x, *norm, proj, n_heads, **extra), leaves, w, w_extra)
 
         fused_out, fused_grads = run(ad.attention)
-        ref_out, ref_grads = run(unfused_attention)
+        ref_out, ref_grads = run(unfused_attention_sublayer)
         assert np.array_equal(fused_out, ref_out)
-        assert len(fused_grads) == len(ref_grads) == 11
-        for name, a, b in zip("q k v wq bq wk bk wv bv wo bo".split(), fused_grads, ref_grads):
+        names = ["x", "gain", "bias", *extra, *"wq bq wk bk wv bv wo bo".split()]
+        assert len(fused_grads) == len(ref_grads) == len(names)
+        for name, a, b in zip(names, fused_grads, ref_grads):
             assert np.array_equal(a, b), name
 
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_bits_match_unfused_decoder_layer(self, n_heads):
+        # self-attention, cross-attention and the FFN over one shared memory,
+        # which collects the value and key terms of the cross-attention
+        rng = np.random.default_rng(60 + n_heads)
+        n, m, d, h = 4, 6, 4 * n_heads, 12
+        x, memory = Tensor(rng.standard_normal((n, d))), Tensor(rng.standard_normal((m, d)))
+        norms = [random_norm(rng, d) for _ in range(3)]
+        projs = [random_proj(rng, d) for _ in range(2)]
+        net = [rng_tensor(rng, d, h), rng_tensor(rng, h), rng_tensor(rng, h, d), rng_tensor(rng, d)]
+        w, w_extra = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        leaves = [x, memory, *norms[0], *norms[1], *norms[2], *projs[0], *projs[1], *net]
+
+        def run(attention, feed_forward):
+            def layer():
+                y = attention(x, *norms[0], projs[0], n_heads)
+                y = attention(y, *norms[1], projs[1], n_heads, memory=memory)
+                return feed_forward(y, *norms[2], *net)
+
+            return tape_bits(layer, leaves, w, w_extra)
+
+        fused_out, fused_grads = run(ad.attention, ad.feed_forward)
+        ref_out, ref_grads = run(unfused_attention_sublayer, unfused_feed_forward)
+        assert np.array_equal(fused_out, ref_out)
+        for i, (a, b) in enumerate(zip(fused_grads, ref_grads)):
+            assert np.array_equal(a, b), i
+
+    def test_one_tape_node(self):
+        # the layer norm, the projections and the residual add are part of
+        # the one node, in each of the three forms
+        rng = np.random.default_rng(55)
+        x, memory = Tensor(rng.standard_normal((3, 4)), requires_grad=True), rng_tensor(rng, 5, 4)
+        positions = rng_tensor(rng, 3, 4)
+        with Tape() as tape:
+            ad.attention(x, *random_norm(rng, 4), random_proj(rng, 4), 2)
+            ad.attention(x, *random_norm(rng, 4), random_proj(rng, 4), 2, memory=memory)
+            ad.attention(x, *random_norm(rng, 4), random_proj(rng, 4), 2, positions=positions)
+        assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["attention"] * 3
+
     @pytest.mark.parametrize(
-        "q_shape,k_shape,v_shape,n_heads",
+        "x_shape,memory_shape,positions_shape,n_heads",
         [
-            ((2, 4), (3, 4), (3, 4), 3),  # width not divisible by heads
-            ((2, 4), (3, 4), (2, 4), 1),  # key and value rows differ
-            ((2, 4), (3, 2), (3, 2), 1),  # key width differs
-            ((2, 4), (0, 4), (0, 4), 1),  # no key rows
-            ((4,), (3, 4), (3, 4), 1),  # not 2-d
+            ((2, 4), None, None, 3),
+            ((2, 4), None, (3, 4), 1),
+            ((2, 4), (3, 2), None, 1),
+            ((2, 4), (0, 4), None, 1),
+            ((4,), None, None, 1),
         ],
+        ids=["indivisible_width", "positions_rows", "memory_width", "no_key_rows", "not_2d"],
     )
-    def test_bad_shapes_rejected(self, q_shape, k_shape, v_shape, n_heads):
-        q, k, v = Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape))
+    def test_bad_shapes_rejected(self, x_shape, memory_shape, positions_shape, n_heads):
+        x = Tensor(np.zeros(x_shape))
+        kw = {
+            name: Tensor(np.zeros(shape))
+            for name, shape in (("memory", memory_shape), ("positions", positions_shape))
+            if shape is not None
+        }
+        norm = [Tensor(np.ones(x_shape[-1])), Tensor(np.zeros(x_shape[-1]))]
         with pytest.raises(ad.ShapeError):
-            ad.attention(q, k, v, identity_proj(q_shape[-1]), n_heads)
+            ad.attention(x, *norm, identity_proj(x_shape[-1]), n_heads, **kw)
+
+    def test_positions_with_memory_rejected(self):
+        x = Tensor(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="positions in self-attention only"):
+            ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), identity_proj(4), 1,
+                         memory=Tensor(np.zeros((3, 4))), positions=x)
+
+    def test_bad_norm_shapes_rejected(self):
+        x = Tensor(np.zeros((2, 4)))
+        with pytest.raises(ad.ShapeError, match="attention affine shapes"):
+            ad.attention(x, Tensor(np.ones(3)), Tensor(np.zeros(4)), identity_proj(4), 1)
 
     @pytest.mark.parametrize(
         "index,shape", [(4, (4, 3)), (6, (3, 4)), (1, (3,)), (7, (1, 4))]
@@ -293,7 +405,52 @@ class TestAttentionOp:
         proj = identity_proj(4)
         proj[index] = Tensor(np.zeros(shape))
         with pytest.raises(ad.ShapeError, match="weights and"):
-            ad.attention(x, x, x, proj, 2)
+            ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), proj, 2)
+
+
+class TestFeedForwardOp:
+    """`ad.feed_forward`: a pre-norm residual feed-forward sublayer,
+    x + mlp(LN(x)), as one tape op."""
+
+    @staticmethod
+    def inputs(rng, n=5, d=4, h=6):
+        return [rng_tensor(rng, n, d), *random_norm(rng, d), rng_tensor(rng, d, h),
+                rng_tensor(rng, h), rng_tensor(rng, h, d), rng_tensor(rng, d)]
+
+    def test_grad_check_all_inputs(self):
+        rng = np.random.default_rng(70)
+        inputs = self.inputs(rng)
+        w = rng.standard_normal((5, 4))
+        report = ad.grad_check(lambda *ts: weighted_sum(ad.feed_forward(*ts), w), inputs)
+        assert report.passed, report.max_rel_err
+        assert len(report.rel_errs) == 7
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_bits_match_unfused_composition(self, seed):
+        rng = np.random.default_rng(seed)
+        leaves = self.inputs(rng)
+        w, w_extra = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+        fused_out, fused_grads = tape_bits(lambda: ad.feed_forward(*leaves), leaves, w, w_extra)
+        ref_out, ref_grads = tape_bits(lambda: unfused_feed_forward(*leaves), leaves, w, w_extra)
+        assert np.array_equal(fused_out, ref_out)
+        for name, a, b in zip("x gain bias w1 b1 w2 b2".split(), fused_grads, ref_grads):
+            assert np.array_equal(a, b), name
+
+    def test_one_tape_node(self):
+        inputs = self.inputs(np.random.default_rng(74))
+        inputs[0].requires_grad = True
+        with Tape() as tape:
+            ad.feed_forward(*inputs)
+        assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["feed_forward"]
+
+    def test_bad_shapes_rejected(self):
+        x, gain, bias, w1, b1, w2, b2 = self.inputs(np.random.default_rng(75))
+        with pytest.raises(ad.ShapeError, match="feed_forward output width 3 != input width 4"):
+            ad.feed_forward(x, gain, bias, w1, b1, Tensor(np.zeros((6, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ad.ShapeError, match="feed_forward needs"):
+            ad.feed_forward(x, gain, bias, w1, Tensor(np.zeros(5)), w2, b2)
+        with pytest.raises(ad.ShapeError, match="feed_forward affine shapes"):
+            ad.feed_forward(x, gain, Tensor(np.zeros(5)), w1, b1, w2, b2)
 
 
 class TestLayerNorm:
@@ -428,11 +585,11 @@ class TestBackward:
         b = rng_tensor(rng, 4, 6)
         c = rng_tensor(rng, 6)
 
-        proj = random_proj(rng, 6)
+        norm, proj = random_norm(rng, 6), random_proj(rng, 6)
 
         def f(a, b, c):
             h = ad.linear(a, b, c)
-            return ad.sigmoid(ad.attention(h, h, h, proj, 2)).sum()
+            return ad.sigmoid(ad.attention(h, *norm, proj, 2)).sum()
 
         assert ad.grad_check(f, [a, b, c], tol=1e-4).passed
 
@@ -530,7 +687,7 @@ class TestBackward:
             b = Tensor(rng.standard_normal(4), requires_grad=True)
             proj = [x, b] * 4
             with Tape() as tape:
-                loss = ad.attention(ad.linear(x, x, b), x, x, proj, 2).sum()
+                loss = ad.attention(ad.linear(x, x, b), b, b, proj, 2, memory=x).sum()
             tape.backward(loss)
             return loss.item(), x.grad.copy()
 
@@ -581,6 +738,7 @@ def test_randomized_gradient_sweep():
         pred, target = Tensor(rng.standard_normal((n, 4))), Tensor(rng.standard_normal((n, 4)))
         targets = (rng.random((n, m)) < 0.3).astype(float)
         proj = random_proj(rng, m)
+        gain, shift = Tensor(rng.standard_normal(m)), Tensor(rng.standard_normal(m))
         for f, args in [
             (scalar(ad.add), [a, b]),
             (scalar(ad.linear), [a, c, bias]),
@@ -588,7 +746,11 @@ def test_randomized_gradient_sweep():
             (scalar(box_l1_rows), [pred, target]),
             (scalar(ad.sigmoid), [a]),
             (lambda x: focal_loss(x, targets), [a]),
-            (lambda q, k, *proj: ad.attention(q, k, k, proj, 1).sum(), [a, b, *proj]),
+            (lambda x, g, s, mem, *proj: ad.attention(x, g, s, proj, 1, memory=mem).sum(),
+             [a, gain, shift, b, *proj]),
+            (lambda x, g, s, pos, *proj: ad.attention(x, g, s, proj, 1, positions=pos).sum(),
+             [a, gain, shift, b, *proj]),
+            (scalar(ad.feed_forward), [a, gain, shift, c, bias, w2, b2]),
             (lambda x: ad.concat([x, x], axis=0).sum(), [a]),
         ]:
             report = ad.grad_check(f, args)

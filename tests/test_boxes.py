@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -228,3 +229,18 @@ def test_invalid_boxes_rejected():
         Box(0.5, 0.5, -0.1, 0.2)
     with pytest.raises(ValueError):
         Box(0.5, 0.5, 0.1, 2.5)
+
+
+@pytest.mark.parametrize(
+    "args,field",
+    [
+        ((math.nan, 0.5, 0.1, 0.1), "cx"),
+        ((0.5, 0.5, math.nan, 0.1), "w"),
+        ((math.inf, 0.5, 0.1, 0.1), "cx"),
+        ((0.5, -math.inf, 0.1, 0.1), "cy"),
+        ((0.5, 0.5, 0.1, math.nan), "h"),
+    ],
+)
+def test_non_finite_boxes_rejected(args, field):
+    with pytest.raises(ValueError, match=rf"box {field} must be finite"):
+        Box(*args)

@@ -11,6 +11,7 @@ from querytrack.autodiff import Tape, Tensor
 from querytrack.model import (
     AttentionParams,
     ModelConfig,
+    NormParams,
     QueryRecord,
     QuerySet,
     TrackingModel,
@@ -96,6 +97,16 @@ def identity_attention(d):
     return AttentionParams(eye, zero, eye, zero, eye, zero, eye, zero)
 
 
+def unit_norm(d):
+    return NormParams(Tensor(np.ones(d)), Tensor(np.zeros(d)))
+
+
+def numpy_layer_norm(x):
+    """Layer norm rows of x with unit gain and zero bias, eps 1e-5, in numpy."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    return xc / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
+
+
 def weighted_sum(x, w):
     """sum(x * w) for a constant array w, as one test-local tape op."""
     w = np.asarray(w, dtype=np.float64)
@@ -107,17 +118,25 @@ def weighted_sum(x, w):
     return ad.custom_op(np.sum(x.data * w), (x,), pull)
 
 
-def per_head_attention(q, k, v, p, n_heads, weight):
+def per_head_attention(x, norm, p, n_heads, weight, memory=None):
     """Reference in numpy, one head at a time with 2-d products.
 
-    Returns the attention output and the gradients of sum(output * weight)
-    w.r.t. q, k, v and the eight projection parameters, in the order
-    `attention_grads` uses. When k is q, both entries hold the sum of the
-    two terms, as the tape's shared gradient does.
+    Returns the sublayer output x + attend(LN(x)) and the gradients of
+    sum(output * weight) w.r.t. x, the norm's gain and bias, the memory
+    (when given) and the eight projection parameters, in the order
+    `attention_grads` uses.
     """
+    gain, bias = norm.gain.data, norm.bias.data
     wq, bq, wk, bk, wv, bv, wo, bo = (getattr(p, f.name).data for f in dataclasses.fields(p))
-    qp, kp, vp = q.data @ wq + bq, k.data @ wk + bk, v.data @ wv + bv
-    dh = q.shape[1] // n_heads
+    d = x.shape[1]
+    xd = x.data
+    mu = xd.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(((xd - mu) ** 2).mean(axis=1, keepdims=True) + 1e-5)
+    y = (xd - mu) * inv
+    xn = y * gain + bias
+    kv = xn if memory is None else memory.data
+    qp, kp, vp = xn @ wq + bq, kv @ wk + bk, kv @ wv + bv
+    dh = d // n_heads
     c = 1.0 / np.sqrt(dh)
     cols = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
     weights, heads = [], []
@@ -127,7 +146,7 @@ def per_head_attention(q, k, v, p, n_heads, weight):
         weights.append(e / e.sum(axis=1, keepdims=True))
         heads.append(weights[-1] @ vp[:, hc])
     merged = np.concatenate(heads, axis=1)
-    out = merged @ wo + bo
+    out = xd + merged @ wo + bo
 
     g = weight.data
     g_merged = g @ wo.T
@@ -139,13 +158,16 @@ def per_head_attention(q, k, v, p, n_heads, weight):
         dz = s * (ds - (ds * s).sum(axis=1, keepdims=True)) * c
         dqp[:, hc] = dz @ kp[:, hc]
         dkp[:, hc] = dz.T @ qp[:, hc]
-    dq, dk = dqp @ wq.T, dkp @ wk.T
-    if k is q:
-        dq = dk = dq + dk
+    dxn = dqp @ wq.T
+    dkv = dkp @ wk.T + dvp @ wv.T
+    if memory is None:
+        dxn = dxn + dkv
+    gy = dxn * gain
+    dx = g + inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
     return out, [
-        dq, dk, dvp @ wv.T,
-        q.data.T @ dqp, dqp.sum(axis=0), k.data.T @ dkp, dkp.sum(axis=0),
-        v.data.T @ dvp, dvp.sum(axis=0), merged.T @ g, g.sum(axis=0),
+        dx, (dxn * y).sum(axis=0), dxn.sum(axis=0), *([] if memory is None else [dkv]),
+        xn.T @ dqp, dqp.sum(axis=0), kv.T @ dkp, dkp.sum(axis=0),
+        kv.T @ dvp, dvp.sum(axis=0), merged.T @ g, g.sum(axis=0),
     ]
 
 
@@ -158,14 +180,20 @@ def random_attention(rng, d):
     )
 
 
-def attention_grads(q, k, v, p, n_heads, weight):
-    """Forward value and tape gradients of sum(attention * weight) w.r.t. inputs and params."""
-    leaves = [q, k, v] + [getattr(p, f.name) for f in dataclasses.fields(p)]
+def random_norm(rng, d):
+    gain, bias = 1.0 + 0.3 * rng.standard_normal(d), 0.3 * rng.standard_normal(d)
+    return NormParams(Tensor(gain), Tensor(bias))
+
+
+def attention_grads(x, norm, p, n_heads, weight, memory=None):
+    """Forward value and tape gradients of sum(sublayer * weight) w.r.t. inputs and params."""
+    leaves = [x, norm.gain, norm.bias, *([] if memory is None else [memory])]
+    leaves += [getattr(p, f.name) for f in dataclasses.fields(p)]
     for t in leaves:
         t.requires_grad = True
         t.reset_grad()
     with Tape() as tape:
-        out = multi_head_attention(q, k, v, p, n_heads)
+        out = multi_head_attention(x, norm, p, n_heads, memory=memory)
         loss = weighted_sum(out, weight.data)
     tape.backward(loss)
     return out.data, [t.grad.copy() for t in leaves]
@@ -175,69 +203,81 @@ class TestAttention:
     @pytest.mark.parametrize("n_heads", [1, 2, 4, 8])
     @pytest.mark.parametrize("shared_query_key", [False, True])
     def test_matches_per_head_reference(self, n_heads, shared_query_key):
+        # shared query and key: self-attention; otherwise cross-attention
+        # to memory rows
         rng = np.random.default_rng(40 + n_heads)
         for _ in range(5):
             d = n_heads * int(rng.integers(1, 5))
             n = int(rng.integers(1, 7))
-            m = n if shared_query_key else n + int(rng.integers(1, 5))
-            q = Tensor(rng.standard_normal((n, d)))
-            k = q if shared_query_key else Tensor(rng.standard_normal((m, d)))
-            v = Tensor(rng.standard_normal((m, d)))
-            p = random_attention(rng, d)
+            m = n + int(rng.integers(1, 5))
+            x = Tensor(rng.standard_normal((n, d)))
+            memory = None if shared_query_key else Tensor(rng.standard_normal((m, d)))
+            norm, p = random_norm(rng, d), random_attention(rng, d)
             weight = Tensor(rng.standard_normal((n, d)))
-            fused = attention_grads(q, k, v, p, n_heads, weight)
-            ref = per_head_attention(q, k, v, p, n_heads, weight)
+            fused = attention_grads(x, norm, p, n_heads, weight, memory)
+            ref = per_head_attention(x, norm, p, n_heads, weight, memory)
             np.testing.assert_allclose(fused[0], ref[0], rtol=0, atol=1e-12)
-            assert len(fused[1]) == len(ref[1]) == 11
+            assert len(fused[1]) == len(ref[1]) == (11 if shared_query_key else 12)
             for a, b in zip(fused[1], ref[1]):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_one_call_records_one_attention_node(self):
         rng = np.random.default_rng(7)
-        q, k = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((5, 8)))
+        x, memory = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((5, 8)))
         p = random_attention(rng, 8)
         with Tape() as tape:
-            multi_head_attention(q, k, k, p, 4)
+            multi_head_attention(x, unit_norm(8), p, 4, memory=memory)
             kinds = [pull.__qualname__.split(".")[0] for _, pull in tape.nodes]
-        # the projections are part of the one attention node
+        # the layer norm, the projections and the residual add are part of
+        # the one attention node
         assert kinds == ["attention"]
 
     def test_zero_key_rows_rejected(self):
         p = identity_attention(4)
-        q, empty = Tensor(np.zeros((2, 4))), Tensor(np.zeros((0, 4)))
+        x, empty = Tensor(np.zeros((2, 4))), Tensor(np.zeros((0, 4)))
         with pytest.raises(ad.ShapeError, match="at least one key row"):
-            multi_head_attention(q, empty, empty, p, 2)
+            multi_head_attention(x, unit_norm(4), p, 2, memory=empty)
 
     def test_single_zero_query(self):
         p = identity_attention(1)
-        out = multi_head_attention(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[0.0]]), p, 1)
+        out = multi_head_attention(Tensor([[0.0]]), unit_norm(1), p, 1)
         np.testing.assert_allclose(out.data, [[0.0]])
 
     def test_reduces_to_softmax_formula(self):
         rng = np.random.default_rng(4)
-        q, k, v = (Tensor(rng.standard_normal((3, 4))) for _ in range(3))
-        out = multi_head_attention(q, k, v, identity_attention(4), 1)
-        logits = q.data @ k.data.T / 2.0
+        x, memory = (Tensor(rng.standard_normal((3, 4))) for _ in range(2))
+        out = multi_head_attention(x, unit_norm(4), identity_attention(4), 1, memory=memory)
+        logits = numpy_layer_norm(x.data) @ memory.data.T / 2.0
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(out.data, weights @ v.data, atol=1e-12)
+        np.testing.assert_allclose(out.data, x.data + weights @ memory.data, atol=1e-12)
 
     def test_rows_of_attention_sum_to_one_via_constant_values(self):
-        # with all-ones values and identity projections, each output is 1
+        # all-ones values (zero value weight, unit value bias) and identity
+        # output projection: each row adds exactly one to its residual
         rng = np.random.default_rng(5)
-        q, k = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((7, 4)))
-        v = Tensor(np.ones((7, 4)))
-        out = multi_head_attention(q, k, v, identity_attention(4), 2)
-        np.testing.assert_allclose(out.data, 1.0, atol=1e-9)
+        x, memory = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((7, 4)))
+        p = identity_attention(4)
+        p.wv, p.bv = Tensor(np.zeros((4, 4))), Tensor(np.ones(4))
+        out = multi_head_attention(x, unit_norm(4), p, 2, memory=memory)
+        np.testing.assert_allclose(out.data - x.data, 1.0, atol=1e-9)
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
-        q, k, v = (Tensor(rng.standard_normal((3, 4))) for _ in range(3))
+        x, memory, positions = (Tensor(rng.standard_normal((3, 4))) for _ in range(3))
+        norm = random_norm(rng, 4)
 
-        def f(q, k, v):
-            return multi_head_attention(q, k, v, identity_attention(4), 2).sum()
+        def cross(x, gain, bias, memory):
+            return multi_head_attention(
+                x, NormParams(gain, bias), identity_attention(4), 2, memory=memory
+            ).sum()
 
-        assert ad.grad_check(f, [q, k, v]).passed
+        def temporal(x, positions):
+            p = identity_attention(4)
+            return multi_head_attention(x, norm, p, 2, positions=positions).sum()
+
+        assert ad.grad_check(cross, [x, norm.gain, norm.bias, memory]).passed
+        assert ad.grad_check(temporal, [x, positions]).passed
 
 
 class TestDecode:
@@ -544,6 +584,12 @@ class TestCheckpointCorruption:
         with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*d_model 7"):
             load_checkpoint(path)
 
+    def test_zero_heads_in_config_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite_config(path, n_heads=0)
+        with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*n_heads must be"):
+            load_checkpoint(path)
+
     def rewrite_header(self, path, edit):
         """Apply edit(header) and write the header back, payload unchanged."""
         raw = path.read_bytes()
@@ -618,3 +664,17 @@ def test_config_validation():
         ModelConfig(d_model=10, n_heads=4)
     with pytest.raises(ValueError):
         ModelConfig(image_size=60, patch_size=8)
+    # sizes are checked before any divisibility check divides by them
+    for field, value in [
+        ("n_heads", 0), ("patch_size", 0), ("image_size", -64), ("d_model", -8),
+        ("n_decoder_layers", -2), ("ffn_dim", 0), ("n_detect_queries", 0), ("n_classes", 0),
+        ("n_channels", 0), ("d_model", 64.0), ("n_heads", True), ("n_encoder_layers", "2"),
+    ]:
+        with pytest.raises(ValueError, match=rf"{field} must be an integer >= [01], got"):
+            ModelConfig(**{field: value})
+    # a truthy string would switch the positional code on
+    for value in ("no", 0, None):
+        with pytest.raises(ValueError, match="positional_encoding must be a bool"):
+            ModelConfig(positional_encoding=value)
+    # layer counts may be 0
+    assert ModelConfig(n_encoder_layers=0, n_decoder_layers=0).n_encoder_layers == 0
