@@ -9,9 +9,12 @@ accumulating gradients additively into every participating tensor.
 Conventions kept deliberately narrow so each backward rule stays auditable:
 
 - float64 only (gradient checks need double precision),
-- binary ops accept equal shapes, or a second operand whose shape is a
-  suffix of the first (leading-axis expansion, e.g. bias add),
+- `add`, the one binary op, accepts equal shapes or a second operand whose
+  shape is a suffix of the first (leading-axis expansion, e.g. bias add),
 - a tape and its tensors belong to one worker; no locking is done.
+
+`Tensor` defines no arithmetic operators: every op is a named function, so
+each node on the tape is one a reader can find.
 """
 
 from __future__ import annotations
@@ -30,17 +33,14 @@ __all__ = [
     "attention",
     "concat",
     "custom_op",
-    "extract_patches",
     "feed_forward",
     "gather_rows",
     "grad_check",
     "layer_norm",
     "linear",
     "mlp",
-    "reduce_sum",
     "reset_grads",
     "scale",
-    "shift",
     "sigmoid",
     "slice_axis",
 ]
@@ -153,48 +153,9 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    # -- convenience reductions / views ------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return shift(self, other) if _is_number(other) else add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if not _is_number(other):
-            raise TypeError(f"a Tensor multiplies only by a number, got {type(other).__name__}")
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if not _is_number(other):
-            raise TypeError(f"a Tensor subtracts only a number, got {type(other).__name__}")
-        return shift(self, -other)
-
-    def __rsub__(self, other):
-        return shift(scale(self, -1.0), other)
-
-    def __truediv__(self, other):
-        if not _is_number(other):
-            raise TypeError(f"a Tensor divides only by a number, got {type(other).__name__}")
-        return scale(self, 1.0 / other)
-
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float, np.floating, np.integer))
 
 
 def reset_grads(tensors) -> None:
@@ -273,16 +234,6 @@ def scale(x: Tensor, c: float) -> Tensor:
             x._accumulate(g * c)
 
     return custom_op(x.data * c, (x,), pull)
-
-
-def shift(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(g)
-
-    return custom_op(x.data + c, (x,), pull)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -384,21 +335,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             x._accumulate(dx)
 
     return custom_op(out, (x, w1, b1, w2, b2), pull)
-
-
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    xshape = x.shape
-
-    def pull(g):
-        if not x.requires_grad:
-            return
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, xshape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(ge, xshape).copy())
-
-    return custom_op(x.data.sum(axis=axis, keepdims=keepdims), (x,), pull)
 
 
 def concat(xs, axis: int = 0) -> Tensor:
@@ -707,35 +643,6 @@ def feed_forward(
     return custom_op(out, (x, gain, bias, w1, b1, w2, b2), pull)
 
 
-def extract_patches(img: Tensor, patch: int) -> Tensor:
-    """[H,W,C] image -> [T, patch*patch*C] rows of non-overlapping patches.
-
-    Patches scan row-major over the patch grid; T = (H/patch)*(W/patch).
-    """
-    if img.data.ndim != 3:
-        raise ShapeError(f"extract_patches expects [H,W,C], got {img.shape}")
-    h, w, c = img.shape
-    if h % patch or w % patch:
-        raise ShapeError(f"image {h}x{w} not divisible by patch size {patch}")
-    hp, wp = h // patch, w // patch
-    out = (
-        img.data.reshape(hp, patch, wp, patch, c)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(hp * wp, patch * patch * c)
-    )
-
-    def pull(g):
-        if img.requires_grad:
-            back = (
-                g.reshape(hp, wp, patch, patch, c)
-                .transpose(0, 2, 1, 3, 4)
-                .reshape(h, w, c)
-            )
-            img._accumulate(back)
-
-    return custom_op(out, (img,), pull)
-
-
 # ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
@@ -758,8 +665,10 @@ class GradCheckReport:
 def grad_check(f, inputs, eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Compare tape gradients of the scalar f(*inputs) with central differences.
 
-    `inputs` tensors are used as the differentiation leaves; their data is
-    perturbed in place (and restored) for the numeric side.
+    `inputs` tensors are used as the differentiation leaves; each cell of
+    their data is perturbed in place (and restored) for the numeric side,
+    whatever the array's layout, so a leaf that views another array (say
+    `Tensor(a.T)`) is perturbed where f reads it.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
@@ -781,19 +690,18 @@ def grad_check(f, inputs, eps: float = 1e-5, tol: float = 1e-4) -> GradCheckRepo
     rel_errs = []
     worst = 0.0
     for t, a in zip(inputs, analytic):
-        flat = t.data.reshape(-1)
-        err = np.zeros_like(flat)
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + eps
+        data = t.data
+        err = np.zeros(data.shape)
+        for k in np.ndindex(data.shape):
+            keep = data[k]
+            data[k] = keep + eps
             f_plus = f(*inputs).item()
-            flat[k] = keep - eps
+            data[k] = keep - eps
             f_minus = f(*inputs).item()
-            flat[k] = keep
+            data[k] = keep
             n = (f_plus - f_minus) / (2.0 * eps)
-            ak = a.reshape(-1)[k]
-            err[k] = abs(ak - n) / max(abs(ak), abs(n), 1.0)
-        rel_errs.append(err.reshape(t.data.shape))
-        if flat.size:
+            err[k] = abs(a[k] - n) / max(abs(a[k]), abs(n), 1.0)
+        rel_errs.append(err)
+        if err.size:
             worst = max(worst, float(err.max()))
     return GradCheckReport(passed=worst < tol, max_rel_err=worst, tol=tol, rel_errs=rel_errs)

@@ -3,7 +3,8 @@
 The frame loss mirrors the matching cost: focal classification plus L1 and
 generalized-IoU box regression for matched queries, focal background for
 everything else. Per-frame terms are kept split into a track part and a
-detect part so the whole clip can be normalized by one shared object count.
+detect part so the two can be reported apart; the clip normalizer needs
+only their object counts.
 """
 
 from __future__ import annotations
@@ -75,6 +76,46 @@ def focal_loss(logits: Tensor, targets: np.ndarray, alpha: float = 0.25, gamma: 
     return ad.custom_op(np.sum(pos * nlog_p + neg * nlog_q), (logits,), pull)
 
 
+def _block_total(
+    cls: Tensor, l1_rows: Tensor | None, giou_rows: Tensor | None, weights: LossWeights
+) -> Tensor:
+    """One query block's weighted loss, as one op.
+
+    cls is the block's focal loss; l1_rows and giou_rows [n,1] are the L1
+    distances and GIoUs of its matched rows, both None when it has none.
+    Forward, with the weights λ:
+
+        cls·λ_cls + ((Σ l1_rows)·λ_L1 + (Σ (1 − giou_rows))·λ_GIoU)
+
+    or cls·λ_cls alone without matched rows. Backward, for the output
+    gradient g: g·λ_cls for cls, g·λ_L1 for each L1 row and −(g·λ_GIoU) for
+    each GIoU row. These are the products of the chain of `scale`, sum,
+    1 − x and `add` nodes it stands for, in its order (negation is exact, so
+    1 − x rounds as x·−1 + 1 does), so the value and every gradient match
+    that chain bit for bit.
+    """
+    total = cls.data * weights.lambda_cls
+    inputs = (cls,)
+    if l1_rows is not None:
+        total = total + (
+            l1_rows.data.sum() * weights.lambda_l1
+            + (1.0 - giou_rows.data).sum() * weights.lambda_giou
+        )
+        inputs = (cls, l1_rows, giou_rows)
+
+    def pull(g):
+        if cls.requires_grad:
+            cls._accumulate(g * weights.lambda_cls)
+        if l1_rows is None:
+            return
+        if l1_rows.requires_grad:
+            l1_rows._accumulate(np.broadcast_to(g * weights.lambda_l1, l1_rows.shape))
+        if giou_rows.requires_grad:
+            giou_rows._accumulate(np.broadcast_to(-(g * weights.lambda_giou), giou_rows.shape))
+
+    return ad.custom_op(total, inputs, pull)
+
+
 @dataclass
 class FrameLossTerms:
     """One frame's loss split into its track and detect parts.
@@ -109,11 +150,16 @@ def frame_loss(
 
     Track queries whose identity has left the ground truth are supervised as
     background (their object is gone); a detect pair pointing at a missing
-    identity is a caller bug and raises.
+    identity, or a slot outside its block, is a caller bug and raises.
     """
     n_track = preds.n_track
     n_total, n_classes = preds.class_logits.shape
     _check_annotations(gt_frame, n_classes)
+    blocks = (("track", track_assign, n_track), ("detect", detect_assign, n_total - n_track))
+    for block, assign, size in blocks:
+        for slot, _ in assign.pairs:
+            if not 0 <= slot < size:
+                raise ValueError(f"{block} slot {slot} is outside the {block} block of {size} rows")
     by_identity = {obj.identity: obj for obj in gt_frame}
 
     class_targets = np.zeros((n_total, n_classes))
@@ -136,17 +182,12 @@ def frame_loss(
 
     def block_loss(row_lo: int, row_hi: int, rows: list[int], targets: list) -> Tensor:
         logits = ad.slice_axis(preds.class_logits, 0, row_lo, row_hi)
-        loss = ad.scale(
-            focal_loss(logits, class_targets[row_lo:row_hi], weights.focal_alpha, weights.focal_gamma),
-            weights.lambda_cls,
-        )
-        if rows:
-            boxes = ad.gather_rows(preds.boxes, rows)
-            gt = Tensor(np.stack(targets))
-            l1 = box_l1_rows(boxes, gt).sum()
-            giou_term = (1.0 - box_giou_rows(boxes, gt)).sum()
-            loss = ad.add(loss, ad.add(ad.scale(l1, weights.lambda_l1), ad.scale(giou_term, weights.lambda_giou)))
-        return loss
+        cls = focal_loss(logits, class_targets[row_lo:row_hi], weights.focal_alpha, weights.focal_gamma)
+        if not rows:
+            return _block_total(cls, None, None, weights)
+        boxes = ad.gather_rows(preds.boxes, rows)
+        gt = Tensor(np.stack(targets))
+        return _block_total(cls, box_l1_rows(boxes, gt), box_giou_rows(boxes, gt), weights)
 
     return FrameLossTerms(
         track=block_loss(0, n_track, track_rows, track_targets),

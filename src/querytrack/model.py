@@ -336,6 +336,21 @@ def sine_positions_2d(n_rows: int, n_cols: int, d: int) -> np.ndarray:
     return np.concatenate([rows, cols], axis=1)
 
 
+def _cut_patches(image: np.ndarray, patch: int) -> np.ndarray:
+    """[H,W,C] image -> [T, patch*patch*C] rows, one per non-overlapping patch.
+
+    Patches scan row-major over the patch grid; T = (H/patch)*(W/patch). The
+    cut is plain numpy: nothing differentiates with respect to an image.
+    """
+    h, w, c = image.shape
+    hp, wp = h // patch, w // patch
+    return (
+        image.reshape(hp, patch, wp, patch, c)
+        .transpose(0, 2, 1, 3, 4)
+        .reshape(hp * wp, patch * patch * c)
+    )
+
+
 # ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
@@ -388,14 +403,14 @@ class TrackingModel:
     # -- encoding ----------------------------------------------------------
 
     def encode(self, image: Tensor) -> Tensor:
-        """Image [H,W,C] -> frame tokens [T, d_model]."""
+        """Image [H,W,C] -> frame tokens [T, d_model]; no gradient reaches the image."""
         cfg = self.cfg
         if image.shape != (cfg.image_size, cfg.image_size, cfg.n_channels):
             raise ShapeError(
                 f"image shape {image.shape} != configured "
                 f"({cfg.image_size}, {cfg.image_size}, {cfg.n_channels})"
             )
-        x = ad.linear(ad.extract_patches(image, cfg.patch_size), self.patch_w, self.patch_b)
+        x = ad.linear(Tensor(_cut_patches(image.data, cfg.patch_size)), self.patch_w, self.patch_b)
         if self._pos is not None:
             x = ad.add(x, Tensor(self._pos))
         for layer in self.encoder_layers:

@@ -49,6 +49,11 @@ class TestHungarian:
         assert hungarian(np.zeros((3, 0))) == []
         assert hungarian(np.zeros((0, 0))) == []
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 2, 2), (2, 0, 3)])
+    def test_empty_cost_of_other_rank_rejected(self, shape):
+        with pytest.raises(ValueError, match="must be 2-d"):
+            hungarian(np.zeros(shape))
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             hungarian(np.array([[np.inf, 1.0], [1.0, 0.0]]))

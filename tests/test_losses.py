@@ -12,6 +12,7 @@ from querytrack.losses import (
     ClipLossAccumulator,
     FrameLossTerms,
     LossWeights,
+    _block_total,
     clip_average_loss,
     focal_loss,
     frame_loss,
@@ -180,6 +181,23 @@ class TestFrameLoss:
         with pytest.raises(ValueError, match=message):
             frame_loss(preds, Assignment(), Assignment([(0, 1)]), gt, W)
 
+    @pytest.mark.parametrize(
+        "track_pairs, detect_pairs, message",
+        [
+            ([(1, 1)], [], "track slot 1 is outside the track block of 1 rows"),
+            ([(-1, 1)], [], "track slot -1 is outside the track block of 1 rows"),
+            ([], [(-1, 2)], "detect slot -1 is outside the detect block of 4 rows"),
+            ([], [(4, 2)], "detect slot 4 is outside the detect block of 4 rows"),
+        ],
+        ids=["track_past_its_block", "track_negative", "detect_negative", "detect_past_its_block"],
+    )
+    def test_slot_outside_its_block_rejected(self, track_pairs, detect_pairs, message):
+        # one track row, then four detect rows
+        preds = StubPreds(np.zeros((5, 1)), np.full((5, 4), 0.5), n_track=1)
+        gt = [GtObject(1, Box(0.4, 0.5, 0.3, 0.2)), GtObject(2, Box(0.7, 0.3, 0.2, 0.25))]
+        with pytest.raises(ValueError, match=message):
+            frame_loss(preds, Assignment(track_pairs), Assignment(detect_pairs), gt, W)
+
     def test_weight_scaling_is_linear(self):
         rng = np.random.default_rng(1)
         preds = StubPreds(
@@ -226,6 +244,62 @@ class TestFrameLoss:
         assert ad.grad_check(f, [logits, boxes], tol=1e-4).passed
 
 
+class TestBlockTotal:
+    """The one-op block loss against the arithmetic of the node chain it stands for."""
+
+    WEIGHTS = LossWeights(lambda_cls=1.7, lambda_l1=4.3, lambda_giou=2.9)
+
+    def leaves(self, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        cls = Tensor(rng.uniform(0.0, 3.0), requires_grad=True)
+        if n_rows == 0:
+            return cls, None, None
+        l1 = Tensor(rng.uniform(0.0, 2.0, size=(n_rows, 1)), requires_grad=True)
+        giou_rows = Tensor(rng.uniform(-1.0, 1.0, size=(n_rows, 1)), requires_grad=True)
+        return cls, l1, giou_rows
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 3, 7])
+    def test_bits_match_chain_arithmetic(self, n_rows):
+        w = self.WEIGHTS
+        for seed in range(5):
+            cls, l1, giou_rows = self.leaves(n_rows, seed)
+            upstream = 0.37 + seed  # a gradient other than 1 reaching the block
+            with Tape() as tape:
+                out = _block_total(cls, l1, giou_rows, w)
+                loss = ad.scale(out, upstream)
+            tape.backward(loss)
+            # the chain: scale(cls, λ_cls), then add(., add(scale(sum(l1), λ_L1),
+            # scale(sum(shift(scale(giou, -1), 1)), λ_GIoU))) when rows are matched
+            g = np.ones(()) * upstream
+            expected = cls.data * w.lambda_cls
+            if n_rows:
+                expected = expected + (
+                    l1.data.sum() * w.lambda_l1 + (giou_rows.data * -1.0 + 1.0).sum() * w.lambda_giou
+                )
+                assert np.array_equal(l1.grad, np.broadcast_to(g * w.lambda_l1, l1.shape).copy())
+                assert np.array_equal(
+                    giou_rows.grad, np.broadcast_to(g * w.lambda_giou, giou_rows.shape).copy() * -1.0
+                )
+            assert np.array_equal(out.data, expected)
+            assert np.array_equal(cls.grad, g * w.lambda_cls)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 4])
+    def test_gradient_in_every_input(self, n_rows):
+        leaves = [t for t in self.leaves(n_rows, 9) if t is not None]
+
+        def f(cls, l1=None, giou_rows=None):
+            return _block_total(cls, l1, giou_rows, self.WEIGHTS)
+
+        report = ad.grad_check(f, leaves)
+        assert report.passed and len(report.rel_errs) == 1 + 2 * bool(n_rows), report.max_rel_err
+
+    def test_records_one_tape_node(self):
+        cls, l1, giou_rows = self.leaves(2, 0)
+        with Tape() as tape:
+            _block_total(cls, l1, giou_rows, self.WEIGHTS)
+            assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["_block_total"]
+
+
 TINY = ModelConfig(
     image_size=16,
     patch_size=8,
@@ -269,13 +343,15 @@ class TestTinyModelFrameLoss:
             self.loss()
             kinds = Counter(pull.__qualname__.split(".", 1)[0] for _, pull in tape.nodes)
         assert kinds == {
-            "scale": 8, "add": 6, "attention": 4, "reduce_sum": 4, "feed_forward": 3,
-            "linear": 2, "box_giou_rows": 2, "box_l1_rows": 2, "focal_loss": 2,
-            "gather_rows": 2, "shift": 2, "slice_axis": 2, "layer_norm": 1, "mlp": 1,
-            "concat": 1, "sigmoid": 1,
+            "attention": 4, "feed_forward": 3, "add": 2, "linear": 2, "box_giou_rows": 2,
+            "box_l1_rows": 2, "focal_loss": 2, "gather_rows": 2, "slice_axis": 2,
+            "_block_total": 2, "layer_norm": 1, "mlp": 1, "concat": 1, "sigmoid": 1,
         }
-        assert sum(kinds.values()) == 43
-        assert not {"matmul", "mul", "log", "pow_scalar", "relu", "gelu", "sub", "absolute"} & kinds.keys()
+        assert sum(kinds.values()) == 27
+        assert not {
+            "matmul", "mul", "log", "pow_scalar", "relu", "gelu", "sub", "absolute",
+            "scale", "shift", "reduce_sum",
+        } & kinds.keys()
 
 
 def make_terms(rng):

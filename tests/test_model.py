@@ -60,8 +60,9 @@ class TestEncode:
         model = TrackingModel(cfg)
         img = random_image(np.random.default_rng(1), cfg)
         tokens = model.encode(img)
-        patches = ad.extract_patches(img, cfg.patch_size)
-        manual = patches.data @ model.patch_w.data + model.patch_b.data
+        # the [16,16,1] image's two-by-two grid of 8x8 patches, row-major
+        patches = np.stack([img.data[r:r + 8, c:c + 8].reshape(-1) for r in (0, 8) for c in (0, 8)])
+        manual = patches @ model.patch_w.data + model.patch_b.data
         np.testing.assert_allclose(tokens.data, manual, atol=1e-12)
 
     def test_patch_permutation_equivariance_without_positions(self):
@@ -108,7 +109,7 @@ def numpy_layer_norm(x):
 
 
 def weighted_sum(x, w):
-    """sum(x * w) for a constant array w, as one test-local tape op."""
+    """sum(x * w) for a constant array (or number) w, as one test-local tape op."""
     w = np.asarray(w, dtype=np.float64)
 
     def pull(g):
@@ -268,13 +269,12 @@ class TestAttention:
         norm = random_norm(rng, 4)
 
         def cross(x, gain, bias, memory):
-            return multi_head_attention(
-                x, NormParams(gain, bias), identity_attention(4), 2, memory=memory
-            ).sum()
+            out = multi_head_attention(x, NormParams(gain, bias), identity_attention(4), 2, memory=memory)
+            return weighted_sum(out, 1.0)
 
         def temporal(x, positions):
             p = identity_attention(4)
-            return multi_head_attention(x, norm, p, 2, positions=positions).sum()
+            return weighted_sum(multi_head_attention(x, norm, p, 2, positions=positions), 1.0)
 
         assert ad.grad_check(cross, [x, norm.gain, norm.bias, memory]).passed
         assert ad.grad_check(temporal, [x, positions]).passed
@@ -351,7 +351,7 @@ class TestDecode:
                 + [QueryRecord("detect") for _ in range(TINY.n_detect_queries)],
             )
             preds = model.decode(qs, memory)
-            return ad.add(ad.sigmoid(preds.class_logits).sum(), weighted_sum(preds.boxes, box_weights))
+            return ad.add(weighted_sum(ad.sigmoid(preds.class_logits), 1.0), weighted_sum(preds.boxes, box_weights))
 
         report = ad.grad_check(f, [emb], tol=1e-4)
         assert report.passed, report.max_rel_err
@@ -369,7 +369,7 @@ class TestTemporalAggregation:
 
         def f(emb, pos, wq):  # wq is read through the model
             preds = model.forward_frame(img, QuerySet(emb, records, positions=pos))
-            return ad.add(ad.sigmoid(preds.class_logits).sum(), weighted_sum(preds.boxes, box_weights))
+            return ad.add(weighted_sum(ad.sigmoid(preds.class_logits), 1.0), weighted_sum(preds.boxes, box_weights))
 
         report = ad.grad_check(f, [emb, pos, model.temporal.attn.wq], tol=1e-4)
         assert report.passed, report.max_rel_err
@@ -431,14 +431,14 @@ class TestClipGraph:
             total = None
             for _ in range(5):
                 preds = model.forward_frame(random_image(rng, TINY), track)
-                frame_sum = ad.add(preds.class_logits.sum(), preds.boxes.sum())
+                frame_sum = ad.add(weighted_sum(preds.class_logits, 1.0), weighted_sum(preds.boxes, 1.0))
                 total = frame_sum if total is None else ad.add(total, frame_sum)
                 # feed hidden states back as next-frame track queries
                 track = QuerySet(
                     ad.slice_axis(preds.hidden, 0, 0, 2),
                     [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)],
                 )
-            loss = total.sum()
+            loss = weighted_sum(total, 1.0)
         tape.backward(loss)
         for name, p in model.params.items():
             assert p.grad is not None, name
