@@ -1,14 +1,19 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 Everything the model and losses compute runs through the ops in this module.
-Ops execute eagerly on float64 numpy arrays; when a `Tape` is active and an
-input requires gradients, the op appends its backward rule to the tape.
+Ops execute eagerly on numpy arrays; when a `Tape` is active and an input
+requires gradients, the op appends its backward rule to the tape.
 Calling `Tape.backward(loss)` replays the rules in reverse execution order,
 accumulating gradients additively into every participating tensor.
 
 Conventions kept deliberately narrow so each backward rule stays auditable:
 
-- float64 only (gradient checks need double precision),
+- each op computes in its inputs' dtype, float32 or float64, and so does
+  its backward (constants are Python floats, which never promote an
+  array); `Tensor` turns any other input (Python numbers, lists, ints)
+  into float64,
+- `grad_check` takes float64 leaves only (central differences need double
+  precision),
 - `add`, the one binary op, accepts equal shapes or a second operand whose
   shape is a suffix of the first (leading-axis expansion, e.g. bias add),
 - a tape and its tensors belong to one worker; no locking is done.
@@ -103,7 +108,7 @@ class Tape:
         if self.consumed:
             raise GradientError("backward already ran on this tape; build a new one")
         self.consumed = True
-        loss._accumulate(np.ones((), dtype=np.float64))
+        loss._accumulate(np.ones((), dtype=loss.data.dtype))
         # out._tape -> tape -> nodes -> out is a reference cycle; break it
         nodes, self.nodes = self.nodes, []
         for out, pull in reversed(nodes):
@@ -111,17 +116,22 @@ class Tape:
                 pull(out.grad)
 
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class Tensor:
     """Dense n-d value, optionally carrying a gradient.
 
     Leaves are built directly (`Tensor(data, requires_grad=True)`); every op
-    output is a non-leaf that remembers the tape it was recorded on.
+    output is a non-leaf that remembers the tape it was recorded on. A
+    float32 or float64 array is kept as it is; anything else becomes float64.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._tape: Tape | None = None
@@ -523,7 +533,7 @@ def attention(
             f"{[t.shape for t in proj]}"
         )
     dh = d // n_heads
-    c = 1.0 / np.sqrt(dh)
+    c = 1.0 / float(np.sqrt(dh))  # a Python float: an np.float64 would promote float32 work
 
     def split(a):  # [rows, d] -> [heads, rows, dh] view
         return a.reshape(a.shape[0], n_heads, dh).transpose(1, 0, 2)
@@ -668,12 +678,18 @@ def grad_check(f, inputs, eps: float = 1e-5, tol: float = 1e-4) -> GradCheckRepo
     `inputs` tensors are used as the differentiation leaves; each cell of
     their data is perturbed in place (and restored) for the numeric side,
     whatever the array's layout, so a leaf that views another array (say
-    `Tensor(a.T)`) is perturbed where f reads it.
+    `Tensor(a.T)`) is perturbed where f reads it. Every leaf must be
+    float64: in float32 the rounding of f swamps a difference at eps.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
     if isinstance(inputs, Tensor):
         inputs = [inputs]
+    for i, t in enumerate(inputs):
+        if t.data.dtype != np.float64:
+            raise TypeError(
+                f"grad_check input {i} {t!r} is {t.data.dtype}; gradient checks need float64"
+            )
     for t in inputs:
         t.requires_grad = True
         t.reset_grad()

@@ -58,9 +58,9 @@ def focal_loss(logits: Tensor, targets: np.ndarray, alpha: float = 0.25, gamma: 
     dL/dx = 0.75; a correct cell at |x| = 800 costs exactly 0. Backward, per
     cell, dL/dx is alpha * (1-p)^gamma * (-gamma * p * softplus(-x) - (1-p))
     for a positive and (1-alpha) * p^gamma * (gamma * (1-p) * softplus(x) + p)
-    for a negative.
+    for a negative. It computes in the logits' dtype.
     """
-    t = np.asarray(targets, dtype=np.float64)
+    t = np.asarray(targets, dtype=logits.data.dtype)
     if t.shape != logits.shape:
         raise ad.ShapeError(f"targets shape {t.shape} != logits shape {logits.shape}")
     x = logits.data
@@ -150,7 +150,8 @@ def frame_loss(
 
     Track queries whose identity has left the ground truth are supervised as
     background (their object is gone); a detect pair pointing at a missing
-    identity, or a slot outside its block, is a caller bug and raises.
+    identity, a slot outside its block, or an identity in both assignments
+    (one object supervising two queries) is a caller bug and raises.
     """
     n_track = preds.n_track
     n_total, n_classes = preds.class_logits.shape
@@ -160,6 +161,9 @@ def frame_loss(
         for slot, _ in assign.pairs:
             if not 0 <= slot < size:
                 raise ValueError(f"{block} slot {slot} is outside the {block} block of {size} rows")
+    both = sorted(track_assign.identities() & detect_assign.identities())
+    if both:
+        raise ValueError(f"identities {both} are in both the track and the detect assignment")
     by_identity = {obj.identity: obj for obj in gt_frame}
 
     class_targets = np.zeros((n_total, n_classes))
@@ -186,7 +190,7 @@ def frame_loss(
         if not rows:
             return _block_total(cls, None, None, weights)
         boxes = ad.gather_rows(preds.boxes, rows)
-        gt = Tensor(np.stack(targets))
+        gt = Tensor(np.stack(targets).astype(preds.boxes.data.dtype, copy=False))
         return _block_total(cls, box_l1_rows(boxes, gt), box_giou_rows(boxes, gt), weights)
 
     return FrameLossTerms(

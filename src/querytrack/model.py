@@ -11,8 +11,16 @@ residual add included, is one tape op: `ad.attention` (through
 ops and a decoder layer three. The class head emits logits, which
 the loss takes on the tape; class probabilities are their sigmoid, derived
 off the tape for matching and scoring. The box head's sigmoid keeps box
-coordinates strictly inside (0, 1). Query order is slot identity: output
+coordinates in [0, 1], strictly inside (0, 1) for box logits in about
+(-709.7, 36.7) in float64 and (-88.7, 16.6) in float32: past those the
+sigmoid rounds to exactly 0 or 1. Query order is slot identity: output
 row i always belongs to input query i.
+
+The model computes in one dtype, `ModelConfig.dtype`: float32 (the
+default) or float64. Parameters, the positional code and the image patches
+are cast to it, so every op on the tape runs in it; a carried track block
+must already be in it. float64 is for gradient checks and exact
+references.
 
 Between frames, the kept decoder states of frame t come back as the track
 block of frame t+1 and first pass through the temporal aggregation layer
@@ -50,6 +58,9 @@ __all__ = [
 ]
 
 
+_DTYPES = ("float32", "float64")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: int = 64
@@ -63,6 +74,7 @@ class ModelConfig:
     n_classes: int = 1
     ffn_dim: int = 128
     positional_encoding: bool = True
+    dtype: str = "float32"  # or "float64": the dtype of every parameter and op output
 
     def __post_init__(self):
         # every size is checked before the divisibility checks divide by it;
@@ -71,6 +83,8 @@ class ModelConfig:
             value = getattr(self, f.name)
             if f.name == "positional_encoding":
                 ok, want = type(value) is bool, "a bool"
+            elif f.name == "dtype":
+                ok, want = type(value) is str and value in _DTYPES, '"float32" or "float64"'
             else:
                 least = 0 if f.name.endswith("_layers") else 1
                 ok, want = type(value) is int and value >= least, f"an integer >= {least}"
@@ -234,16 +248,21 @@ class DecoderLayerParams:
 
 
 class _ParamFactory:
-    """Creates named leaf tensors and collects them into a flat dict."""
+    """Creates named leaf tensors and collects them into a flat dict.
 
-    def __init__(self, rng: np.random.Generator):
+    Initial values are drawn in float64, so the draws do not depend on the
+    dtype, and then cast once to the model's dtype.
+    """
+
+    def __init__(self, rng: np.random.Generator, dtype: str):
         self.rng = rng
+        self.dtype = dtype
         self.params: dict[str, Tensor] = {}
 
     def add(self, name: str, array: np.ndarray) -> Tensor:
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name}")
-        t = Tensor(array, requires_grad=True)
+        t = Tensor(array.astype(self.dtype, copy=False), requires_grad=True)
         self.params[name] = t
         return t
 
@@ -365,7 +384,7 @@ class TrackingModel:
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
-        f = _ParamFactory(np.random.default_rng(seed))
+        f = _ParamFactory(np.random.default_rng(seed), cfg.dtype)
         d, ffn = cfg.d_model, cfg.ffn_dim
         in_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
 
@@ -395,7 +414,10 @@ class TrackingModel:
         self.temporal = f.encoder_layer("temporal", d, ffn)
         self.params = f.params
         side = cfg.tokens_per_side
-        self._pos = sine_positions_2d(side, side, d) if cfg.positional_encoding else None
+        self._pos = (
+            Tensor(sine_positions_2d(side, side, d).astype(cfg.dtype))
+            if cfg.positional_encoding else None
+        )
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -403,16 +425,20 @@ class TrackingModel:
     # -- encoding ----------------------------------------------------------
 
     def encode(self, image: Tensor) -> Tensor:
-        """Image [H,W,C] -> frame tokens [T, d_model]; no gradient reaches the image."""
+        """Image [H,W,C] -> frame tokens [T, d_model]; no gradient reaches the image.
+
+        The image is data, not state: its patches are cast to the model's dtype.
+        """
         cfg = self.cfg
         if image.shape != (cfg.image_size, cfg.image_size, cfg.n_channels):
             raise ShapeError(
                 f"image shape {image.shape} != configured "
                 f"({cfg.image_size}, {cfg.image_size}, {cfg.n_channels})"
             )
-        x = ad.linear(Tensor(_cut_patches(image.data, cfg.patch_size)), self.patch_w, self.patch_b)
+        patches = _cut_patches(image.data.astype(cfg.dtype, copy=False), cfg.patch_size)
+        x = ad.linear(Tensor(patches), self.patch_w, self.patch_b)
         if self._pos is not None:
-            x = ad.add(x, Tensor(self._pos))
+            x = ad.add(x, self._pos)
         for layer in self.encoder_layers:
             x = _encoder_layer(x, layer, cfg.n_heads)
         return x
@@ -435,11 +461,19 @@ class TrackingModel:
 
         A non-empty carried track block passes through `aggregate` and is
         concatenated in front of the learnable detect block. The result has
-        no positions: the decoder uses none.
+        no positions: the decoder uses none. The carried block is model
+        state, so its embeddings and positions must be in the model's dtype.
         """
-        detect_records = [QueryRecord("detect") for _ in range(self.cfg.n_detect_queries)]
+        cfg = self.cfg
+        detect_records = [QueryRecord("detect") for _ in range(cfg.n_detect_queries)]
         if track_set is None or len(track_set) == 0:
             return QuerySet(self.detect_queries, detect_records)
+        for name in ("embeddings", "positions"):
+            t = getattr(track_set, name)
+            if t is not None and t.data.dtype != cfg.dtype:
+                raise ValueError(
+                    f"track block {name} are {t.data.dtype}, the model computes in {cfg.dtype}"
+                )
         return QuerySet(
             ad.concat([self.aggregate(track_set), self.detect_queries], axis=0),
             list(track_set.records) + detect_records,
@@ -474,24 +508,32 @@ class TrackingModel:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"QTCK"
-_VERSION = 2
+_VERSION = 3
+
+
+def _payload_dtype(cfg: ModelConfig) -> np.dtype:
+    """Little-endian payload dtype of a checkpoint: `<f4` or `<f8`, the model's."""
+    return np.dtype(cfg.dtype).newbyteorder("<")
 
 
 def save_checkpoint(path, model: TrackingModel, extra: dict | None = None) -> None:
     """Write config + named parameters to a deterministic binary container.
 
-    Layout: magic, version, length-prefixed JSON header (config, extra
-    metadata, parameter manifest in sorted name order, `zlib.crc32` of the
-    payloads), then raw float64 little-endian parameter payloads in manifest
-    order. Saving the same model twice yields byte-identical files.
+    Layout (version 3): magic `QTCK`, then `<II` version and header length,
+    then the JSON header (config with its `dtype`, extra metadata,
+    parameter manifest in sorted name order, `zlib.crc32` of the payloads),
+    then each parameter's raw little-endian payload in manifest order, in
+    the model's dtype: `<f4` for float32, `<f8` for float64. Saving the
+    same model twice yields byte-identical files.
     """
     manifest = []
     payloads = []
     crc = 0
+    payload_dtype = _payload_dtype(model.cfg)
     for name in sorted(model.params):
         data = model.params[name].data
         manifest.append({"name": name, "shape": list(data.shape)})
-        payloads.append(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        payloads.append(np.ascontiguousarray(data, dtype=payload_dtype).tobytes())
         crc = zlib.crc32(payloads[-1], crc)
     header = json.dumps(
         {
@@ -557,24 +599,26 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
         missing = sorted(set(model.params) - {entry["name"] for entry in manifest})
         if missing:
             raise ValueError(f"{path}: manifest omits parameters {missing}")
+        payload_dtype = _payload_dtype(cfg)
         crc = 0
         for entry in manifest:
             name, shape = entry["name"], tuple(entry["shape"])
             if name not in model.params:
                 raise ValueError(f"{path}: unknown parameter {name}")
-            n_bytes = int(np.prod(shape)) * 8
+            n_bytes = int(np.prod(shape)) * payload_dtype.itemsize
             blob = fh.read(n_bytes)
             if len(blob) != n_bytes:
                 raise ValueError(
                     f"{path}: truncated payload for {name}: {len(blob)} of {n_bytes} bytes"
                 )
             crc = zlib.crc32(blob, crc)
-            data = np.frombuffer(blob, dtype="<f8").reshape(shape)
+            data = np.frombuffer(blob, dtype=payload_dtype).reshape(shape)
             if model.params[name].data.shape != data.shape:
                 raise ValueError(f"{path}: shape mismatch for {name}")
             # layer structs reference the same Tensor objects, so assigning
-            # .data here updates the whole model
-            model.params[name].data = data.astype(np.float64).copy()
+            # .data here updates the whole model; astype makes a writable
+            # native-order copy
+            model.params[name].data = data.astype(cfg.dtype)
         if crc != header["crc32"]:
             raise ValueError(
                 f"{path}: payload checksum {crc:#010x} != header crc32 {header['crc32']:#010x}"

@@ -707,6 +707,23 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             ad.grad_check(lambda x: weighted_sum(x, 1.0), [Tensor([1.0])], eps=1e-8)
 
+    def test_float32_leaf_rejected_by_name(self):
+        # float32 rounding of f is far larger than a central difference at eps
+        x, y = Tensor([1.0, 2.0]), Tensor(np.array([1.0, 2.0], dtype=np.float32))
+        with pytest.raises(TypeError, match=r"grad_check input 1 Tensor\(shape=\(2,\)\) is float32"):
+            ad.grad_check(lambda x, y: weighted_sum(ad.add(x, y), 1.0), [x, y])
+        assert not y.requires_grad
+
+
+class TestTensorDtype:
+    def test_tensor_keeps_float32_and_float64_and_makes_the_rest_float64(self):
+        for dtype in (np.float32, np.float64):
+            a = np.arange(3, dtype=dtype)
+            assert Tensor(a).data is a
+            assert Tensor(dtype(1.5)).data.dtype == dtype
+        for data in (1.5, 3, [1, 2], [[0.5]], np.arange(3), np.ones(2, np.float16), True):
+            assert Tensor(data).data.dtype == np.float64, data
+
 
 def test_randomized_gradient_sweep():
     """Every differentiable op, random shapes and seeds."""

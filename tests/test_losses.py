@@ -198,6 +198,22 @@ class TestFrameLoss:
         with pytest.raises(ValueError, match=message):
             frame_loss(preds, Assignment(track_pairs), Assignment(detect_pairs), gt, W)
 
+    @pytest.mark.parametrize(
+        "track_pairs, detect_pairs, message",
+        [
+            ([(0, 1)], [(0, 1)], r"identities \[1\] are in both the track and the detect assignment"),
+            ([(0, 1), (1, 2)], [(0, 2), (3, 1)], r"identities \[1, 2\] are in both"),
+        ],
+        ids=["one_object", "two_objects"],
+    )
+    def test_identity_in_both_assignments_rejected(self, track_pairs, detect_pairs, message):
+        # the object would supervise a track and a detect query and count
+        # twice in the clip normaliser
+        preds = StubPreds(np.zeros((6, 1)), np.full((6, 4), 0.5), n_track=2)
+        gt = [GtObject(1, Box(0.4, 0.5, 0.3, 0.2)), GtObject(2, Box(0.7, 0.3, 0.2, 0.25))]
+        with pytest.raises(ValueError, match=message):
+            frame_loss(preds, Assignment(track_pairs), Assignment(detect_pairs), gt, W)
+
     def test_weight_scaling_is_linear(self):
         rng = np.random.default_rng(1)
         preds = StubPreds(
@@ -309,6 +325,7 @@ TINY = ModelConfig(
     n_decoder_layers=1,
     n_detect_queries=4,
     ffn_dim=16,
+    dtype="float64",
 )
 
 

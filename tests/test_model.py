@@ -30,6 +30,7 @@ TINY = ModelConfig(
     n_decoder_layers=1,
     n_detect_queries=4,
     ffn_dim=16,
+    dtype="float64",
 )
 
 
@@ -40,7 +41,7 @@ def random_image(rng, cfg):
 def track_set_of(model, n, start_id=1):
     rng = np.random.default_rng(99)
     return QuerySet(
-        Tensor(rng.standard_normal((n, model.cfg.d_model))),
+        Tensor(rng.standard_normal((n, model.cfg.d_model)).astype(model.cfg.dtype)),
         [QueryRecord("track", track_id=start_id + i) for i in range(n)],
     )
 
@@ -55,7 +56,7 @@ class TestEncode:
         cfg = ModelConfig(
             image_size=16, patch_size=8, d_model=8, n_heads=2,
             n_encoder_layers=0, n_decoder_layers=1, n_detect_queries=2,
-            ffn_dim=16, positional_encoding=False,
+            ffn_dim=16, positional_encoding=False, dtype="float64",
         )
         model = TrackingModel(cfg)
         img = random_image(np.random.default_rng(1), cfg)
@@ -69,7 +70,7 @@ class TestEncode:
         cfg = ModelConfig(
             image_size=16, patch_size=8, d_model=8, n_heads=2,
             n_encoder_layers=2, n_decoder_layers=1, n_detect_queries=2,
-            ffn_dim=16, positional_encoding=False,
+            ffn_dim=16, positional_encoding=False, dtype="float64",
         )
         model = TrackingModel(cfg, seed=3)
         rng = np.random.default_rng(2)
@@ -85,6 +86,19 @@ class TestEncode:
         model = TrackingModel(TINY)
         with pytest.raises(ad.ShapeError):
             model.encode(Tensor(np.zeros((15, 16, 1))))
+
+    def test_image_is_cast_to_the_model_dtype(self):
+        rng = np.random.default_rng(3)
+        img = rng.uniform(0, 1, size=(16, 16, 1))
+        for dtype in ("float32", "float64"):
+            model = TrackingModel(dataclasses.replace(TINY, dtype=dtype), seed=3)
+            tokens = [model.encode(Tensor(img.astype(t))).data for t in ("float32", "float64")]
+            assert tokens[0].dtype == tokens[1].dtype == dtype
+            if dtype == "float32":  # the cast comes first, so the two images are one
+                assert np.array_equal(tokens[0], tokens[1])
+            else:  # a float32 image is float32 data, widened exactly
+                ref = model.encode(Tensor(img.astype(np.float32).astype(np.float64))).data
+                assert np.array_equal(tokens[0], ref)
 
     def test_positional_code_shape_and_determinism(self):
         a = sine_positions_2d(3, 4, 8)
@@ -411,6 +425,21 @@ class TestTemporalAggregation:
         with_pos = model.aggregate(QuerySet(emb, records, positions=pos)).data
         np.testing.assert_allclose(with_pos, plain, atol=1e-12)
 
+    @pytest.mark.parametrize("model_dtype, block_dtype", [("float32", "float64"), ("float64", "float32")])
+    def test_track_block_in_another_dtype_rejected(self, model_dtype, block_dtype):
+        # a carried block is model state: mixing dtypes would run in mixed precision
+        model = TrackingModel(dataclasses.replace(TINY, dtype=model_dtype), seed=22)
+        rng = np.random.default_rng(22)
+        emb = rng.standard_normal((2, TINY.d_model))
+        records = [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)]
+        good, bad = Tensor(emb.astype(model_dtype)), Tensor(emb.astype(block_dtype))
+        message = f"are {block_dtype}, the model computes in {model_dtype}"
+        with pytest.raises(ValueError, match=f"track block embeddings {message}"):
+            model.frame_queries(QuerySet(bad, records))
+        with pytest.raises(ValueError, match=f"track block positions {message}"):
+            model.frame_queries(QuerySet(good, records, positions=bad))
+        assert model.frame_queries(QuerySet(good, records, positions=good)).embeddings.data.dtype == model_dtype
+
     def test_decoder_input_rows_exposed(self):
         model = TrackingModel(TINY, seed=20)
         img = random_image(np.random.default_rng(20), TINY)
@@ -506,6 +535,30 @@ class TestCheckpoint:
         assert np.array_equal(a.class_probs.data, b.class_probs.data)
         assert np.array_equal(a.boxes.data, b.boxes.data)
         assert np.array_equal(a.hidden.data, b.hidden.data)
+
+
+    @pytest.mark.parametrize("dtype, itemsize", [("float32", 4), ("float64", 8)])
+    def test_roundtrip_in_each_dtype(self, tmp_path, dtype, itemsize):
+        model = TrackingModel(dataclasses.replace(TINY, dtype=dtype), seed=23)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        version, header_len = struct.unpack("<II", raw[4:12])
+        assert version == 3 and json.loads(raw[12 : 12 + header_len])["config"]["dtype"] == dtype
+        n_values = sum(p.data.size for p in model.params.values())
+        assert len(raw) == 12 + header_len + itemsize * n_values
+        loaded, _ = load_checkpoint(path)
+        assert loaded.cfg == model.cfg
+        for name, p in model.params.items():
+            assert loaded.params[name].data.dtype == dtype
+            assert np.array_equal(p.data, loaded.params[name].data), name
+        rng = np.random.default_rng(23)
+        img = random_image(rng, TINY)
+        emb, pos = (Tensor(rng.standard_normal((2, TINY.d_model)).astype(dtype)) for _ in range(2))
+        ts = QuerySet(emb, [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)], pos)
+        a, b = model.forward_frame(img, ts), loaded.forward_frame(img, ts)
+        for x, y in ((a.class_logits, b.class_logits), (a.boxes, b.boxes), (a.hidden, b.hidden)):
+            assert x.data.dtype == dtype and np.array_equal(x.data, y.data)
 
 
 class TestCheckpointCorruption:
@@ -650,6 +703,28 @@ class TestCheckpointCorruption:
             with pytest.raises(ValueError, match=r"model\.ckpt: header 'crc32' is a \w+, not an integer"):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("saved, claimed, message", [
+        ("float32", "float64", "truncated payload"),
+        ("float64", "float32", "payload checksum"),
+        ("float32", "float16", "invalid config.*dtype must be"),
+        ("float64", None, "invalid config.*dtype must be"),
+    ])
+    def test_rewritten_dtype_rejected(self, tmp_path, saved, claimed, message):
+        # the payload is sized by the header's dtype: a wrong one misreads every byte
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, TrackingModel(dataclasses.replace(TINY, dtype=saved), seed=18))
+        self.rewrite_config(path, dtype=claimed)
+        with pytest.raises(ValueError, match=rf"model\.ckpt: {message}"):
+            load_checkpoint(path)
+
+    def test_version_2_file_rejected(self, tmp_path):
+        # version 2 payloads are float64 whatever the model computes in
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+        with pytest.raises(ValueError, match=r"model\.ckpt: unsupported checkpoint version 2"):
+            load_checkpoint(path)
+
     def test_version_1_file_rejected(self, tmp_path):
         # version 1 files carry no checksum and older parameter names
         path = self.saved(tmp_path)
@@ -678,3 +753,21 @@ def test_config_validation():
             ModelConfig(positional_encoding=value)
     # layer counts may be 0
     assert ModelConfig(n_encoder_layers=0, n_decoder_layers=0).n_encoder_layers == 0
+
+
+def test_config_dtype_validation():
+    assert ModelConfig().dtype == "float32"
+    for value in ("float16", "f4", "float", np.float32, np.dtype("float64"), None, 32):
+        with pytest.raises(ValueError, match=r'dtype must be "float32" or "float64", got'):
+            ModelConfig(dtype=value)
+
+
+def test_parameters_are_float64_draws_cast_once():
+    # the draws do not depend on the dtype, so a float32 model is the
+    # float64 model rounded
+    wide = TrackingModel(dataclasses.replace(TINY, dtype="float64"), seed=24)
+    narrow = TrackingModel(dataclasses.replace(TINY, dtype="float32"), seed=24)
+    assert wide.params.keys() == narrow.params.keys()
+    for name, p in narrow.params.items():
+        assert p.data.dtype == np.float32 and p.requires_grad, name
+        assert np.array_equal(p.data, wide.params[name].data.astype(np.float32)), name
