@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from querytrack.boxes import Box, giou, l1_box
+from querytrack.boxes import Box, box_array, giou, l1_box
 
 __all__ = [
     "Assignment",
@@ -98,16 +98,17 @@ def build_match_cost(
     """Pairwise query/target matching cost, [n_queries, n_targets].
 
     cost(q, t) = lambda_cls * (-p_q[class_t]) + lambda_l1 * l1 + lambda_giou * (-giou),
-    the same weights the box/class losses use.
+    the same weights the box/class losses use. Each box list is converted
+    to rows once, for both box terms.
     """
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
     _check_annotations(targets, pred_probs.shape[1])
     class_ids = [t.class_id for t in targets]
-    target_boxes = [t.box for t in targets]
+    pred_rows, target_rows = box_array(pred_boxes), box_array([t.box for t in targets])
     return (
         weights.lambda_cls * -pred_probs[:, class_ids]
-        + weights.lambda_l1 * l1_box(pred_boxes, target_boxes)
-        + weights.lambda_giou * -giou(pred_boxes, target_boxes)
+        + weights.lambda_l1 * l1_box(pred_rows, target_rows)
+        + weights.lambda_giou * -giou(pred_rows, target_rows)
     )
 
 

@@ -16,7 +16,14 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
   precision),
 - `add`, the one binary op, accepts equal shapes or a second operand whose
   shape is a suffix of the first (leading-axis expansion, e.g. bias add),
-- a tape and its tensors belong to one worker; no locking is done.
+- a tape and its tensors belong to one worker; no locking is done,
+- a leaf may be a view of a group leaf (`leaf_group`): a 1-d leaf whose
+  consecutive slices are the view leaves' data. The ops see only the
+  views; each view adds its gradient terms into its slice of the group's
+  gradient, which is zero-filled when the first view is reached. So
+  `group.grad` is None exactly when no view was reached since the group's
+  last `reset_grad`, and an optimizer can update a group, views and all,
+  as one array.
 
 `Tensor` defines no arithmetic operators: every op is a named function, so
 each node on the tape is one a reader can find.
@@ -24,7 +31,9 @@ each node on the tape is one a reader can find.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -42,6 +51,7 @@ __all__ = [
     "gather_rows",
     "grad_check",
     "layer_norm",
+    "leaf_group",
     "linear",
     "mlp",
     "reset_grads",
@@ -166,6 +176,72 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+class _GroupLeaf(Tensor):
+    """A 1-d leaf over consecutive view leaves; resetting it resets them."""
+
+    __slots__ = ("_views", "__weakref__")
+
+    def reset_grad(self) -> None:
+        self.grad = None
+        for v in self._views:
+            v.grad = None
+
+
+class _ViewLeaf(Tensor):
+    """A leaf whose data and gradient are slices of a group leaf's.
+
+    It holds its group weakly, so a group and its views form no reference
+    cycle; a view that outlives its group keeps its gradient to itself.
+    """
+
+    __slots__ = ("_group", "_span")
+
+    def __init__(self, data: np.ndarray, group: weakref.ref, span: slice):
+        super().__init__(data, requires_grad=True)
+        self._group, self._span = group, span
+
+    def reset_grad(self) -> None:
+        """Zero this view's slice of the group's gradient and detach from it."""
+        if self.grad is not None:
+            self.grad[...] = 0.0
+        self.grad = None
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            group = self._group()
+            if group is None:
+                super()._accumulate(g)
+                return
+            if group.grad is None:
+                group.grad = np.zeros_like(group.data)
+            self.grad = group.grad[self._span].reshape(self.data.shape)
+        self.grad += g
+
+
+def leaf_group(data: np.ndarray, shapes) -> tuple[Tensor, list[Tensor]]:
+    """A group leaf over the 1-d `data` and one view leaf per shape.
+
+    The views tile `data` in order: view i holds the next prod(shapes[i])
+    values, reshaped. Writing into a view's or the group's data in place
+    changes both; rebinding `.data` detaches them. Gradients follow the
+    same layout (the module docstring): `group.grad` gathers every view's
+    gradient, and `reset_grad` on the group clears them all.
+    """
+    if data.ndim != 1:
+        raise ShapeError(f"a leaf group needs 1-d data, got shape {data.shape}")
+    if sum(prod(shape) for shape in shapes) != data.size:
+        raise ShapeError(f"view shapes {shapes} do not tile {data.size} values")
+    group = _GroupLeaf(data, requires_grad=True)
+    ref = weakref.ref(group)
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + prod(shape)
+        views.append(_ViewLeaf(data[start:stop].reshape(shape), ref, slice(start, stop)))
+        start = stop
+    group._views = views
+    return group, views
 
 
 def reset_grads(tensors) -> None:

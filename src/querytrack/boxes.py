@@ -20,7 +20,7 @@ import numpy as np
 import querytrack.autodiff as ad
 from querytrack.autodiff import ShapeError, Tensor
 
-__all__ = ["Box", "iou", "giou", "l1_box", "box_l1_rows", "box_giou_rows"]
+__all__ = ["Box", "box_array", "iou", "giou", "l1_box", "box_l1_rows", "box_giou_rows"]
 
 # floor for the union and enclosing areas a GIoU divides by
 EPS_GUARD = 1e-12
@@ -66,8 +66,14 @@ class Box:
 # ---------------------------------------------------------------------------
 
 
-def _rows(boxes) -> np.ndarray:
-    """A Box, a list of Box or an [m,4] array as float64 [m,4] rows."""
+def box_array(boxes) -> np.ndarray:
+    """A Box, a list of Box or an [m,4] array as float64 [m,4] rows.
+
+    A list of Box is read field by field: the same values as numpy's
+    per-element `__array__` conversion, at about a quarter of its cost.
+    """
+    if isinstance(boxes, list) and boxes and all(type(b) is Box for b in boxes):
+        return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64)
     return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
 
 
@@ -99,19 +105,19 @@ def _iou(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
 
 def iou(a, b) -> np.ndarray:
     """Pairwise intersection over union in [0, 1]; zero-area union gives 0."""
-    _, _, inter, union, _ = _overlap(_rows(a)[:, None], _rows(b)[None])
+    _, _, inter, union, _ = _overlap(box_array(a)[:, None], box_array(b)[None])
     return _iou(inter, union)
 
 
 def giou(a, b) -> np.ndarray:
     """Pairwise generalized IoU in [-1, 1]: IoU minus empty enclosing-area fraction."""
-    _, _, inter, union, enclosing = _overlap(_rows(a)[:, None], _rows(b)[None])
+    _, _, inter, union, enclosing = _overlap(box_array(a)[:, None], box_array(b)[None])
     return _iou(inter, union) - (enclosing - union) / np.maximum(enclosing, EPS_GUARD)
 
 
 def l1_box(a, b) -> np.ndarray:
     """Pairwise sum of absolute coordinate differences in (cx, cy, w, h)."""
-    d = np.abs(_rows(a)[:, None, :] - _rows(b)[None, :, :])
+    d = np.abs(box_array(a)[:, None, :] - box_array(b)[None, :, :])
     return d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
 
 

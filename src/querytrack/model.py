@@ -35,7 +35,9 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from itertools import groupby
+from math import prod
 
 import numpy as np
 
@@ -248,34 +250,37 @@ class DecoderLayerParams:
 
 
 class _ParamFactory:
-    """Creates named leaf tensors and collects them into a flat dict.
+    """Declares named parameters: each one's shape and initialiser.
 
-    Initial values are drawn in float64, so the draws do not depend on the
-    dtype, and then cast once to the model's dtype.
+    Declaring draws nothing. Each method returns the parameter's name, or
+    its parameter struct with names where the tensors go; `_bind` swaps in
+    the view leaves once θ is laid out. The declaration order is the RNG
+    order: an initialiser returns float64 draws (or a constant), so the
+    draws do not depend on the dtype, and they are cast once into the view.
     """
 
-    def __init__(self, rng: np.random.Generator, dtype: str):
-        self.rng = rng
-        self.dtype = dtype
-        self.params: dict[str, Tensor] = {}
+    def __init__(self):
+        self.specs: dict[str, tuple[tuple[int, ...], object]] = {}
 
-    def add(self, name: str, array: np.ndarray) -> Tensor:
-        if name in self.params:
+    def add(self, name: str, shape: tuple[int, ...], init) -> str:
+        """Declare `name`; init(rng, shape) gives its initial values."""
+        if name in self.specs:
             raise ValueError(f"duplicate parameter name {name}")
-        t = Tensor(array.astype(self.dtype, copy=False), requires_grad=True)
-        self.params[name] = t
-        return t
+        self.specs[name] = (shape, init)
+        return name
 
     def linear(self, name: str, fan_in: int, fan_out: int, bias: float = 0.0):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = self.add(f"{name}.w", self.rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        b = self.add(f"{name}.b", np.full(fan_out, bias))
+        w = self.add(
+            f"{name}.w", (fan_in, fan_out), lambda rng, shape: rng.uniform(-limit, limit, size=shape)
+        )
+        b = self.add(f"{name}.b", (fan_out,), lambda rng, shape: bias)
         return w, b
 
     def norm(self, name: str, d: int) -> NormParams:
         return NormParams(
-            gain=self.add(f"{name}.gain", np.ones(d)),
-            bias=self.add(f"{name}.bias", np.zeros(d)),
+            gain=self.add(f"{name}.gain", (d,), lambda rng, shape: 1.0),
+            bias=self.add(f"{name}.bias", (d,), lambda rng, shape: 0.0),
         )
 
     def attention(self, name: str, d: int) -> AttentionParams:
@@ -285,18 +290,49 @@ class _ParamFactory:
         wo, bo = self.linear(f"{name}.out", d, d)
         return AttentionParams(wq, bq, wk, bk, wv, bv, wo, bo)
 
-    def ffn(self, name: str, d: int, hidden: int) -> FfnParams:
-        w1, b1 = self.linear(f"{name}.inner", d, hidden)
-        w2, b2 = self.linear(f"{name}.outer", hidden, d)
+    def mlp(self, name: str, n_in: int, n_hidden: int, n_out: int) -> FfnParams:
+        w1, b1 = self.linear(f"{name}.inner", n_in, n_hidden)
+        w2, b2 = self.linear(f"{name}.outer", n_hidden, n_out)
         return FfnParams(w1, b1, w2, b2)
 
     def encoder_layer(self, name: str, d: int, hidden: int) -> EncoderLayerParams:
         return EncoderLayerParams(
             attn=self.attention(f"{name}.attn", d),
             norm_attn=self.norm(f"{name}.norm_attn", d),
-            ffn=self.ffn(f"{name}.ffn", d, hidden),
+            ffn=self.mlp(f"{name}.ffn", d, hidden, d),
             norm_ffn=self.norm(f"{name}.norm_ffn", d),
         )
+
+    def decoder_layer(self, name: str, d: int, hidden: int) -> DecoderLayerParams:
+        return DecoderLayerParams(
+            self_attn=self.attention(f"{name}.self_attn", d),
+            norm_self=self.norm(f"{name}.norm_self", d),
+            cross_attn=self.attention(f"{name}.cross_attn", d),
+            norm_cross=self.norm(f"{name}.norm_cross", d),
+            ffn=self.mlp(f"{name}.ffn", d, hidden, d),
+            norm_ffn=self.norm(f"{name}.norm_ffn", d),
+        )
+
+
+def _bind(tree, views: dict[str, Tensor]):
+    """`tree` (a name, a tuple or list, or a parameter struct) with views for names.
+
+    A struct's `vars` list its fields in declaration order, as its dataclass
+    `__init__` assigns them.
+    """
+    if isinstance(tree, str):
+        return views[tree]
+    if isinstance(tree, (tuple, list)):
+        return type(tree)(_bind(t, views) for t in tree)
+    return type(tree)(*(_bind(value, views) for value in vars(tree).values()))
+
+
+def _group_of(name: str) -> str:
+    """The module a parameter belongs to: `encoder.<i>`, `decoder.<i>`,
+    `decoder.norm_out`, `head.class` and `head.box` in the stacked modules,
+    the first name component (`patch_embed`, `temporal`, ...) otherwise."""
+    parts = name.split(".")
+    return ".".join(parts[:2] if parts[0] in ("encoder", "decoder", "head") else parts[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -378,49 +414,84 @@ def _cut_patches(image: np.ndarray, patch: int) -> np.ndarray:
 class TrackingModel:
     """Owns all learnable parameters, including the temporal aggregation layer.
 
+    Every parameter value lives in one vector `theta` (θ), in the model's
+    dtype, laid out in sorted-name order: the checkpoint manifest's order.
+    `params` maps each parameter name, in that order, to a view leaf of θ
+    (`autodiff.leaf_group`); the layer structs hold the same tensors.
+    `parameters()` groups the views by module. Update parameters in place:
+    rebinding a view's `.data` detaches it from θ.
+
     Parameters are read-shared during inference; training updates them from a
     single worker.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
+        specs = self._build(cfg)
+        rng = np.random.default_rng(seed)
+        for name, (shape, init) in specs.items():
+            self.params[name].data[...] = init(rng, shape)
+
+    def _build(self, cfg: ModelConfig) -> dict:
+        """Lay out θ and its views, uninitialised; return the declarations."""
         self.cfg = cfg
-        f = _ParamFactory(np.random.default_rng(seed), cfg.dtype)
+        f = _ParamFactory()
         d, ffn = cfg.d_model, cfg.ffn_dim
         in_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
-
-        self.patch_w, self.patch_b = f.linear("patch_embed", in_dim, d)
-        self.encoder_layers = [
-            f.encoder_layer(f"encoder.{i}", d, ffn) for i in range(cfg.n_encoder_layers)
-        ]
-        self.decoder_layers = [
-            DecoderLayerParams(
-                self_attn=f.attention(f"decoder.{i}.self_attn", d),
-                norm_self=f.norm(f"decoder.{i}.norm_self", d),
-                cross_attn=f.attention(f"decoder.{i}.cross_attn", d),
-                norm_cross=f.norm(f"decoder.{i}.norm_cross", d),
-                ffn=f.ffn(f"decoder.{i}.ffn", d, ffn),
-                norm_ffn=f.norm(f"decoder.{i}.norm_ffn", d),
-            )
-            for i in range(cfg.n_decoder_layers)
-        ]
-        self.norm_out = f.norm("decoder.norm_out", d)
-        self.detect_queries = f.add(
-            "detect_queries", f.rng.normal(0.0, 0.02, size=(cfg.n_detect_queries, d))
+        tree = (
+            f.linear("patch_embed", in_dim, d),
+            [f.encoder_layer(f"encoder.{i}", d, ffn) for i in range(cfg.n_encoder_layers)],
+            [f.decoder_layer(f"decoder.{i}", d, ffn) for i in range(cfg.n_decoder_layers)],
+            f.norm("decoder.norm_out", d),
+            f.add(
+                "detect_queries", (cfg.n_detect_queries, d),
+                lambda rng, shape: rng.normal(0.0, 0.02, size=shape),
+            ),
+            # negative class bias starts scores low so background dominates early
+            f.linear("head.class", d, cfg.n_classes, bias=-2.0),
+            f.mlp("head.box", d, d, 4),
+            f.encoder_layer("temporal", d, ffn),
         )
-        # negative class bias starts scores low so background dominates early
-        self.cls_w, self.cls_b = f.linear("head.class", d, cfg.n_classes, bias=-2.0)
-        self.box_w1, self.box_b1 = f.linear("head.box.inner", d, d)
-        self.box_w2, self.box_b2 = f.linear("head.box.outer", d, 4)
-        self.temporal = f.encoder_layer("temporal", d, ffn)
-        self.params = f.params
+        names = sorted(f.specs)
+        self.theta = np.empty(sum(prod(f.specs[n][0]) for n in names), dtype=cfg.dtype)
+        self.params: dict[str, Tensor] = {}
+        self._groups: dict[str, Tensor] = {}
+        start = 0
+        for group_name, members in groupby(names, key=_group_of):
+            members = list(members)
+            assert group_name not in self._groups, f"group {group_name} is not contiguous"
+            shapes = [f.specs[n][0] for n in members]
+            stop = start + sum(prod(shape) for shape in shapes)
+            group, views = ad.leaf_group(self.theta[start:stop], shapes)
+            self._groups[group_name] = group
+            self.params.update(zip(members, views))
+            start = stop
+        (
+            (self.patch_w, self.patch_b), self.encoder_layers, self.decoder_layers,
+            self.norm_out, self.detect_queries, (self.cls_w, self.cls_b), self.box_head,
+            self.temporal,
+        ) = _bind(tree, self.params)
         side = cfg.tokens_per_side
         self._pos = (
             Tensor(sine_positions_2d(side, side, d).astype(cfg.dtype))
             if cfg.positional_encoding else None
         )
+        return f.specs
 
     def parameters(self) -> dict[str, Tensor]:
-        return self.params
+        """One 1-d leaf per module, by module name, in θ's order; each is a
+        contiguous slice of θ, and its gradient gathers its parameters'.
+
+        A group is a module the forward reaches as a whole: `patch_embed`,
+        `encoder.<i>`, `temporal`, `decoder.<i>`, `decoder.norm_out`,
+        `detect_queries`, `head.class` and `head.box`. Each runs as one op or
+        a chain of ops that a backward pass either reaches or not (the
+        temporal layer runs only on a carried track block, the box head
+        gets a gradient only when a row is matched), so after a backward a
+        group's `.grad` is None exactly when none of its parameters was
+        reached, and an optimizer that skips gradient-less tensors skips
+        the same parameters over groups as over `params`.
+        """
+        return self._groups
 
     # -- encoding ----------------------------------------------------------
 
@@ -496,7 +567,8 @@ class TrackingModel:
             x = ad.feed_forward(x, layer.norm_ffn.gain, layer.norm_ffn.bias, f.w1, f.b1, f.w2, f.b2)
         hidden = ad.layer_norm(x, self.norm_out.gain, self.norm_out.bias)
         class_logits = ad.linear(hidden, self.cls_w, self.cls_b)
-        boxes = ad.sigmoid(ad.mlp(hidden, self.box_w1, self.box_b1, self.box_w2, self.box_b2))
+        b = self.box_head
+        boxes = ad.sigmoid(ad.mlp(hidden, b.w1, b.b1, b.w2, b.b2))
         return FramePredictions(class_logits, boxes, hidden, queries.embeddings, queries.n_track)
 
     def forward_frame(self, image: Tensor, track_set: QuerySet | None = None) -> FramePredictions:
@@ -521,26 +593,19 @@ def save_checkpoint(path, model: TrackingModel, extra: dict | None = None) -> No
 
     Layout (version 3): magic `QTCK`, then `<II` version and header length,
     then the JSON header (config with its `dtype`, extra metadata,
-    parameter manifest in sorted name order, `zlib.crc32` of the payloads),
-    then each parameter's raw little-endian payload in manifest order, in
-    the model's dtype: `<f4` for float32, `<f8` for float64. Saving the
-    same model twice yields byte-identical files.
+    parameter manifest in sorted name order, `zlib.crc32` of the payload),
+    then the payload: θ (`model.theta`, every parameter's values in
+    manifest order) as raw little-endian values in the model's dtype,
+    `<f4` for float32, `<f8` for float64. Saving the same model twice
+    yields byte-identical files.
     """
-    manifest = []
-    payloads = []
-    crc = 0
-    payload_dtype = _payload_dtype(model.cfg)
-    for name in sorted(model.params):
-        data = model.params[name].data
-        manifest.append({"name": name, "shape": list(data.shape)})
-        payloads.append(np.ascontiguousarray(data, dtype=payload_dtype).tobytes())
-        crc = zlib.crc32(payloads[-1], crc)
+    payload = np.ascontiguousarray(model.theta, dtype=_payload_dtype(model.cfg))
     header = json.dumps(
         {
             "config": {f.name: getattr(model.cfg, f.name) for f in fields(model.cfg)},
-            "crc32": crc,
+            "crc32": zlib.crc32(payload),
             "extra": extra or {},
-            "params": manifest,
+            "params": [{"name": name, "shape": list(p.shape)} for name, p in model.params.items()],
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -548,12 +613,15 @@ def save_checkpoint(path, model: TrackingModel, extra: dict | None = None) -> No
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(header)))
         fh.write(header)
-        for blob in payloads:
-            fh.write(blob)
+        fh.write(payload)
 
 
 def load_checkpoint(path) -> tuple[TrackingModel, dict]:
-    """Rebuild a model from a checkpoint; returns (model, extra metadata)."""
+    """Rebuild a model from a checkpoint; returns (model, extra metadata).
+
+    The model's layout is built without drawing initial values; the
+    manifest must match it entry for entry, and the payload is read into θ.
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -595,30 +663,25 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
                     f"{path}: manifest entry {entry!r} needs a name and a shape "
                     "of nonnegative integers"
                 )
-        model = TrackingModel(cfg)
-        missing = sorted(set(model.params) - {entry["name"] for entry in manifest})
+        model = TrackingModel.__new__(TrackingModel)
+        model._build(cfg)
+        params = model.params
+        missing = sorted(set(params) - {entry["name"] for entry in manifest})
         if missing:
             raise ValueError(f"{path}: manifest omits parameters {missing}")
-        payload_dtype = _payload_dtype(cfg)
-        crc = 0
         for entry in manifest:
-            name, shape = entry["name"], tuple(entry["shape"])
-            if name not in model.params:
+            name = entry["name"]
+            if name not in params:
                 raise ValueError(f"{path}: unknown parameter {name}")
-            n_bytes = int(np.prod(shape)) * payload_dtype.itemsize
-            blob = fh.read(n_bytes)
-            if len(blob) != n_bytes:
-                raise ValueError(
-                    f"{path}: truncated payload for {name}: {len(blob)} of {n_bytes} bytes"
-                )
-            crc = zlib.crc32(blob, crc)
-            data = np.frombuffer(blob, dtype=payload_dtype).reshape(shape)
-            if model.params[name].data.shape != data.shape:
+            if tuple(entry["shape"]) != params[name].shape:
                 raise ValueError(f"{path}: shape mismatch for {name}")
-            # layer structs reference the same Tensor objects, so assigning
-            # .data here updates the whole model; astype makes a writable
-            # native-order copy
-            model.params[name].data = data.astype(cfg.dtype)
+        if [entry["name"] for entry in manifest] != list(params):
+            raise ValueError(f"{path}: manifest does not list each parameter once in sorted order")
+        # read straight into θ's bytes: the views keep pointing at it
+        n_read, n_bytes = fh.readinto(model.theta), model.theta.nbytes
+        if n_read != n_bytes:
+            raise ValueError(f"{path}: truncated payload: {n_read} of {n_bytes} bytes")
+        crc = zlib.crc32(model.theta)
         if crc != header["crc32"]:
             raise ValueError(
                 f"{path}: payload checksum {crc:#010x} != header crc32 {header['crc32']:#010x}"
@@ -626,4 +689,6 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
         trailing = len(fh.read())
         if trailing:
             raise ValueError(f"{path}: {trailing} trailing bytes after the last payload")
+    if not _payload_dtype(cfg).isnative:
+        model.theta.byteswap(inplace=True)
     return model, header["extra"]

@@ -114,6 +114,16 @@ class TestMatchCost:
         l2 = 0.25 + 0.25  # |dcx| + |dcy|
         assert cost2[0, 0] == pytest.approx(-1.0 + 5 * l2 - 2 * g2)
 
+    def test_box_list_and_row_array_give_the_same_bits(self):
+        rng = np.random.default_rng(12)
+        rows = np.column_stack([rng.uniform(0, 1, (116, 2)), rng.uniform(0.01, 0.5, (116, 2))])
+        boxes = [Box(*r) for r in rows.tolist()]
+        targets = [GtObject(i, box) for i, box in enumerate(boxes[:7])]
+        probs = rng.uniform(0, 1, (116, 1))
+        from_list = build_match_cost(probs, boxes, targets, LossWeights())
+        from_rows = build_match_cost(probs, rows, targets, LossWeights())
+        assert from_list.tobytes() == from_rows.tobytes()
+
     def test_monotone_in_l1(self):
         w = LossWeights()
         base = Box(0.5, 0.5, 0.2, 0.2)
