@@ -19,11 +19,11 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
 - a tape and its tensors belong to one worker; no locking is done,
 - a leaf may be a view of a group leaf (`leaf_group`): a 1-d leaf whose
   consecutive slices are the view leaves' data. The ops see only the
-  views; each view adds its gradient terms into its slice of the group's
-  gradient, which is zero-filled when the first view is reached. So
-  `group.grad` is None exactly when no view was reached since the group's
-  last `reset_grad`, and an optimizer can update a group, views and all,
-  as one array.
+  views; each view adds its gradient terms (in its own dtype; another
+  raises) into its slice of the group's gradient, which is zero-filled
+  when the first view is reached. So `group.grad` is None exactly when no
+  view was reached since the group's last `reset_grad`, and an optimizer
+  can update a group, views and all, as one array.
 
 `Tensor` defines no arithmetic operators: every op is a named function, so
 each node on the tape is one a reader can find.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
@@ -58,6 +57,7 @@ __all__ = [
     "scale",
     "sigmoid",
     "slice_axis",
+    "view_leaf",
 ]
 
 
@@ -193,14 +193,10 @@ class _ViewLeaf(Tensor):
     """A leaf whose data and gradient are slices of a group leaf's.
 
     It holds its group weakly, so a group and its views form no reference
-    cycle; a view that outlives its group keeps its gradient to itself.
+    cycle.
     """
 
     __slots__ = ("_group", "_span")
-
-    def __init__(self, data: np.ndarray, group: weakref.ref, span: slice):
-        super().__init__(data, requires_grad=True)
-        self._group, self._span = group, span
 
     def reset_grad(self) -> None:
         """Zero this view's slice of the group's gradient and detach from it."""
@@ -209,39 +205,51 @@ class _ViewLeaf(Tensor):
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # `+=` would cast a gradient of another dtype into the slice unseen
+        if g.dtype != self.data.dtype:
+            raise GradientError(f"a {g.dtype} gradient for a {self.data.dtype} view leaf")
         if self.grad is None:
-            group = self._group()
+            group = self._group and self._group()
             if group is None:
-                super()._accumulate(g)
-                return
+                raise GradientError("view leaf is not in a live leaf group")
             if group.grad is None:
                 group.grad = np.zeros_like(group.data)
             self.grad = group.grad[self._span].reshape(self.data.shape)
         self.grad += g
 
 
-def leaf_group(data: np.ndarray, shapes) -> tuple[Tensor, list[Tensor]]:
-    """A group leaf over the 1-d `data` and one view leaf per shape.
+def view_leaf(shape: tuple[int, ...]) -> Tensor:
+    """A leaf of `shape` for `leaf_group` to lay out; until then its data
+    is a read-only zero placeholder that takes no memory."""
+    # one zero repeated by zero strides: np.broadcast_to costs 6x as much
+    placeholder = np.ndarray(shape, np.float64, bytes(8), 0, (0,) * len(shape))
+    view = _ViewLeaf(placeholder, requires_grad=True)
+    view._group = view._span = None
+    return view
 
-    The views tile `data` in order: view i holds the next prod(shapes[i])
-    values, reshaped. Writing into a view's or the group's data in place
-    changes both; rebinding `.data` detaches them. Gradients follow the
-    same layout (the module docstring): `group.grad` gathers every view's
-    gradient, and `reset_grad` on the group clears them all.
+
+def leaf_group(data: np.ndarray, views) -> Tensor:
+    """A group leaf over the 1-d `data`, adopting `views` (from `view_leaf`).
+
+    The views tile `data` in order: view i's data becomes the next
+    `views[i].data.size` values, reshaped. Writing into a view's or the
+    group's data in place changes both; rebinding `.data` detaches them.
+    Gradients follow the same layout (the module docstring): `group.grad`
+    gathers every view's gradient, and `reset_grad` on the group clears
+    them all.
     """
     if data.ndim != 1:
         raise ShapeError(f"a leaf group needs 1-d data, got shape {data.shape}")
-    if sum(prod(shape) for shape in shapes) != data.size:
-        raise ShapeError(f"view shapes {shapes} do not tile {data.size} values")
+    if sum(v.data.size for v in views) != data.size:
+        raise ShapeError(f"view shapes {[v.shape for v in views]} do not tile {data.size} values")
     group = _GroupLeaf(data, requires_grad=True)
-    ref = weakref.ref(group)
-    views, start = [], 0
-    for shape in shapes:
-        stop = start + prod(shape)
-        views.append(_ViewLeaf(data[start:stop].reshape(shape), ref, slice(start, stop)))
+    ref, start = weakref.ref(group), 0
+    for v in views:
+        stop = start + v.data.size
+        v.data, v._group, v._span = data[start:stop].reshape(v.shape), ref, slice(start, stop)
         start = stop
-    group._views = views
-    return group, views
+    group._views = list(views)
+    return group
 
 
 def reset_grads(tensors) -> None:

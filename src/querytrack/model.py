@@ -37,7 +37,6 @@ import struct
 import zlib
 from dataclasses import dataclass, fields
 from itertools import groupby
-from math import prod
 
 import numpy as np
 
@@ -250,24 +249,26 @@ class DecoderLayerParams:
 
 
 class _ParamFactory:
-    """Declares named parameters: each one's shape and initialiser.
+    """Declares named leaf tensors: each one's shape and initialiser.
 
-    Declaring draws nothing. Each method returns the parameter's name, or
-    its parameter struct with names where the tensors go; `_bind` swaps in
-    the view leaves once θ is laid out. The declaration order is the RNG
-    order: an initialiser returns float64 draws (or a constant), so the
-    draws do not depend on the dtype, and they are cast once into the view.
+    Declaring draws nothing: each leaf is an `autodiff.view_leaf` until
+    `TrackingModel` lays θ out under it. `inits` keeps the declaration
+    order, which is the RNG order; an initialiser returns float64 draws (or
+    a constant), so the draws do not depend on the dtype, and they are cast
+    once into the view.
     """
 
     def __init__(self):
-        self.specs: dict[str, tuple[tuple[int, ...], object]] = {}
+        self.params: dict[str, Tensor] = {}
+        self.inits: dict[str, object] = {}
 
-    def add(self, name: str, shape: tuple[int, ...], init) -> str:
+    def add(self, name: str, shape: tuple[int, ...], init) -> Tensor:
         """Declare `name`; init(rng, shape) gives its initial values."""
-        if name in self.specs:
+        if name in self.params:
             raise ValueError(f"duplicate parameter name {name}")
-        self.specs[name] = (shape, init)
-        return name
+        self.params[name] = t = ad.view_leaf(shape)
+        self.inits[name] = init
+        return t
 
     def linear(self, name: str, fan_in: int, fan_out: int, bias: float = 0.0):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -290,41 +291,18 @@ class _ParamFactory:
         wo, bo = self.linear(f"{name}.out", d, d)
         return AttentionParams(wq, bq, wk, bk, wv, bv, wo, bo)
 
-    def mlp(self, name: str, n_in: int, n_hidden: int, n_out: int) -> FfnParams:
-        w1, b1 = self.linear(f"{name}.inner", n_in, n_hidden)
-        w2, b2 = self.linear(f"{name}.outer", n_hidden, n_out)
+    def ffn(self, name: str, d: int, hidden: int) -> FfnParams:
+        w1, b1 = self.linear(f"{name}.inner", d, hidden)
+        w2, b2 = self.linear(f"{name}.outer", hidden, d)
         return FfnParams(w1, b1, w2, b2)
 
     def encoder_layer(self, name: str, d: int, hidden: int) -> EncoderLayerParams:
         return EncoderLayerParams(
             attn=self.attention(f"{name}.attn", d),
             norm_attn=self.norm(f"{name}.norm_attn", d),
-            ffn=self.mlp(f"{name}.ffn", d, hidden, d),
+            ffn=self.ffn(f"{name}.ffn", d, hidden),
             norm_ffn=self.norm(f"{name}.norm_ffn", d),
         )
-
-    def decoder_layer(self, name: str, d: int, hidden: int) -> DecoderLayerParams:
-        return DecoderLayerParams(
-            self_attn=self.attention(f"{name}.self_attn", d),
-            norm_self=self.norm(f"{name}.norm_self", d),
-            cross_attn=self.attention(f"{name}.cross_attn", d),
-            norm_cross=self.norm(f"{name}.norm_cross", d),
-            ffn=self.mlp(f"{name}.ffn", d, hidden, d),
-            norm_ffn=self.norm(f"{name}.norm_ffn", d),
-        )
-
-
-def _bind(tree, views: dict[str, Tensor]):
-    """`tree` (a name, a tuple or list, or a parameter struct) with views for names.
-
-    A struct's `vars` list its fields in declaration order, as its dataclass
-    `__init__` assigns them.
-    """
-    if isinstance(tree, str):
-        return views[tree]
-    if isinstance(tree, (tuple, list)):
-        return type(tree)(_bind(t, views) for t in tree)
-    return type(tree)(*(_bind(value, views) for value in vars(tree).values()))
 
 
 def _group_of(name: str) -> str:
@@ -426,56 +404,61 @@ class TrackingModel:
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
-        specs = self._build(cfg)
+        inits = self._build(cfg)
         rng = np.random.default_rng(seed)
-        for name, (shape, init) in specs.items():
-            self.params[name].data[...] = init(rng, shape)
+        for name, init in inits.items():
+            p = self.params[name]
+            p.data[...] = init(rng, p.shape)
 
     def _build(self, cfg: ModelConfig) -> dict:
-        """Lay out θ and its views, uninitialised; return the declarations."""
+        """Lay out θ and its views, uninitialised; return the initialisers."""
         self.cfg = cfg
         f = _ParamFactory()
         d, ffn = cfg.d_model, cfg.ffn_dim
         in_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
-        tree = (
-            f.linear("patch_embed", in_dim, d),
-            [f.encoder_layer(f"encoder.{i}", d, ffn) for i in range(cfg.n_encoder_layers)],
-            [f.decoder_layer(f"decoder.{i}", d, ffn) for i in range(cfg.n_decoder_layers)],
-            f.norm("decoder.norm_out", d),
-            f.add(
-                "detect_queries", (cfg.n_detect_queries, d),
-                lambda rng, shape: rng.normal(0.0, 0.02, size=shape),
-            ),
-            # negative class bias starts scores low so background dominates early
-            f.linear("head.class", d, cfg.n_classes, bias=-2.0),
-            f.mlp("head.box", d, d, 4),
-            f.encoder_layer("temporal", d, ffn),
+
+        self.patch_w, self.patch_b = f.linear("patch_embed", in_dim, d)
+        self.encoder_layers = [
+            f.encoder_layer(f"encoder.{i}", d, ffn) for i in range(cfg.n_encoder_layers)
+        ]
+        self.decoder_layers = [
+            DecoderLayerParams(
+                self_attn=f.attention(f"decoder.{i}.self_attn", d),
+                norm_self=f.norm(f"decoder.{i}.norm_self", d),
+                cross_attn=f.attention(f"decoder.{i}.cross_attn", d),
+                norm_cross=f.norm(f"decoder.{i}.norm_cross", d),
+                ffn=f.ffn(f"decoder.{i}.ffn", d, ffn),
+                norm_ffn=f.norm(f"decoder.{i}.norm_ffn", d),
+            )
+            for i in range(cfg.n_decoder_layers)
+        ]
+        self.norm_out = f.norm("decoder.norm_out", d)
+        self.detect_queries = f.add(
+            "detect_queries", (cfg.n_detect_queries, d),
+            lambda rng, shape: rng.normal(0.0, 0.02, size=shape),
         )
-        names = sorted(f.specs)
-        self.theta = np.empty(sum(prod(f.specs[n][0]) for n in names), dtype=cfg.dtype)
-        self.params: dict[str, Tensor] = {}
+        # negative class bias starts scores low so background dominates early
+        self.cls_w, self.cls_b = f.linear("head.class", d, cfg.n_classes, bias=-2.0)
+        self.box_w1, self.box_b1 = f.linear("head.box.inner", d, d)
+        self.box_w2, self.box_b2 = f.linear("head.box.outer", d, 4)
+        self.temporal = f.encoder_layer("temporal", d, ffn)
+
+        self.params: dict[str, Tensor] = {name: f.params[name] for name in sorted(f.params)}
+        self.theta = np.empty(sum(p.data.size for p in self.params.values()), dtype=cfg.dtype)
         self._groups: dict[str, Tensor] = {}
         start = 0
-        for group_name, members in groupby(names, key=_group_of):
-            members = list(members)
+        for group_name, members in groupby(self.params, key=_group_of):
             assert group_name not in self._groups, f"group {group_name} is not contiguous"
-            shapes = [f.specs[n][0] for n in members]
-            stop = start + sum(prod(shape) for shape in shapes)
-            group, views = ad.leaf_group(self.theta[start:stop], shapes)
-            self._groups[group_name] = group
-            self.params.update(zip(members, views))
+            views = [self.params[name] for name in members]
+            stop = start + sum(v.data.size for v in views)
+            self._groups[group_name] = ad.leaf_group(self.theta[start:stop], views)
             start = stop
-        (
-            (self.patch_w, self.patch_b), self.encoder_layers, self.decoder_layers,
-            self.norm_out, self.detect_queries, (self.cls_w, self.cls_b), self.box_head,
-            self.temporal,
-        ) = _bind(tree, self.params)
         side = cfg.tokens_per_side
         self._pos = (
             Tensor(sine_positions_2d(side, side, d).astype(cfg.dtype))
             if cfg.positional_encoding else None
         )
-        return f.specs
+        return f.inits
 
     def parameters(self) -> dict[str, Tensor]:
         """One 1-d leaf per module, by module name, in θ's order; each is a
@@ -567,8 +550,7 @@ class TrackingModel:
             x = ad.feed_forward(x, layer.norm_ffn.gain, layer.norm_ffn.bias, f.w1, f.b1, f.w2, f.b2)
         hidden = ad.layer_norm(x, self.norm_out.gain, self.norm_out.bias)
         class_logits = ad.linear(hidden, self.cls_w, self.cls_b)
-        b = self.box_head
-        boxes = ad.sigmoid(ad.mlp(hidden, b.w1, b.b1, b.w2, b.b2))
+        boxes = ad.sigmoid(ad.mlp(hidden, self.box_w1, self.box_b1, self.box_w2, self.box_b2))
         return FramePredictions(class_logits, boxes, hidden, queries.embeddings, queries.n_track)
 
     def forward_frame(self, image: Tensor, track_set: QuerySet | None = None) -> FramePredictions:

@@ -170,19 +170,37 @@ def test_model_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_view_outliving_its_group_keeps_its_gradient():
-    group, (a, b) = ad.leaf_group(np.zeros(5), [(2,), (3,)])
+def views(*shapes):
+    return [ad.view_leaf(shape) for shape in shapes]
+
+
+def test_view_refuses_a_gradient_in_another_dtype():
+    # adding float64 into a float32 slice in place would cast it down unseen
+    group = ad.leaf_group(np.zeros(5, dtype=np.float32), views((2,), (3,)))
+    a, b = group._views
+    with pytest.raises(ad.GradientError, match="float64 gradient for a float32 view"):
+        a._accumulate(np.ones(2))
+    a._accumulate(np.ones(2, dtype=np.float32))
+    with pytest.raises(ad.GradientError, match="float64 gradient for a float32 view"):
+        a._accumulate(np.ones(2))
+    assert group.grad.dtype == np.float32 and b.grad is None
+
+
+def test_view_without_a_live_group_raises():
+    (a,) = views((2,))
+    with pytest.raises(ad.GradientError, match="not in a live leaf group"):
+        a._accumulate(np.ones(2))
+    group = ad.leaf_group(np.zeros(2), [a])
     del group
-    a._accumulate(np.ones(2))
-    a._accumulate(np.ones(2))
-    assert np.array_equal(a.grad, [2.0, 2.0]) and b.grad is None
+    with pytest.raises(ad.GradientError, match="not in a live leaf group"):
+        a._accumulate(np.ones(2))
 
 
-def test_leaf_group_rejects_shapes_that_do_not_tile():
+def test_leaf_group_rejects_views_that_do_not_tile():
     with pytest.raises(ad.ShapeError, match="do not tile"):
-        ad.leaf_group(np.zeros(5), [(2,), (2,)])
+        ad.leaf_group(np.zeros(5), views((2,), (2,)))
     with pytest.raises(ad.ShapeError, match="1-d"):
-        ad.leaf_group(np.zeros((2, 2)), [(4,)])
+        ad.leaf_group(np.zeros((2, 2)), views((4,)))
 
 
 class TestCheckpointPayload:
