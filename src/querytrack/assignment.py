@@ -99,12 +99,17 @@ def build_match_cost(
 
     cost(q, t) = lambda_cls * (-p_q[class_t]) + lambda_l1 * l1 + lambda_giou * (-giou),
     the same weights the box/class losses use. Each box list is converted
-    to rows once, for both box terms.
+    to rows once, for both box terms. `pred_probs` must be [n_queries,
+    n_classes] with one row per predicted box.
     """
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
+    if pred_probs.ndim != 2:
+        raise ValueError(f"pred_probs must be [n_queries, n_classes], got shape {pred_probs.shape}")
     _check_annotations(targets, pred_probs.shape[1])
     class_ids = [t.class_id for t in targets]
     pred_rows, target_rows = box_array(pred_boxes), box_array([t.box for t in targets])
+    if len(pred_rows) != len(pred_probs):
+        raise ValueError(f"{len(pred_probs)} probability rows but {len(pred_rows)} predicted boxes")
     return (
         weights.lambda_cls * -pred_probs[:, class_ids]
         + weights.lambda_l1 * l1_box(pred_rows, target_rows)

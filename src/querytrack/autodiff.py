@@ -4,7 +4,10 @@ Everything the model and losses compute runs through the ops in this module.
 Ops execute eagerly on numpy arrays; when a `Tape` is active and an input
 requires gradients, the op appends its backward rule to the tape.
 Calling `Tape.backward(loss)` replays the rules in reverse execution order,
-accumulating gradients additively into every participating tensor.
+accumulating gradients additively into every participating tensor. It
+releases each rule once the rule has run, so an op output and the arrays
+its rule saved live only until that rule is done, unless the caller holds
+them; a tensor the caller holds keeps its `.grad`.
 
 Conventions kept deliberately narrow so each backward rule stays auditable:
 
@@ -86,8 +89,11 @@ class Tape:
         tape.backward(loss)
 
     One backward pass per tape; build a fresh tape per training step.
-    backward() drops the recorded nodes, so the graph (op outputs, backward
-    closures) is freed by reference counting once the caller lets go of it.
+    backward() takes the recorded nodes off the tape and releases each one
+    as soon as its rule has run. So the rule's closure, the arrays it saved,
+    its output tensor and that tensor's gradient are freed before the rules
+    of earlier ops run, unless the caller still holds them: a tensor the
+    caller holds keeps its data and its `.grad`.
     """
 
     def __init__(self) -> None:
@@ -121,9 +127,13 @@ class Tape:
         loss._accumulate(np.ones((), dtype=loss.data.dtype))
         # out._tape -> tape -> nodes -> out is a reference cycle; break it
         nodes, self.nodes = self.nodes, []
-        for out, pull in reversed(nodes):
+        while nodes:
+            out, pull = nodes.pop()
             if out.grad is not None:
                 pull(out.grad)
+            # drop this node before the next rule runs: what only it held
+            # (saved arrays, out and its gradient) is freed now
+            del out, pull
 
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -383,18 +393,19 @@ def _check_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, op: st
 
 
 def _mlp_forward(xd: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
-    """(output, relu output a, relu mask) of relu(xd w1 + b1) w2 + b2."""
+    """(output, relu output a) of relu(xd w1 + b1) w2 + b2."""
     h = xd @ w1.data + b1.data
-    mask = h > 0
-    a = h * mask
-    return a @ w2.data + b2.data, a, mask
+    a = h * (h > 0)
+    return a @ w2.data + b2.data, a
 
 
-def _mlp_backward(xd, w1, b1, w2, b2, a, mask, g, need_x: bool):
+def _mlp_backward(xd, w1, b1, w2, b2, a, g, need_x: bool):
     """Accumulate the w2, b2, w1 and b1 terms, in that order; return dx or None.
 
-    dw2 = aᵀ g, db2 = column sums of g, gh = (g w2ᵀ) ⊙ mask, dx = gh w1ᵀ,
-    dw1 = xdᵀ gh, db1 = column sums of gh.
+    dw2 = aᵀ g, db2 = column sums of g, gh = (g w2ᵀ) ⊙ (a > 0), dx = gh w1ᵀ,
+    dw1 = xdᵀ gh, db1 = column sums of gh. The mask a > 0 is the forward's
+    h > 0: a = h where h > 0, and 0, -0 or NaN (for h = -inf or NaN) where
+    it is not.
     """
     if w2.requires_grad:
         w2._accumulate(a.T @ g)
@@ -402,7 +413,8 @@ def _mlp_backward(xd, w1, b1, w2, b2, a, mask, g, need_x: bool):
         b2._accumulate(g.sum(axis=0))
     if not (need_x or w1.requires_grad or b1.requires_grad):
         return None
-    gh = (g @ w2.data.T) * mask
+    gh = g @ w2.data.T
+    gh *= a > 0
     if w1.requires_grad:
         w1._accumulate(xd.T @ gh)
     if b1.requires_grad:
@@ -418,13 +430,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     0/1 mask: dw2 = aᵀ g, db2 is the column sums of g, gh = (g w2ᵀ) ⊙ r,
     dw1 = xᵀ gh, db1 is the column sums of gh and dx = gh w1ᵀ, accumulated
     in that order.
+
+    Saves x's data and a. The backward derives r as a > 0, which is the
+    forward's mask h > 0 (NaN included), and, like `linear`, reads the
+    weights at backward time.
     """
     _check_mlp(x, w1, b1, w2, b2, "mlp")
     xd = x.data
-    out, a, mask = _mlp_forward(xd, w1, b1, w2, b2)
+    out, a = _mlp_forward(xd, w1, b1, w2, b2)
 
     def pull(g):
-        dx = _mlp_backward(xd, w1, b1, w2, b2, a, mask, g, x.requires_grad)
+        dx = _mlp_backward(xd, w1, b1, w2, b2, a, g, x.requires_grad)
         if dx is not None:
             x._accumulate(dx)
 
@@ -448,7 +464,11 @@ def concat(xs, axis: int = 0) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    index = (slice(None),) * axis + (slice(start, stop),)
+    """x[start:stop] along `axis`; a negative axis counts from the last, as in numpy."""
+    ndim = x.data.ndim
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"slice_axis axis {axis} is out of range for shape {x.shape}")
+    index = (slice(None),) * (axis % ndim) + (slice(start, stop),)
 
     def pull(g):
         if x.requires_grad:
@@ -494,7 +514,15 @@ def _layer_norm_forward(xd: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
     xc = xd - mu
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
     y = xc * inv
-    return y * gain.data + bias.data, y, inv
+    return _affine(y, gain, bias), y, inv
+
+
+def _affine(y: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """The layer norm's output from its normalised rows y; the fused ops'
+    backward rules call it again to recompute that output bit for bit."""
+    out = y * gain.data
+    out += bias.data
+    return out
 
 
 def _layer_norm_backward(x, gain: Tensor, bias: Tensor, y, inv, g) -> None:
@@ -593,6 +621,13 @@ def attention(
     several terms sums them in the chain's sequence (x: the residual term,
     then the layer norm's; xn: value, key, query; memory: value, then key),
     and the output and every gradient match the chain bit for bit.
+
+    Saves the layer norm's normalised rows y and 1/std per row, the
+    projected Q, K and V, the softmax S and the merged heads A. The backward
+    recomputes xn as y ⊙ gain + bias, and q = k = xn + positions when
+    positions are given, with the forward's own expressions, so both have
+    the forward's bits; like `linear`, it reads the parameters (and the
+    positions and memory) at backward time.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"attention needs x [n,d], got {x.shape}")
@@ -640,6 +675,7 @@ def attention(
         )
         q, k, v = qk, qk, norm
     qp, kp, vp = project(q, wq, bq), project(k, wk, bk), project(v, wv, bv)
+    norm.data = q.data = None  # the backward recomputes them from y; q is never memory
     qh, kh, vh = split(qp), split(kp), split(vp)
     s = qh @ kh.transpose(0, 2, 1)
     s *= c
@@ -673,6 +709,9 @@ def attention(
             bo._accumulate(g.sum(axis=0))
         if not (need_q or need_k or need_v):
             return
+        norm.data = _affine(y, gain, bias)
+        if positions is not None:
+            q.data = norm.data + positions.data
         gh = split(g @ wo.data.T)
         if need_v:
             gv = merge(s.transpose(0, 2, 1) @ gh)
@@ -716,6 +755,11 @@ def feed_forward(
     These are the products of the unfused chain `layer_norm` -> `mlp` ->
     `add`, in the order its tape replays them, so the output and every
     gradient match the chain bit for bit.
+
+    Saves the layer norm's normalised rows y and 1/std per row, and the
+    relu output a. The backward recomputes xn as y ⊙ gain + bias and the
+    relu mask as a > 0, the forward's own expressions, so both have the
+    forward's bits; like `linear`, it reads the parameters at backward time.
     """
     _check_mlp(x, w1, b1, w2, b2, "feed_forward")
     d = x.shape[1]
@@ -723,14 +767,14 @@ def feed_forward(
         raise ShapeError(f"feed_forward output width {w2.shape[1]} != input width {d}")
     _check_norm(d, gain, bias, "feed_forward")
     xn, y, inv = _layer_norm_forward(x.data, gain, bias, _NORM_EPS)
-    out, a, mask = _mlp_forward(xn, w1, b1, w2, b2)
+    out, a = _mlp_forward(xn, w1, b1, w2, b2)
     out += x.data
     need_norm = x.requires_grad or gain.requires_grad or bias.requires_grad
 
     def pull(g):
         if x.requires_grad:
             x._accumulate(g)
-        gxn = _mlp_backward(xn, w1, b1, w2, b2, a, mask, g, need_norm)
+        gxn = _mlp_backward(_affine(y, gain, bias), w1, b1, w2, b2, a, g, need_norm)
         if gxn is not None:
             _layer_norm_backward(x, gain, bias, y, inv, gxn)
 

@@ -67,14 +67,20 @@ class Box:
 
 
 def box_array(boxes) -> np.ndarray:
-    """A Box, a list of Box or an [m,4] array as float64 [m,4] rows.
+    """A Box or [4] vector, a list of Box, an empty list or [0] array, or an
+    [m,4] array, as float64 [m,4] rows; any other shape raises ShapeError.
 
     A list of Box is read field by field: the same values as numpy's
     per-element `__array__` conversion, at about a quarter of its cost.
     """
     if isinstance(boxes, list) and boxes and all(type(b) is Box for b in boxes):
         return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64)
-    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    rows = np.asarray(boxes, dtype=np.float64)
+    if rows.shape in ((4,), (0,)):
+        return rows.reshape(-1, 4)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ShapeError(f"boxes must be a [4] vector, [m,4] rows or empty, got shape {rows.shape}")
+    return rows
 
 
 def _corners(rows: np.ndarray):

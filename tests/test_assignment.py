@@ -159,6 +159,20 @@ class TestMatchCost:
         with pytest.raises(ValueError, match=message):
             build_match_cost(probs, boxes, gt, LossWeights())
 
+    def test_probability_rows_must_match_box_rows(self):
+        # three queries with one box would broadcast that box to every query
+        probs = np.array([[0.9], [0.5], [0.1]])
+        gt = [GtObject(1, Box(0.5, 0.5, 0.2, 0.2)), GtObject(2, Box(0.2, 0.2, 0.1, 0.1))]
+        with pytest.raises(ValueError, match="3 probability rows but 1 predicted boxes"):
+            build_match_cost(probs, [Box(0.5, 0.5, 0.2, 0.2)], gt, LossWeights())
+        with pytest.raises(ValueError, match="3 probability rows but 1 predicted boxes"):
+            assign_newborn(probs, [Box(0.5, 0.5, 0.2, 0.2)], gt, set(), LossWeights())
+
+    def test_probabilities_must_be_2d(self):
+        b = Box(0.5, 0.5, 0.2, 0.2)
+        with pytest.raises(ValueError, match=r"\[n_queries, n_classes\], got shape \(2,\)"):
+            build_match_cost(np.array([0.5, 0.3]), [b, b], [GtObject(1, b)], LossWeights())
+
 
 def make_gt(ids_boxes):
     return [GtObject(i, b) for i, b in ids_boxes]

@@ -535,6 +535,16 @@ class TestElementwise:
         w = rng.standard_normal((4, 4))
         assert ad.grad_check(lambda x: weighted_sum(ad.gather_rows(x, [0, 2, 2, 4]), w), [x]).passed
 
+    def test_slice_axis_negative_axis_counts_from_the_last(self):
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+        assert np.array_equal(ad.slice_axis(x, -1, 1, 3).data, x.data[..., 1:3])
+        assert np.array_equal(ad.slice_axis(x, -3, 1, 2).data, x.data[1:2])
+
+    @pytest.mark.parametrize("axis", [2, 3, -3])
+    def test_slice_axis_out_of_range_rejected(self, axis):
+        with pytest.raises(ad.ShapeError, match=rf"axis {axis} is out of range for shape \(2, 3\)"):
+            ad.slice_axis(Tensor(np.zeros((2, 3))), axis, 0, 1)
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -604,6 +614,45 @@ class TestBackward:
         finally:
             gc.enable()
         np.testing.assert_allclose(x.grad, 4.0 * np.ones(3))
+
+    def test_backward_frees_each_node_before_earlier_rules_run(self):
+        # each rule notes, when it runs, which later rules' saved arrays are dead
+        refs, dead_when_pulled = [], []
+
+        def twice_square(t):
+            saved = 2.0 * t.data  # held by this op's rule alone
+            index = len(refs)
+            refs.append(weakref.ref(saved))
+
+            def pull(g):
+                dead_when_pulled.append((index, [r() is None for r in refs[index + 1:]]))
+                t._accumulate(2.0 * g * saved)
+
+            return ad.custom_op(t.data * saved, (t,), pull)
+
+        x = Tensor(np.ones(3), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = weighted_sum(twice_square(twice_square(twice_square(x))), 1.0)
+            tape.backward(loss)
+        finally:
+            gc.enable()
+        assert dead_when_pulled == [(2, []), (1, [True]), (0, [True, True])]
+        np.testing.assert_array_equal(x.grad, np.full(3, 1024.0))
+
+    def test_caller_held_tensors_keep_their_gradients(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            mid = square(x)
+            out = square(mid)
+            loss = weighted_sum(out, 1.0)
+        tape.backward(loss)
+        assert tape.nodes == []
+        assert np.array_equal(out.grad, [1.0, 1.0])
+        assert np.array_equal(mid.grad, [2.0, 8.0])
+        assert np.array_equal(mid.data, [1.0, 4.0])
+        assert np.array_equal(x.grad, [4.0, 32.0])
 
     def test_reuse_accumulates_sum_of_uses(self):
         rng = np.random.default_rng(10)

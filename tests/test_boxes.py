@@ -6,7 +6,7 @@ import pytest
 
 import querytrack.autodiff as ad
 from querytrack.autodiff import ShapeError, Tape, Tensor
-from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou, iou, l1_box
+from querytrack.boxes import Box, box_array, box_giou_rows, box_l1_rows, giou, iou, l1_box
 
 
 def weighted_sum(x, w):
@@ -231,6 +231,25 @@ class TestPairwiseKernels:
         np.testing.assert_allclose(
             np.diag(l1_box(boxes_a, boxes_b)), box_l1_rows(ta, tb).data[:, 0], rtol=0, atol=1e-12
         )
+
+
+class TestBoxArray:
+    @pytest.mark.parametrize("boxes", [[], np.zeros(0), np.zeros((0, 4))], ids=["list", "vector", "rows"])
+    def test_empty_gives_no_rows(self, boxes):
+        assert box_array(boxes).shape == (0, 4)
+
+    def test_one_box_or_vector_gives_one_row(self):
+        box = Box(0.5, 0.4, 0.2, 0.1)
+        assert box_array(box).tolist() == [[0.5, 0.4, 0.2, 0.1]]
+        assert box_array([0.5, 0.4, 0.2, 0.1]).tolist() == [[0.5, 0.4, 0.2, 0.1]]
+
+    @pytest.mark.parametrize("shape", [(2, 6), (6,), (1, 1, 4), (3, 3)])
+    def test_other_shapes_rejected(self, shape):
+        # reshape(-1, 4) would read a [2,6] array as three boxes
+        with pytest.raises(ShapeError, match=rf"got shape \({shape[0]},"):
+            box_array(np.zeros(shape))
+        with pytest.raises(ShapeError):
+            iou(np.zeros(shape), [Box(0.5, 0.5, 0.2, 0.2)])
 
 
 def test_invalid_boxes_rejected():
