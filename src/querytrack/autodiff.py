@@ -357,27 +357,43 @@ def sigmoid(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map x [n,k] @ w [k,m] + b [m] -> [n,m], as one op.
+def _project(r: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """The affine map r [n,k] @ w [k,m] + b [m] of the rows r; every op's
+    projection (`linear`, `mlp`'s two layers, `attention`'s four) is this one."""
+    out = r @ w.data
+    out += b.data
+    return out
 
-    Backward, for the output gradient g: dx = g wᵀ, dw = xᵀ g, and db is
-    the column sums of g.
+
+def _project_back(r: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray, need_r: bool):
+    """`_project`'s backward for the output gradient g: accumulate dw = rᵀ g,
+    then db = the column sums of g; return dr = g wᵀ if need_r, else None."""
+    if w.requires_grad:
+        w._accumulate(r.T @ g)
+    if b.requires_grad:
+        b._accumulate(g.sum(axis=0))
+    return g @ w.data.T if need_r else None
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x [n,k] @ w [k,m] + b [m] -> [n,m], as one op: a `_project`.
+
+    Backward, `_project_back`'s, for the output gradient g, in this order:
+    dw = xᵀ g, db is the column sums of g, and dx = g wᵀ. Saves x's data
+    and reads the weights at backward time.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(
             f"linear needs x [n,k], w [k,m] and b [m], got {x.shape}, {w.shape} and {b.shape}"
         )
-    xd, wd = x.data, w.data
+    xd = x.data
 
     def pull(g):
-        if x.requires_grad:
-            x._accumulate(g @ wd.T)
-        if w.requires_grad:
-            w._accumulate(xd.T @ g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+        dx = _project_back(xd, w, b, g, x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx)
 
-    return custom_op(xd @ wd + b.data, (x, w, b), pull)
+    return custom_op(_project(xd, w, b), (x, w, b), pull)
 
 
 def _check_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, op: str) -> None:
@@ -394,42 +410,34 @@ def _check_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, op: st
 
 def _mlp_forward(xd: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
     """(output, relu output a) of relu(xd w1 + b1) w2 + b2."""
-    h = xd @ w1.data + b1.data
+    h = _project(xd, w1, b1)
     a = h * (h > 0)
-    return a @ w2.data + b2.data, a
+    return _project(a, w2, b2), a
 
 
 def _mlp_backward(xd, w1, b1, w2, b2, a, g, need_x: bool):
     """Accumulate the w2, b2, w1 and b1 terms, in that order; return dx or None.
 
-    dw2 = aᵀ g, db2 = column sums of g, gh = (g w2ᵀ) ⊙ (a > 0), dx = gh w1ᵀ,
-    dw1 = xdᵀ gh, db1 = column sums of gh. The mask a > 0 is the forward's
+    Each layer's terms are `_project_back`'s, with gh = (g w2ᵀ) ⊙ (a > 0)
+    the first layer's output gradient. The mask a > 0 is the forward's
     h > 0: a = h where h > 0, and 0, -0 or NaN (for h = -inf or NaN) where
     it is not.
     """
-    if w2.requires_grad:
-        w2._accumulate(a.T @ g)
-    if b2.requires_grad:
-        b2._accumulate(g.sum(axis=0))
-    if not (need_x or w1.requires_grad or b1.requires_grad):
+    gh = _project_back(a, w2, b2, g, need_x or w1.requires_grad or b1.requires_grad)
+    if gh is None:
         return None
-    gh = g @ w2.data.T
     gh *= a > 0
-    if w1.requires_grad:
-        w1._accumulate(xd.T @ gh)
-    if b1.requires_grad:
-        b1._accumulate(gh.sum(axis=0))
-    return gh @ w1.data.T if need_x else None
+    return _project_back(xd, w1, b1, gh, need_x)
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two-layer ReLU net relu(x [n,k] @ w1 [k,h] + b1 [h]) @ w2 [h,m] + b2 [m]
     -> [n,m], as one op.
 
-    Backward, for the output gradient g, with a the relu output and r its
-    0/1 mask: dw2 = aᵀ g, db2 is the column sums of g, gh = (g w2ᵀ) ⊙ r,
-    dw1 = xᵀ gh, db1 is the column sums of gh and dx = gh w1ᵀ, accumulated
-    in that order.
+    Each layer is a `_project`, and its backward a `_project_back`. So,
+    for the output gradient g, with a the relu output and r its 0/1 mask:
+    dw2 = aᵀ g, db2 is the column sums of g, gh = (g w2ᵀ) ⊙ r, dw1 = xᵀ gh,
+    db1 is the column sums of gh and dx = gh w1ᵀ, accumulated in that order.
 
     Saves x's data and a. The backward derives r as a > 0, which is the
     forward's mask h > 0 (NaN included), and, like `linear`, reads the
@@ -556,27 +564,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) ->
     return custom_op(out, (x, gain, bias), pull)
 
 
-class _Sink:
-    """Gradient buffer of an intermediate that a fused op keeps to itself.
-
-    It keeps the first term it is given (every term is a fresh array) where
-    `Tensor._accumulate` would copy it; later terms add in place.
-    """
-
-    __slots__ = ("data", "requires_grad", "grad")
-
-    def __init__(self, data: np.ndarray, requires_grad: bool):
-        self.data = data
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad += g
-
-
 def attention(
     x: Tensor, gain: Tensor, bias: Tensor, proj, n_heads: int,
     memory: Tensor | None = None, positions: Tensor | None = None,
@@ -592,7 +579,7 @@ def attention(
         cross-attention:  q = xn;  k = v = memory [m,d]
 
     Head h owns columns [h*dh, (h+1)*dh) with dh = d / n_heads, and
-    c = 1/sqrt(dh). Forward:
+    c = 1/sqrt(dh). Forward, each projection a `_project`:
 
         Q = q wq + bq,  K = k wk + bk,  V = v wv + bv
         per head:  S_h = softmax((Q_h K_hᵀ) · c)  (row max subtracted before exp)
@@ -610,8 +597,10 @@ def attention(
                    dZ = S_h ⊙ (dS − rowsum(dS ⊙ S_h)) · c,
                    dQ_h = dZ K_h,  dK_h = dZᵀ Q_h
         then for (r, w, b, dR) = (v, wv, bv, dV), (k, wk, bk, dK), (q, wq, bq, dQ):
-                   dr += dR wᵀ,  dw = rᵀ dR,  db = column sums of dR
-        with positions:  dxn += dq,  then dpositions += dq
+                   dw = rᵀ dR,  db = column sums of dR,  dr = dR wᵀ
+        self-attention:  dxn = (dv + dk) + dq
+        with positions:  dqk = dk + dq,  dpositions += dqk,  dxn = dv + dqk
+        with memory:     dmemory += dv, then += dk;  dxn = dq
         then the layer norm's backward of dxn: dgain, dbias, and dx += its term
 
     These are the products of the unfused chain (`layer_norm`, the `add` of
@@ -624,10 +613,9 @@ def attention(
 
     Saves the layer norm's normalised rows y and 1/std per row, the
     projected Q, K and V, the softmax S and the merged heads A. The backward
-    recomputes xn as y ⊙ gain + bias, and q = k = xn + positions when
-    positions are given, with the forward's own expressions, so both have
-    the forward's bits; like `linear`, it reads the parameters (and the
-    positions and memory) at backward time.
+    rebuilds q, k and v with the forward's own `rows`, from xn recomputed
+    as y ⊙ gain + bias, so they have the forward's bits; like `linear`, it
+    reads the parameters (and the positions and memory) at backward time.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"attention needs x [n,d], got {x.shape}")
@@ -660,79 +648,69 @@ def attention(
     def merge(a):  # [heads, rows, dh] -> [rows, d]
         return a.transpose(1, 0, 2).reshape(a.shape[1], d)
 
-    def project(r, w, b):
-        out = r.data @ w.data
-        out += b.data
-        return out
+    def rows(xn):  # the (q, k, v) rows of the normalised x
+        if memory is not None:
+            return xn, memory.data, memory.data
+        qk = xn if positions is None else xn + positions.data
+        return qk, qk, xn
 
     xn, y, inv = _layer_norm_forward(x.data, gain, bias, _NORM_EPS)
-    norm = _Sink(xn, x.requires_grad or gain.requires_grad or bias.requires_grad)
-    if memory is not None:
-        q, k, v = norm, memory, memory
-    else:
-        qk = norm if positions is None else _Sink(
-            xn + positions.data, norm.requires_grad or positions.requires_grad
-        )
-        q, k, v = qk, qk, norm
-    qp, kp, vp = project(q, wq, bq), project(k, wk, bk), project(v, wv, bv)
-    norm.data = q.data = None  # the backward recomputes them from y; q is never memory
-    qh, kh, vh = split(qp), split(kp), split(vp)
+    q, k, v = rows(xn)
+    qh, kh, vh = split(_project(q, wq, bq)), split(_project(k, wk, bk)), split(_project(v, wv, bv))
     s = qh @ kh.transpose(0, 2, 1)
     s *= c
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     heads = merge(s @ vh)
-    out = heads @ wo.data
-    out += bo.data
+    out = _project(heads, wo, bo)
     out += x.data
 
+    need_xn = x.requires_grad or gain.requires_grad or bias.requires_grad
+    if memory is not None:
+        need_rows = (need_xn, memory.requires_grad, memory.requires_grad)
+    else:
+        need_qk = need_xn or (positions is not None and positions.requires_grad)
+        need_rows = (need_qk, need_qk, need_xn)
     need_q, need_k, need_v = (
-        r.requires_grad or w.requires_grad or b.requires_grad
-        for r, w, b in ((q, wq, bq), (k, wk, bk), (v, wv, bv))
+        need or w.requires_grad or b.requires_grad
+        for need, w, b in zip(need_rows, (wq, wk, wv), (bq, bk, bv))
     )
-
-    def project_back(r, w, b, gr):
-        if r.requires_grad:
-            r._accumulate(gr @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(r.data.T @ gr)
-        if b.requires_grad:
-            b._accumulate(gr.sum(axis=0))
 
     def pull(g):
         if x.requires_grad:
             x._accumulate(g)
-        if wo.requires_grad:
-            wo._accumulate(heads.T @ g)
-        if bo.requires_grad:
-            bo._accumulate(g.sum(axis=0))
-        if not (need_q or need_k or need_v):
+        ga = _project_back(heads, wo, bo, g, need_q or need_k or need_v)
+        if ga is None:
             return
-        norm.data = _affine(y, gain, bias)
-        if positions is not None:
-            q.data = norm.data + positions.data
-        gh = split(g @ wo.data.T)
+        q, k, v = rows(_affine(y, gain, bias))
+        gh = split(ga)
+        dq = dk = dv = None
         if need_v:
-            gv = merge(s.transpose(0, 2, 1) @ gh)
+            dv = _project_back(v, wv, bv, merge(s.transpose(0, 2, 1) @ gh), need_rows[2])
         if need_q or need_k:
             dz = gh @ vh.transpose(0, 2, 1)
             dz -= (dz * s).sum(axis=-1, keepdims=True)
             dz *= s
             dz *= c
-        if need_v:
-            project_back(v, wv, bv, gv)
-        if need_k:
-            project_back(k, wk, bk, merge(dz.transpose(0, 2, 1) @ qh))
-        if need_q:
-            project_back(q, wq, bq, merge(dz @ kh))
-        if positions is not None and q.grad is not None:
-            if norm.requires_grad:
-                norm._accumulate(q.grad)
-            if positions.requires_grad:
-                positions._accumulate(q.grad)
-        if norm.grad is not None:
-            _layer_norm_backward(x, gain, bias, y, inv, norm.grad)
+            if need_k:
+                dk = _project_back(k, wk, bk, merge(dz.transpose(0, 2, 1) @ qh), need_rows[1])
+            if need_q:
+                dq = _project_back(q, wq, bq, merge(dz @ kh), need_rows[0])
+        if memory is not None:
+            for dm in (dv, dk):
+                if dm is not None:
+                    memory._accumulate(dm)
+            dxn = dq
+        elif positions is None:
+            dxn = None if dv is None else dv + dk + dq
+        else:
+            dqk = None if dq is None else dk + dq
+            if dqk is not None and positions.requires_grad:
+                positions._accumulate(dqk)
+            dxn = None if dv is None else dv + dqk
+        if dxn is not None:
+            _layer_norm_backward(x, gain, bias, y, inv, dxn)
 
     inputs = (x, gain, bias, *proj) + tuple(t for t in (memory, positions) if t is not None)
     return custom_op(out, inputs, pull)

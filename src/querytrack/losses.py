@@ -39,8 +39,13 @@ class LossWeights:
     focal_gamma: float = 2.0
 
     def __post_init__(self):
-        if min(self.lambda_cls, self.lambda_l1, self.lambda_giou) < 0:
-            raise ValueError("loss weights must be nonnegative")
+        # every comparison with NaN is false, so NaN fails each check
+        for name in ("lambda_cls", "lambda_l1", "lambda_giou", "focal_gamma"):
+            value = getattr(self, name)
+            if not 0 <= value < float("inf"):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if not 0 <= self.focal_alpha <= 1:
+            raise ValueError(f"focal_alpha must be in [0, 1], got {self.focal_alpha!r}")
         if max(self.lambda_cls, self.lambda_l1, self.lambda_giou) == 0:
             raise ValueError("at least one loss weight must be positive")
 

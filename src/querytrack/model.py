@@ -7,14 +7,16 @@ runs through pre-norm decoder layers of self-attention, cross-attention to
 the frame tokens and a feed-forward net. Every layer is a stack of pre-norm
 residual sublayers x + f(LN(x)), and each sublayer, its layer norm and
 residual add included, is one tape op: `ad.attention` (through
-`multi_head_attention`) or `ad.feed_forward`. So an encoder layer is two
-ops and a decoder layer three. The class head emits logits, which
-the loss takes on the tape; class probabilities are their sigmoid, derived
-off the tape for matching and scoring. The box head's sigmoid keeps box
-coordinates in [0, 1], strictly inside (0, 1) for box logits in about
-(-709.7, 36.7) in float64 and (-88.7, 16.6) in float32: past those the
-sigmoid rounds to exactly 0 or 1. Query order is slot identity: output
-row i always belongs to input query i.
+`multi_head_attention`) or `ad.feed_forward`. A sublayer's parameters are
+one tuple in its op's argument order, (gain, bias, w, b, ...), and a layer
+is a tuple of sublayers: (attention, ffn) for an encoder layer, so two ops,
+and (self-attention, cross-attention, ffn) for a decoder layer, so three.
+The class head emits logits, which the loss takes on the tape; class
+probabilities are their sigmoid, derived off the tape for matching and
+scoring. The box head's sigmoid keeps box coordinates in [0, 1], strictly
+inside (0, 1) for box logits in about (-709.7, 36.7) in float64 and
+(-88.7, 16.6) in float32: past those the sigmoid rounds to exactly 0 or 1.
+Query order is slot identity: output row i always belongs to input query i.
 
 The model computes in one dtype, `ModelConfig.dtype`: float32 (the
 default) or float64. Parameters, the positional code and the image patches
@@ -45,10 +47,8 @@ from querytrack.autodiff import ShapeError, Tensor
 from querytrack.boxes import Box
 
 __all__ = [
-    "AttentionParams",
     "FramePredictions",
     "ModelConfig",
-    "NormParams",
     "QueryRecord",
     "QuerySet",
     "TrackingModel",
@@ -74,17 +74,15 @@ class ModelConfig:
     n_detect_queries: int = 16
     n_classes: int = 1
     ffn_dim: int = 128
-    positional_encoding: bool = True
     dtype: str = "float32"  # or "float64": the dtype of every parameter and op output
 
     def __post_init__(self):
         # every size is checked before the divisibility checks divide by it;
-        # layer counts may be 0 (no encoder layers: the tokens are the patch embedding)
+        # layer counts may be 0 (no encoder layers: the tokens are the embedded,
+        # position-coded patches)
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "positional_encoding":
-                ok, want = type(value) is bool, "a bool"
-            elif f.name == "dtype":
+            if f.name == "dtype":
                 ok, want = type(value) is str and value in _DTYPES, '"float32" or "float64"'
             else:
                 least = 0 if f.name.endswith("_layers") else 1
@@ -200,52 +198,8 @@ class FramePredictions:
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
+# parameter declaration
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class AttentionParams:
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-
-
-@dataclass
-class NormParams:
-    gain: Tensor
-    bias: Tensor
-
-
-@dataclass
-class FfnParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-@dataclass
-class EncoderLayerParams:
-    attn: AttentionParams
-    norm_attn: NormParams
-    ffn: FfnParams
-    norm_ffn: NormParams
-
-
-@dataclass
-class DecoderLayerParams:
-    self_attn: AttentionParams
-    norm_self: NormParams
-    cross_attn: AttentionParams
-    norm_cross: NormParams
-    ffn: FfnParams
-    norm_ffn: NormParams
 
 
 class _ParamFactory:
@@ -278,31 +232,26 @@ class _ParamFactory:
         b = self.add(f"{name}.b", (fan_out,), lambda rng, shape: bias)
         return w, b
 
-    def norm(self, name: str, d: int) -> NormParams:
-        return NormParams(
-            gain=self.add(f"{name}.gain", (d,), lambda rng, shape: 1.0),
-            bias=self.add(f"{name}.bias", (d,), lambda rng, shape: 0.0),
-        )
+    def norm(self, name: str, d: int) -> tuple[Tensor, Tensor]:
+        gain = self.add(f"{name}.gain", (d,), lambda rng, shape: 1.0)
+        return gain, self.add(f"{name}.bias", (d,), lambda rng, shape: 0.0)
 
-    def attention(self, name: str, d: int) -> AttentionParams:
-        wq, bq = self.linear(f"{name}.q", d, d)
-        wk, bk = self.linear(f"{name}.k", d, d)
-        wv, bv = self.linear(f"{name}.v", d, d)
-        wo, bo = self.linear(f"{name}.out", d, d)
-        return AttentionParams(wq, bq, wk, bk, wv, bv, wo, bo)
+    def sublayer(self, norm: str, linears) -> tuple[Tensor, ...]:
+        """A pre-norm sublayer's leaves in its op's argument order: the layer
+        norm `norm`'s gain and bias, then the weight and bias of each
+        (name, fan_in, fan_out) linear, which are declared first."""
+        body = [t for name, fan_in, fan_out in linears for t in self.linear(name, fan_in, fan_out)]
+        return (*self.norm(norm, linears[0][1]), *body)
 
-    def ffn(self, name: str, d: int, hidden: int) -> FfnParams:
-        w1, b1 = self.linear(f"{name}.inner", d, hidden)
-        w2, b2 = self.linear(f"{name}.outer", hidden, d)
-        return FfnParams(w1, b1, w2, b2)
-
-    def encoder_layer(self, name: str, d: int, hidden: int) -> EncoderLayerParams:
-        return EncoderLayerParams(
-            attn=self.attention(f"{name}.attn", d),
-            norm_attn=self.norm(f"{name}.norm_attn", d),
-            ffn=self.ffn(f"{name}.ffn", d, hidden),
-            norm_ffn=self.norm(f"{name}.norm_ffn", d),
-        )
+    def layer(self, name: str, d: int, hidden: int, *attentions) -> tuple:
+        """A layer's `sublayer` tuples: an attention for each (attention,
+        norm) name pair, then the feed-forward net."""
+        sublayers = [
+            self.sublayer(f"{name}.{norm}", [(f"{name}.{attn}.{p}", d, d) for p in ("q", "k", "v", "out")])
+            for attn, norm in attentions
+        ]
+        ffn = [(f"{name}.ffn.inner", d, hidden), (f"{name}.ffn.outer", hidden, d)]
+        return (*sublayers, self.sublayer(f"{name}.norm_ffn", ffn))
 
 
 def _group_of(name: str) -> str:
@@ -319,37 +268,34 @@ def _group_of(name: str) -> str:
 
 
 def multi_head_attention(
-    x: Tensor, norm: NormParams, p: AttentionParams, n_heads: int,
+    x: Tensor, p: tuple[Tensor, ...], n_heads: int,
     memory: Tensor | None = None, positions: Tensor | None = None,
 ) -> Tensor:
     """One pre-norm residual attention sublayer, x + attend(LN(x)), as the one
-    op `ad.attention`, which also checks the shapes.
+    op `ad.attention`, which also checks the shapes. `p` is the sublayer's
+    (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo).
 
     Self-attention by default (query, key and value are the normalised x,
     the query and key plus `positions` when given); with `memory`, the
     normalised x attends to the memory rows instead. Rows of the attention
     weights are a softmax, hence row-stochastic.
     """
-    return ad.attention(
-        x, norm.gain, norm.bias, (p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo), n_heads,
-        memory=memory, positions=positions,
-    )
+    gain, bias, *proj = p
+    return ad.attention(x, gain, bias, proj, n_heads, memory=memory, positions=positions)
 
 
-def _encoder_layer(
-    x: Tensor, p: EncoderLayerParams, n_heads: int, positions: Tensor | None = None
-) -> Tensor:
+def _encoder_layer(x: Tensor, layer: tuple, n_heads: int, positions: Tensor | None = None) -> Tensor:
     """One pre-norm self-attention sublayer, then one pre-norm FFN sublayer.
 
-    The attention's query and key are the `norm_attn`-normalised x plus
-    `positions` (when given), its value is the normalised x alone. The
-    encoder layers run it without positions; the temporal aggregation layer
-    passes the carried block's previous queries. MOTR's temporal layer is
-    post-norm; pre-norm keeps one convention across the model.
+    `layer` is their (attention, ffn) parameter tuples. The attention's
+    query and key are the normalised x plus `positions` (when given), its
+    value is the normalised x alone. The encoder layers run it without
+    positions; the temporal aggregation layer passes the carried block's
+    previous queries. MOTR's temporal layer is post-norm; pre-norm keeps one
+    convention across the model.
     """
-    x = multi_head_attention(x, p.norm_attn, p.attn, n_heads, positions=positions)
-    f = p.ffn
-    return ad.feed_forward(x, p.norm_ffn.gain, p.norm_ffn.bias, f.w1, f.b1, f.w2, f.b2)
+    attention, ffn = layer
+    return ad.feed_forward(multi_head_attention(x, attention, n_heads, positions=positions), *ffn)
 
 
 def sine_positions_2d(n_rows: int, n_cols: int, d: int) -> np.ndarray:
@@ -395,9 +341,10 @@ class TrackingModel:
     Every parameter value lives in one vector `theta` (θ), in the model's
     dtype, laid out in sorted-name order: the checkpoint manifest's order.
     `params` maps each parameter name, in that order, to a view leaf of θ
-    (`autodiff.leaf_group`); the layer structs hold the same tensors.
-    `parameters()` groups the views by module. Update parameters in place:
-    rebinding a view's `.data` detaches it from θ.
+    (`autodiff.leaf_group`); the layer tuples (`encoder_layers`,
+    `decoder_layers`, `temporal`) and the head attributes hold the same
+    tensors. `parameters()` groups the views by module. Update parameters
+    in place: rebinding a view's `.data` detaches it from θ.
 
     Parameters are read-shared during inference; training updates them from a
     single worker.
@@ -418,18 +365,12 @@ class TrackingModel:
         in_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
 
         self.patch_w, self.patch_b = f.linear("patch_embed", in_dim, d)
+        encoder_attn = ("attn", "norm_attn")
         self.encoder_layers = [
-            f.encoder_layer(f"encoder.{i}", d, ffn) for i in range(cfg.n_encoder_layers)
+            f.layer(f"encoder.{i}", d, ffn, encoder_attn) for i in range(cfg.n_encoder_layers)
         ]
         self.decoder_layers = [
-            DecoderLayerParams(
-                self_attn=f.attention(f"decoder.{i}.self_attn", d),
-                norm_self=f.norm(f"decoder.{i}.norm_self", d),
-                cross_attn=f.attention(f"decoder.{i}.cross_attn", d),
-                norm_cross=f.norm(f"decoder.{i}.norm_cross", d),
-                ffn=f.ffn(f"decoder.{i}.ffn", d, ffn),
-                norm_ffn=f.norm(f"decoder.{i}.norm_ffn", d),
-            )
+            f.layer(f"decoder.{i}", d, ffn, ("self_attn", "norm_self"), ("cross_attn", "norm_cross"))
             for i in range(cfg.n_decoder_layers)
         ]
         self.norm_out = f.norm("decoder.norm_out", d)
@@ -441,7 +382,7 @@ class TrackingModel:
         self.cls_w, self.cls_b = f.linear("head.class", d, cfg.n_classes, bias=-2.0)
         self.box_w1, self.box_b1 = f.linear("head.box.inner", d, d)
         self.box_w2, self.box_b2 = f.linear("head.box.outer", d, 4)
-        self.temporal = f.encoder_layer("temporal", d, ffn)
+        self.temporal = f.layer("temporal", d, ffn, encoder_attn)
 
         self.params: dict[str, Tensor] = {name: f.params[name] for name in sorted(f.params)}
         self.theta = np.empty(sum(p.data.size for p in self.params.values()), dtype=cfg.dtype)
@@ -454,10 +395,7 @@ class TrackingModel:
             self._groups[group_name] = ad.leaf_group(self.theta[start:stop], views)
             start = stop
         side = cfg.tokens_per_side
-        self._pos = (
-            Tensor(sine_positions_2d(side, side, d).astype(cfg.dtype))
-            if cfg.positional_encoding else None
-        )
+        self._pos = Tensor(sine_positions_2d(side, side, d).astype(cfg.dtype))
         return f.inits
 
     def parameters(self) -> dict[str, Tensor]:
@@ -490,9 +428,7 @@ class TrackingModel:
                 f"({cfg.image_size}, {cfg.image_size}, {cfg.n_channels})"
             )
         patches = _cut_patches(image.data.astype(cfg.dtype, copy=False), cfg.patch_size)
-        x = ad.linear(Tensor(patches), self.patch_w, self.patch_b)
-        if self._pos is not None:
-            x = ad.add(x, self._pos)
+        x = ad.add(ad.linear(Tensor(patches), self.patch_w, self.patch_b), self._pos)
         for layer in self.encoder_layers:
             x = _encoder_layer(x, layer, cfg.n_heads)
         return x
@@ -516,12 +452,18 @@ class TrackingModel:
         A non-empty carried track block passes through `aggregate` and is
         concatenated in front of the learnable detect block. The result has
         no positions: the decoder uses none. The carried block is model
-        state, so its embeddings and positions must be in the model's dtype.
+        state: it holds track records only, and its embeddings and positions
+        must be in the model's dtype.
         """
         cfg = self.cfg
         detect_records = [QueryRecord("detect") for _ in range(cfg.n_detect_queries)]
         if track_set is None or len(track_set) == 0:
             return QuerySet(self.detect_queries, detect_records)
+        if track_set.n_track != len(track_set):
+            raise ValueError(
+                f"carried track block holds {len(track_set) - track_set.n_track} detect records; "
+                "the model appends its own detect block"
+            )
         for name in ("embeddings", "positions"):
             t = getattr(track_set, name)
             if t is not None and t.data.dtype != cfg.dtype:
@@ -534,21 +476,23 @@ class TrackingModel:
         )
 
     def decode(self, queries: QuerySet, memory: Tensor) -> FramePredictions:
-        """Refine queries against frame tokens; emit class logits and boxes."""
+        """Refine queries against frame tokens; emit class logits and boxes.
+
+        `memory` is the frame's tokens, [T, d_model] in the model's dtype.
+        """
         cfg = self.cfg
         if len(queries) == 0:
             raise ValueError("query set is empty; the detect block is mandatory")
-        if memory.shape[1] != cfg.d_model:
-            raise ShapeError(f"memory width {memory.shape[1]} != d_model {cfg.d_model}")
+        if memory.data.ndim != 2 or memory.shape[1] != cfg.d_model:
+            raise ShapeError(f"memory needs [T, {cfg.d_model}] token rows, got {memory.shape}")
+        if memory.data.dtype != cfg.dtype:
+            raise ValueError(f"memory is {memory.data.dtype}, the model computes in {cfg.dtype}")
         x = queries.embeddings
-        for layer in self.decoder_layers:
-            x = multi_head_attention(x, layer.norm_self, layer.self_attn, cfg.n_heads)
-            x = multi_head_attention(
-                x, layer.norm_cross, layer.cross_attn, cfg.n_heads, memory=memory
-            )
-            f = layer.ffn
-            x = ad.feed_forward(x, layer.norm_ffn.gain, layer.norm_ffn.bias, f.w1, f.b1, f.w2, f.b2)
-        hidden = ad.layer_norm(x, self.norm_out.gain, self.norm_out.bias)
+        for self_attn, cross_attn, ffn in self.decoder_layers:
+            x = multi_head_attention(x, self_attn, cfg.n_heads)
+            x = multi_head_attention(x, cross_attn, cfg.n_heads, memory=memory)
+            x = ad.feed_forward(x, *ffn)
+        hidden = ad.layer_norm(x, *self.norm_out)
         class_logits = ad.linear(hidden, self.cls_w, self.cls_b)
         boxes = ad.sigmoid(ad.mlp(hidden, self.box_w1, self.box_b1, self.box_w2, self.box_b2))
         return FramePredictions(class_logits, boxes, hidden, queries.embeddings, queries.n_track)

@@ -352,6 +352,41 @@ class TestAttentionOp:
         for i, (a, b) in enumerate(zip(fused_grads, ref_grads)):
             assert np.array_equal(a, b), i
 
+    @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
+    def test_each_input_gets_its_gradient_alone(self, mode):
+        # the query, key and value row gradients reach x (through the layer
+        # norm), the positions or the memory whichever inputs need one: an
+        # input's gradient is the same bits alone as with all the others,
+        # and an input that needs none gets none
+        rng = np.random.default_rng(70)
+        n, m, d = 4, 6, 8
+        extra = {"self": {}, "positions": {"positions": (n, d)}, "memory": {"memory": (m, d)}}[mode]
+        proj = "wq bq wk bk wv bv wo bo".split()
+        arrays = {"x": rng.standard_normal((n, d))}
+        arrays["gain"], arrays["bias"] = (t.data for t in random_norm(rng, d))
+        arrays.update({name: rng.standard_normal(shape) for name, shape in extra.items()})
+        arrays.update(zip(proj, (t.data for t in random_proj(rng, d))))
+        w = rng.standard_normal((n, d))
+
+        def grads(needs):
+            ts = {name: Tensor(a, requires_grad=name in needs) for name, a in arrays.items()}
+            with Tape() as tape:
+                out = ad.attention(
+                    ts["x"], ts["gain"], ts["bias"], [ts[name] for name in proj], 2,
+                    **{name: ts[name] for name in extra},
+                )
+                loss = weighted_sum(out, w)
+            tape.backward(loss)
+            return {name: t.grad for name, t in ts.items()}
+
+        every = grads(set(arrays))
+        for needs in [{name} for name in arrays] + [{"x", "wv"}, {*extra, "gain", "bq"}]:
+            for name, g in grads(needs).items():
+                if name in needs:
+                    assert np.array_equal(g, every[name]), (needs, name)
+                else:
+                    assert g is None, (needs, name)
+
     def test_one_tape_node(self):
         # the layer norm, the projections and the residual add are part of
         # the one node, in each of the three forms

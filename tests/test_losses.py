@@ -419,3 +419,21 @@ def test_weights_validation():
         LossWeights(lambda_cls=-1.0)
     with pytest.raises(ValueError):
         LossWeights(lambda_cls=0.0, lambda_l1=0.0, lambda_giou=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lambda_cls", float("nan")), ("lambda_l1", float("inf")), ("lambda_giou", -1.0),
+        ("focal_alpha", 1.5), ("focal_alpha", -0.25), ("focal_alpha", float("nan")),
+        ("focal_gamma", -1.0), ("focal_gamma", float("inf")), ("focal_gamma", float("nan")),
+    ],
+)
+def test_weights_reject_bad_values_by_name(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        LossWeights(**{field: value})
+
+
+def test_weights_accept_the_bounds():
+    LossWeights(focal_alpha=0.0, focal_gamma=0.0)
+    LossWeights(focal_alpha=1.0, lambda_cls=0.0)

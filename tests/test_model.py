@@ -9,9 +9,7 @@ import pytest
 import querytrack.autodiff as ad
 from querytrack.autodiff import Tape, Tensor
 from querytrack.model import (
-    AttentionParams,
     ModelConfig,
-    NormParams,
     QueryRecord,
     QuerySet,
     TrackingModel,
@@ -56,31 +54,35 @@ class TestEncode:
         cfg = ModelConfig(
             image_size=16, patch_size=8, d_model=8, n_heads=2,
             n_encoder_layers=0, n_decoder_layers=1, n_detect_queries=2,
-            ffn_dim=16, positional_encoding=False, dtype="float64",
+            ffn_dim=16, dtype="float64",
         )
         model = TrackingModel(cfg)
         img = random_image(np.random.default_rng(1), cfg)
         tokens = model.encode(img)
         # the [16,16,1] image's two-by-two grid of 8x8 patches, row-major
         patches = np.stack([img.data[r:r + 8, c:c + 8].reshape(-1) for r in (0, 8) for c in (0, 8)])
-        manual = patches @ model.patch_w.data + model.patch_b.data
+        manual = patches @ model.patch_w.data + model.patch_b.data + sine_positions_2d(2, 2, 8)
         np.testing.assert_allclose(tokens.data, manual, atol=1e-12)
 
     def test_patch_permutation_equivariance_without_positions(self):
         cfg = ModelConfig(
             image_size=16, patch_size=8, d_model=8, n_heads=2,
             n_encoder_layers=2, n_decoder_layers=1, n_detect_queries=2,
-            ffn_dim=16, positional_encoding=False, dtype="float64",
+            ffn_dim=16, dtype="float64",
         )
         model = TrackingModel(cfg, seed=3)
-        rng = np.random.default_rng(2)
-        img = rng.uniform(0, 1, size=(16, 16, 1))
-        # swap the two top patches (each 8x8)
-        swapped = img.copy()
-        swapped[:8, :8], swapped[:8, 8:] = img[:8, 8:].copy(), img[:8, :8].copy()
-        base = model.encode(Tensor(img)).data
-        perm = model.encode(Tensor(swapped)).data
-        np.testing.assert_allclose(perm[[1, 0, 2, 3]], base, atol=1e-10)
+        # the encoder layers alone, without the positional code: swapping
+        # two token rows swaps the two output rows
+        tokens = np.random.default_rng(2).standard_normal((4, 8))
+
+        def encoder_layers(x):
+            x = Tensor(x)
+            for attention, ffn in model.encoder_layers:
+                x = ad.feed_forward(multi_head_attention(x, attention, cfg.n_heads), *ffn)
+            return x.data
+
+        perm = [1, 0, 2, 3]
+        np.testing.assert_allclose(encoder_layers(tokens[perm]), encoder_layers(tokens)[perm], atol=1e-10)
 
     def test_indivisible_image_rejected(self):
         model = TrackingModel(TINY)
@@ -108,12 +110,13 @@ class TestEncode:
 
 
 def identity_attention(d):
+    """(wq, bq, wk, bk, wv, bv, wo, bo): identity weights and zero biases."""
     eye, zero = Tensor(np.eye(d)), Tensor(np.zeros(d))
-    return AttentionParams(eye, zero, eye, zero, eye, zero, eye, zero)
+    return [eye, zero] * 4
 
 
 def unit_norm(d):
-    return NormParams(Tensor(np.ones(d)), Tensor(np.zeros(d)))
+    return [Tensor(np.ones(d)), Tensor(np.zeros(d))]
 
 
 def numpy_layer_norm(x):
@@ -141,8 +144,8 @@ def per_head_attention(x, norm, p, n_heads, weight, memory=None):
     (when given) and the eight projection parameters, in the order
     `attention_grads` uses.
     """
-    gain, bias = norm.gain.data, norm.bias.data
-    wq, bq, wk, bk, wv, bv, wo, bo = (getattr(p, f.name).data for f in dataclasses.fields(p))
+    gain, bias = (t.data for t in norm)
+    wq, bq, wk, bk, wv, bv, wo, bo = (t.data for t in p)
     d = x.shape[1]
     xd = x.data
     mu = xd.mean(axis=1, keepdims=True)
@@ -187,28 +190,25 @@ def per_head_attention(x, norm, p, n_heads, weight, memory=None):
 
 
 def random_attention(rng, d):
-    return AttentionParams(
-        *(
-            Tensor(rng.standard_normal((d, d) if i % 2 == 0 else d) / np.sqrt(d), requires_grad=True)
-            for i in range(8)
-        )
-    )
+    return [
+        Tensor(rng.standard_normal((d, d) if i % 2 == 0 else d) / np.sqrt(d), requires_grad=True)
+        for i in range(8)
+    ]
 
 
 def random_norm(rng, d):
     gain, bias = 1.0 + 0.3 * rng.standard_normal(d), 0.3 * rng.standard_normal(d)
-    return NormParams(Tensor(gain), Tensor(bias))
+    return [Tensor(gain), Tensor(bias)]
 
 
 def attention_grads(x, norm, p, n_heads, weight, memory=None):
     """Forward value and tape gradients of sum(sublayer * weight) w.r.t. inputs and params."""
-    leaves = [x, norm.gain, norm.bias, *([] if memory is None else [memory])]
-    leaves += [getattr(p, f.name) for f in dataclasses.fields(p)]
+    leaves = [x, *norm, *([] if memory is None else [memory]), *p]
     for t in leaves:
         t.requires_grad = True
         t.reset_grad()
     with Tape() as tape:
-        out = multi_head_attention(x, norm, p, n_heads, memory=memory)
+        out = multi_head_attention(x, norm + p, n_heads, memory=memory)
         loss = weighted_sum(out, weight.data)
     tape.backward(loss)
     return out.data, [t.grad.copy() for t in leaves]
@@ -241,7 +241,7 @@ class TestAttention:
         x, memory = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((5, 8)))
         p = random_attention(rng, 8)
         with Tape() as tape:
-            multi_head_attention(x, unit_norm(8), p, 4, memory=memory)
+            multi_head_attention(x, unit_norm(8) + p, 4, memory=memory)
             kinds = [pull.__qualname__.split(".")[0] for _, pull in tape.nodes]
         # the layer norm, the projections and the residual add are part of
         # the one attention node
@@ -251,17 +251,17 @@ class TestAttention:
         p = identity_attention(4)
         x, empty = Tensor(np.zeros((2, 4))), Tensor(np.zeros((0, 4)))
         with pytest.raises(ad.ShapeError, match="at least one key row"):
-            multi_head_attention(x, unit_norm(4), p, 2, memory=empty)
+            multi_head_attention(x, unit_norm(4) + p, 2, memory=empty)
 
     def test_single_zero_query(self):
         p = identity_attention(1)
-        out = multi_head_attention(Tensor([[0.0]]), unit_norm(1), p, 1)
+        out = multi_head_attention(Tensor([[0.0]]), unit_norm(1) + p, 1)
         np.testing.assert_allclose(out.data, [[0.0]])
 
     def test_reduces_to_softmax_formula(self):
         rng = np.random.default_rng(4)
         x, memory = (Tensor(rng.standard_normal((3, 4))) for _ in range(2))
-        out = multi_head_attention(x, unit_norm(4), identity_attention(4), 1, memory=memory)
+        out = multi_head_attention(x, unit_norm(4) + identity_attention(4), 1, memory=memory)
         logits = numpy_layer_norm(x.data) @ memory.data.T / 2.0
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
@@ -273,8 +273,8 @@ class TestAttention:
         rng = np.random.default_rng(5)
         x, memory = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((7, 4)))
         p = identity_attention(4)
-        p.wv, p.bv = Tensor(np.zeros((4, 4))), Tensor(np.ones(4))
-        out = multi_head_attention(x, unit_norm(4), p, 2, memory=memory)
+        p[4], p[5] = Tensor(np.zeros((4, 4))), Tensor(np.ones(4))  # wv, bv
+        out = multi_head_attention(x, unit_norm(4) + p, 2, memory=memory)
         np.testing.assert_allclose(out.data - x.data, 1.0, atol=1e-9)
 
     def test_gradient(self):
@@ -283,14 +283,14 @@ class TestAttention:
         norm = random_norm(rng, 4)
 
         def cross(x, gain, bias, memory):
-            out = multi_head_attention(x, NormParams(gain, bias), identity_attention(4), 2, memory=memory)
+            out = multi_head_attention(x, [gain, bias] + identity_attention(4), 2, memory=memory)
             return weighted_sum(out, 1.0)
 
         def temporal(x, positions):
             p = identity_attention(4)
-            return weighted_sum(multi_head_attention(x, norm, p, 2, positions=positions), 1.0)
+            return weighted_sum(multi_head_attention(x, norm + p, 2, positions=positions), 1.0)
 
-        assert ad.grad_check(cross, [x, norm.gain, norm.bias, memory]).passed
+        assert ad.grad_check(cross, [x, *norm, memory]).passed
         assert ad.grad_check(temporal, [x, positions]).passed
 
 
@@ -350,6 +350,28 @@ class TestDecode:
         with pytest.raises(ad.ShapeError):
             model.decode(model.frame_queries(), Tensor(np.zeros((4, 6))))
 
+    def test_one_dimensional_memory_rejected(self):
+        model = TrackingModel(TINY)
+        with pytest.raises(ad.ShapeError, match=r"memory needs \[T, 8\] token rows, got \(8,\)"):
+            model.decode(model.frame_queries(), Tensor(np.zeros(TINY.d_model)))
+
+    @pytest.mark.parametrize("model_dtype, memory_dtype", [("float32", "float64"), ("float64", "float32")])
+    def test_memory_in_another_dtype_rejected(self, model_dtype, memory_dtype):
+        # a float64 memory would make a float32 model's outputs float64
+        model = TrackingModel(dataclasses.replace(TINY, dtype=model_dtype))
+        memory = Tensor(np.zeros((4, TINY.d_model), dtype=memory_dtype))
+        with pytest.raises(ValueError, match=f"memory is {memory_dtype}, the model computes in {model_dtype}"):
+            model.decode(model.frame_queries(), memory)
+
+    @pytest.mark.parametrize("kinds", [["detect"], ["track", "detect"]])
+    def test_carried_block_with_detect_records_rejected(self, kinds):
+        # the model appends its own detect block; a carried one would join it unseen
+        model = TrackingModel(TINY)
+        records = [QueryRecord(k, track_id=1 if k == "track" else None) for k in kinds]
+        carried = QuerySet(Tensor(np.zeros((len(kinds), TINY.d_model))), records)
+        with pytest.raises(ValueError, match="carried track block holds 1 detect records"):
+            model.frame_queries(carried)
+
     def test_gradient_through_query_embeddings(self):
         model = TrackingModel(TINY, seed=12)
         rng = np.random.default_rng(12)
@@ -385,7 +407,8 @@ class TestTemporalAggregation:
             preds = model.forward_frame(img, QuerySet(emb, records, positions=pos))
             return ad.add(weighted_sum(ad.sigmoid(preds.class_logits), 1.0), weighted_sum(preds.boxes, box_weights))
 
-        report = ad.grad_check(f, [emb, pos, model.temporal.attn.wq], tol=1e-4)
+        wq = model.temporal[0][2]  # the temporal layer's attention (gain, bias, wq, ...)
+        report = ad.grad_check(f, [emb, pos, wq], tol=1e-4)
         assert report.passed, report.max_rel_err
 
     def test_positions_are_wired_and_follow_their_rows(self):
@@ -747,12 +770,22 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError, match=rf"{field} must be an integer >= [01], got"):
             ModelConfig(**{field: value})
-    # a truthy string would switch the positional code on
-    for value in ("no", 0, None):
-        with pytest.raises(ValueError, match="positional_encoding must be a bool"):
-            ModelConfig(positional_encoding=value)
     # layer counts may be 0
     assert ModelConfig(n_encoder_layers=0, n_decoder_layers=0).n_encoder_layers == 0
+
+
+def test_checkpoint_with_the_removed_positional_switch_rejected(tmp_path):
+    # files written while the config had a `positional_encoding` field carry it
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TrackingModel(TINY))
+    raw = path.read_bytes()
+    version, header_len = struct.unpack("<II", raw[4:12])
+    header = json.loads(raw[12 : 12 + header_len])
+    header["config"]["positional_encoding"] = True
+    body = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len :])
+    with pytest.raises(ValueError, match=r"model\.ckpt: invalid config in header.*positional_encoding"):
+        load_checkpoint(path)
 
 
 def test_config_dtype_validation():
