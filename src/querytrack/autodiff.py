@@ -12,8 +12,10 @@ them; a tensor the caller holds keeps its `.grad`.
 Conventions kept deliberately narrow so each backward rule stays auditable:
 
 - each op computes in its inputs' dtype, float32 or float64, and so does
-  its backward (constants are Python floats, which never promote an
-  array); `Tensor` turns any other input (Python numbers, lists, ints)
+  its backward: scalar constants are Python floats, which never promote an
+  array, and the constant columns that turn row sums and means into
+  matrix products (`_column`) are built in the input's dtype and cached
+  per dtype; `Tensor` turns any other input (Python numbers, lists, ints)
   into float64,
 - `grad_check` takes float64 leaves only (central differences need double
   precision),
@@ -34,8 +36,10 @@ each node on the tape is one a reader can find.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -297,6 +301,16 @@ def custom_op(data: np.ndarray, inputs: tuple, pull) -> Tensor:
     return out
 
 
+@lru_cache(maxsize=256)
+def _column(n: int, value: float, dtype: np.dtype) -> np.ndarray:
+    """A read-only [n,1] column of `value` in `dtype`. A row sum or mean is
+    a product with it: one BLAS call, where numpy reduces a short last axis
+    one row at a time. Cached per (n, value, dtype)."""
+    col = np.full((n, 1), value, dtype=dtype)
+    col.flags.writeable = False
+    return col
+
+
 def _suffix_axes(a_shape: tuple, b_shape: tuple) -> tuple | None:
     """Leading axes to reduce when b broadcasts into a; None if shapes equal."""
     if a_shape == b_shape:
@@ -510,19 +524,27 @@ _NORM_EPS = 1e-5
 
 
 def _check_norm(d: int, gain: Tensor, bias: Tensor, op: str) -> None:
+    if d == 0:
+        raise ShapeError(f"{op} needs at least one column to normalise")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"{op} affine shapes {gain.shape}/{bias.shape} do not match ({d},)")
 
 
 def _layer_norm_forward(xd: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
-    """(output, normalised rows y, 1/std per row) of the layer norm over the last axis."""
-    d = xd.shape[-1]
-    # sum / d is numpy's mean without its Python-level overhead; same bits
-    mu = xd.sum(axis=-1, keepdims=True) / d
-    xc = xd - mu
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
-    y = xc * inv
-    return _affine(y, gain, bias), y, inv
+    """(output, normalised rows y, 1/std per row) of the layer norm over the last axis.
+
+    The row mean and the variance are each one product with a [d,1] column
+    of 1/d in xd's dtype: numpy's reductions along a short last axis run
+    one row at a time. y is written over the centred rows.
+    """
+    mean = _column(xd.shape[-1], 1.0 / xd.shape[-1], xd.dtype)
+    xc = xd - xd @ mean
+    inv = (xc * xc) @ mean
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xc *= inv
+    return _affine(xc, gain, bias), xc, inv
 
 
 def _affine(y: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
@@ -537,7 +559,8 @@ def _layer_norm_backward(x, gain: Tensor, bias: Tensor, y, inv, g) -> None:
     """Accumulate the gain, bias and x terms of the layer norm, in that order.
 
     dgain = column sums of g ⊙ y, dbias = column sums of g, and with
-    gy = g ⊙ gain: dx = inv ⊙ (gy − rowmean(gy) − y ⊙ rowmean(gy ⊙ y)).
+    gy = g ⊙ gain: dx = (gy − rowmean(gy) − y ⊙ rowmean(gy ⊙ y)) ⊙ inv,
+    each row mean a product with the forward's column of 1/d.
     """
     d = y.shape[-1]
     if gain.requires_grad:
@@ -545,17 +568,23 @@ def _layer_norm_backward(x, gain: Tensor, bias: Tensor, y, inv, g) -> None:
     if bias.requires_grad:
         bias._accumulate(g.reshape(-1, d).sum(axis=0))
     if x.requires_grad:
+        mean = _column(d, 1.0 / d, y.dtype)
         gy = g * gain.data
-        m1 = gy.sum(axis=-1, keepdims=True) / d
-        m2 = (gy * y).sum(axis=-1, keepdims=True) / d
-        x._accumulate(inv * (gy - m1 - y * m2))
+        dx = gy - gy @ mean
+        gy *= y
+        dx -= y * (gy @ mean)
+        dx *= inv
+        x._accumulate(dx)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    eps, added to the variance, must be finite and positive.
+    """
     _check_norm(x.shape[-1], gain, bias, "layer_norm")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"layer_norm eps must be finite and positive, got {eps!r}")
     out, y, inv = _layer_norm_forward(x.data, gain, bias, eps)
 
     def pull(g):
@@ -581,21 +610,28 @@ def attention(
     Head h owns columns [h*dh, (h+1)*dh) with dh = d / n_heads, and
     c = 1/sqrt(dh). Forward, each projection a `_project`:
 
-        Q = q wq + bq,  K = k wk + bk,  V = v wv + bv
-        per head:  S_h = softmax((Q_h K_hᵀ) · c)  (row max subtracted before exp)
-        A = [S_1 V_1, ..., S_H V_H]  (heads in column order)
+        Q̃ = (q wq + bq) · c,  K = k wk + bk,  V = v wv + bv
+        per head, with key-major scores [keys, queries]:
+            E_h = exp(K_h Q̃_hᵀ − each query's max over the keys)
+            den_h = 1ᵀ E_h  (a product with a ones column)
+            O_h = (E_hᵀ V_h) / den_h  (each query's row divided)
+        A = [O_1, ..., O_H]  (heads in column order)
         out = x + (A wo + bo)
 
-    The heads run as one batched product over [n_heads, rows, dh] views.
-    The softmax runs in place on the one [n_heads, n, m] logit buffer, and
-    its backward in place on the dS buffer. Backward, for the output
-    gradient g, in this order:
+    So O_h = softmax(Q_h K_hᵀ · c) V_h, normalised after the value product
+    as in FlashAttention (Dao et al., 2022): the division runs over
+    [n, dh] rows, not [n, m] scores, and the max and the sum over the keys
+    run along the contiguous query axis. The heads run as one batched product
+    over [n_heads, rows, dh] views, and E is computed in place in one
+    [n_heads, m, n] buffer. Backward, for the output gradient g, in this
+    order:
 
         dx = g  (the residual term),  dwo = Aᵀ g,  dbo = column sums of g,
         dA = g woᵀ
-        per head:  dV_h = S_hᵀ dA_h,  dS = dA_h V_hᵀ,
-                   dZ = S_h ⊙ (dS − rowsum(dS ⊙ S_h)) · c,
-                   dQ_h = dZ K_h,  dK_h = dZᵀ Q_h
+        per head:  G = dA_h / den_h,  dV_h = E_h G,
+                   D = rowsum(G ⊙ O_h)  (a product with a ones column),
+                   dZᵀ = (V_h Gᵀ − D) ⊙ E_h  (D broadcast along the keys),
+                   dK_h = dZᵀ Q̃_h,  dQ_h = c · (dZ K_h)
         then for (r, w, b, dR) = (v, wv, bv, dV), (k, wk, bk, dK), (q, wq, bq, dQ):
                    dw = rᵀ dR,  db = column sums of dR,  dr = dR wᵀ
         self-attention:  dxn = (dv + dk) + dq
@@ -603,25 +639,35 @@ def attention(
         with memory:     dmemory += dv, then += dk;  dxn = dq
         then the layer norm's backward of dxn: dgain, dbias, and dx += its term
 
-    These are the products of the unfused chain (`layer_norm`, the `add` of
-    the positions, three `linear` projections, the core as its own op, the
-    output `linear` and the residual `add`; `tests/test_autodiff.py` builds
-    it), in the order its tape replays them. So every tensor that collects
-    several terms sums them in the chain's sequence (x: the residual term,
-    then the layer norm's; xn: value, key, query; memory: value, then key),
-    and the output and every gradient match the chain bit for bit.
+    D is FlashAttention's row term: rowsum(dS ⊙ S) of the textbook
+    backward, with S the softmax and dS = dA_h V_hᵀ, equals the row dot
+    products of dA_h and O_h, so no [n, m] product is needed for it. The
+    result equals the textbook formula up to rounding
+    (`tests/test_autodiff.py` checks both against each other).
+
+    These are also the products of the unfused chain (`layer_norm`, the
+    `add` of the positions, three `linear` projections, the core as its
+    own op, the output `linear` and the residual `add`;
+    `tests/test_autodiff.py` builds it), in the order its tape replays
+    them. So every tensor that collects several terms sums them in the
+    chain's sequence (x: the residual term, then the layer norm's; xn:
+    value, key, query; memory: value, then key), and the output and every
+    gradient match the chain bit for bit.
 
     Saves the layer norm's normalised rows y and 1/std per row, the
-    projected Q, K and V, the softmax S and the merged heads A. The backward
-    rebuilds q, k and v with the forward's own `rows`, from xn recomputed
-    as y ⊙ gain + bias, so they have the forward's bits; like `linear`, it
-    reads the parameters (and the positions and memory) at backward time.
+    projected Q̃, K and V, E, den ([n_heads, n, 1]) and the merged heads A,
+    whose head view is O. The backward rebuilds q, k and v with the
+    forward's own `rows`, from xn recomputed as y ⊙ gain + bias, so they
+    have the forward's bits; like `linear`, it reads the parameters (and
+    the positions and memory) at backward time.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"attention needs x [n,d], got {x.shape}")
     d = x.shape[1]
+    if isinstance(n_heads, bool) or not isinstance(n_heads, (int, np.integer)) or n_heads < 1:
+        raise ShapeError(f"attention n_heads must be a positive int, got {n_heads!r}")
     if d % n_heads:
-        raise ShapeError(f"attention width {d} is not divisible by {n_heads} heads")
+        raise ShapeError(f"attention width {d} is not divisible by n_heads={n_heads}")
     if memory is not None:
         if positions is not None:
             raise ValueError("attention adds positions in self-attention only, not with memory")
@@ -656,13 +702,17 @@ def attention(
 
     xn, y, inv = _layer_norm_forward(x.data, gain, bias, _NORM_EPS)
     q, k, v = rows(xn)
-    qh, kh, vh = split(_project(q, wq, bq)), split(_project(k, wk, bk)), split(_project(v, wv, bv))
-    s = qh @ kh.transpose(0, 2, 1)
-    s *= c
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    heads = merge(s @ vh)
+    qs = _project(q, wq, bq)
+    qs *= c
+    qh, kh, vh = split(qs), split(_project(k, wk, bk)), split(_project(v, wv, bv))
+    e = kh @ qh.transpose(0, 2, 1)  # key-major: [heads, keys, queries]
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    den = (_column(e.shape[1], 1.0, e.dtype).T @ e).transpose(0, 2, 1)
+    o = e.transpose(0, 2, 1) @ vh
+    o /= den
+    heads = merge(o)
+    del o  # heads is its merged copy: free it before the output projection
     out = _project(heads, wo, bo)
     out += x.data
 
@@ -685,18 +735,21 @@ def attention(
             return
         q, k, v = rows(_affine(y, gain, bias))
         gh = split(ga)
+        gh /= den
         dq = dk = dv = None
         if need_v:
-            dv = _project_back(v, wv, bv, merge(s.transpose(0, 2, 1) @ gh), need_rows[2])
+            dv = _project_back(v, wv, bv, merge(e @ gh), need_rows[2])
         if need_q or need_k:
-            dz = gh @ vh.transpose(0, 2, 1)
-            dz -= (dz * s).sum(axis=-1, keepdims=True)
-            dz *= s
-            dz *= c
+            dz = vh @ gh.transpose(0, 2, 1)
+            gh *= split(heads)  # G ⊙ O: its row sums are D
+            dz -= (gh @ _column(dh, 1.0, gh.dtype)).transpose(0, 2, 1)
+            dz *= e
             if need_k:
-                dk = _project_back(k, wk, bk, merge(dz.transpose(0, 2, 1) @ qh), need_rows[1])
+                dk = _project_back(k, wk, bk, merge(dz @ qh), need_rows[1])
             if need_q:
-                dq = _project_back(q, wq, bq, merge(dz @ kh), need_rows[0])
+                gq = merge(dz.transpose(0, 2, 1) @ kh)
+                gq *= c
+                dq = _project_back(q, wq, bq, gq, need_rows[0])
         if memory is not None:
             for dm in (dv, dk):
                 if dm is not None:

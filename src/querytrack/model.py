@@ -478,11 +478,17 @@ class TrackingModel:
     def decode(self, queries: QuerySet, memory: Tensor) -> FramePredictions:
         """Refine queries against frame tokens; emit class logits and boxes.
 
-        `memory` is the frame's tokens, [T, d_model] in the model's dtype.
+        `memory` is the frame's tokens, [T, d_model] in the model's dtype,
+        and so are the query embeddings, [N, d_model].
         """
         cfg = self.cfg
         if len(queries) == 0:
             raise ValueError("query set is empty; the detect block is mandatory")
+        emb = queries.embeddings.data
+        if emb.ndim != 2 or emb.shape[1] != cfg.d_model:
+            raise ShapeError(f"query embeddings need [N, {cfg.d_model}] rows, got {emb.shape}")
+        if emb.dtype != cfg.dtype:
+            raise ValueError(f"query embeddings are {emb.dtype}, the model computes in {cfg.dtype}")
         if memory.data.ndim != 2 or memory.shape[1] != cfg.d_model:
             raise ShapeError(f"memory needs [T, {cfg.d_model}] token rows, got {memory.shape}")
         if memory.data.dtype != cfg.dtype:

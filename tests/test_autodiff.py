@@ -126,16 +126,17 @@ class TestMlp:
             ad.mlp(Tensor(np.zeros((5, 4))), w1, b1, w2, b2)
 
 
-def attention_weights(logits):
-    """The row softmax inside `ad.attention`, read out for an [n,m] logit table.
+def logit_inputs(logits):
+    """(x, [gain, bias], proj, memory) of a one-head cross-attention whose
+    [n,m] logit table is `logits`.
 
-    Cross-attention in one head of width d = 2n + m, unit norm and identity
-    projections. Row i of x is e_2i - e_(2i+1): its mean is exactly 0, so
-    its layer norm is the row times a factor r that every row shares. Memory
-    row j holds logit (i, j) · sqrt(d) / r at column 2i, undoing r and the
-    op's 1/sqrt(d), and a 1 at column 2n + j. Each query then sees the
-    logits, each value is the one-hot 2n + j, and x is 0 in those columns,
-    so output column 2n + j of row i is the weight of key j for query i.
+    The width is d = 2n + m, with unit norm and identity projections. Row i
+    of x is e_2i - e_(2i+1): its mean is exactly 0, so its layer norm is
+    the row times a factor r that every row shares. Memory row j holds
+    logit (i, j) · sqrt(d) / r at column 2i, undoing r and the op's
+    1/sqrt(d), and a 1 at column 2n + j. Each query then sees the logits,
+    each value is the one-hot 2n + j, and x is 0 in those columns, so
+    output column 2n + j of row i is the weight of key j for query i.
     """
     logits = np.atleast_2d(logits)
     n, m = logits.shape
@@ -147,9 +148,15 @@ def attention_weights(logits):
     memory = np.zeros((m, d))
     memory[:, 0 : 2 * n : 2] = logits.T * np.sqrt(d) / r
     memory[np.arange(m), 2 * n + np.arange(m)] = 1.0
-    out = ad.attention(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d)), identity_proj(d), 1,
-                       memory=Tensor(memory))
-    return out.data[:, 2 * n :]
+    return Tensor(x), [Tensor(np.ones(d)), Tensor(np.zeros(d))], identity_proj(d), Tensor(memory)
+
+
+def attention_weights(logits):
+    """The row softmax inside `ad.attention`, read out for an [n,m] logit
+    table through `logit_inputs`."""
+    x, norm, proj, memory = logit_inputs(logits)
+    out = ad.attention(x, *norm, proj, 1, memory=memory)
+    return out.data[:, 2 * x.shape[0] :]
 
 
 class TestSoftmax:
@@ -177,52 +184,90 @@ class TestSoftmax:
             np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-9)
 
 
-def unfused_attention(q, k, v, proj, n_heads):
-    """The attention block as four `ad.linear` ops around the batched-head core.
+def split_heads(x, n_heads):
+    """[rows, d] -> [heads, rows, dh] view."""
+    return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
 
-    The core is a test-local op holding the formula the fused op replaced,
-    so this chain is the bit-for-bit reference for `ad.attention`.
-    """
-    wq, bq, wk, bk, wv, bv, wo, bo = proj
-    qp, kp, vp = ad.linear(q, wq, bq), ad.linear(k, wk, bk), ad.linear(v, wv, bv)
-    d = qp.shape[1]
-    dh = d // n_heads
+
+def merge_heads(x):
+    """[heads, rows, dh] -> [rows, d]."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+def flash_core(qp, kp, vp, n_heads):
+    """The batched-head core with the formula `ad.attention` uses, as one
+    test-local op: key-major scores of the scaled queries, normalisation
+    after the value product and FlashAttention's backward row term."""
+    dh = qp.shape[1] // n_heads
     c = 1.0 / np.sqrt(dh)
+    qh, kh, vh = (split_heads(a, n_heads) for a in (qp.data * c, kp.data, vp.data))
+    zt = kh @ qh.transpose(0, 2, 1)  # key-major scores [heads, keys, queries]
+    e = np.exp(zt - zt.max(axis=1, keepdims=True))
+    den = (np.ones((1, e.shape[1]), dtype=e.dtype) @ e).transpose(0, 2, 1)
+    o = (e.transpose(0, 2, 1) @ vh) / den
 
-    def split(x):
-        return x.reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
+    def pull(g):
+        gl = split_heads(g, n_heads) / den
+        if vp.requires_grad:
+            vp._accumulate(merge_heads(e @ gl))
+        if qp.requires_grad or kp.requires_grad:
+            row = ((gl * o) @ np.ones((dh, 1), dtype=o.dtype)).transpose(0, 2, 1)
+            dzt = (vh @ gl.transpose(0, 2, 1) - row) * e
+            if kp.requires_grad:
+                kp._accumulate(merge_heads(dzt @ qh))
+            if qp.requires_grad:
+                qp._accumulate(merge_heads(dzt.transpose(0, 2, 1) @ kh) * c)
 
-    def merge(x):
-        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+    return ad.custom_op(merge_heads(o), (qp, kp, vp), pull)
 
-    qh, kh, vh = split(qp.data), split(kp.data), split(vp.data)
+
+def textbook_core(qp, kp, vp, n_heads):
+    """The batched-head core as the softmax is usually written, as one
+    test-local op: scaled scores, normalisation before the value product
+    and the backward row term rowsum(dS ⊙ S)."""
+    dh = qp.shape[1] // n_heads
+    c = 1.0 / np.sqrt(dh)
+    qh, kh, vh = (split_heads(a, n_heads) for a in (qp.data, kp.data, vp.data))
     z = (qh @ kh.transpose(0, 2, 1)) * c
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
 
     def pull(g):
-        gh = split(g)
+        gh = split_heads(g, n_heads)
         if vp.requires_grad:
-            vp._accumulate(merge(s.transpose(0, 2, 1) @ gh))
+            vp._accumulate(merge_heads(s.transpose(0, 2, 1) @ gh))
         if qp.requires_grad or kp.requires_grad:
             ds = gh @ vh.transpose(0, 2, 1)
             dz = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * c
             if qp.requires_grad:
-                qp._accumulate(merge(dz @ kh))
+                qp._accumulate(merge_heads(dz @ kh))
             if kp.requires_grad:
-                kp._accumulate(merge(dz.transpose(0, 2, 1) @ qh))
+                kp._accumulate(merge_heads(dz.transpose(0, 2, 1) @ qh))
 
-    return ad.linear(ad.custom_op(merge(s @ vh), (qp, kp, vp), pull), wo, bo)
+    return ad.custom_op(merge_heads(s @ vh), (qp, kp, vp), pull)
 
 
-def unfused_attention_sublayer(x, gain, bias, proj, n_heads, memory=None, positions=None):
+def unfused_attention(q, k, v, proj, n_heads, core=flash_core):
+    """The attention block as four `ad.linear` ops around a batched-head core.
+
+    With `flash_core`, this chain is the bit-for-bit reference for how
+    `ad.attention` fuses the layer norm, the projections, the core and the
+    residual add; with `textbook_core`, the reference for its arithmetic.
+    """
+    wq, bq, wk, bk, wv, bv, wo, bo = proj
+    qp, kp, vp = ad.linear(q, wq, bq), ad.linear(k, wk, bk), ad.linear(v, wv, bv)
+    return ad.linear(core(qp, kp, vp, n_heads), wo, bo)
+
+
+def unfused_attention_sublayer(x, gain, bias, proj, n_heads, memory=None, positions=None,
+                               core=flash_core):
     """`layer_norm`, the query/key/value choice, `unfused_attention` and the
     residual `add`: the chain `ad.attention` replaced, op for op."""
     xn = ad.layer_norm(x, gain, bias)
     if memory is not None:
-        return ad.add(x, unfused_attention(xn, memory, memory, proj, n_heads))
+        return ad.add(x, unfused_attention(xn, memory, memory, proj, n_heads, core))
     qk = xn if positions is None else ad.add(xn, positions)
-    return ad.add(x, unfused_attention(qk, qk, xn, proj, n_heads))
+    return ad.add(x, unfused_attention(qk, qk, xn, proj, n_heads, core))
 
 
 def unfused_feed_forward(x, gain, bias, w1, b1, w2, b2):
@@ -421,6 +466,19 @@ class TestAttentionOp:
         with pytest.raises(ad.ShapeError):
             ad.attention(x, *norm, identity_proj(x_shape[-1]), n_heads, **kw)
 
+    @pytest.mark.parametrize("n_heads", [0, -2, 2.0, True, "2", None, 3])
+    def test_bad_head_count_rejected_by_name(self, n_heads):
+        # unchecked, 0 would divide by zero, -2 take the square root of a
+        # negative width and 2.0 fail in a reshape
+        x = Tensor(np.zeros((2, 4)))
+        with pytest.raises(ad.ShapeError, match="n_heads"):
+            ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), identity_proj(4), n_heads)
+
+    def test_numpy_int_head_count_accepted(self):
+        x = Tensor(np.zeros((2, 4)))
+        out = ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), identity_proj(4), np.int64(2))
+        assert out.shape == (2, 4)
+
     def test_positions_with_memory_rejected(self):
         x = Tensor(np.zeros((2, 4)))
         with pytest.raises(ValueError, match="positions in self-attention only"):
@@ -441,6 +499,57 @@ class TestAttentionOp:
         proj[index] = Tensor(np.zeros(shape))
         with pytest.raises(ad.ShapeError, match="weights and"):
             ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), proj, 2)
+
+
+class TestAttentionFormula:
+    """`ad.attention`'s arithmetic against the textbook formula: the same
+    math, so the output and every gradient agree to rounding."""
+
+    @staticmethod
+    def assert_match(x, norm, proj, n_heads, extra, seed):
+        # each entry within 1e-12 relative, where an entry that cancels to
+        # near zero is measured against the largest reference entry: the
+        # key bias's gradient, for one, is zero in exact arithmetic (the
+        # softmax ignores a shift that every key shares), rounding in both
+        rng = np.random.default_rng(seed)
+        n, d = x.shape
+        w, w_extra = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        leaves = [x, *norm, *extra.values(), *proj]
+        out, grads = tape_bits(lambda: ad.attention(x, *norm, proj, n_heads, **extra), leaves, w, w_extra)
+        ref_out, ref_grads = tape_bits(
+            lambda: unfused_attention_sublayer(x, *norm, proj, n_heads, core=textbook_core, **extra),
+            leaves, w, w_extra,
+        )
+        scale = max(np.abs(a).max() for a in [ref_out, *ref_grads])
+        names = ["out", "x", "gain", "bias", *extra, *"wq bq wk bk wv bv wo bo".split()]
+        for name, a, b in zip(names, [out, *grads], [ref_out, *ref_grads]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_matches_textbook_formula(self, mode, n_heads):
+        rng = np.random.default_rng(80 + n_heads)
+        n, m, d = 5, 7, 4 * n_heads
+        x = Tensor(rng.standard_normal((n, d)))
+        extra = {
+            "self": {},
+            "positions": {"positions": Tensor(rng.standard_normal((n, d)))},
+            "memory": {"memory": Tensor(rng.standard_normal((m, d)))},
+        }[mode]
+        self.assert_match(x, random_norm(rng, d), random_proj(rng, d), n_heads, extra, 90 + n_heads)
+
+    @pytest.mark.parametrize("case", ["offset_row", "single_key", "equal_scores"])
+    def test_matches_textbook_formula_at_edge_logits(self, case):
+        rng = np.random.default_rng(85)
+        logits = rng.standard_normal((3, 5))
+        if case == "offset_row":
+            logits[1] += 173.25
+        elif case == "single_key":
+            logits = logits[:, :1]
+        else:
+            logits[2] = 0.7
+        x, norm, proj, memory = logit_inputs(logits)
+        self.assert_match(x, norm, proj, 1, {"memory": memory}, 86)
 
 
 class TestFeedForwardOp:
@@ -499,6 +608,17 @@ class TestLayerNorm:
             Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12
         )
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_bad_eps_rejected(self, eps):
+        # nan <= 0 is false: unchecked, a NaN eps makes every row NaN and
+        # an infinite one every row zero, without an error
+        with pytest.raises(ValueError, match="layer_norm eps must be finite and positive"):
+            ad.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=eps)
+
+    def test_zero_width_rejected(self):
+        with pytest.raises(ad.ShapeError, match="at least one column"):
+            ad.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0)))
 
     def test_gradient(self):
         rng = np.random.default_rng(3)

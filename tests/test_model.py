@@ -363,6 +363,24 @@ class TestDecode:
         with pytest.raises(ValueError, match=f"memory is {memory_dtype}, the model computes in {model_dtype}"):
             model.decode(model.frame_queries(), memory)
 
+    def test_query_width_mismatch_rejected(self):
+        # a width of 6 on d_model 8 used to fail inside the first attention
+        model = TrackingModel(TINY)
+        queries = QuerySet(Tensor(np.zeros((2, 6))), [QueryRecord("detect") for _ in range(2)])
+        with pytest.raises(ad.ShapeError, match=r"query embeddings need \[N, 8\] rows, got \(2, 6\)"):
+            model.decode(queries, Tensor(np.zeros((4, TINY.d_model))))
+
+    @pytest.mark.parametrize("model_dtype, query_dtype", [("float32", "float64"), ("float64", "float32")])
+    def test_queries_in_another_dtype_rejected(self, model_dtype, query_dtype):
+        # float64 embeddings would make a float32 model's hidden and boxes float64
+        model = TrackingModel(dataclasses.replace(TINY, dtype=model_dtype))
+        embeddings = Tensor(np.zeros((2, TINY.d_model), dtype=query_dtype))
+        queries = QuerySet(embeddings, [QueryRecord("detect") for _ in range(2)])
+        memory = Tensor(np.zeros((4, TINY.d_model), dtype=model_dtype))
+        message = f"query embeddings are {query_dtype}, the model computes in {model_dtype}"
+        with pytest.raises(ValueError, match=message):
+            model.decode(queries, memory)
+
     @pytest.mark.parametrize("kinds", [["detect"], ["track", "detect"]])
     def test_carried_block_with_detect_records_rejected(self, kinds):
         # the model appends its own detect block; a carried one would join it unseen
