@@ -11,6 +11,11 @@ residual add included, is one tape op: `ad.attention` (through
 one tuple in its op's argument order, (gain, bias, w, b, ...), and a layer
 is a tuple of sublayers: (attention, ffn) for an encoder layer, so two ops,
 and (self-attention, cross-attention, ffn) for a decoder layer, so three.
+An attention sublayer is (gain, bias, w_in, b_in, wo, bo): as in DETR's
+`in_proj_weight`, one in-projection `<attn>.in.w` [d,3d] and `<attn>.in.b`
+[3d] packs the query, key and value projections as column blocks in that
+order, so self-attention projects all three rows with one product and its
+backward takes their weight and input gradients as one product each.
 The class head emits logits, which the loss takes on the tape; class
 probabilities are their sigmoid, derived off the tape for matching and
 scoring. The box head's sigmoid keeps box coordinates in [0, 1], strictly
@@ -224,12 +229,17 @@ class _ParamFactory:
         self.inits[name] = init
         return t
 
-    def linear(self, name: str, fan_in: int, fan_out: int, bias: float = 0.0):
+    def linear(self, name: str, fan_in: int, fan_out: int, blocks: int = 1, bias: float = 0.0):
+        """`name.w` [fan_in, blocks * fan_out] and `name.b`, each column block
+        of the weight a Xavier-uniform [fan_in, fan_out] draw, in block order,
+        and every bias entry `bias`."""
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = self.add(
-            f"{name}.w", (fan_in, fan_out), lambda rng, shape: rng.uniform(-limit, limit, size=shape)
-        )
-        b = self.add(f"{name}.b", (fan_out,), lambda rng, shape: bias)
+
+        def init(rng, shape):
+            return np.hstack([rng.uniform(-limit, limit, size=(fan_in, fan_out)) for _ in range(blocks)])
+
+        w = self.add(f"{name}.w", (fan_in, blocks * fan_out), init)
+        b = self.add(f"{name}.b", (blocks * fan_out,), lambda rng, shape: bias)
         return w, b
 
     def norm(self, name: str, d: int) -> tuple[Tensor, Tensor]:
@@ -239,15 +249,18 @@ class _ParamFactory:
     def sublayer(self, norm: str, linears) -> tuple[Tensor, ...]:
         """A pre-norm sublayer's leaves in its op's argument order: the layer
         norm `norm`'s gain and bias, then the weight and bias of each
-        (name, fan_in, fan_out) linear, which are declared first."""
-        body = [t for name, fan_in, fan_out in linears for t in self.linear(name, fan_in, fan_out)]
+        `linear`, given as its (name, fan_in, fan_out[, blocks]) arguments,
+        which are declared first."""
+        body = [t for spec in linears for t in self.linear(*spec)]
         return (*self.norm(norm, linears[0][1]), *body)
 
     def layer(self, name: str, d: int, hidden: int, *attentions) -> tuple:
         """A layer's `sublayer` tuples: an attention for each (attention,
-        norm) name pair, then the feed-forward net."""
+        norm) name pair, then the feed-forward net. An attention's `in`
+        linear packs its query, key and value projections as three [d,d]
+        column blocks, drawn in that order."""
         sublayers = [
-            self.sublayer(f"{name}.{norm}", [(f"{name}.{attn}.{p}", d, d) for p in ("q", "k", "v", "out")])
+            self.sublayer(f"{name}.{norm}", [(f"{name}.{attn}.in", d, d, 3), (f"{name}.{attn}.out", d, d)])
             for attn, norm in attentions
         ]
         ffn = [(f"{name}.ffn.inner", d, hidden), (f"{name}.ffn.outer", hidden, d)]
@@ -273,7 +286,13 @@ def multi_head_attention(
 ) -> Tensor:
     """One pre-norm residual attention sublayer, x + attend(LN(x)), as the one
     op `ad.attention`, which also checks the shapes. `p` is the sublayer's
-    (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo).
+    (gain, bias, w_in, b_in, wo, bo): its layer norm's affine, the packed
+    in-projection w_in [d,3d] and b_in [3d], whose column blocks project
+    the query, key and value rows in that order, and the out-projection
+    wo [d,d], bo [d]. Rows that share an input share one product with
+    w_in: [Q|K|V] in self-attention, [Q|K] and V with positions, Q and
+    [K|V] with memory; the backward takes each product's weight, bias and
+    input gradient as one product each (`ad.attention`).
 
     Self-attention by default (query, key and value are the normalised x,
     the query and key plus `positions` when given); with `memory`, the

@@ -31,15 +31,26 @@ def weighted_sum(x, w):
     return ad.custom_op(np.sum(x.data * w), (x,), pull)
 
 
+PROJ_NAMES = ["w_in", "b_in", "wo", "bo"]
+
+
+def packed_proj(wq, bq, wk, bk, wv, bv, wo, bo):
+    """(w_in, b_in, wo, bo) from the separate query, key and value arrays:
+    w_in = [wq|wk|wv] [d,3d] and b_in = [bq|bk|bv] [3d]."""
+    return [Tensor(np.hstack([wq, wk, wv])), Tensor(np.concatenate([bq, bk, bv])),
+            Tensor(wo), Tensor(bo)]
+
+
 def identity_proj(d):
     """Attention projections that leave their rows unchanged."""
-    eye, zero = Tensor(np.eye(d)), Tensor(np.zeros(d))
-    return [eye, zero] * 4
+    eye, zero = np.eye(d), np.zeros(d)
+    return packed_proj(*[eye, zero] * 4)
 
 
 def random_proj(rng, d):
-    """(wq, bq, wk, bk, wv, bv, wo, bo): [d,d] weights and [d] biases."""
-    return [Tensor(rng.standard_normal((d, d) if i % 2 == 0 else d) / np.sqrt(d)) for i in range(8)]
+    """(w_in, b_in, wo, bo) packed from eight draws in the order wq, bq, wk,
+    bk, wv, bv, wo, bo: [d,d] weights and [d] biases."""
+    return packed_proj(*[rng.standard_normal((d, d) if i % 2 == 0 else d) / np.sqrt(d) for i in range(8)])
 
 
 def random_norm(rng, d):
@@ -247,27 +258,35 @@ def textbook_core(qp, kp, vp, n_heads):
     return ad.custom_op(merge_heads(s @ vh), (qp, kp, vp), pull)
 
 
-def unfused_attention(q, k, v, proj, n_heads, core=flash_core):
-    """The attention block as four `ad.linear` ops around a batched-head core.
+def unfused_attention_sublayer(x, gain, bias, proj, n_heads, memory=None, positions=None,
+                               core=flash_core):
+    """The chain `ad.attention` replaced, op for op: `layer_norm`, the query,
+    key and value rows, one `ad.linear` per in-projection product over its
+    columns of the packed weight and bias (`slice_axis`), `slice_axis` of
+    each product into its q, k and v blocks, a batched-head core, the output
+    `ad.linear` and the residual `add`.
 
-    With `flash_core`, this chain is the bit-for-bit reference for how
+    Self-attention is one `linear` over the whole [d,3d] weight. With
+    `flash_core`, this chain is the bit-for-bit reference for how
     `ad.attention` fuses the layer norm, the projections, the core and the
     residual add; with `textbook_core`, the reference for its arithmetic.
     """
-    wq, bq, wk, bk, wv, bv, wo, bo = proj
-    qp, kp, vp = ad.linear(q, wq, bq), ad.linear(k, wk, bk), ad.linear(v, wv, bv)
-    return ad.linear(core(qp, kp, vp, n_heads), wo, bo)
-
-
-def unfused_attention_sublayer(x, gain, bias, proj, n_heads, memory=None, positions=None,
-                               core=flash_core):
-    """`layer_norm`, the query/key/value choice, `unfused_attention` and the
-    residual `add`: the chain `ad.attention` replaced, op for op."""
+    w_in, b_in, wo, bo = proj
+    d = x.shape[1]
     xn = ad.layer_norm(x, gain, bias)
     if memory is not None:
-        return ad.add(x, unfused_attention(xn, memory, memory, proj, n_heads, core))
-    qk = xn if positions is None else ad.add(xn, positions)
-    return ad.add(x, unfused_attention(qk, qk, xn, proj, n_heads, core))
+        products = [(xn, 0, d), (memory, d, 3 * d)]
+    elif positions is not None:
+        products = [(ad.add(xn, positions), 0, 2 * d), (xn, 2 * d, 3 * d)]
+    else:
+        products = [(xn, 0, 3 * d)]
+    outs = [
+        ad.linear(r, w_in, b_in) if (lo, hi) == (0, 3 * d)
+        else ad.linear(r, ad.slice_axis(w_in, 1, lo, hi), ad.slice_axis(b_in, 0, lo, hi))
+        for r, lo, hi in products
+    ]
+    qp, kp, vp = (ad.slice_axis(o, 1, j, j + d) for o in outs for j in range(0, o.shape[1], d))
+    return ad.add(x, ad.linear(core(qp, kp, vp, n_heads), wo, bo))
 
 
 def unfused_feed_forward(x, gain, bias, w1, b1, w2, b2):
@@ -311,7 +330,7 @@ class TestAttentionOp:
             [x, *random_norm(rng, d), memory, *random_proj(rng, d)],
         )
         assert report.passed, report.max_rel_err
-        assert len(report.rel_errs) == 12
+        assert len(report.rel_errs) == 8
 
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_grad_check_shared_query_key(self, n_heads):
@@ -326,7 +345,30 @@ class TestAttentionOp:
             [x, *random_norm(rng, 6), positions, *random_proj(rng, 6)],
         )
         assert report.passed, report.max_rel_err
-        assert len(report.rel_errs) == 12
+        assert len(report.rel_errs) == 8
+
+    @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
+    def test_grad_check_each_input_alone(self, mode):
+        # only the checked input requires a gradient, so each pruned path
+        # of the backward (no weight term, no row term, ...) runs alone
+        rng = np.random.default_rng(40)
+        n, m, d = 3, 4, 4
+        x, w = rng_tensor(rng, n, d), rng_tensor(rng, n, d)
+        extra = {"self": {}, "positions": {"positions": rng_tensor(rng, n, d)},
+                 "memory": {"memory": rng_tensor(rng, m, d)}}[mode]
+        norm, proj = random_norm(rng, d), random_proj(rng, d)
+        inputs = {"x": x, "gain": norm[0], "bias": norm[1], **extra, **dict(zip(PROJ_NAMES, proj))}
+
+        def f(t):
+            ts = {name: t if name == checked else other for name, other in inputs.items()}
+            return self.weighted(ts["x"], ts["gain"], ts["bias"], [ts[k] for k in PROJ_NAMES], 2, w,
+                                 **{k: ts[k] for k in extra})
+
+        for checked, t in inputs.items():
+            for other in inputs.values():
+                other.requires_grad = False
+            report = ad.grad_check(f, [t])
+            assert report.passed, (checked, report.max_rel_err)
 
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_grad_check_shared_query_key_value(self, n_heads):
@@ -338,7 +380,7 @@ class TestAttentionOp:
             [x, *random_norm(rng, 6), *random_proj(rng, 6)],
         )
         assert report.passed, report.max_rel_err
-        assert len(report.rel_errs) == 11
+        assert len(report.rel_errs) == 7
 
     # the reference chain's attention core gets q, k and v shared as named:
     # q_is_k is self-attention with positions (the temporal layer), k_is_v is
@@ -365,7 +407,7 @@ class TestAttentionOp:
         fused_out, fused_grads = run(ad.attention)
         ref_out, ref_grads = run(unfused_attention_sublayer)
         assert np.array_equal(fused_out, ref_out)
-        names = ["x", "gain", "bias", *extra, *"wq bq wk bk wv bv wo bo".split()]
+        names = ["x", "gain", "bias", *extra, *PROJ_NAMES]
         assert len(fused_grads) == len(ref_grads) == len(names)
         for name, a, b in zip(names, fused_grads, ref_grads):
             assert np.array_equal(a, b), name
@@ -406,7 +448,7 @@ class TestAttentionOp:
         rng = np.random.default_rng(70)
         n, m, d = 4, 6, 8
         extra = {"self": {}, "positions": {"positions": (n, d)}, "memory": {"memory": (m, d)}}[mode]
-        proj = "wq bq wk bk wv bv wo bo".split()
+        proj = PROJ_NAMES
         arrays = {"x": rng.standard_normal((n, d))}
         arrays["gain"], arrays["bias"] = (t.data for t in random_norm(rng, d))
         arrays.update({name: rng.standard_normal(shape) for name, shape in extra.items()})
@@ -425,12 +467,37 @@ class TestAttentionOp:
             return {name: t.grad for name, t in ts.items()}
 
         every = grads(set(arrays))
-        for needs in [{name} for name in arrays] + [{"x", "wv"}, {*extra, "gain", "bq"}]:
+        for needs in [{name} for name in arrays] + [{"x", "w_in"}, {*extra, "gain", "b_in"}]:
             for name, g in grads(needs).items():
                 if name in needs:
                     assert np.array_equal(g, every[name]), (needs, name)
                 else:
                     assert g is None, (needs, name)
+
+    @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
+    def test_tape_free_call_builds_no_backward_rule(self, mode, monkeypatch):
+        # with no tape, inputs that require grad give an output that does
+        # not, and the op records nothing and makes no custom_op node
+        rng = np.random.default_rng(56)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        extra = {"self": {}, "positions": {"positions": rng_tensor(rng, 3, 4)},
+                 "memory": {"memory": rng_tensor(rng, 5, 4)}}[mode]
+        leaves = [*random_norm(rng, 4), *random_proj(rng, 4), *extra.values()]
+        for t in leaves:
+            t.requires_grad = True
+        norm, proj = leaves[:2], leaves[2:6]
+        with Tape():
+            taped = ad.attention(x, *norm, proj, 2, **extra)
+        assert taped.requires_grad
+
+        def no_node(*args):
+            raise AssertionError("a tape-free attention call built a tape node")
+
+        monkeypatch.setattr(ad, "custom_op", no_node)
+        monkeypatch.setattr(ad.Tape, "record", no_node)
+        out = ad.attention(x, *norm, proj, 2, **extra)
+        assert not out.requires_grad and out._tape is None
+        assert np.array_equal(out.data, taped.data)
 
     def test_one_tape_node(self):
         # the layer norm, the projections and the residual add are part of
@@ -485,13 +552,22 @@ class TestAttentionOp:
             ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), identity_proj(4), 1,
                          memory=Tensor(np.zeros((3, 4))), positions=x)
 
+    @pytest.mark.parametrize("count", [0, 3, 6, 8])
+    def test_proj_of_another_length_rejected_by_name(self, count):
+        # unchecked, unpacking six or eight tensors raised a bare ValueError;
+        # eight is the layout with separate query, key and value projections
+        x = Tensor(np.zeros((2, 4)))
+        proj = [Tensor(np.eye(4)), Tensor(np.zeros(4))] * (count // 2) + [Tensor(np.zeros(4))] * (count % 2)
+        with pytest.raises(ad.ShapeError, match=rf"attention proj needs 4 tensors .* got {count}"):
+            ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), proj, 2)
+
     def test_bad_norm_shapes_rejected(self):
         x = Tensor(np.zeros((2, 4)))
         with pytest.raises(ad.ShapeError, match="attention affine shapes"):
             ad.attention(x, Tensor(np.ones(3)), Tensor(np.zeros(4)), identity_proj(4), 1)
 
     @pytest.mark.parametrize(
-        "index,shape", [(4, (4, 3)), (6, (3, 4)), (1, (3,)), (7, (1, 4))]
+        "index,shape", [(0, (4, 8)), (2, (3, 4)), (1, (4,)), (3, (1, 4)), (0, (4, 4))]
     )
     def test_bad_projection_shapes_rejected(self, index, shape):
         x = Tensor(np.zeros((2, 4)))
@@ -521,7 +597,7 @@ class TestAttentionFormula:
             leaves, w, w_extra,
         )
         scale = max(np.abs(a).max() for a in [ref_out, *ref_grads])
-        names = ["out", "x", "gain", "bias", *extra, *"wq bq wk bk wv bv wo bo".split()]
+        names = ["out", "x", "gain", "bias", *extra, *PROJ_NAMES]
         for name, a, b in zip(names, [out, *grads], [ref_out, *ref_grads]):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
@@ -616,6 +692,11 @@ class TestLayerNorm:
         with pytest.raises(ValueError, match="layer_norm eps must be finite and positive"):
             ad.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=eps)
 
+    def test_zero_d_input_rejected(self):
+        # unchecked, reading the width of a 0-d tensor raised a bare IndexError
+        with pytest.raises(ad.ShapeError, match="layer_norm needs at least one axis"):
+            ad.layer_norm(Tensor(1.0), Tensor(np.ones(1)), Tensor(np.zeros(1)))
+
     def test_zero_width_rejected(self):
         with pytest.raises(ad.ShapeError, match="at least one column"):
             ad.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0)))
@@ -664,6 +745,20 @@ class TestElementwise:
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((2, 5)))
         assert ad.concat([a, b], axis=1).shape == (2, 8)
+
+    def test_concat_negative_axis_counts_from_the_last(self):
+        rng = np.random.default_rng(16)
+        a, b = rng_tensor(rng, 2, 3), rng_tensor(rng, 2, 5)
+        assert np.array_equal(ad.concat([a, b], axis=-1).data, np.concatenate([a.data, b.data], axis=1))
+        w = rng.standard_normal((2, 8))
+        assert ad.grad_check(lambda a, b: weighted_sum(ad.concat([a, b], axis=-1), w), [a, b]).passed
+
+    @pytest.mark.parametrize("axis", [2, 3, -3])
+    def test_concat_out_of_range_axis_rejected(self, axis):
+        # unchecked, axis 3 raised a bare IndexError from the size lookup
+        x = Tensor(np.zeros((3, 4)))
+        with pytest.raises(ad.ShapeError, match=rf"concat axis {axis} is out of range for shape \(3, 4\)"):
+            ad.concat([x, x], axis=axis)
 
     def test_binary_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
@@ -861,8 +956,8 @@ class TestBackward:
             rng = np.random.default_rng(11)
             x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
             b = Tensor(rng.standard_normal(4), requires_grad=True)
-            proj = [x, b] * 4
             with Tape() as tape:
+                proj = [ad.concat([x, x, x], axis=1), ad.concat([b, b, b]), x, b]
                 loss = weighted_sum(ad.attention(ad.linear(x, x, b), b, b, proj, 2, memory=x), 1.0)
             tape.backward(loss)
             return loss.item(), x.grad.copy()

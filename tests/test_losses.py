@@ -350,7 +350,7 @@ class TestTinyModelFrameLoss:
 
     def test_gradient_reaches_heads_decoder_and_temporal_layer(self):
         params = self.model.params
-        names = ["head.class.w", "head.box.outer.w", "decoder.0.ffn.inner.w", "temporal.attn.q.w"]
+        names = ["head.class.w", "head.box.outer.w", "decoder.0.ffn.inner.w", "temporal.attn.in.w"]
         report = ad.grad_check(lambda *_: self.loss(), [params[n] for n in names])
         assert report.passed, report.max_rel_err
 

@@ -109,10 +109,16 @@ class TestEncode:
         assert np.array_equal(a, b)
 
 
+def packed_attention(wq, bq, wk, bk, wv, bv, wo, bo, requires_grad=False):
+    """(w_in, b_in, wo, bo) with w_in = [wq|wk|wv] and b_in = [bq|bk|bv]."""
+    arrays = [np.hstack([wq, wk, wv]), np.concatenate([bq, bk, bv]), wo, bo]
+    return [Tensor(a, requires_grad=requires_grad) for a in arrays]
+
+
 def identity_attention(d):
-    """(wq, bq, wk, bk, wv, bv, wo, bo): identity weights and zero biases."""
-    eye, zero = Tensor(np.eye(d)), Tensor(np.zeros(d))
-    return [eye, zero] * 4
+    """(w_in, b_in, wo, bo): identity blocks and zero biases."""
+    eye, zero = np.eye(d), np.zeros(d)
+    return packed_attention(*[eye, zero] * 4)
 
 
 def unit_norm(d):
@@ -141,12 +147,14 @@ def per_head_attention(x, norm, p, n_heads, weight, memory=None):
 
     Returns the sublayer output x + attend(LN(x)) and the gradients of
     sum(output * weight) w.r.t. x, the norm's gain and bias, the memory
-    (when given) and the eight projection parameters, in the order
+    (when given) and the four projection parameters, in the order
     `attention_grads` uses.
     """
     gain, bias = (t.data for t in norm)
-    wq, bq, wk, bk, wv, bv, wo, bo = (t.data for t in p)
+    w_in, b_in, wo, bo = (t.data for t in p)
     d = x.shape[1]
+    wq, wk, wv = w_in[:, :d], w_in[:, d : 2 * d], w_in[:, 2 * d :]
+    bq, bk, bv = b_in[:d], b_in[d : 2 * d], b_in[2 * d :]
     xd = x.data
     mu = xd.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(((xd - mu) ** 2).mean(axis=1, keepdims=True) + 1e-5)
@@ -184,16 +192,15 @@ def per_head_attention(x, norm, p, n_heads, weight, memory=None):
     dx = g + inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
     return out, [
         dx, (dxn * y).sum(axis=0), dxn.sum(axis=0), *([] if memory is None else [dkv]),
-        xn.T @ dqp, dqp.sum(axis=0), kv.T @ dkp, dkp.sum(axis=0),
-        kv.T @ dvp, dvp.sum(axis=0), merged.T @ g, g.sum(axis=0),
+        np.hstack([xn.T @ dqp, kv.T @ dkp, kv.T @ dvp]),
+        np.concatenate([dqp.sum(axis=0), dkp.sum(axis=0), dvp.sum(axis=0)]),
+        merged.T @ g, g.sum(axis=0),
     ]
 
 
 def random_attention(rng, d):
-    return [
-        Tensor(rng.standard_normal((d, d) if i % 2 == 0 else d) / np.sqrt(d), requires_grad=True)
-        for i in range(8)
-    ]
+    draws = [rng.standard_normal((d, d) if i % 2 == 0 else d) / np.sqrt(d) for i in range(8)]
+    return packed_attention(*draws, requires_grad=True)
 
 
 def random_norm(rng, d):
@@ -232,7 +239,7 @@ class TestAttention:
             fused = attention_grads(x, norm, p, n_heads, weight, memory)
             ref = per_head_attention(x, norm, p, n_heads, weight, memory)
             np.testing.assert_allclose(fused[0], ref[0], rtol=0, atol=1e-12)
-            assert len(fused[1]) == len(ref[1]) == (11 if shared_query_key else 12)
+            assert len(fused[1]) == len(ref[1]) == (7 if shared_query_key else 8)
             for a, b in zip(fused[1], ref[1]):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -273,7 +280,7 @@ class TestAttention:
         rng = np.random.default_rng(5)
         x, memory = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((7, 4)))
         p = identity_attention(4)
-        p[4], p[5] = Tensor(np.zeros((4, 4))), Tensor(np.ones(4))  # wv, bv
+        p[0].data[:, 8:], p[1].data[8:] = 0.0, 1.0  # the value block of w_in and b_in
         out = multi_head_attention(x, unit_norm(4) + p, 2, memory=memory)
         np.testing.assert_allclose(out.data - x.data, 1.0, atol=1e-9)
 
@@ -421,12 +428,12 @@ class TestTemporalAggregation:
         records = [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)]
         box_weights = rng.standard_normal((2 + TINY.n_detect_queries, 4))
 
-        def f(emb, pos, wq):  # wq is read through the model
+        def f(emb, pos, w_in):  # w_in is read through the model
             preds = model.forward_frame(img, QuerySet(emb, records, positions=pos))
             return ad.add(weighted_sum(ad.sigmoid(preds.class_logits), 1.0), weighted_sum(preds.boxes, box_weights))
 
-        wq = model.temporal[0][2]  # the temporal layer's attention (gain, bias, wq, ...)
-        report = ad.grad_check(f, [emb, pos, wq], tol=1e-4)
+        w_in = model.temporal[0][2]  # the temporal layer's attention (gain, bias, w_in, ...)
+        report = ad.grad_check(f, [emb, pos, w_in], tol=1e-4)
         assert report.passed, report.max_rel_err
 
     def test_positions_are_wired_and_follow_their_rows(self):

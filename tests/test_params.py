@@ -77,8 +77,63 @@ class TestLayout:
     def test_view_writes_reach_theta_and_the_layer_structs(self):
         model = TrackingModel(TINY, seed=2)
         model.parameters()["temporal"].data[:] = 0.5
-        assert (model.temporal[0][2].data == 0.5).all()  # the temporal attention's wq
+        assert (model.temporal[0][2].data == 0.5).all()  # the temporal attention's w_in
         assert (model.params["temporal.norm_ffn.bias"].data == 0.5).all()
+
+
+def separate_qkv_draws(cfg, seed):
+    """Initial values by name of the layout with separate `q`, `k` and `v`
+    projections in every attention, drawn in its declaration order:
+    Xavier-uniform weights, constant biases and normal detect queries."""
+    rng, d, values = np.random.default_rng(seed), cfg.d_model, {}
+
+    def linear(name, fan_in, fan_out, bias=0.0):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        values[f"{name}.w"] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        values[f"{name}.b"] = np.full(fan_out, bias)
+
+    def layer(name, *attentions):
+        for attn in attentions:
+            for proj in ("q", "k", "v", "out"):
+                linear(f"{name}.{attn}.{proj}", d, d)
+        linear(f"{name}.ffn.inner", d, cfg.ffn_dim)
+        linear(f"{name}.ffn.outer", cfg.ffn_dim, d)
+
+    linear("patch_embed", cfg.patch_size * cfg.patch_size * cfg.n_channels, d)
+    for i in range(cfg.n_encoder_layers):
+        layer(f"encoder.{i}", "attn")
+    for i in range(cfg.n_decoder_layers):
+        layer(f"decoder.{i}", "self_attn", "cross_attn")
+    values["detect_queries"] = rng.normal(0.0, 0.02, size=(cfg.n_detect_queries, d))
+    linear("head.class", d, cfg.n_classes, bias=-2.0)
+    linear("head.box.inner", d, d)
+    linear("head.box.outer", d, 4)
+    layer("temporal", "attn")
+    return values
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_packed_in_projection_is_the_separate_draws_side_by_side(dtype):
+    # each attention's in.w is [q.w|k.w|v.w] and in.b is [q.b|k.b|v.b] of
+    # the separate layout drawn with the same seed, and every other
+    # parameter equals its separate-layout draw, so θ at init is the same
+    # values block for block
+    cfg = ModelConfig(dtype=dtype)
+    model, draws = TrackingModel(cfg, seed=11), separate_qkv_draws(cfg, 11)
+    expected = {}
+    for name, value in draws.items():
+        stem, proj, part = name.rsplit(".", 2) if name.count(".") >= 2 else (None, None, None)
+        if proj in ("q", "k", "v"):
+            if proj == "q":
+                blocks = [draws[f"{stem}.{p}.{part}"] for p in ("q", "k", "v")]
+                expected[f"{stem}.in.{part}"] = np.concatenate(blocks, axis=-1)
+        else:
+            expected[name] = value
+    norms = {n for n in model.params if n.rsplit(".", 1)[-1] in ("gain", "bias")}
+    assert set(model.params) - norms == set(expected)
+    assert len(model.params) == 101 and model.theta.size == 260_933
+    for name, value in expected.items():
+        assert np.array_equal(model.params[name].data, value.astype(dtype)), name
 
 
 def empty_clip(clip):
@@ -117,7 +172,7 @@ def test_group_adam_equals_per_parameter_adam(dtype):
         if k % 2 == 0:
             # no object: no track block reaches the temporal layer, no row the box head
             assert without == ["head.box", "temporal"]
-            assert sum(p.grad is None for p in grouped.params.values()) == 20
+            assert sum(p.grad is None for p in grouped.params.values()) == 16
             assert sorted(n for n, p in named.params.items() if p.grad is None) == sorted(
                 n for n in grouped.params if n.startswith(("head.box.", "temporal."))
             )
@@ -231,6 +286,29 @@ class TestCheckpointPayload:
         assert loaded.theta.tobytes() == model.theta.tobytes()
         for name, p in loaded.params.items():
             assert np.shares_memory(p.data, loaded.theta), name
+
+    def test_manifest_with_separate_qkv_names_rejected(self, tmp_path):
+        # a checkpoint of the layout with separate q, k and v projections has
+        # the same payload size; its manifest names the parameters this
+        # layout lacks
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, TrackingModel(TINY, seed=8))
+        raw = path.read_bytes()
+        version, header_len = struct.unpack("<II", raw[4:12])
+        header = json.loads(raw[12 : 12 + header_len])
+        d, manifest = TINY.d_model, []
+        for entry in header["params"]:
+            stem, proj, part = (entry["name"].rsplit(".", 2) + ["", ""])[:3]
+            if proj != "in":
+                manifest.append(entry)
+            elif part == "w":
+                manifest += [{"name": f"{stem}.{p}.{q}", "shape": [d, d] if q == "w" else [d]}
+                             for p in ("q", "k", "v") for q in ("b", "w")]
+        header["params"] = sorted(manifest, key=lambda entry: entry["name"])
+        body = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len :])
+        with pytest.raises(ValueError, match=r"m\.ckpt: manifest omits parameters \[.*attn\.in\.b"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "edit, message",
