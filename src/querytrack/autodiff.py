@@ -187,6 +187,14 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
+    def _accumulate_rows(self, rows, g: np.ndarray) -> None:
+        """Add g into `rows` of .grad (a slice, or row indices without
+        repeats) and leave its other rows as they are; an unset .grad starts
+        as zeros, so the rows hold 0 + g."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad[rows] += g
+
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -230,6 +238,12 @@ class _ViewLeaf(Tensor):
                 group.grad = np.zeros_like(group.data)
             self.grad = group.grad[self._span].reshape(self.data.shape)
         self.grad += g
+
+    def _accumulate_rows(self, rows, g: np.ndarray) -> None:
+        # through `_accumulate`, which checks the dtype and finds the group
+        full = np.zeros(self.data.shape, g.dtype)
+        full[rows] = g
+        self._accumulate(full)
 
 
 def view_leaf(shape: tuple[int, ...]) -> Tensor:
@@ -486,14 +500,17 @@ def concat(xs, axis: int = 0) -> Tensor:
     if not -ndim <= axis < ndim:
         raise ShapeError(f"concat axis {axis} is out of range for shape {xs[0].shape}")
     axis %= ndim
-    sizes = [t.shape[axis] for t in xs]
-    offsets = np.cumsum(sizes)[:-1]
+    parts, start = [], 0
+    for t in xs:
+        stop = start + t.shape[axis]
+        parts.append((slice(None),) * axis + (slice(start, stop),))
+        start = stop
 
     def pull(g):
-        parts = np.split(g, offsets, axis=axis)
-        for t, p in zip(xs, parts):
+        # each input's gradient is a view of g, taken as a slice
+        for t, part in zip(xs, parts):
             if t.requires_grad:
-                t._accumulate(p)
+                t._accumulate(g[part])
 
     return custom_op(np.concatenate([t.data for t in xs], axis=axis), tuple(xs), pull)
 
@@ -515,10 +532,22 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
-    """Select rows of a 2-d tensor; backward scatter-adds (indices may repeat)."""
+    """Select rows of a 2-d tensor; backward scatter-adds (indices may repeat).
+
+    idx is a 1-d sequence of integer row indices, each in [0, n); an
+    empty sequence selects no rows. Anything else (bools, floats, a
+    negative or past-the-end row, more dimensions) raises a ShapeError
+    naming it.
+    """
     if x.data.ndim != 2:
         raise ShapeError(f"gather_rows is 2-d only, got {x.shape}")
-    idx = np.asarray(idx, dtype=np.intp)
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.dtype.kind not in "iu" and idx.size):
+        raise ShapeError(f"gather_rows needs a 1-d integer row index, got {idx.dtype} shape {idx.shape}")
+    idx = idx.astype(np.intp, copy=False)
+    bad = (idx < 0) | (idx >= x.shape[0])
+    if bad.any():
+        raise ShapeError(f"gather_rows index {idx[bad][0]} is outside [0, {x.shape[0]})")
 
     def pull(g):
         if x.requires_grad:

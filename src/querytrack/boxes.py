@@ -5,9 +5,11 @@ intersection, union and enclosing areas) is written once, in `_overlap`,
 over broadcastable `[..., 4]` rows. Two surfaces sit on it: the pairwise
 numpy kernels `iou`/`giou`/`l1_box` (`[m,4] x [n,4] -> [m,n]`) for matching
 costs and metrics, and `box_giou_rows`, one differentiable tape op over
-aligned rows (`[n,4] x [n,4] -> [n,1]`) for the loss. `box_l1_rows` is its
-L1 counterpart, also one tape op. Tests cross-check the kernels' diagonal
-against the row ops.
+aligned rows (`[n,4] x [n,4] -> [n,1]`). `box_l1_rows` is its L1
+counterpart, also one tape op. The row ops' arithmetic is the kernels
+`_l1_rows`, `_giou_rows` and `_giou_rows_back`, which `losses.frame_loss`
+calls too, on all of a frame's matched rows at once. Tests cross-check the
+pairwise kernels' diagonal against the row ops.
 """
 
 from __future__ import annotations
@@ -137,6 +139,13 @@ def _check_rows(op: str, pred: Tensor, target: Tensor) -> None:
         raise ShapeError(f"{op} needs two [n,4] tensors, got {pred.shape} and {target.shape}")
 
 
+def _l1_rows(a: np.ndarray, b: np.ndarray):
+    """(L1 distance [n,1], sign(a − b) [n,4]) of aligned [n,4] rows a and b:
+    the value of `box_l1_rows` and what its backward multiplies by."""
+    diff = a - b
+    return np.abs(diff).sum(axis=1, keepdims=True), np.sign(diff)
+
+
 def box_l1_rows(pred: Tensor, target: Tensor) -> Tensor:
     """Row-wise coordinate L1 distance between [n,4] box tensors -> [n,1], as one op.
 
@@ -144,8 +153,7 @@ def box_l1_rows(pred: Tensor, target: Tensor) -> Tensor:
     prediction and its negation for the target.
     """
     _check_rows("box_l1_rows", pred, target)
-    diff = pred.data - target.data
-    sign = np.sign(diff)
+    value, sign = _l1_rows(pred.data, target.data)
 
     def pull(g):
         if pred.requires_grad:
@@ -153,7 +161,36 @@ def box_l1_rows(pred: Tensor, target: Tensor) -> Tensor:
         if target.requires_grad:
             target._accumulate(-(g * sign))
 
-    return ad.custom_op(np.abs(diff).sum(axis=1, keepdims=True), (pred, target), pull)
+    return ad.custom_op(value, (pred, target), pull)
+
+
+def _giou_rows(a: np.ndarray, b: np.ndarray):
+    """(GIoU [n,1], saved geometry) of aligned [n,4] rows a and b; every
+    saved array has the rows as its leading axis, so a slice of rows of each
+    is the geometry of those rows."""
+    span, sides, inter, union, enclosing = _overlap(a, b)
+    uc, cc = np.maximum(union, EPS_GUARD), np.maximum(enclosing, EPS_GUARD)
+    i, empty = inter / uc, (enclosing - union) / cc
+    return (i - empty)[:, None], (span, sides, union, enclosing, uc, cc, i, empty)
+
+
+def _giou_rows_back(g, a: np.ndarray, b: np.ndarray, geometry, need_a: bool, need_b: bool):
+    """(d a, d b), each [n,4] or None when not asked for, of `_giou_rows`
+    for the output gradient g: an [n] vector, or one scalar for every row."""
+    span, sides, union, enclosing, uc, cc, i, empty = geometry
+    d_union = g / cc - g * i / uc * (union > EPS_GUARD)
+    d_span = (g / uc - d_union)[:, None] * (span > 0) * np.maximum(0.0, span[:, ::-1])
+    d_sides = (g * (empty * (enclosing > EPS_GUARD) - 1.0) / cc)[:, None] * sides[:, ::-1]
+
+    def operand(x_rows, y_rows):
+        x_lo, x_hi = _corners(x_rows)
+        y_lo, y_hi = _corners(y_rows)
+        d_lo = -d_span * (x_lo >= y_lo) - d_sides * (x_lo <= y_lo)
+        d_hi = d_span * (x_hi <= y_hi) + d_sides * (x_hi >= y_hi)
+        d_wh = (d_hi - d_lo) * 0.5 + d_union[:, None] * x_rows[:, 3:1:-1]
+        return np.concatenate([d_lo + d_hi, d_wh], axis=1)
+
+    return operand(a, b) if need_a else None, operand(b, a) if need_b else None
 
 
 def box_giou_rows(pred: Tensor, target: Tensor) -> Tensor:
@@ -171,22 +208,13 @@ def box_giou_rows(pred: Tensor, target: Tensor) -> Tensor:
     """
     _check_rows("box_giou_rows", pred, target)
     a, b = pred.data, target.data
-    span, sides, inter, union, enclosing = _overlap(a, b)
-    uc, cc = np.maximum(union, EPS_GUARD), np.maximum(enclosing, EPS_GUARD)
-    i, empty = inter / uc, (enclosing - union) / cc
+    value, geometry = _giou_rows(a, b)
 
     def pull(g):
-        g = g[:, 0]
-        d_union = g / cc - g * i / uc * (union > EPS_GUARD)
-        d_span = (g / uc - d_union)[:, None] * (span > 0) * np.maximum(0.0, span[:, ::-1])
-        d_sides = (g * (empty * (enclosing > EPS_GUARD) - 1.0) / cc)[:, None] * sides[:, ::-1]
-        for x, x_rows, y_rows in ((pred, a, b), (target, b, a)):
-            if x.requires_grad:
-                x_lo, x_hi = _corners(x_rows)
-                y_lo, y_hi = _corners(y_rows)
-                d_lo = -d_span * (x_lo >= y_lo) - d_sides * (x_lo <= y_lo)
-                d_hi = d_span * (x_hi <= y_hi) + d_sides * (x_hi >= y_hi)
-                d_wh = (d_hi - d_lo) * 0.5 + d_union[:, None] * x_rows[:, 3:1:-1]
-                x._accumulate(np.concatenate([d_lo + d_hi, d_wh], axis=1))
+        da, db = _giou_rows_back(g[:, 0], a, b, geometry, pred.requires_grad, target.requires_grad)
+        if da is not None:
+            pred._accumulate(da)
+        if db is not None:
+            target._accumulate(db)
 
-    return ad.custom_op((i - empty)[:, None], (pred, target), pull)
+    return ad.custom_op(value, (pred, target), pull)

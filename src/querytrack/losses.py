@@ -5,6 +5,16 @@ generalized-IoU box regression for matched queries, focal background for
 everything else. Per-frame terms are kept split into a track part and a
 detect part so the two can be reported apart; the clip normalizer needs
 only their object counts.
+
+On the tape a frame's loss is two nodes, one per query block, and the clip
+average one more, as DETR's criterion takes one focal call over all logits
+and one L1/GIoU call over all matched boxes. Each node computes what the
+chain of single-purpose ops it replaces would (`focal_loss`,
+`boxes.box_l1_rows`, `boxes.box_giou_rows`, with the slicing, gathering
+and weighting around them), with the same products in the same order, so
+values and gradients match that chain bit for bit. The formulas are the
+same numpy kernels in both: `_focal_cells` here, `_l1_rows` and
+`_giou_rows` in `boxes`.
 """
 
 from __future__ import annotations
@@ -16,7 +26,8 @@ import numpy as np
 import querytrack.autodiff as ad
 from querytrack.autodiff import Tensor
 from querytrack.assignment import Assignment, GtObject, _check_annotations
-from querytrack.boxes import box_giou_rows, box_l1_rows
+from querytrack.boxes import _giou_rows, _giou_rows_back, _l1_rows, box_array
+from querytrack.boxes import box_giou_rows, box_l1_rows  # noqa: F401  the benchmark's tracer wraps them here
 
 __all__ = [
     "ClipLossAccumulator",
@@ -50,6 +61,22 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
+def _focal_cells(x: np.ndarray, t: np.ndarray, alpha: float, gamma: float):
+    """(per-cell focal loss, saved arrays) of logits x against 0/1 targets t,
+    both [n, C]; every saved array is [n, C] too, so a slice of rows of
+    each is what those rows' gradient needs."""
+    nlog_p, nlog_q = np.logaddexp(0.0, -x), np.logaddexp(0.0, x)
+    p, q = np.exp(-nlog_p), np.exp(-nlog_q)
+    pos, neg = t * alpha * q**gamma, (1.0 - t) * (1.0 - alpha) * p**gamma
+    return pos * nlog_p + neg * nlog_q, (nlog_p, nlog_q, p, q, pos, neg)
+
+
+def _focal_cells_back(saved, gamma: float) -> np.ndarray:
+    """d(cell)/dx of every cell of `_focal_cells`, from its saved arrays."""
+    nlog_p, nlog_q, p, q, pos, neg = saved
+    return pos * (-gamma * p * nlog_p - q) + neg * (gamma * q * nlog_q + p)
+
+
 def focal_loss(logits: Tensor, targets: np.ndarray, alpha: float = 0.25, gamma: float = 2.0) -> Tensor:
     """Summed binary focal loss of class logits against 0/1 targets, as one op.
 
@@ -68,66 +95,23 @@ def focal_loss(logits: Tensor, targets: np.ndarray, alpha: float = 0.25, gamma: 
     t = np.asarray(targets, dtype=logits.data.dtype)
     if t.shape != logits.shape:
         raise ad.ShapeError(f"targets shape {t.shape} != logits shape {logits.shape}")
-    x = logits.data
-    nlog_p, nlog_q = np.logaddexp(0.0, -x), np.logaddexp(0.0, x)
-    p, q = np.exp(-nlog_p), np.exp(-nlog_q)
-    pos, neg = t * alpha * q**gamma, (1.0 - t) * (1.0 - alpha) * p**gamma
+    cells, saved = _focal_cells(logits.data, t, alpha, gamma)
 
     def pull(g):
         if logits.requires_grad:
-            d = pos * (-gamma * p * nlog_p - q) + neg * (gamma * q * nlog_q + p)
-            logits._accumulate(g * d)
+            logits._accumulate(g * _focal_cells_back(saved, gamma))
 
-    return ad.custom_op(np.sum(pos * nlog_p + neg * nlog_q), (logits,), pull)
-
-
-def _block_total(
-    cls: Tensor, l1_rows: Tensor | None, giou_rows: Tensor | None, weights: LossWeights
-) -> Tensor:
-    """One query block's weighted loss, as one op.
-
-    cls is the block's focal loss; l1_rows and giou_rows [n,1] are the L1
-    distances and GIoUs of its matched rows, both None when it has none.
-    Forward, with the weights λ:
-
-        cls·λ_cls + ((Σ l1_rows)·λ_L1 + (Σ (1 − giou_rows))·λ_GIoU)
-
-    or cls·λ_cls alone without matched rows. Backward, for the output
-    gradient g: g·λ_cls for cls, g·λ_L1 for each L1 row and −(g·λ_GIoU) for
-    each GIoU row. These are the products of the chain of `scale`, sum,
-    1 − x and `add` nodes it stands for, in its order (negation is exact, so
-    1 − x rounds as x·−1 + 1 does), so the value and every gradient match
-    that chain bit for bit.
-    """
-    total = cls.data * weights.lambda_cls
-    inputs = (cls,)
-    if l1_rows is not None:
-        total = total + (
-            l1_rows.data.sum() * weights.lambda_l1
-            + (1.0 - giou_rows.data).sum() * weights.lambda_giou
-        )
-        inputs = (cls, l1_rows, giou_rows)
-
-    def pull(g):
-        if cls.requires_grad:
-            cls._accumulate(g * weights.lambda_cls)
-        if l1_rows is None:
-            return
-        if l1_rows.requires_grad:
-            l1_rows._accumulate(np.broadcast_to(g * weights.lambda_l1, l1_rows.shape))
-        if giou_rows.requires_grad:
-            giou_rows._accumulate(np.broadcast_to(-(g * weights.lambda_giou), giou_rows.shape))
-
-    return ad.custom_op(total, inputs, pull)
+    return ad.custom_op(np.sum(cells), (logits,), pull)
 
 
 @dataclass
 class FrameLossTerms:
     """One frame's loss split into its track and detect parts.
 
-    `n_tracked` counts tracked objects still present in the ground truth;
-    `n_newborn` counts matched newborn objects. Their sum is the frame's
-    object count used by the clip normalizer.
+    `track` and `detect` are the two nodes `frame_loss` records, one per
+    query block. `n_tracked` counts tracked objects still present in the
+    ground truth; `n_newborn` counts matched newborn objects. Their sum is
+    the frame's object count used by the clip normalizer.
     """
 
     track: Tensor
@@ -151,12 +135,31 @@ def frame_loss(
     gt_frame: list[GtObject],
     weights: LossWeights,
 ) -> FrameLossTerms:
-    """Loss of one frame under a fixed label assignment.
+    """Loss of one frame under a fixed label assignment, as one op per query block.
 
     Track queries whose identity has left the ground truth are supervised as
     background (their object is gone); a detect pair pointing at a missing
     identity, a slot outside its block, or an identity in both assignments
     (one object supervising two queries) is a caller bug and raises.
+
+    The forward takes the focal cells of every query row once and the L1
+    and GIoU geometry of every matched row once, track rows first, then
+    newborn rows. Each block (the track rows, then the detect rows) is one
+    node over `preds.class_logits` and, when it has matched rows,
+    `preds.boxes`, with the value
+
+        Σ focal cells · λ_cls + (Σ L1 · λ_L1 + Σ (1 − GIoU) · λ_GIoU)
+
+    or its first term alone without matched rows. The two nodes save the
+    same arrays and each reads only its own rows of them: the focal cells'
+    six intermediates, and the matched rows' predicted and target boxes,
+    L1 signs and GIoU geometry. A node's backward, for the output gradient
+    g, adds (g·λ_cls)·dfocal into its logit rows, and d = dGIoU(−(g·λ_GIoU)),
+    then d += (g·λ_L1)·sign, into its matched box rows; rows of other blocks
+    are not touched. These are the products of the chain this node stands for
+    (`slice_axis`, `focal_loss`, `gather_rows`, `box_l1_rows`,
+    `box_giou_rows` and a weighting of `scale` and `add` nodes), in its
+    order, so the value and both gradients match that chain bit for bit.
     """
     n_track = preds.n_track
     n_total, n_classes = preds.class_logits.shape
@@ -171,38 +174,62 @@ def frame_loss(
         raise ValueError(f"identities {both} are in both the track and the detect assignment")
     by_identity = {obj.identity: obj for obj in gt_frame}
 
-    class_targets = np.zeros((n_total, n_classes))
-    track_rows, track_targets = [], []
+    logits, boxes = preds.class_logits, preds.boxes
+    class_targets = np.zeros((n_total, n_classes), dtype=logits.data.dtype)
+    rows, targets = [], []
     for slot, ident in track_assign.pairs:
         obj = by_identity.get(ident)
         if obj is None:
             continue  # dead object: background supervision
         class_targets[slot, obj.class_id] = 1.0
-        track_rows.append(slot)
-        track_targets.append(obj.box.to_array())
-    detect_rows, detect_targets = [], []
+        rows.append(slot)
+        targets.append(obj.box)
+    n_tracked = len(rows)
     for slot, ident in detect_assign.pairs:
         obj = by_identity.get(ident)
         if obj is None:
             raise ValueError(f"detect assignment references missing identity {ident}")
         class_targets[n_track + slot, obj.class_id] = 1.0
-        detect_rows.append(n_track + slot)
-        detect_targets.append(obj.box.to_array())
+        rows.append(n_track + slot)
+        targets.append(obj.box)
 
-    def block_loss(row_lo: int, row_hi: int, rows: list[int], targets: list) -> Tensor:
-        logits = ad.slice_axis(preds.class_logits, 0, row_lo, row_hi)
-        cls = focal_loss(logits, class_targets[row_lo:row_hi], weights.focal_alpha, weights.focal_gamma)
-        if not rows:
-            return _block_total(cls, None, None, weights)
-        boxes = ad.gather_rows(preds.boxes, rows)
-        gt = Tensor(np.stack(targets).astype(preds.boxes.data.dtype, copy=False))
-        return _block_total(cls, box_l1_rows(boxes, gt), box_giou_rows(boxes, gt), weights)
+    gamma = weights.focal_gamma
+    cells, focal = _focal_cells(logits.data, class_targets, weights.focal_alpha, gamma)
+    index = np.array(rows, dtype=np.intp)
+    pred_rows = boxes.data[index]
+    target_rows = box_array(targets).astype(boxes.data.dtype, copy=False)
+    l1, sign = _l1_rows(pred_rows, target_rows)
+    giou, geometry = _giou_rows(pred_rows, target_rows)
+
+    def block(lo: int, hi: int, r0: int, r1: int) -> Tensor:
+        """The node of logit rows lo:hi, whose matched rows are r0:r1."""
+        own, matched = slice(lo, hi), slice(r0, r1)
+        total = np.sum(cells[own]) * weights.lambda_cls
+        if r0 < r1:
+            total = total + (
+                l1[matched].sum() * weights.lambda_l1
+                + (1.0 - giou[matched]).sum() * weights.lambda_giou
+            )
+
+        def pull(g):
+            if logits.requires_grad:
+                d = (g * weights.lambda_cls) * _focal_cells_back([s[own] for s in focal], gamma)
+                logits._accumulate_rows(own, d)
+            if r0 < r1 and boxes.requires_grad:
+                d, _ = _giou_rows_back(
+                    -(g * weights.lambda_giou), pred_rows[matched], target_rows[matched],
+                    [s[matched] for s in geometry], True, False,
+                )
+                d += (g * weights.lambda_l1) * sign[matched]
+                boxes._accumulate_rows(index[matched], d)
+
+        return ad.custom_op(total, (logits, boxes) if r0 < r1 else (logits,), pull)
 
     return FrameLossTerms(
-        track=block_loss(0, n_track, track_rows, track_targets),
-        detect=block_loss(n_track, n_total, detect_rows, detect_targets),
-        n_tracked=len(track_rows),
-        n_newborn=len(detect_rows),
+        track=block(0, n_track, 0, n_tracked),
+        detect=block(n_track, n_total, n_tracked, len(rows)),
+        n_tracked=n_tracked,
+        n_newborn=len(rows) - n_tracked,
     )
 
 
@@ -221,15 +248,28 @@ class ClipLossAccumulator:
 
 
 def clip_average_loss(acc: ClipLossAccumulator) -> Tensor:
-    """Sum of all frame terms divided by the clip's total object count.
+    """Sum of all frame terms divided by the clip's total object count, as one op.
 
     The denominator is clamped at 1 so clips with no objects still train on
-    their background terms. One backward pass through the result reaches
-    every frame.
+    their background terms. The node reads every frame's `track` and
+    `detect` tensors and saves nothing but them and c = 1/max(N, 1). Its
+    value is the chain's: per frame track + detect, a running sum over the
+    frames, then × c; its backward hands each term g·c, as the `scale` and
+    `add` nodes it stands for would, so both match that chain bit for bit.
+    One backward pass through the result reaches every frame.
     """
     if not acc.frames:
         raise ValueError("loss accumulator has no frames")
-    total = acc.frames[0].total
-    for terms in acc.frames[1:]:
-        total = ad.add(total, terms.total)
-    return ad.scale(total, 1.0 / max(acc.total_objects, 1))
+    terms = tuple(t for f in acc.frames for t in (f.track, f.detect))
+    total = terms[0].data + terms[1].data
+    for f in acc.frames[1:]:
+        total = total + (f.track.data + f.detect.data)
+    c = 1.0 / max(acc.total_objects, 1)
+
+    def pull(g):
+        g = g * c
+        for t in terms:
+            if t.requires_grad:
+                t._accumulate(g)
+
+    return ad.custom_op(total * c, terms, pull)

@@ -49,7 +49,6 @@ import numpy as np
 
 import querytrack.autodiff as ad
 from querytrack.autodiff import ShapeError, Tensor
-from querytrack.boxes import Box
 
 __all__ = [
     "FramePredictions",
@@ -195,8 +194,10 @@ class FramePredictions:
         """Best class probability per query."""
         return self.class_probs.data.max(axis=1)
 
-    def box_list(self) -> list[Box]:
-        return [Box(*row) for row in self.boxes.data.tolist()]
+    def box_list(self) -> np.ndarray:
+        """The predicted boxes as float64 [n, 4] rows, the form the matcher
+        takes; a copy, off the tape."""
+        return self.boxes.data.astype(np.float64)
 
     def __len__(self) -> int:
         return self.class_logits.shape[0]

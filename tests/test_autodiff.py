@@ -785,6 +785,42 @@ class TestElementwise:
         w = rng.standard_normal((4, 4))
         assert ad.grad_check(lambda x: weighted_sum(ad.gather_rows(x, [0, 2, 2, 4]), w), [x]).passed
 
+    @pytest.mark.parametrize(
+        "idx, message",
+        [
+            ([-1], r"gather_rows index -1 is outside \[0, 3\)"),
+            ([0, 3], r"gather_rows index 3 is outside \[0, 3\)"),
+            ([0.7], r"1-d integer row index, got float64 shape \(1,\)"),
+            ([True, False], r"1-d integer row index, got bool shape \(2,\)"),
+            ([[0, 1]], r"1-d integer row index, got int64 shape \(1, 2\)"),
+            (1, r"1-d integer row index, got int64 shape \(\)"),
+        ],
+        ids=["negative", "past_the_end", "float", "bool", "two_dimensional", "scalar"],
+    )
+    def test_gather_rows_rejects_a_bad_index(self, idx, message):
+        # unchecked, -1 took the last row, 0.7 was truncated to row 0, [[0, 1]]
+        # gave a 3-d tensor and 3 raised a bare IndexError
+        with pytest.raises(ad.ShapeError, match=message):
+            ad.gather_rows(Tensor(np.zeros((3, 2))), idx)
+
+    def test_gather_rows_takes_an_empty_or_unsigned_index(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        assert ad.gather_rows(x, []).shape == (0, 2)
+        assert np.array_equal(ad.gather_rows(x, np.array([2, 0], dtype=np.uint8)).data, x.data[[2, 0]])
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_concat_gradient_is_each_input_slice_of_g(self, axis):
+        rng = np.random.default_rng(17)
+        xs = [rng_tensor(rng, 3, 4), rng_tensor(rng, 3, 4), rng_tensor(rng, 3, 4)]
+        for t in xs:
+            t.requires_grad = True
+        w = rng.standard_normal(ad.concat(xs, axis=axis).shape)
+        with Tape() as tape:
+            loss = weighted_sum(ad.concat(xs, axis=axis), w)
+        tape.backward(loss)
+        for t, part in zip(xs, np.split(w, 3, axis=axis)):
+            assert np.array_equal(t.grad, part)
+
     def test_slice_axis_negative_axis_counts_from_the_last(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4))
         assert np.array_equal(ad.slice_axis(x, -1, 1, 3).data, x.data[..., 1:3])

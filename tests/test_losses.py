@@ -7,12 +7,11 @@ import pytest
 import querytrack.autodiff as ad
 from querytrack.autodiff import Tape, Tensor
 from querytrack.assignment import Assignment, GtObject
-from querytrack.boxes import Box, giou, l1_box
+from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou, l1_box
 from querytrack.losses import (
     ClipLossAccumulator,
     FrameLossTerms,
     LossWeights,
-    _block_total,
     clip_average_loss,
     focal_loss,
     frame_loss,
@@ -260,60 +259,157 @@ class TestFrameLoss:
         assert ad.grad_check(f, [logits, boxes], tol=1e-4).passed
 
 
+def row_total(x):
+    """sum(x) as one test-local tape op; backward hands g to every cell."""
+    return ad.custom_op(x.data.sum(), (x,), lambda g: x._accumulate(np.broadcast_to(g, x.shape).copy()))
+
+
+def chain_block(preds, lo, hi, class_targets, rows, target_boxes, w):
+    """One query block's loss as the chain of public ops `frame_loss` stands for:
+    slice_axis → focal_loss; gather_rows → box_l1_rows and box_giou_rows; then
+    cls·λ_cls + (Σ L1·λ_L1 + Σ (1 − GIoU)·λ_GIoU) as scale, sum and add nodes."""
+    logits = ad.slice_axis(preds.class_logits, 0, lo, hi)
+    total = ad.scale(focal_loss(logits, class_targets[lo:hi], w.focal_alpha, w.focal_gamma), w.lambda_cls)
+    if not rows:
+        return total
+    boxes = ad.gather_rows(preds.boxes, rows)
+    gt = Tensor(np.stack(target_boxes).astype(preds.boxes.data.dtype))
+    l1 = ad.scale(row_total(box_l1_rows(boxes, gt)), w.lambda_l1)
+    one = Tensor(np.ones((len(rows), 1), dtype=gt.data.dtype))
+    one_minus_giou = ad.add(ad.scale(box_giou_rows(boxes, gt), -1.0), one)
+    return ad.add(total, ad.add(l1, ad.scale(row_total(one_minus_giou), w.lambda_giou)))
+
+
+def chain_frame_loss(preds, track_assign, detect_assign, gt, w):
+    """(track, detect) of `chain_block`, with the targets gathered as `frame_loss` does."""
+    n_track, (n_total, n_classes) = preds.n_track, preds.class_logits.shape
+    by_identity = {obj.identity: obj for obj in gt}
+    class_targets = np.zeros((n_total, n_classes))
+    blocks = []
+    for offset, assign in ((0, track_assign), (n_track, detect_assign)):
+        rows, boxes = [], []
+        for slot, ident in assign.pairs:
+            if ident in by_identity:
+                class_targets[offset + slot, by_identity[ident].class_id] = 1.0
+                rows.append(offset + slot)
+                boxes.append(by_identity[ident].box.to_array())
+        blocks.append((rows, boxes))
+    (track_rows, track_boxes), (detect_rows, detect_boxes) = blocks
+    return (
+        chain_block(preds, 0, n_track, class_targets, track_rows, track_boxes, w),
+        chain_block(preds, n_track, n_total, class_targets, detect_rows, detect_boxes, w),
+    )
+
+
+def block_scenario(rng, dtype, n_track, n_detect, n_tracked, n_newborn, n_dead):
+    """Predictions over two classes, a ground-truth frame and the two
+    assignments: n_tracked live and n_dead vanished identities in the track
+    block, n_newborn matched detect slots."""
+    n = n_track + n_detect
+    boxes = np.hstack([rng.uniform(0.25, 0.75, (n, 2)), rng.uniform(0.05, 0.4, (n, 2))])
+    preds = StubPreds(rng.normal(0.0, 2.0, (n, 2)), boxes, n_track)
+    for t in (preds.class_logits, preds.boxes):
+        t.data, t.requires_grad = t.data.astype(dtype), True
+    gt = [
+        GtObject(k + 1, Box(*rng.uniform(0.3, 0.7, 2), *rng.uniform(0.05, 0.4, 2)), int(rng.integers(0, 2)))
+        for k in range(n_tracked + n_newborn)
+    ]
+    track_slots = rng.permutation(n_track)[: n_tracked + n_dead].tolist()
+    track_ids = list(range(1, n_tracked + 1)) + [100 + k for k in range(n_dead)]
+    detect_slots = rng.permutation(n_detect)[:n_newborn].tolist()
+    detect_ids = range(n_tracked + 1, n_tracked + n_newborn + 1)
+    return preds, Assignment(list(zip(track_slots, track_ids))), Assignment(list(zip(detect_slots, detect_ids))), gt
+
+
+def node_blocks(preds, track_assign, detect_assign, gt, w):
+    """(track, detect) of `frame_loss`, in the order `chain_frame_loss` gives them."""
+    out = frame_loss(preds, track_assign, detect_assign, gt, w)
+    return out.track, out.detect
+
+
+def blocks_with_upstream(loss_fn, preds, track_assign, detect_assign, gt, w, up_track, up_detect):
+    """(track, detect) of `loss_fn`, after the backward of
+    track·up_track + detect·up_detect, so each block sees its own upstream
+    gradient."""
+    with Tape() as tape:
+        track, detect = loss_fn(preds, track_assign, detect_assign, gt, w)
+        loss = ad.add(ad.scale(track, up_track), ad.scale(detect, up_detect))
+    tape.backward(loss)
+    return track, detect
+
+
 class TestBlockTotal:
-    """The one-op block loss against the arithmetic of the node chain it stands for."""
+    """Each query block's total as one node, against the chain of public ops
+    it stands for: values, d(logits) and d(boxes) bit for bit."""
 
-    WEIGHTS = LossWeights(lambda_cls=1.7, lambda_l1=4.3, lambda_giou=2.9)
+    WEIGHTS = LossWeights(lambda_cls=1.7, lambda_l1=4.3, lambda_giou=2.9, focal_alpha=0.3, focal_gamma=1.5)
 
-    def leaves(self, n_rows, seed):
-        rng = np.random.default_rng(seed)
-        cls = Tensor(rng.uniform(0.0, 3.0), requires_grad=True)
-        if n_rows == 0:
-            return cls, None, None
-        l1 = Tensor(rng.uniform(0.0, 2.0, size=(n_rows, 1)), requires_grad=True)
-        giou_rows = Tensor(rng.uniform(-1.0, 1.0, size=(n_rows, 1)), requires_grad=True)
-        return cls, l1, giou_rows
+    def run_both(self, scenario, seed):
+        """(node values and gradients, chain values and gradients) of one scenario."""
+        results = []
+        for loss_fn in (node_blocks, chain_frame_loss):
+            preds, track_assign, detect_assign, gt = scenario(np.random.default_rng(seed))
+            # two upstream gradients other than 1 and each other
+            track, detect = blocks_with_upstream(
+                loss_fn, preds, track_assign, detect_assign, gt, self.WEIGHTS, 0.37 + seed, 1.9 - 0.1 * seed
+            )
+            results.append((track.data, detect.data, preds.class_logits.grad, preds.boxes.grad))
+        # every object of a scenario is matched, so rows are matched exactly when it has objects
+        return results, len(gt) > 0
+
+    def assert_bits_match(self, scenario, seeds=range(3)):
+        for seed in seeds:
+            (node, chain), matched = self.run_both(scenario, seed)
+            assert node[2] is not None and (node[3] is not None) == matched, seed
+            for name, got, want in zip(("track", "detect", "d(logits)", "d(boxes)"), node, chain):
+                assert (got is None) == (want is None), (name, seed)
+                if got is not None:
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (name, seed)
 
     @pytest.mark.parametrize("n_rows", [0, 1, 3, 7])
     def test_bits_match_chain_arithmetic(self, n_rows):
-        w = self.WEIGHTS
-        for seed in range(5):
-            cls, l1, giou_rows = self.leaves(n_rows, seed)
-            upstream = 0.37 + seed  # a gradient other than 1 reaching the block
-            with Tape() as tape:
-                out = _block_total(cls, l1, giou_rows, w)
-                loss = ad.scale(out, upstream)
-            tape.backward(loss)
-            # the chain: scale(cls, λ_cls), then add(., add(scale(sum(l1), λ_L1),
-            # scale(sum(shift(scale(giou, -1), 1)), λ_GIoU))) when rows are matched
-            g = np.ones(()) * upstream
-            expected = cls.data * w.lambda_cls
-            if n_rows:
-                expected = expected + (
-                    l1.data.sum() * w.lambda_l1 + (giou_rows.data * -1.0 + 1.0).sum() * w.lambda_giou
-                )
-                assert np.array_equal(l1.grad, np.broadcast_to(g * w.lambda_l1, l1.shape).copy())
-                assert np.array_equal(
-                    giou_rows.grad, np.broadcast_to(g * w.lambda_giou, giou_rows.shape).copy() * -1.0
-                )
-            assert np.array_equal(out.data, expected)
-            assert np.array_equal(cls.grad, g * w.lambda_cls)
+        # in both dtypes, every split of the matched rows between the
+        # blocks, with and without a vanished identity in the track block
+        splits = {(0, n_rows), (n_rows // 2, n_rows - n_rows // 2), (n_rows, 0)}
+        for dtype in ("float32", "float64"):
+            for n_tracked, n_newborn in sorted(splits):
+                for n_track, n_dead in ((n_tracked + 2, 1), (n_tracked, 0)):
+                    self.assert_bits_match(
+                        lambda rng: block_scenario(rng, dtype, n_track, 9, n_tracked, n_newborn, n_dead)
+                    )
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_empty_track_block_and_dead_identity_bits(self, dtype):
+        # no track rows at all; then a track block whose only identity has left
+        self.assert_bits_match(lambda rng: block_scenario(rng, dtype, 0, 6, 0, 3, 0))
+        self.assert_bits_match(lambda rng: block_scenario(rng, dtype, 2, 6, 0, 3, 1))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_block_without_matched_rows_leaves_boxes_without_a_gradient(self, dtype):
+        preds, track_assign, detect_assign, gt = block_scenario(np.random.default_rng(3), dtype, 2, 5, 0, 0, 1)
+        blocks_with_upstream(node_blocks, preds, track_assign, detect_assign, gt, self.WEIGHTS, 0.6, 1.3)
+        assert preds.boxes.grad is None and preds.class_logits.grad.dtype == dtype
 
     @pytest.mark.parametrize("n_rows", [0, 1, 4])
     def test_gradient_in_every_input(self, n_rows):
-        leaves = [t for t in self.leaves(n_rows, 9) if t is not None]
+        preds, track_assign, detect_assign, gt = block_scenario(
+            np.random.default_rng(9), "float64", 3, 4, n_rows // 2, n_rows - n_rows // 2, 1
+        )
 
-        def f(cls, l1=None, giou_rows=None):
-            return _block_total(cls, l1, giou_rows, self.WEIGHTS)
+        def f(*_):
+            out = frame_loss(preds, track_assign, detect_assign, gt, self.WEIGHTS)
+            return ad.add(ad.scale(out.track, 0.7), ad.scale(out.detect, 1.3))
 
-        report = ad.grad_check(f, leaves)
-        assert report.passed and len(report.rel_errs) == 1 + 2 * bool(n_rows), report.max_rel_err
+        report = ad.grad_check(f, [preds.class_logits, preds.boxes])
+        assert report.passed, report.max_rel_err
 
     def test_records_one_tape_node(self):
-        cls, l1, giou_rows = self.leaves(2, 0)
+        # one node per query block, each reading the logits and the boxes
+        preds, track_assign, detect_assign, gt = block_scenario(np.random.default_rng(0), "float64", 3, 4, 1, 2, 1)
         with Tape() as tape:
-            _block_total(cls, l1, giou_rows, self.WEIGHTS)
-            assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["_block_total"]
+            out = frame_loss(preds, track_assign, detect_assign, gt, self.WEIGHTS)
+            assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["frame_loss"] * 2
+            assert [o for o, _ in tape.nodes] == [out.track, out.detect]
 
 
 TINY = ModelConfig(
@@ -360,11 +456,10 @@ class TestTinyModelFrameLoss:
             self.loss()
             kinds = Counter(pull.__qualname__.split(".", 1)[0] for _, pull in tape.nodes)
         assert kinds == {
-            "attention": 4, "feed_forward": 3, "add": 2, "linear": 2, "box_giou_rows": 2,
-            "box_l1_rows": 2, "focal_loss": 2, "gather_rows": 2, "slice_axis": 2,
-            "_block_total": 2, "layer_norm": 1, "mlp": 1, "concat": 1, "sigmoid": 1,
+            "attention": 4, "feed_forward": 3, "add": 2, "linear": 2, "frame_loss": 2,
+            "layer_norm": 1, "mlp": 1, "concat": 1, "sigmoid": 1,
         }
-        assert sum(kinds.values()) == 27
+        assert sum(kinds.values()) == 17
         assert not {
             "matmul", "mul", "log", "pow_scalar", "relu", "gelu", "sub", "absolute",
             "scale", "shift", "reduce_sum",
@@ -412,6 +507,45 @@ class TestClipAverage:
     def test_no_frames_rejected(self):
         with pytest.raises(ValueError):
             clip_average_loss(ClipLossAccumulator())
+
+    @pytest.mark.parametrize("n_frames", range(1, 7))
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_bits_match_the_add_scale_chain(self, n_frames, dtype):
+        # per frame track + detect, a running sum over the frames, then
+        # × 1/max(N, 1); every term gets the upstream gradient times that
+        rng = np.random.default_rng(40 + n_frames)
+        results = []
+        for use_node in (True, False):
+            acc = ClipLossAccumulator()
+            for terms in [make_terms(rng) for _ in range(n_frames)]:
+                for t in (terms.track, terms.detect):
+                    t.data, t.requires_grad = t.data.astype(dtype), True
+                acc.add(terms)
+            with Tape() as tape:
+                if use_node:
+                    average = clip_average_loss(acc)
+                else:
+                    total = acc.frames[0].total
+                    for terms in acc.frames[1:]:
+                        total = ad.add(total, terms.total)
+                    average = ad.scale(total, 1.0 / max(acc.total_objects, 1))
+                loss = ad.scale(average, 0.83)
+            tape.backward(loss)
+            results.append([average.data] + [t.grad for f in acc.frames for t in (f.track, f.detect)])
+            rng = np.random.default_rng(40 + n_frames)  # the same terms again
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+
+    def test_records_one_tape_node(self):
+        rng = np.random.default_rng(5)
+        acc = ClipLossAccumulator()
+        for _ in range(3):
+            terms = make_terms(rng)
+            terms.track.requires_grad = terms.detect.requires_grad = True
+            acc.add(terms)
+        with Tape() as tape:
+            clip_average_loss(acc)
+            assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["clip_average_loss"]
 
 
 def test_weights_validation():

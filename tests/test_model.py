@@ -327,6 +327,13 @@ class TestDecode:
         for arr in (preds.class_probs.data, preds.boxes.data):
             assert np.all(arr > 0) and np.all(arr < 1)
 
+    def test_box_list_is_float64_rows_of_the_boxes(self):
+        model = TrackingModel(dataclasses.replace(TINY, dtype="float32"), seed=9)
+        preds = model.forward_frame(random_image(np.random.default_rng(9), model.cfg))
+        rows = preds.box_list()
+        assert rows.dtype == np.float64 and rows.shape == (len(preds), 4)
+        assert np.array_equal(rows, preds.boxes.data) and not np.shares_memory(rows, preds.boxes.data)
+
     def test_slot_identity_under_track_embedding_swap(self):
         # output row follows its input slot: swapping two track embeddings
         # swaps the two output rows, and the detect block is untouched

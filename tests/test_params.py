@@ -241,6 +241,16 @@ def test_view_refuses_a_gradient_in_another_dtype():
     assert group.grad.dtype == np.float32 and b.grad is None
 
 
+def test_row_terms_into_a_view_land_in_the_group_in_its_dtype():
+    group = ad.leaf_group(np.zeros(10, dtype=np.float32), views((1, 2), (4, 2)))
+    a, b = group._views
+    b._accumulate_rows([3, 0], np.array([[1, 2], [3, 4]], dtype=np.float32))
+    b._accumulate_rows(slice(0, 1), np.array([[5, 6]], dtype=np.float32))
+    assert group.grad.tolist() == [0, 0, 8, 10, 0, 0, 0, 0, 1, 2] and a.grad is None
+    with pytest.raises(ad.GradientError, match="float64 gradient for a float32 view"):
+        b._accumulate_rows([1], np.ones((1, 2)))
+
+
 def test_view_without_a_live_group_raises():
     (a,) = views((2,))
     with pytest.raises(ad.GradientError, match="not in a live leaf group"):

@@ -38,8 +38,9 @@ def test_traced_train_step_and_track_frame_pass_their_checks():
         preds, _ = drivers.track_frame(model, clip.images[0], None, n_keep=2)
     assert drivers.check_train_step(model, result) == []
     assert drivers.check_stream_frame(preds) == []
-    names = {span[0] for span in tracer.spans}
-    assert {"harness.step", "model.encode", "losses.box_rows", "autodiff.backward"} <= names
+    names = [span[0] for span in tracer.spans]
+    assert {"harness.step", "model.encode", "losses.frame_loss", "autodiff.backward"} <= set(names)
+    assert names.count("losses.frame_loss") == len(clip.images)
 
 
 def test_one_attention_span_per_attention_sublayer(monkeypatch):

@@ -113,7 +113,7 @@ def test_float32_tape_holds_only_float32(monkeypatch):
     # two frames, the second carrying a track block with positions, through
     # the frame loss, the clip average and backward
     outputs, gradients = [], []
-    record, accumulate = Tape.record, Tensor._accumulate
+    record, accumulate, accumulate_rows = Tape.record, Tensor._accumulate, Tensor._accumulate_rows
 
     def spy_record(tape, out, pull):
         outputs.append(out.data.dtype)
@@ -128,8 +128,13 @@ def test_float32_tape_holds_only_float32(monkeypatch):
         gradients.append(np.asarray(g).dtype)
         accumulate(t, g)
 
+    def spy_accumulate_rows(t, rows, g):
+        gradients.append(np.asarray(g).dtype)
+        accumulate_rows(t, rows, g)
+
     monkeypatch.setattr(Tape, "record", spy_record)
     monkeypatch.setattr(Tensor, "_accumulate", spy_accumulate)
+    monkeypatch.setattr(Tensor, "_accumulate_rows", spy_accumulate_rows)
     model = TrackingModel(TINY32, seed=31)
     rng = np.random.default_rng(31)
     gt = [GtObject(1, Box(0.4, 0.5, 0.3, 0.2)), GtObject(2, Box(0.7, 0.3, 0.2, 0.25))]
@@ -147,8 +152,13 @@ def test_float32_tape_holds_only_float32(monkeypatch):
         acc.add(frame_loss(preds, Assignment([(0, 1), (1, 2)]), Assignment(), gt, weights))
         loss = clip_average_loss(acc)
     tape.backward(loss)
-    assert len(outputs) > 40 and set(outputs) == {np.dtype(np.float32)}
-    assert len(gradients) > 100 and set(gradients) == {np.dtype(np.float32)}
+    # 32 nodes: the first frame's 11 and its 2 loss blocks, the 2 carried
+    # gathers, the second frame's 14 and its 2 loss blocks, the clip average.
+    # Every node gets a gradient (32), and 48 terms reach tensors: 42
+    # through `_accumulate` and 6 through `_accumulate_rows` (4 blocks' logit
+    # rows and the box rows of the 2 blocks with matched objects)
+    assert len(outputs) == 32 and set(outputs) == {np.dtype(np.float32)}
+    assert len(gradients) == 32 + 42 + 6 and set(gradients) == {np.dtype(np.float32)}
     grads = [p.grad for p in model.params.values()]
     assert all(g is not None for g in grads)
     assert {g.dtype for g in grads} == {np.dtype(np.float32)}
