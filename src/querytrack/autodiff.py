@@ -20,7 +20,10 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
 - `grad_check` takes float64 leaves only (central differences need double
   precision),
 - `add`, the one binary op, accepts equal shapes or a second operand whose
-  shape is a suffix of the first (leading-axis expansion, e.g. bias add),
+  shape is a suffix of the first (leading-axis expansion, e.g. bias add);
+  it and `concat` take operands of one dtype and raise on a mix, which
+  numpy would promote to float64 and hand a float32 input a float64
+  gradient,
 - a tape and its tensors belong to one worker; no locking is done,
 - a leaf may be a view of a group leaf (`leaf_group`): a 1-d leaf whose
   consecutive slices are the view leaves' data. The ops see only the
@@ -61,9 +64,7 @@ __all__ = [
     "linear",
     "mlp",
     "reset_grads",
-    "scale",
     "sigmoid",
-    "slice_axis",
     "view_leaf",
 ]
 
@@ -346,8 +347,15 @@ def _reduce_to(g: np.ndarray, axes: tuple | None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_dtypes(xs, op: str) -> None:
+    dtypes = [t.data.dtype for t in xs]
+    if len(set(dtypes)) > 1:
+        raise ValueError(f"{op} operands are {', '.join(map(str, dtypes))}; they need one dtype")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     axes = _suffix_axes(a.shape, b.shape)
+    _check_dtypes((a, b), "add")
 
     def pull(g):
         if a.requires_grad:
@@ -356,16 +364,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_reduce_to(g, axes))
 
     return custom_op(a.data + b.data, (a, b), pull)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(g * c)
-
-    return custom_op(x.data * c, (x,), pull)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -492,7 +490,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def concat(xs, axis: int = 0) -> Tensor:
-    """Join tensors along `axis`; a negative axis counts from the last, as in numpy."""
+    """Join tensors of one dtype along `axis`; a negative axis counts from
+    the last, as in numpy. Every other axis must have the same size."""
     xs = list(xs)
     if not xs:
         raise ShapeError("concat needs at least one tensor")
@@ -500,6 +499,9 @@ def concat(xs, axis: int = 0) -> Tensor:
     if not -ndim <= axis < ndim:
         raise ShapeError(f"concat axis {axis} is out of range for shape {xs[0].shape}")
     axis %= ndim
+    if any(t.data.ndim != ndim for t in xs) or len({t.shape[:axis] + t.shape[axis + 1:] for t in xs}) > 1:
+        raise ShapeError(f"concat needs equal sizes off axis {axis}, got shapes {[t.shape for t in xs]}")
+    _check_dtypes(xs, "concat")
     parts, start = [], 0
     for t in xs:
         stop = start + t.shape[axis]
@@ -513,22 +515,6 @@ def concat(xs, axis: int = 0) -> Tensor:
                 t._accumulate(g[part])
 
     return custom_op(np.concatenate([t.data for t in xs], axis=axis), tuple(xs), pull)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """x[start:stop] along `axis`; a negative axis counts from the last, as in numpy."""
-    ndim = x.data.ndim
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"slice_axis axis {axis} is out of range for shape {x.shape}")
-    index = (slice(None),) * (axis % ndim) + (slice(start, stop),)
-
-    def pull(g):
-        if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            buf[index] = g
-            x._accumulate(buf)
-
-    return custom_op(x.data[index].copy(), (x,), pull)
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:

@@ -9,12 +9,13 @@ only their object counts.
 On the tape a frame's loss is two nodes, one per query block, and the clip
 average one more, as DETR's criterion takes one focal call over all logits
 and one L1/GIoU call over all matched boxes. Each node computes what the
-chain of single-purpose ops it replaces would (`focal_loss`,
+unfused chain of single-purpose ops would (`focal_loss`,
 `boxes.box_l1_rows`, `boxes.box_giou_rows`, with the slicing, gathering
 and weighting around them), with the same products in the same order, so
-values and gradients match that chain bit for bit. The formulas are the
-same numpy kernels in both: `_focal_cells` here, `_l1_rows` and
-`_giou_rows` in `boxes`.
+values and gradients match that chain bit for bit. The chain is written
+out in the tests, with test-local slicing and scaling ops, as the
+reference for both nodes. The formulas are the same numpy kernels in
+both: `_focal_cells` here, `_l1_rows` and `_giou_rows` in `boxes`.
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ class FrameLossTerms:
     n_newborn: int
 
     @property
-    def total(self) -> Tensor:
-        return ad.add(self.track, self.detect)
-
-    @property
     def n_objects(self) -> int:
         return self.n_tracked + self.n_newborn
 
@@ -156,10 +153,11 @@ def frame_loss(
     L1 signs and GIoU geometry. A node's backward, for the output gradient
     g, adds (g·λ_cls)·dfocal into its logit rows, and d = dGIoU(−(g·λ_GIoU)),
     then d += (g·λ_L1)·sign, into its matched box rows; rows of other blocks
-    are not touched. These are the products of the chain this node stands for
-    (`slice_axis`, `focal_loss`, `gather_rows`, `box_l1_rows`,
-    `box_giou_rows` and a weighting of `scale` and `add` nodes), in its
-    order, so the value and both gradients match that chain bit for bit.
+    are not touched. These are the products of the unfused chain this node
+    stands for (a row slice, `focal_loss`, `gather_rows`, `box_l1_rows`,
+    `box_giou_rows` and a weighting of scale and `add` nodes; the tests
+    write it out with test-local slice and scale ops), in its order, so the
+    value and both gradients match that chain bit for bit.
     """
     n_track = preds.n_track
     n_total, n_classes = preds.class_logits.shape
@@ -254,7 +252,7 @@ def clip_average_loss(acc: ClipLossAccumulator) -> Tensor:
     their background terms. The node reads every frame's `track` and
     `detect` tensors and saves nothing but them and c = 1/max(N, 1). Its
     value is the chain's: per frame track + detect, a running sum over the
-    frames, then × c; its backward hands each term g·c, as the `scale` and
+    frames, then × c; its backward hands each term g·c, as the scale and
     `add` nodes it stands for would, so both match that chain bit for bit.
     One backward pass through the result reaches every frame.
     """

@@ -2,11 +2,12 @@
 
 A frame image is cut into non-overlapping patches, linearly embedded with a
 2-d sine positional code and refined by standard self-attention; the frame's
-query set (variable track block first, fixed learnable detect block second)
-runs through pre-norm decoder layers of self-attention, cross-attention to
-the frame tokens and a feed-forward net. Every layer is a stack of pre-norm
-residual sublayers x + f(LN(x)), and each sublayer, its layer norm and
-residual add included, is one tape op: `ad.attention` (through
+queries (the track queries, a variable block, first; the fixed learnable
+detect block, which the decoder appends itself, second) run through pre-norm
+decoder layers of self-attention, cross-attention to the frame tokens and a
+feed-forward net. Every layer is a stack of pre-norm residual sublayers
+x + f(LN(x)), and each sublayer, its layer norm and residual add included,
+is one tape op: `ad.attention` (through
 `multi_head_attention`) or `ad.feed_forward`. A sublayer's parameters are
 one tuple in its op's argument order, (gain, bias, w, b, ...), and a layer
 is a tuple of sublayers: (attention, ffn) for an encoder layer, so two ops,
@@ -34,7 +35,9 @@ block of frame t+1 and first pass through the temporal aggregation layer
 (TAN, MOTR's query interaction module): an encoder layer of its own over
 the track rows, whose attention query and key add each row's previous query
 as a positional term. Its output rows are the track queries that enter the
-decoder.
+decoder. A `QuerySet` is that carried block and nothing else, one
+`QueryRecord` (track id) per row; which decoder rows are track rows is one
+count, `FramePredictions.n_track`, as the track rows come first.
 """
 
 from __future__ import annotations
@@ -107,33 +110,30 @@ class ModelConfig:
         return self.image_size // self.patch_size
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryRecord:
-    """Bookkeeping for one query slot."""
+    """The identity of one track query: kind "track", the only kind, and
+    its integer track id (a numpy integer too, but not a bool)."""
 
-    kind: str  # "detect" or "track"
-    track_id: int | None = None
-    disappear_count: int = 0
+    kind: str
+    track_id: int
 
     def __post_init__(self):
-        if self.kind not in ("detect", "track"):
-            raise ValueError(f"unknown query kind {self.kind!r}")
-        if (self.track_id is not None) != (self.kind == "track"):
-            raise ValueError("track_id must be present exactly for track queries")
-        if self.disappear_count < 0:
-            raise ValueError("disappear_count must be nonnegative")
+        if self.kind != "track":
+            raise ValueError(f"unknown query kind {self.kind!r}; a record names a track query")
+        if isinstance(self.track_id, bool) or not isinstance(self.track_id, (int, np.integer)):
+            raise ValueError(f"track_id must be an integer, got {self.track_id!r}")
 
 
 @dataclass
 class QuerySet:
-    """Ordered query slots: the track block (variable) then the detect block.
+    """A carried track block: the kept decoder states of the previous frame.
 
-    Embedding row i belongs to record i. Track ids are unique within a set.
-    A carried track block holds the kept decoder states of the previous
-    frame as `embeddings` and, optionally, the decoder input rows that
-    produced them as `positions`, row-aligned with `embeddings`. The
-    temporal aggregation layer adds the positions to its query and key; a
-    block without positions gets no positional term.
+    Embedding row i belongs to record i, and track ids are unique within a
+    set. `positions`, optional and row-aligned with `embeddings`, are the
+    decoder input rows that produced them: the temporal aggregation layer
+    adds them to its query and key, and a block without positions gets no
+    positional term. The model appends its own detect block.
     """
 
     embeddings: Tensor
@@ -150,21 +150,9 @@ class QuerySet:
                 f"positions shape {self.positions.shape} != embeddings shape "
                 f"{self.embeddings.shape}"
             )
-        seen_detect = False
-        ids = []
-        for r in self.records:
-            if r.kind == "detect":
-                seen_detect = True
-            elif seen_detect:
-                raise ValueError("track queries must precede the detect block")
-            if r.track_id is not None:
-                ids.append(r.track_id)
+        ids = [r.track_id for r in self.records]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate track ids in query set: {ids}")
-
-    @property
-    def n_track(self) -> int:
-        return sum(1 for r in self.records if r.kind == "track")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -174,9 +162,11 @@ class QuerySet:
 class FramePredictions:
     """Per-query outputs of one decoded frame.
 
-    Row i of every tensor belongs to query slot i. `queries` holds the
-    decoder's input rows, so a caller can gather the next track block's
-    states (`hidden`) and positions (`queries`) with one row index.
+    Row i of every tensor belongs to query slot i: the first `n_track` rows
+    are the track queries, the rest the detect block. `queries` holds the
+    decoder's input rows, the aggregated track rows then the detect block,
+    so a caller can gather the next track block's states (`hidden`) and
+    positions (`queries`) with one row index.
     """
 
     class_logits: Tensor  # [n, n_classes]
@@ -460,60 +450,41 @@ class TrackingModel:
 
         Self-attention over the track rows only, with no slot-index term, so
         output row i belongs to input row i and swapping two rows (with
-        their positions) swaps the two outputs.
+        their positions) swaps the two outputs. The carried block is model
+        state: its embeddings and positions must be in the model's dtype.
         """
+        for name in ("embeddings", "positions"):
+            t = getattr(track_set, name)
+            if t is not None and t.data.dtype != self.cfg.dtype:
+                raise ValueError(
+                    f"track block {name} are {t.data.dtype}, the model computes in {self.cfg.dtype}"
+                )
         return _encoder_layer(
             track_set.embeddings, self.temporal, self.cfg.n_heads, track_set.positions
         )
 
-    def frame_queries(self, track_set: QuerySet | None = None) -> QuerySet:
-        """Build the decoder's query set: aggregated track block, then detect block.
+    def decode(self, memory: Tensor, track_queries: Tensor | None = None) -> FramePredictions:
+        """Refine the frame's queries against its tokens; emit class logits and boxes.
 
-        A non-empty carried track block passes through `aggregate` and is
-        concatenated in front of the learnable detect block. The result has
-        no positions: the decoder uses none. The carried block is model
-        state: it holds track records only, and its embeddings and positions
-        must be in the model's dtype.
+        The queries are the `track_queries` rows, when given, followed by the
+        learnable detect block, joined by one `ad.concat`. `memory` is the
+        frame's tokens, [T, d_model], and the track queries are [n, d_model]
+        rows; both in the model's dtype.
         """
         cfg = self.cfg
-        detect_records = [QueryRecord("detect") for _ in range(cfg.n_detect_queries)]
-        if track_set is None or len(track_set) == 0:
-            return QuerySet(self.detect_queries, detect_records)
-        if track_set.n_track != len(track_set):
-            raise ValueError(
-                f"carried track block holds {len(track_set) - track_set.n_track} detect records; "
-                "the model appends its own detect block"
-            )
-        for name in ("embeddings", "positions"):
-            t = getattr(track_set, name)
-            if t is not None and t.data.dtype != cfg.dtype:
-                raise ValueError(
-                    f"track block {name} are {t.data.dtype}, the model computes in {cfg.dtype}"
-                )
-        return QuerySet(
-            ad.concat([self.aggregate(track_set), self.detect_queries], axis=0),
-            list(track_set.records) + detect_records,
-        )
-
-    def decode(self, queries: QuerySet, memory: Tensor) -> FramePredictions:
-        """Refine queries against frame tokens; emit class logits and boxes.
-
-        `memory` is the frame's tokens, [T, d_model] in the model's dtype,
-        and so are the query embeddings, [N, d_model].
-        """
-        cfg = self.cfg
-        if len(queries) == 0:
-            raise ValueError("query set is empty; the detect block is mandatory")
-        emb = queries.embeddings.data
-        if emb.ndim != 2 or emb.shape[1] != cfg.d_model:
-            raise ShapeError(f"query embeddings need [N, {cfg.d_model}] rows, got {emb.shape}")
-        if emb.dtype != cfg.dtype:
-            raise ValueError(f"query embeddings are {emb.dtype}, the model computes in {cfg.dtype}")
         if memory.data.ndim != 2 or memory.shape[1] != cfg.d_model:
             raise ShapeError(f"memory needs [T, {cfg.d_model}] token rows, got {memory.shape}")
         if memory.data.dtype != cfg.dtype:
             raise ValueError(f"memory is {memory.data.dtype}, the model computes in {cfg.dtype}")
-        x = queries.embeddings
+        queries = self.detect_queries
+        if track_queries is not None:
+            t = track_queries.data
+            if t.ndim != 2 or t.shape[1] != cfg.d_model:
+                raise ShapeError(f"track queries need [n, {cfg.d_model}] rows, got {t.shape}")
+            if t.dtype != cfg.dtype:
+                raise ValueError(f"track queries are {t.dtype}, the model computes in {cfg.dtype}")
+            queries = ad.concat([track_queries, queries], axis=0)
+        x = queries
         for self_attn, cross_attn, ffn in self.decoder_layers:
             x = multi_head_attention(x, self_attn, cfg.n_heads)
             x = multi_head_attention(x, cross_attn, cfg.n_heads, memory=memory)
@@ -521,10 +492,14 @@ class TrackingModel:
         hidden = ad.layer_norm(x, *self.norm_out)
         class_logits = ad.linear(hidden, self.cls_w, self.cls_b)
         boxes = ad.sigmoid(ad.mlp(hidden, self.box_w1, self.box_b1, self.box_w2, self.box_b2))
-        return FramePredictions(class_logits, boxes, hidden, queries.embeddings, queries.n_track)
+        n_track = queries.shape[0] - cfg.n_detect_queries
+        return FramePredictions(class_logits, boxes, hidden, queries, n_track)
 
     def forward_frame(self, image: Tensor, track_set: QuerySet | None = None) -> FramePredictions:
-        return self.decode(self.frame_queries(track_set), self.encode(image))
+        """One frame: aggregate a non-empty carried track block, encode the
+        image, then decode the track queries and the detect block."""
+        track_queries = None if track_set is None or len(track_set) == 0 else self.aggregate(track_set)
+        return self.decode(self.encode(image), track_queries)
 
 
 # ---------------------------------------------------------------------------

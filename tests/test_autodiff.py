@@ -10,6 +10,8 @@ from querytrack.autodiff import Tape, Tensor
 from querytrack.boxes import box_l1_rows
 from querytrack.losses import focal_loss
 
+from chain_ops import scale, slice_axis
+
 
 def scalar(f):
     """Wrap a tensor function so grad_check sees sum(f(...))."""
@@ -282,10 +284,10 @@ def unfused_attention_sublayer(x, gain, bias, proj, n_heads, memory=None, positi
         products = [(xn, 0, 3 * d)]
     outs = [
         ad.linear(r, w_in, b_in) if (lo, hi) == (0, 3 * d)
-        else ad.linear(r, ad.slice_axis(w_in, 1, lo, hi), ad.slice_axis(b_in, 0, lo, hi))
+        else ad.linear(r, slice_axis(w_in, 1, lo, hi), slice_axis(b_in, 0, lo, hi))
         for r, lo, hi in products
     ]
-    qp, kp, vp = (ad.slice_axis(o, 1, j, j + d) for o in outs for j in range(0, o.shape[1], d))
+    qp, kp, vp = (slice_axis(o, 1, j, j + d) for o in outs for j in range(0, o.shape[1], d))
     return ad.add(x, ad.linear(core(qp, kp, vp, n_heads), wo, bo))
 
 
@@ -596,10 +598,10 @@ class TestAttentionFormula:
             lambda: unfused_attention_sublayer(x, *norm, proj, n_heads, core=textbook_core, **extra),
             leaves, w, w_extra,
         )
-        scale = max(np.abs(a).max() for a in [ref_out, *ref_grads])
+        largest = max(np.abs(a).max() for a in [ref_out, *ref_grads])
         names = ["out", "x", "gain", "bias", *extra, *PROJ_NAMES]
         for name, a, b in zip(names, [out, *grads], [ref_out, *ref_grads]):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * largest, err_msg=name)
 
     @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -764,6 +766,28 @@ class TestElementwise:
         with pytest.raises(ad.ShapeError):
             ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
+    @pytest.mark.parametrize("op", [ad.add, lambda a, b: ad.concat([a, b])], ids=["add", "concat"])
+    @pytest.mark.parametrize("dtypes", [("float32", "float64"), ("float64", "float32")])
+    def test_mixed_dtypes_rejected(self, op, dtypes):
+        # numpy would promote the result to float64, and backward would then
+        # hand the float32 leaf a float64 gradient
+        a, b = (Tensor(np.zeros((2, 3), dtype=d), requires_grad=True) for d in dtypes)
+        name = "add" if op is ad.add else "concat"
+        with Tape() as tape, pytest.raises(ValueError, match=f"{name} operands are {dtypes[0]}, {dtypes[1]};"):
+            op(a, b)
+        assert tape.nodes == []
+
+    def test_concat_rejects_unequal_sizes_off_the_axis(self):
+        # numpy raised a bare ValueError that did not name the op
+        x = Tensor(np.zeros((2, 3)))
+        message = r"concat needs equal sizes off axis 0, got shapes \[\(2, 3\), \(2, 4\)\]"
+        with pytest.raises(ad.ShapeError, match=message):
+            ad.concat([x, Tensor(np.zeros((2, 4)))])
+        with pytest.raises(ad.ShapeError, match=r"concat needs equal sizes off axis 1, got shapes \[\(2, 3\), \(3,\)\]"):
+            ad.concat([x, Tensor(np.zeros(3))], axis=-1)
+        assert ad.concat([x, Tensor(np.zeros((2, 4)))], axis=1).shape == (2, 7)
+        assert ad.concat([x, Tensor(np.zeros((0, 3)))]).shape == (2, 3)
+
     def test_bias_broadcast_gradient(self):
         rng = np.random.default_rng(4)
         x = rng_tensor(rng, 5, 3)
@@ -771,7 +795,7 @@ class TestElementwise:
         report = ad.grad_check(scalar(ad.add), [x, b])
         assert report.passed
 
-    @pytest.mark.parametrize("op", [lambda x: ad.scale(x, 2.5)])
+    @pytest.mark.parametrize("op", [lambda x: scale(x, 2.5)])
     def test_unary_gradients(self, op):
         rng = np.random.default_rng(5)
         x = Tensor(rng.uniform(0.2, 2.0, size=(4, 3)))
@@ -780,7 +804,7 @@ class TestElementwise:
     def test_slice_and_gather_gradients(self):
         rng = np.random.default_rng(7)
         x = rng_tensor(rng, 5, 4)
-        assert ad.grad_check(lambda x: weighted_sum(ad.slice_axis(x, 1, 1, 3), 1.0), [x]).passed
+        assert ad.grad_check(lambda x: weighted_sum(slice_axis(x, 1, 1, 3), 1.0), [x]).passed
         # repeated index exercises scatter-add
         w = rng.standard_normal((4, 4))
         assert ad.grad_check(lambda x: weighted_sum(ad.gather_rows(x, [0, 2, 2, 4]), w), [x]).passed
@@ -823,13 +847,13 @@ class TestElementwise:
 
     def test_slice_axis_negative_axis_counts_from_the_last(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4))
-        assert np.array_equal(ad.slice_axis(x, -1, 1, 3).data, x.data[..., 1:3])
-        assert np.array_equal(ad.slice_axis(x, -3, 1, 2).data, x.data[1:2])
+        assert np.array_equal(slice_axis(x, -1, 1, 3).data, x.data[..., 1:3])
+        assert np.array_equal(slice_axis(x, -3, 1, 2).data, x.data[1:2])
 
     @pytest.mark.parametrize("axis", [2, 3, -3])
     def test_slice_axis_out_of_range_rejected(self, axis):
         with pytest.raises(ad.ShapeError, match=rf"axis {axis} is out of range for shape \(2, 3\)"):
-            ad.slice_axis(Tensor(np.zeros((2, 3))), axis, 0, 1)
+            slice_axis(Tensor(np.zeros((2, 3))), axis, 0, 1)
 
 
 class TestBackward:
@@ -864,7 +888,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            out = ad.scale(x, 2.0)
+            out = scale(x, 2.0)
         with pytest.raises(ad.GradientError, match="scalar"):
             tape.backward(out)
 
@@ -945,7 +969,7 @@ class TestBackward:
         x = Tensor(rng.standard_normal(4), requires_grad=True)
 
         with Tape() as tape:
-            loss = ad.add(weighted_sum(square(x), 1.0), weighted_sum(ad.scale(x, 3.0), 1.0))
+            loss = ad.add(weighted_sum(square(x), 1.0), weighted_sum(scale(x, 3.0), 1.0))
         tape.backward(loss)
         both = x.grad.copy()
 
@@ -957,7 +981,7 @@ class TestBackward:
 
         x.reset_grad()
         with Tape() as tape:
-            loss = weighted_sum(ad.scale(x, 3.0), 1.0)
+            loss = weighted_sum(scale(x, 3.0), 1.0)
         tape.backward(loss)
         second = x.grad.copy()
 
@@ -1007,7 +1031,7 @@ class TestBackward:
 class TestGradCheck:
     def test_linear_function_near_exact(self):
         x = Tensor(np.arange(5.0))
-        report = ad.grad_check(lambda x: weighted_sum(ad.scale(x, 4.0), 1.0), [x])
+        report = ad.grad_check(lambda x: weighted_sum(scale(x, 4.0), 1.0), [x])
         assert report.passed
         assert report.max_rel_err < 1e-9
 

@@ -18,6 +18,8 @@ from querytrack.losses import (
 )
 from querytrack.model import ModelConfig, QueryRecord, QuerySet, TrackingModel
 
+from chain_ops import scale, slice_axis
+
 
 def logit(p):
     """The class logit whose sigmoid is the probability p."""
@@ -51,6 +53,11 @@ class StubPreds:
 
 
 W = LossWeights(lambda_cls=2.0, lambda_l1=5.0, lambda_giou=2.0)
+
+
+def frame_total(terms):
+    """A frame's loss, track + detect, as one `ad.add` node."""
+    return ad.add(terms.track, terms.detect)
 
 
 class TestFocal:
@@ -142,8 +149,8 @@ class TestFrameLoss:
             + 5.0 * l1_box(pred_box, gt_box)
             + 2.0 * (1.0 - giou(pred_box, gt_box))
         )
-        assert out.total.item() == pytest.approx(manual, abs=1e-12)
-        assert out.total.item() == pytest.approx(3.7453, abs=1e-4)
+        assert frame_total(out).item() == pytest.approx(manual, abs=1e-12)
+        assert frame_total(out).item() == pytest.approx(3.7453, abs=1e-4)
 
     def test_empty_ground_truth_is_all_negatives(self):
         probs = np.array([[0.3], [0.6]])
@@ -152,7 +159,7 @@ class TestFrameLoss:
         expected = 2.0 * sum(
             0.75 * p**2 * -np.log(1 - p) for p in probs.reshape(-1)
         )
-        assert out.total.item() == pytest.approx(expected, abs=1e-12)
+        assert frame_total(out).item() == pytest.approx(expected, abs=1e-12)
         assert out.n_objects == 0
 
     def test_dead_track_identity_supervised_as_background(self):
@@ -220,12 +227,12 @@ class TestFrameLoss:
         )
         gt = [GtObject(1, Box(0.5, 0.5, 0.2, 0.2)), GtObject(2, Box(0.3, 0.6, 0.1, 0.3))]
         tr, det = Assignment([(0, 1)]), Assignment([(1, 2)])
-        base = frame_loss(preds, tr, det, gt, W).total.item()
+        base = frame_total(frame_loss(preds, tr, det, gt, W)).item()
         c = 3.5
         scaled_w = LossWeights(
             lambda_cls=W.lambda_cls * c, lambda_l1=W.lambda_l1 * c, lambda_giou=W.lambda_giou * c
         )
-        scaled = frame_loss(preds, tr, det, gt, scaled_w).total.item()
+        scaled = frame_total(frame_loss(preds, tr, det, gt, scaled_w)).item()
         assert scaled == pytest.approx(c * base, rel=1e-12)
 
     def test_permutation_equivariance(self):
@@ -236,14 +243,14 @@ class TestFrameLoss:
         preds = StubPreds(logits, boxes, n_track=2)
         tr = Assignment([(0, 1), (1, 2)])
         det = Assignment([(1, 3)])
-        base = frame_loss(preds, tr, det, gt, W).total.item()
+        base = frame_total(frame_loss(preds, tr, det, gt, W)).item()
 
         # swap the two track slots and permute the detect block
         perm = [1, 0, 4, 2, 3]
         preds_p = StubPreds(logits[perm], boxes[perm], n_track=2)
         tr_p = Assignment([(1, 1), (0, 2)])
         det_p = Assignment([(2, 3)])
-        permuted = frame_loss(preds_p, tr_p, det_p, gt, W).total.item()
+        permuted = frame_total(frame_loss(preds_p, tr_p, det_p, gt, W)).item()
         assert permuted == pytest.approx(base, abs=1e-12)
 
     def test_gradient_through_boxes_and_probs(self):
@@ -254,7 +261,7 @@ class TestFrameLoss:
 
         def f(logits, boxes):
             preds = type("P", (), {"class_logits": logits, "boxes": boxes, "n_track": 1})()
-            return frame_loss(preds, Assignment([(0, 1)]), Assignment([(1, 2)]), gt, W).total
+            return frame_total(frame_loss(preds, Assignment([(0, 1)]), Assignment([(1, 2)]), gt, W))
 
         assert ad.grad_check(f, [logits, boxes], tol=1e-4).passed
 
@@ -268,16 +275,16 @@ def chain_block(preds, lo, hi, class_targets, rows, target_boxes, w):
     """One query block's loss as the chain of public ops `frame_loss` stands for:
     slice_axis → focal_loss; gather_rows → box_l1_rows and box_giou_rows; then
     cls·λ_cls + (Σ L1·λ_L1 + Σ (1 − GIoU)·λ_GIoU) as scale, sum and add nodes."""
-    logits = ad.slice_axis(preds.class_logits, 0, lo, hi)
-    total = ad.scale(focal_loss(logits, class_targets[lo:hi], w.focal_alpha, w.focal_gamma), w.lambda_cls)
+    logits = slice_axis(preds.class_logits, 0, lo, hi)
+    total = scale(focal_loss(logits, class_targets[lo:hi], w.focal_alpha, w.focal_gamma), w.lambda_cls)
     if not rows:
         return total
     boxes = ad.gather_rows(preds.boxes, rows)
     gt = Tensor(np.stack(target_boxes).astype(preds.boxes.data.dtype))
-    l1 = ad.scale(row_total(box_l1_rows(boxes, gt)), w.lambda_l1)
+    l1 = scale(row_total(box_l1_rows(boxes, gt)), w.lambda_l1)
     one = Tensor(np.ones((len(rows), 1), dtype=gt.data.dtype))
-    one_minus_giou = ad.add(ad.scale(box_giou_rows(boxes, gt), -1.0), one)
-    return ad.add(total, ad.add(l1, ad.scale(row_total(one_minus_giou), w.lambda_giou)))
+    one_minus_giou = ad.add(scale(box_giou_rows(boxes, gt), -1.0), one)
+    return ad.add(total, ad.add(l1, scale(row_total(one_minus_giou), w.lambda_giou)))
 
 
 def chain_frame_loss(preds, track_assign, detect_assign, gt, w):
@@ -333,7 +340,7 @@ def blocks_with_upstream(loss_fn, preds, track_assign, detect_assign, gt, w, up_
     gradient."""
     with Tape() as tape:
         track, detect = loss_fn(preds, track_assign, detect_assign, gt, w)
-        loss = ad.add(ad.scale(track, up_track), ad.scale(detect, up_detect))
+        loss = ad.add(scale(track, up_track), scale(detect, up_detect))
     tape.backward(loss)
     return track, detect
 
@@ -398,7 +405,7 @@ class TestBlockTotal:
 
         def f(*_):
             out = frame_loss(preds, track_assign, detect_assign, gt, self.WEIGHTS)
-            return ad.add(ad.scale(out.track, 0.7), ad.scale(out.detect, 1.3))
+            return ad.add(scale(out.track, 0.7), scale(out.detect, 1.3))
 
         report = ad.grad_check(f, [preds.class_logits, preds.boxes])
         assert report.passed, report.max_rel_err
@@ -442,7 +449,7 @@ class TestTinyModelFrameLoss:
 
     def loss(self):
         preds = self.model.forward_frame(self.image, self.track_set)
-        return frame_loss(preds, Assignment([(0, 1)]), Assignment([(2, 2)]), self.GT, LossWeights()).total
+        return frame_total(frame_loss(preds, Assignment([(0, 1)]), Assignment([(2, 2)]), self.GT, LossWeights()))
 
     def test_gradient_reaches_heads_decoder_and_temporal_layer(self):
         params = self.model.params
@@ -480,7 +487,7 @@ class TestClipAverage:
         terms = FrameLossTerms(track=Tensor(1.25), detect=Tensor(2.5), n_tracked=2, n_newborn=1)
         acc = ClipLossAccumulator()
         acc.add(terms)
-        manual = ad.scale(ad.add(terms.track, terms.detect), 1.0 / 3)
+        manual = scale(ad.add(terms.track, terms.detect), 1.0 / 3)
         assert clip_average_loss(acc).item() == manual.item()
 
     def test_two_frame_arithmetic(self):
@@ -495,7 +502,7 @@ class TestClipAverage:
             acc = ClipLossAccumulator()
             for _ in range(int(rng.integers(1, 7))):
                 acc.add(make_terms(rng))
-            manual = sum(f.total.item() for f in acc.frames) / max(acc.total_objects, 1)
+            manual = sum(frame_total(f).item() for f in acc.frames) / max(acc.total_objects, 1)
             assert abs(clip_average_loss(acc).item() - manual) < 1e-9
 
     def test_empty_frames_clamp_denominator(self):
@@ -525,11 +532,11 @@ class TestClipAverage:
                 if use_node:
                     average = clip_average_loss(acc)
                 else:
-                    total = acc.frames[0].total
+                    total = frame_total(acc.frames[0])
                     for terms in acc.frames[1:]:
-                        total = ad.add(total, terms.total)
-                    average = ad.scale(total, 1.0 / max(acc.total_objects, 1))
-                loss = ad.scale(average, 0.83)
+                        total = ad.add(total, frame_total(terms))
+                    average = scale(total, 1.0 / max(acc.total_objects, 1))
+                loss = scale(average, 0.83)
             tape.backward(loss)
             results.append([average.data] + [t.grad for f in acc.frames for t in (f.track, f.detect)])
             rng = np.random.default_rng(40 + n_frames)  # the same terms again

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from querytrack.model import (
     save_checkpoint,
     sine_positions_2d,
 )
+
+from chain_ops import slice_axis
 
 TINY = ModelConfig(
     image_size=16,
@@ -316,9 +319,9 @@ class TestDecode:
         preds = model.forward_frame(img, ts)
         assert len(preds) == 19
         assert preds.n_track == 3
-        queries = model.frame_queries(ts)
-        assert [r.kind for r in queries.records[:3]] == ["track"] * 3
-        assert [r.track_id for r in queries.records[:3]] == [1, 2, 3]
+        # the aggregated track rows, in their order, then the detect block
+        assert np.array_equal(preds.queries.data[:3], model.aggregate(ts).data)
+        assert np.array_equal(preds.queries.data[3:], model.detect_queries.data)
 
     def test_outputs_strictly_inside_unit_interval(self):
         model = TrackingModel(ModelConfig(), seed=9)
@@ -348,26 +351,36 @@ class TestDecode:
         np.testing.assert_allclose(a.hidden.data[1], b.hidden.data[0], atol=1e-12)
         np.testing.assert_allclose(a.hidden.data[2:], b.hidden.data[2:], atol=1e-12)
 
-    def test_empty_query_set_rejected(self):
-        model = TrackingModel(TINY)
-        memory = Tensor(np.zeros((4, TINY.d_model)))
-        with pytest.raises(ValueError, match="empty"):
-            model.decode(QuerySet(Tensor(np.zeros((0, TINY.d_model))), []), memory)
+    def test_empty_track_rows_decode_the_detect_block_alone(self):
+        # the detect block is always there: no track rows, or an empty
+        # block of them, give the same detect-only frame
+        model = TrackingModel(TINY, seed=5)
+        memory = model.encode(random_image(np.random.default_rng(5), TINY))
+        alone = model.decode(memory)
+        empty = model.decode(memory, Tensor(np.zeros((0, TINY.d_model))))
+        for preds in (alone, empty):
+            assert preds.n_track == 0 and len(preds) == TINY.n_detect_queries
+            assert np.array_equal(preds.queries.data, model.detect_queries.data)
+        assert np.array_equal(empty.hidden.data, alone.hidden.data)
+        # an empty carried block is no carried block
+        img = random_image(np.random.default_rng(6), TINY)
+        carried = QuerySet(Tensor(np.zeros((0, TINY.d_model))), [])
+        assert np.array_equal(model.forward_frame(img, carried).hidden.data, model.forward_frame(img).hidden.data)
 
     def test_empty_memory_rejected(self):
         model = TrackingModel(TINY)
         with pytest.raises(ad.ShapeError, match="at least one key row"):
-            model.decode(model.frame_queries(), Tensor(np.zeros((0, TINY.d_model))))
+            model.decode(Tensor(np.zeros((0, TINY.d_model))))
 
     def test_memory_width_mismatch_rejected(self):
         model = TrackingModel(TINY)
         with pytest.raises(ad.ShapeError):
-            model.decode(model.frame_queries(), Tensor(np.zeros((4, 6))))
+            model.decode(Tensor(np.zeros((4, 6))))
 
     def test_one_dimensional_memory_rejected(self):
         model = TrackingModel(TINY)
         with pytest.raises(ad.ShapeError, match=r"memory needs \[T, 8\] token rows, got \(8,\)"):
-            model.decode(model.frame_queries(), Tensor(np.zeros(TINY.d_model)))
+            model.decode(Tensor(np.zeros(TINY.d_model)))
 
     @pytest.mark.parametrize("model_dtype, memory_dtype", [("float32", "float64"), ("float64", "float32")])
     def test_memory_in_another_dtype_rejected(self, model_dtype, memory_dtype):
@@ -375,34 +388,58 @@ class TestDecode:
         model = TrackingModel(dataclasses.replace(TINY, dtype=model_dtype))
         memory = Tensor(np.zeros((4, TINY.d_model), dtype=memory_dtype))
         with pytest.raises(ValueError, match=f"memory is {memory_dtype}, the model computes in {model_dtype}"):
-            model.decode(model.frame_queries(), memory)
+            model.decode(memory)
 
     def test_query_width_mismatch_rejected(self):
         # a width of 6 on d_model 8 used to fail inside the first attention
         model = TrackingModel(TINY)
-        queries = QuerySet(Tensor(np.zeros((2, 6))), [QueryRecord("detect") for _ in range(2)])
-        with pytest.raises(ad.ShapeError, match=r"query embeddings need \[N, 8\] rows, got \(2, 6\)"):
-            model.decode(queries, Tensor(np.zeros((4, TINY.d_model))))
+        for shape in [(2, 6), (TINY.d_model,), (1, 2, TINY.d_model)]:
+            message = rf"track queries need \[n, 8\] rows, got {re.escape(str(shape))}"
+            with pytest.raises(ad.ShapeError, match=message):
+                model.decode(Tensor(np.zeros((4, TINY.d_model))), Tensor(np.zeros(shape)))
 
     @pytest.mark.parametrize("model_dtype, query_dtype", [("float32", "float64"), ("float64", "float32")])
     def test_queries_in_another_dtype_rejected(self, model_dtype, query_dtype):
-        # float64 embeddings would make a float32 model's hidden and boxes float64
+        # float64 track rows would make a float32 model's hidden and boxes float64
         model = TrackingModel(dataclasses.replace(TINY, dtype=model_dtype))
-        embeddings = Tensor(np.zeros((2, TINY.d_model), dtype=query_dtype))
-        queries = QuerySet(embeddings, [QueryRecord("detect") for _ in range(2)])
+        track_queries = Tensor(np.zeros((2, TINY.d_model), dtype=query_dtype))
         memory = Tensor(np.zeros((4, TINY.d_model), dtype=model_dtype))
-        message = f"query embeddings are {query_dtype}, the model computes in {model_dtype}"
+        message = f"track queries are {query_dtype}, the model computes in {model_dtype}"
         with pytest.raises(ValueError, match=message):
-            model.decode(queries, memory)
+            model.decode(memory, track_queries)
 
     @pytest.mark.parametrize("kinds", [["detect"], ["track", "detect"]])
     def test_carried_block_with_detect_records_rejected(self, kinds):
-        # the model appends its own detect block; a carried one would join it unseen
-        model = TrackingModel(TINY)
-        records = [QueryRecord(k, track_id=1 if k == "track" else None) for k in kinds]
-        carried = QuerySet(Tensor(np.zeros((len(kinds), TINY.d_model))), records)
-        with pytest.raises(ValueError, match="carried track block holds 1 detect records"):
-            model.frame_queries(carried)
+        # the model appends its own detect block, so a record of any other
+        # kind than "track" is rejected as it is built
+        with pytest.raises(ValueError, match="unknown query kind 'detect'"):
+            QuerySet(
+                Tensor(np.zeros((len(kinds), TINY.d_model))),
+                [QueryRecord(k, track_id=i) for i, k in enumerate(kinds)],
+            )
+
+    def test_forward_frame_builds_no_query_records(self, monkeypatch):
+        # the detect block is the model's own: a frame, with or without a
+        # carried block, constructs no QueryRecord and no QuerySet
+        built = Counter()
+        for cls in (QueryRecord, QuerySet):
+            init = cls.__init__
+
+            def counting_init(self, *args, _init=init, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        model = TrackingModel(TINY, seed=4)
+        img = random_image(np.random.default_rng(4), TINY)
+        carried = track_set_of(model, 2)
+        assert built == {"QueryRecord": 2, "QuerySet": 1}
+        built.clear()
+        model.forward_frame(img)
+        model.forward_frame(img, carried)
+        with Tape():
+            model.forward_frame(img, carried)
+        assert built == {}
 
     def test_gradient_through_query_embeddings(self):
         model = TrackingModel(TINY, seed=12)
@@ -413,12 +450,7 @@ class TestDecode:
         box_weights = rng.standard_normal((2 + TINY.n_detect_queries, 4))
 
         def f(emb):
-            qs = QuerySet(
-                ad.concat([emb, model.detect_queries], axis=0),
-                [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)]
-                + [QueryRecord("detect") for _ in range(TINY.n_detect_queries)],
-            )
-            preds = model.decode(qs, memory)
+            preds = model.decode(memory, emb)
             return ad.add(weighted_sum(ad.sigmoid(preds.class_logits), 1.0), weighted_sum(preds.boxes, box_weights))
 
         report = ad.grad_check(f, [emb], tol=1e-4)
@@ -490,17 +522,19 @@ class TestTemporalAggregation:
         good, bad = Tensor(emb.astype(model_dtype)), Tensor(emb.astype(block_dtype))
         message = f"are {block_dtype}, the model computes in {model_dtype}"
         with pytest.raises(ValueError, match=f"track block embeddings {message}"):
-            model.frame_queries(QuerySet(bad, records))
+            model.aggregate(QuerySet(bad, records))
         with pytest.raises(ValueError, match=f"track block positions {message}"):
-            model.frame_queries(QuerySet(good, records, positions=bad))
-        assert model.frame_queries(QuerySet(good, records, positions=good)).embeddings.data.dtype == model_dtype
+            model.aggregate(QuerySet(good, records, positions=bad))
+        with pytest.raises(ValueError, match=f"track block positions {message}"):
+            model.forward_frame(random_image(rng, model.cfg), QuerySet(good, records, positions=bad))
+        assert model.aggregate(QuerySet(good, records, positions=good)).data.dtype == model_dtype
 
     def test_decoder_input_rows_exposed(self):
         model = TrackingModel(TINY, seed=20)
         img = random_image(np.random.default_rng(20), TINY)
         ts = track_set_of(model, 2)
         preds = model.forward_frame(img, ts)
-        assert np.array_equal(preds.queries.data, model.frame_queries(ts).embeddings.data)
+        assert np.array_equal(preds.queries.data[:2], model.aggregate(ts).data)
         assert np.array_equal(preds.queries.data[2:], model.detect_queries.data)
         # the track rows went through the temporal layer, not straight in
         assert not np.allclose(preds.queries.data[:2], ts.embeddings.data)
@@ -519,7 +553,7 @@ class TestClipGraph:
                 total = frame_sum if total is None else ad.add(total, frame_sum)
                 # feed hidden states back as next-frame track queries
                 track = QuerySet(
-                    ad.slice_axis(preds.hidden, 0, 0, 2),
+                    slice_axis(preds.hidden, 0, 0, 2),
                     [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)],
                 )
             loss = weighted_sum(total, 1.0)
@@ -536,21 +570,31 @@ class TestQuerySet:
         with pytest.raises(ValueError, match="duplicate"):
             QuerySet(emb, [QueryRecord("track", 1), QueryRecord("track", 1)])
 
-    def test_block_order_enforced(self):
-        emb = Tensor(np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="precede"):
-            QuerySet(emb, [QueryRecord("detect"), QueryRecord("track", 1)])
-
     def test_positions_shape_must_match_embeddings(self):
         emb, pos = Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 4)))
         with pytest.raises(ValueError, match="positions"):
             QuerySet(emb, [QueryRecord("track", 1), QueryRecord("track", 2)], pos)
 
     def test_record_kind_invariants(self):
-        with pytest.raises(ValueError):
+        # a record is a track query's identity: it needs an id and the kind "track"
+        with pytest.raises(TypeError):
             QueryRecord("track")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown query kind 'detect'"):
             QueryRecord("detect", track_id=3)
+        record = QueryRecord("track", 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.track_id = 4
+
+    @pytest.mark.parametrize("track_id", ["x", True, False, 1.0, None, np.float64(2.0)])
+    def test_track_id_must_be_an_integer(self, track_id):
+        with pytest.raises(ValueError, match=f"track_id must be an integer, got {re.escape(repr(track_id))}"):
+            QueryRecord("track", track_id=track_id)
+
+    def test_numpy_integer_track_ids_are_accepted(self):
+        records = [QueryRecord("track", track_id=i) for i in (np.int64(1), np.uint8(2), 3)]
+        assert [r.track_id for r in records] == [1, 2, 3]
+        with pytest.raises(ValueError, match="duplicate"):
+            QuerySet(Tensor(np.zeros((2, 4))), [QueryRecord("track", np.int32(5)), QueryRecord("track", 5)])
 
 
 class TestCheckpoint:
