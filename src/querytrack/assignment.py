@@ -4,6 +4,8 @@ Three layers: a minimum-cost assignment solver (scipy's), the pairwise
 class/box matching cost, and the per-frame label-assignment rules the
 tracker trains with — newborn objects are matched to detect queries only,
 while track queries inherit the assignment of the object they already carry.
+The cost and `losses.frame_loss` take a frame's checked class ids and box
+rows from one reader, `_read_annotations`, so both see the same targets.
 """
 
 from __future__ import annotations
@@ -75,18 +77,21 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(rows.tolist(), cols.tolist()))
 
 
-def _check_annotations(gt_frame: list[GtObject], n_classes: int) -> None:
-    """Reject one frame's ground truth that the matcher and the loss cannot
-    index: a class id outside [0, n_classes), or an identity given twice."""
-    seen = set()
+def _read_annotations(gt_frame: list[GtObject], n_classes: int):
+    """(each identity's row, [n] integer class ids, float64 [n,4] box rows)
+    of one frame's ground truth, in its order. A class id that is not an
+    integer in [0, n_classes), or an identity given twice, raises."""
+    row_of = {}
     for obj in gt_frame:
         if not (isinstance(obj.class_id, (int, np.integer)) and 0 <= obj.class_id < n_classes):
             raise ValueError(
                 f"object {obj.identity} has class_id {obj.class_id!r}, outside [0, {n_classes})"
             )
-        if obj.identity in seen:
+        if obj.identity in row_of:
             raise ValueError(f"identity {obj.identity} appears twice in one frame")
-        seen.add(obj.identity)
+        row_of[obj.identity] = len(row_of)
+    class_ids = np.array([obj.class_id for obj in gt_frame], dtype=np.intp)
+    return row_of, class_ids, box_array([obj.box for obj in gt_frame])
 
 
 def build_match_cost(
@@ -105,9 +110,8 @@ def build_match_cost(
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
     if pred_probs.ndim != 2:
         raise ValueError(f"pred_probs must be [n_queries, n_classes], got shape {pred_probs.shape}")
-    _check_annotations(targets, pred_probs.shape[1])
-    class_ids = [t.class_id for t in targets]
-    pred_rows, target_rows = box_array(pred_boxes), box_array([t.box for t in targets])
+    _, class_ids, target_rows = _read_annotations(targets, pred_probs.shape[1])
+    pred_rows = box_array(pred_boxes)
     if len(pred_rows) != len(pred_probs):
         raise ValueError(f"{len(pred_probs)} probability rows but {len(pred_rows)} predicted boxes")
     return (
@@ -133,9 +137,7 @@ def assign_newborn(
     if not newborn:
         return Assignment()
     cost = build_match_cost(pred_probs, pred_boxes, newborn, weights)
-    pairs = [(q, newborn[t].identity) for q, t in hungarian(cost)]
-    pairs.sort()
-    return Assignment(pairs)
+    return Assignment([(q, newborn[t].identity) for q, t in hungarian(cost)])
 
 
 def propagate_assignment(prev_tr: Assignment, prev_det: Assignment) -> Assignment:

@@ -558,7 +558,7 @@ def _check_norm(d: int, gain: Tensor, bias: Tensor, op: str) -> None:
         raise ShapeError(f"{op} affine shapes {gain.shape}/{bias.shape} do not match ({d},)")
 
 
-def _layer_norm_forward(xd: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
+def _layer_norm_forward(xd: np.ndarray, gain: Tensor, bias: Tensor):
     """(output, normalised rows y, 1/std per row) of the layer norm over the last axis.
 
     The row mean and the variance are each one product with a [d,1] column
@@ -568,7 +568,7 @@ def _layer_norm_forward(xd: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
     mean = _column(xd.shape[-1], 1.0 / xd.shape[-1], xd.dtype)
     xc = xd - xd @ mean
     inv = (xc * xc) @ mean
-    inv += eps
+    inv += _NORM_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xc *= inv
@@ -606,18 +606,16 @@ def _layer_norm_backward(x, gain: Tensor, bias: Tensor, y, inv, g) -> None:
         x._accumulate(dx)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    x needs at least one axis; eps, added to the variance, must be finite
-    and positive.
+    x needs at least one axis. The variance gets `_NORM_EPS` added, as in
+    every fused sublayer's layer norm.
     """
     if x.data.ndim == 0:
         raise ShapeError("layer_norm needs at least one axis to normalise, got a 0-d tensor")
     _check_norm(x.shape[-1], gain, bias, "layer_norm")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"layer_norm eps must be finite and positive, got {eps!r}")
-    out, y, inv = _layer_norm_forward(x.data, gain, bias, eps)
+    out, y, inv = _layer_norm_forward(x.data, gain, bias)
 
     def pull(g):
         _layer_norm_backward(x, gain, bias, y, inv, g)
@@ -754,7 +752,7 @@ def attention(
     def split(a):  # [rows, d] -> [heads, rows, dh] view
         return a.reshape(a.shape[0], n_heads, dh).transpose(1, 0, 2)
 
-    xn, y, inv = _layer_norm_forward(xd, gain, bias, _NORM_EPS)
+    xn, y, inv = _layer_norm_forward(xd, gain, bias)
     outs = [_project(*p) for p in products(xn)]
     qh, kh, vh = blocks(outs)
     qh *= c
@@ -857,7 +855,7 @@ def feed_forward(
         _check_mlp(x, w1, b1, w2, b2, "feed_forward")
         raise ShapeError(f"feed_forward output width {w2.shape[1]} != input width {d}")
     _check_norm(d, gain, bias, "feed_forward")
-    xn, y, inv = _layer_norm_forward(x.data, gain, bias, _NORM_EPS)
+    xn, y, inv = _layer_norm_forward(x.data, gain, bias)
     out, a = _mlp_forward(xn, w1, b1, w2, b2)
     out += x.data
     if active_tape() is None:

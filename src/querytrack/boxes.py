@@ -8,8 +8,9 @@ costs and metrics, and `box_giou_rows`, one differentiable tape op over
 aligned rows (`[n,4] x [n,4] -> [n,1]`). `box_l1_rows` is its L1
 counterpart, also one tape op. The row ops' arithmetic is the kernels
 `_l1_rows`, `_giou_rows` and `_giou_rows_back`, which `losses.frame_loss`
-calls too, on all of a frame's matched rows at once. Tests cross-check the
-pairwise kernels' diagonal against the row ops.
+calls too, on all of a frame's matched rows at once. Both surfaces divide
+by union and enclosing areas clamped below at EPS_GUARD, so a zero union
+gives IoU 0 and pairwise `giou` equals `box_giou_rows` bit for bit.
 """
 
 from __future__ import annotations
@@ -107,20 +108,18 @@ def _overlap(a: np.ndarray, b: np.ndarray):
     return span, sides, inter, union, sides[..., 0] * sides[..., 1]
 
 
-def _iou(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-
-
 def iou(a, b) -> np.ndarray:
-    """Pairwise intersection over union in [0, 1]; zero-area union gives 0."""
+    """Pairwise intersection over union in [0, 1], over the union clamped
+    at EPS_GUARD; a zero-area union gives 0."""
     _, _, inter, union, _ = _overlap(box_array(a)[:, None], box_array(b)[None])
-    return _iou(inter, union)
+    return inter / np.maximum(union, EPS_GUARD)
 
 
 def giou(a, b) -> np.ndarray:
-    """Pairwise generalized IoU in [-1, 1]: IoU minus empty enclosing-area fraction."""
+    """Pairwise generalized IoU in [-1, 1]: IoU minus empty enclosing-area
+    fraction, with `_giou_rows`' clamps, so its diagonal is `box_giou_rows`."""
     _, _, inter, union, enclosing = _overlap(box_array(a)[:, None], box_array(b)[None])
-    return _iou(inter, union) - (enclosing - union) / np.maximum(enclosing, EPS_GUARD)
+    return inter / np.maximum(union, EPS_GUARD) - (enclosing - union) / np.maximum(enclosing, EPS_GUARD)
 
 
 def l1_box(a, b) -> np.ndarray:

@@ -16,6 +16,8 @@ values and gradients match that chain bit for bit. The chain is written
 out in the tests, with test-local slicing and scaling ops, as the
 reference for both nodes. The formulas are the same numpy kernels in
 both: `_focal_cells` here, `_l1_rows` and `_giou_rows` in `boxes`.
+The targets come from the matching cost's reader, `_read_annotations`,
+and GIoU clamps degenerate boxes as the matching kernels do (`boxes`).
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 import querytrack.autodiff as ad
 from querytrack.autodiff import Tensor
-from querytrack.assignment import Assignment, GtObject, _check_annotations
-from querytrack.boxes import _giou_rows, _giou_rows_back, _l1_rows, box_array
+from querytrack.assignment import Assignment, GtObject, _read_annotations
+from querytrack.boxes import _giou_rows, _giou_rows_back, _l1_rows
 from querytrack.boxes import box_giou_rows, box_l1_rows  # noqa: F401  the benchmark's tracer wraps them here
 
 __all__ = [
@@ -161,7 +163,7 @@ def frame_loss(
     """
     n_track = preds.n_track
     n_total, n_classes = preds.class_logits.shape
-    _check_annotations(gt_frame, n_classes)
+    row_of, class_ids, gt_rows = _read_annotations(gt_frame, n_classes)
     blocks = (("track", track_assign, n_track), ("detect", detect_assign, n_total - n_track))
     for block, assign, size in blocks:
         for slot, _ in assign.pairs:
@@ -170,32 +172,23 @@ def frame_loss(
     both = sorted(track_assign.identities() & detect_assign.identities())
     if both:
         raise ValueError(f"identities {both} are in both the track and the detect assignment")
-    by_identity = {obj.identity: obj for obj in gt_frame}
+    for _, ident in detect_assign.pairs:
+        if ident not in row_of:
+            raise ValueError(f"detect assignment references missing identity {ident}")
+
+    # (logit row, ground-truth row) per matched query; a dead track identity is background
+    pairs = [(slot, row_of[ident]) for slot, ident in track_assign.pairs if ident in row_of]
+    n_tracked = len(pairs)
+    pairs += [(n_track + slot, row_of[ident]) for slot, ident in detect_assign.pairs]
+    index, matched_gt = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
     logits, boxes = preds.class_logits, preds.boxes
     class_targets = np.zeros((n_total, n_classes), dtype=logits.data.dtype)
-    rows, targets = [], []
-    for slot, ident in track_assign.pairs:
-        obj = by_identity.get(ident)
-        if obj is None:
-            continue  # dead object: background supervision
-        class_targets[slot, obj.class_id] = 1.0
-        rows.append(slot)
-        targets.append(obj.box)
-    n_tracked = len(rows)
-    for slot, ident in detect_assign.pairs:
-        obj = by_identity.get(ident)
-        if obj is None:
-            raise ValueError(f"detect assignment references missing identity {ident}")
-        class_targets[n_track + slot, obj.class_id] = 1.0
-        rows.append(n_track + slot)
-        targets.append(obj.box)
-
+    class_targets[index, class_ids[matched_gt]] = 1.0
     gamma = weights.focal_gamma
     cells, focal = _focal_cells(logits.data, class_targets, weights.focal_alpha, gamma)
-    index = np.array(rows, dtype=np.intp)
     pred_rows = boxes.data[index]
-    target_rows = box_array(targets).astype(boxes.data.dtype, copy=False)
+    target_rows = gt_rows[matched_gt].astype(boxes.data.dtype, copy=False)
     l1, sign = _l1_rows(pred_rows, target_rows)
     giou, geometry = _giou_rows(pred_rows, target_rows)
 
@@ -225,9 +218,9 @@ def frame_loss(
 
     return FrameLossTerms(
         track=block(0, n_track, 0, n_tracked),
-        detect=block(n_track, n_total, n_tracked, len(rows)),
+        detect=block(n_track, n_total, n_tracked, len(pairs)),
         n_tracked=n_tracked,
-        n_newborn=len(rows) - n_tracked,
+        n_newborn=len(pairs) - n_tracked,
     )
 
 

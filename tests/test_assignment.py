@@ -6,6 +6,7 @@ import pytest
 from querytrack.assignment import (
     Assignment,
     GtObject,
+    _read_annotations,
     assign_newborn,
     build_match_cost,
     hungarian,
@@ -150,8 +151,11 @@ class TestMatchCost:
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=-1)], r"class_id -1, outside \[0, 1\)"),
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=1)], r"class_id 1, outside \[0, 1\)"),
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2)), GtObject(1, Box(0.3, 0.3, 0.1, 0.1))], "identity 1 appears twice"),
+            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=0.0)], r"class_id 0\.0, outside \[0, 1\)"),
+            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id="0")], r"class_id '0', outside \[0, 1\)"),
+            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=None)], r"class_id None, outside \[0, 1\)"),
         ],
-        ids=["negative_class", "class_past_the_last", "duplicate_identity"],
+        ids=["negative_class", "class_past_the_last", "duplicate_identity", "float_class", "string_class", "no_class"],
     )
     def test_bad_annotations_rejected(self, gt, message):
         probs = np.array([[0.5], [0.3]])
@@ -218,12 +222,26 @@ class TestAssignNewborn:
             ]
             out = assign_newborn(probs, preds, gt, tracked, self.w)
             assert not (out.identities() & tracked)
+            assert out.pairs == sorted(out.pairs)  # in detect slot order
             expected = {t.identity for t in gt} - tracked
             assert out.identities() == set(
                 sorted(expected)[: min(6, len(expected))]
             ) or out.identities() <= expected
             if len(expected) <= 6:
                 assert out.identities() == expected
+
+
+class TestReadAnnotations:
+    def test_rows_classes_and_boxes_in_frame_order(self):
+        gt = [GtObject(7, Box(0.5, 0.4, 0.2, 0.1), class_id=2), GtObject(3, Box(0.1, 0.2, 0.3, 0.4))]
+        row_of, class_ids, rows = _read_annotations(gt, 3)
+        assert row_of == {7: 0, 3: 1}
+        assert class_ids.dtype.kind == "i" and class_ids.tolist() == [2, 0]
+        assert rows.dtype == np.float64 and rows.tolist() == [[0.5, 0.4, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]]
+
+    def test_empty_frame(self):
+        row_of, class_ids, rows = _read_annotations([], 1)
+        assert row_of == {} and class_ids.shape == (0,) and rows.shape == (0, 4)
 
 
 class TestPropagate:

@@ -232,6 +232,13 @@ class TestPairwiseKernels:
             np.diag(l1_box(boxes_a, boxes_b)), box_l1_rows(ta, tb).data[:, 0], rtol=0, atol=1e-12
         )
 
+    def test_tiny_identical_boxes_clamp_as_the_rows_do(self):
+        # union 1e-14 is below EPS_GUARD: unclamped, the pairwise IoU was
+        # 1.0000000001 and GIoU 1.0000000001 against 0.0099999999994 rows
+        b = np.array([[0.5, 0.5, 1e-7, 1e-7]])
+        assert 0.0 <= iou(b, b)[0, 0] <= 1.0
+        np.testing.assert_array_equal(giou(b, b)[0], box_giou_rows(Tensor(b), Tensor(b)).data[:, 0])
+
 
 class TestBoxArray:
     @pytest.mark.parametrize("boxes", [[], np.zeros(0), np.zeros((0, 4))], ids=["list", "vector", "rows"])

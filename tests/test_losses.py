@@ -6,7 +6,7 @@ import pytest
 
 import querytrack.autodiff as ad
 from querytrack.autodiff import Tape, Tensor
-from querytrack.assignment import Assignment, GtObject
+from querytrack.assignment import Assignment, GtObject, build_match_cost
 from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou, l1_box
 from querytrack.losses import (
     ClipLossAccumulator,
@@ -172,6 +172,24 @@ class TestFrameLoss:
         preds = StubPreds(logit([[0.8]]), np.full((1, 4), 0.5), n_track=0)
         with pytest.raises(ValueError, match="missing identity"):
             frame_loss(preds, Assignment(), Assignment([(0, 9)]), [], W)
+        # the first missing identity in slot order is the one named
+        preds = StubPreds(logit([[0.8], [0.3], [0.5]]), np.full((3, 4), 0.5), n_track=0)
+        gt = [GtObject(4, Box(0.5, 0.5, 0.2, 0.2))]
+        with pytest.raises(ValueError, match="detect assignment references missing identity 9$"):
+            frame_loss(preds, Assignment(), Assignment([(0, 4), (1, 9), (2, 6)]), gt, W)
+
+    def test_box_terms_are_the_match_cost_of_the_matched_pairs(self):
+        # the matcher and the loss read one frame's boxes the same way:
+        # with no class term, a matched pair's box loss is its cost + λ_GIoU
+        rng = np.random.default_rng(41)
+        w = LossWeights(lambda_cls=0.0, lambda_l1=5.0, lambda_giou=2.0)
+        boxes = rng.uniform(0.3, 0.7, size=(5, 4)) * [1, 1, 0.5, 0.5]
+        gt = [GtObject(i, Box(*rng.uniform(0.3, 0.7, 2), *rng.uniform(0.1, 0.3, 2))) for i in (8, 3, 5)]
+        preds = StubPreds(np.zeros((5, 1)), boxes, n_track=2)
+        cost = build_match_cost(np.zeros((5, 1)), boxes, gt, w)
+        out = frame_loss(preds, Assignment([(1, 5)]), Assignment([(0, 3), (2, 8)]), gt, w)
+        np.testing.assert_allclose(out.track.item(), cost[1, 2] + 2.0, rtol=1e-12)
+        np.testing.assert_allclose(out.detect.item(), cost[2, 1] + cost[4, 0] + 4.0, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "gt, message",

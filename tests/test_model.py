@@ -571,9 +571,11 @@ class TestQuerySet:
             QuerySet(emb, [QueryRecord("track", 1), QueryRecord("track", 1)])
 
     def test_positions_shape_must_match_embeddings(self):
-        emb, pos = Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 4)))
-        with pytest.raises(ValueError, match="positions"):
-            QuerySet(emb, [QueryRecord("track", 1), QueryRecord("track", 2)], pos)
+        emb = Tensor(np.zeros((2, 4)))
+        for shape in [(1, 4), (2, 3), (8,)]:
+            message = rf"positions shape {re.escape(str(shape))} != embeddings shape \(2, 4\)"
+            with pytest.raises(ValueError, match=message):
+                QuerySet(emb, [QueryRecord("track", 1), QueryRecord("track", 2)], Tensor(np.zeros(shape)))
 
     def test_record_kind_invariants(self):
         # a record is a track query's identity: it needs an id and the kind "track"
@@ -667,6 +669,13 @@ class TestCheckpointCorruption:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, TrackingModel(TINY, seed=18))
         return path
+
+    @pytest.mark.parametrize("start", [b"", b"QTC", b"qtck", b"PK\x03\x04"])
+    def test_file_without_the_magic_rejected(self, tmp_path, start):
+        path = self.saved(tmp_path)
+        path.write_bytes(start + path.read_bytes()[4:])
+        with pytest.raises(ValueError, match=r"model\.ckpt: not a checkpoint file"):
+            load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = self.saved(tmp_path)
@@ -836,6 +845,9 @@ class TestCheckpointCorruption:
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(d_model=10, n_heads=4)
+    # 6 splits into 2 heads but not into the sine code's 4 blocks
+    with pytest.raises(ValueError, match="d_model must be a multiple of 4 for the 2-d sine code"):
+        ModelConfig(d_model=6, n_heads=2)
     with pytest.raises(ValueError):
         ModelConfig(image_size=60, patch_size=8)
     # sizes are checked before any divisibility check divides by them
