@@ -6,6 +6,8 @@ tracker trains with — newborn objects are matched to detect queries only,
 while track queries inherit the assignment of the object they already carry.
 The cost and `losses.frame_loss` take a frame's checked class ids and box
 rows from one reader, `_read_annotations`, so both see the same targets.
+Boxes are float64 `[m,4]` rows throughout; that reader is the one place a
+`Box` record becomes a row.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from querytrack.boxes import Box, box_array, giou, l1_box
+from querytrack.boxes import Box, giou, l1_box
 
 __all__ = [
     "Assignment",
@@ -63,8 +65,8 @@ class Assignment:
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-total-cost one-to-one assignment of a rectangular cost matrix.
 
-    Returns min(rows, cols) (row, col) pairs sorted by row, as solved by
-    `scipy.optimize.linear_sum_assignment`.
+    Returns min(rows, cols) (row, col) pairs sorted by row, as
+    `scipy.optimize.linear_sum_assignment` solves and orders them.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -74,64 +76,64 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
     rows, cols = linear_sum_assignment(cost)
-    return sorted(zip(rows.tolist(), cols.tolist()))
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def _read_annotations(gt_frame: list[GtObject], n_classes: int):
     """(each identity's row, [n] integer class ids, float64 [n,4] box rows)
-    of one frame's ground truth, in its order. A class id that is not an
-    integer in [0, n_classes), or an identity given twice, raises."""
-    row_of = {}
+    of one frame's ground truth, in its order. A box that is not a `Box`, a
+    class id that is not an integer (bools are not) in [0, n_classes), or an
+    identity given twice, raises."""
+    row_of, boxes = {}, []
     for obj in gt_frame:
-        if not (isinstance(obj.class_id, (int, np.integer)) and 0 <= obj.class_id < n_classes):
-            raise ValueError(
-                f"object {obj.identity} has class_id {obj.class_id!r}, outside [0, {n_classes})"
-            )
+        c, box = obj.class_id, obj.box
+        if not isinstance(box, Box):
+            raise ValueError(f"object {obj.identity} has box {box!r}, not a Box")
+        if not (isinstance(c, (int, np.integer)) and not isinstance(c, bool) and 0 <= c < n_classes):
+            raise ValueError(f"object {obj.identity} has class_id {c!r}, outside [0, {n_classes})")
         if obj.identity in row_of:
             raise ValueError(f"identity {obj.identity} appears twice in one frame")
         row_of[obj.identity] = len(row_of)
+        boxes.append((box.cx, box.cy, box.w, box.h))
     class_ids = np.array([obj.class_id for obj in gt_frame], dtype=np.intp)
-    return row_of, class_ids, box_array([obj.box for obj in gt_frame])
+    return row_of, class_ids, np.array(boxes, dtype=np.float64).reshape(-1, 4)
 
 
 def build_match_cost(
     pred_probs: np.ndarray,
-    pred_boxes: list[Box] | np.ndarray,
+    pred_boxes: np.ndarray,
     targets: list[GtObject],
     weights,
 ) -> np.ndarray:
     """Pairwise query/target matching cost, [n_queries, n_targets].
 
     cost(q, t) = lambda_cls * (-p_q[class_t]) + lambda_l1 * l1 + lambda_giou * (-giou),
-    the same weights the box/class losses use. Each box list is converted
-    to rows once, for both box terms. `pred_probs` must be [n_queries,
-    n_classes] with one row per predicted box.
+    the same weights the box/class losses use. `pred_probs` must be
+    [n_queries, n_classes] and `pred_boxes` float64 [n_queries, 4] rows;
+    the box kernels raise ShapeError for any other box input.
     """
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
     if pred_probs.ndim != 2:
         raise ValueError(f"pred_probs must be [n_queries, n_classes], got shape {pred_probs.shape}")
     _, class_ids, target_rows = _read_annotations(targets, pred_probs.shape[1])
-    pred_rows = box_array(pred_boxes)
-    if len(pred_rows) != len(pred_probs):
-        raise ValueError(f"{len(pred_probs)} probability rows but {len(pred_rows)} predicted boxes")
-    return (
-        weights.lambda_cls * -pred_probs[:, class_ids]
-        + weights.lambda_l1 * l1_box(pred_rows, target_rows)
-        + weights.lambda_giou * -giou(pred_rows, target_rows)
-    )
+    l1, g = l1_box(pred_boxes, target_rows), giou(pred_boxes, target_rows)
+    if len(pred_boxes) != len(pred_probs):
+        raise ValueError(f"{len(pred_probs)} probability rows but {len(pred_boxes)} predicted boxes")
+    return weights.lambda_cls * -pred_probs[:, class_ids] + weights.lambda_l1 * l1 + weights.lambda_giou * -g
 
 
 def assign_newborn(
     pred_probs: np.ndarray,
-    pred_boxes: list[Box] | np.ndarray,
+    pred_boxes: np.ndarray,
     gt_frame: list[GtObject],
     already_tracked_ids: set[int],
     weights,
 ) -> Assignment:
     """Match detect queries against objects not yet carried by a track query.
 
-    Unmatched detect queries stay background. Identities in
-    `already_tracked_ids` are excluded from the candidate set entirely.
+    `pred_boxes` are the detect queries' float64 [n, 4] rows. Unmatched
+    detect queries stay background. Identities in `already_tracked_ids` are
+    excluded from the candidate set entirely.
     """
     newborn = [t for t in gt_frame if t.identity not in already_tracked_ids]
     if not newborn:

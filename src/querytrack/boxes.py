@@ -1,5 +1,10 @@
 """Bounding boxes in center-size form and their overlap measures.
 
+Inside the package a set of boxes has one form: float64 `[m,4]` rows of
+(cx, cy, w, h). `Box` is only the validated annotation record that a
+`GtObject` carries, and `assignment._read_annotations` is the one place
+that turns Boxes into rows.
+
 The overlap geometry (corners, per-axis spans, enclosing sides and the
 intersection, union and enclosing areas) is written once, in `_overlap`,
 over broadcastable `[..., 4]` rows. Two surfaces sit on it: the pairwise
@@ -23,7 +28,7 @@ import numpy as np
 import querytrack.autodiff as ad
 from querytrack.autodiff import ShapeError, Tensor
 
-__all__ = ["Box", "box_array", "iou", "giou", "l1_box", "box_l1_rows", "box_giou_rows"]
+__all__ = ["Box", "iou", "giou", "l1_box", "box_l1_rows", "box_giou_rows"]
 
 # floor for the union and enclosing areas a GIoU divides by
 EPS_GUARD = 1e-12
@@ -33,10 +38,9 @@ EPS_GUARD = 1e-12
 class Box:
     """Axis-aligned box as (cx, cy, w, h), normalized to the image extent.
 
-    Every field must be finite. Centers may straddle borders; w and h must
-    be nonnegative and within a loose sanity bound. `np.asarray(box)` gives
-    the 4-vector, so a Box or a list of them feeds the pairwise kernels
-    directly.
+    The annotation record of one ground-truth object. Every field must be
+    finite. Centers may straddle borders; w and h must be nonnegative and
+    within a loose sanity bound. The box code itself takes `[m,4]` rows.
     """
 
     cx: float
@@ -57,33 +61,10 @@ class Box:
         hw, hh = self.w / 2.0, self.h / 2.0
         return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
 
-    def to_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self.to_array(), dtype=dtype)
-
 
 # ---------------------------------------------------------------------------
 # pairwise kernels, [m, 4] x [n, 4] -> [m, n]
 # ---------------------------------------------------------------------------
-
-
-def box_array(boxes) -> np.ndarray:
-    """A Box or [4] vector, a list of Box, an empty list or [0] array, or an
-    [m,4] array, as float64 [m,4] rows; any other shape raises ShapeError.
-
-    A list of Box is read field by field: the same values as numpy's
-    per-element `__array__` conversion, at about a quarter of its cost.
-    """
-    if isinstance(boxes, list) and boxes and all(type(b) is Box for b in boxes):
-        return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64)
-    rows = np.asarray(boxes, dtype=np.float64)
-    if rows.shape in ((4,), (0,)):
-        return rows.reshape(-1, 4)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ShapeError(f"boxes must be a [4] vector, [m,4] rows or empty, got shape {rows.shape}")
-    return rows
 
 
 def _corners(rows: np.ndarray):
@@ -108,23 +89,34 @@ def _overlap(a: np.ndarray, b: np.ndarray):
     return span, sides, inter, union, sides[..., 0] * sides[..., 1]
 
 
-def iou(a, b) -> np.ndarray:
+def _pairwise(op: str, a: np.ndarray, b: np.ndarray):
+    """[m,4] rows a and [n,4] rows b as [m,1,4] and [1,n,4] views; anything
+    else raises ShapeError."""
+    for rows in (a, b):
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == 4):
+            got = f"shape {rows.shape}" if isinstance(rows, np.ndarray) else f"a {type(rows).__name__}"
+            raise ShapeError(f"{op} takes [m,4] and [n,4] box rows, got {got}")
+    return a[:, None], b[None]
+
+
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise intersection over union in [0, 1], over the union clamped
     at EPS_GUARD; a zero-area union gives 0."""
-    _, _, inter, union, _ = _overlap(box_array(a)[:, None], box_array(b)[None])
+    _, _, inter, union, _ = _overlap(*_pairwise("iou", a, b))
     return inter / np.maximum(union, EPS_GUARD)
 
 
-def giou(a, b) -> np.ndarray:
+def giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise generalized IoU in [-1, 1]: IoU minus empty enclosing-area
     fraction, with `_giou_rows`' clamps, so its diagonal is `box_giou_rows`."""
-    _, _, inter, union, enclosing = _overlap(box_array(a)[:, None], box_array(b)[None])
+    _, _, inter, union, enclosing = _overlap(*_pairwise("giou", a, b))
     return inter / np.maximum(union, EPS_GUARD) - (enclosing - union) / np.maximum(enclosing, EPS_GUARD)
 
 
-def l1_box(a, b) -> np.ndarray:
+def l1_box(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise sum of absolute coordinate differences in (cx, cy, w, h)."""
-    d = np.abs(box_array(a)[:, None, :] - box_array(b)[None, :, :])
+    a, b = _pairwise("l1_box", a, b)
+    d = np.abs(a - b)
     return d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
 
 

@@ -12,8 +12,11 @@ from querytrack.assignment import (
     hungarian,
     propagate_assignment,
 )
-from querytrack.boxes import Box
+from querytrack.autodiff import ShapeError
+from querytrack.boxes import Box, giou, iou, l1_box
 from querytrack.losses import LossWeights
+
+from box_rows import box_rows
 
 
 def brute_force_cost(cost: np.ndarray) -> float:
@@ -88,7 +91,7 @@ class TestMatchCost:
     def test_perfect_prediction(self):
         w = LossWeights(lambda_cls=2.0, lambda_l1=5.0, lambda_giou=2.0)
         b = Box(0.5, 0.5, 0.2, 0.2)
-        cost = build_match_cost(np.array([[1.0]]), [b], [GtObject(0, b)], w)
+        cost = build_match_cost(np.array([[1.0]]), box_rows(b), [GtObject(0, b)], w)
         assert cost[0, 0] == pytest.approx(-w.lambda_cls - w.lambda_giou)
 
     def test_arithmetic_example(self):
@@ -99,31 +102,19 @@ class TestMatchCost:
         # use a target with l1 0.3 and giou -0.08 per the worked numbers
         cost = build_match_cost(
             np.array([[0.5]]),
-            [Box(0.5, 0.5, 0.2, 0.2)],
+            box_rows(Box(0.5, 0.5, 0.2, 0.2)),
             [GtObject(0, Box(0.6, 0.5, 0.2, 0.4))],
             w,
         )
-        from querytrack.boxes import giou as giou_f
-
-        g = giou_f(Box(0.5, 0.5, 0.2, 0.2), Box(0.6, 0.5, 0.2, 0.4))
+        g = giou(box_rows(Box(0.5, 0.5, 0.2, 0.2)), box_rows(Box(0.6, 0.5, 0.2, 0.4)))
         assert cost[0, 0] == pytest.approx(-1.0 + 1.5 - 2 * g)
         # the worked composite from the quarter-offset boxes
         cost2 = build_match_cost(
-            np.array([[0.5]]), [pred], [GtObject(0, tgt)], w
+            np.array([[0.5]]), box_rows(pred), [GtObject(0, tgt)], w
         )
-        g2 = giou_f(pred, tgt)
+        g2 = giou(box_rows(pred), box_rows(tgt))
         l2 = 0.25 + 0.25  # |dcx| + |dcy|
         assert cost2[0, 0] == pytest.approx(-1.0 + 5 * l2 - 2 * g2)
-
-    def test_box_list_and_row_array_give_the_same_bits(self):
-        rng = np.random.default_rng(12)
-        rows = np.column_stack([rng.uniform(0, 1, (116, 2)), rng.uniform(0.01, 0.5, (116, 2))])
-        boxes = [Box(*r) for r in rows.tolist()]
-        targets = [GtObject(i, box) for i, box in enumerate(boxes[:7])]
-        probs = rng.uniform(0, 1, (116, 1))
-        from_list = build_match_cost(probs, boxes, targets, LossWeights())
-        from_rows = build_match_cost(probs, rows, targets, LossWeights())
-        assert from_list.tobytes() == from_rows.tobytes()
 
     def test_monotone_in_l1(self):
         w = LossWeights()
@@ -131,7 +122,7 @@ class TestMatchCost:
         prev = None
         for shift in [0.0, 0.05, 0.1, 0.2]:
             tgt = GtObject(0, Box(0.5 + shift, 0.5, 0.2, 0.2))
-            c = build_match_cost(np.array([[0.7]]), [base], [tgt], w)[0, 0]
+            c = build_match_cost(np.array([[0.7]]), box_rows(base), [tgt], w)[0, 0]
             if prev is not None:
                 assert c > prev
             prev = c
@@ -142,7 +133,7 @@ class TestMatchCost:
         b = Box(0.5, 0.5, 0.2, 0.2)
         probs = np.array([[0.1, 0.7], [0.4, 0.2], [0.9, 0.3]])
         targets = [GtObject(0, b, class_id=1), GtObject(1, b, class_id=0), GtObject(2, b, class_id=1)]
-        cost = build_match_cost(probs, [b, b, b], targets, w)
+        cost = build_match_cost(probs, box_rows(b, b, b), targets, w)
         np.testing.assert_array_equal(cost, -2.0 * probs[:, [1, 0, 1]])
 
     @pytest.mark.parametrize(
@@ -154,12 +145,19 @@ class TestMatchCost:
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=0.0)], r"class_id 0\.0, outside \[0, 1\)"),
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id="0")], r"class_id '0', outside \[0, 1\)"),
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=None)], r"class_id None, outside \[0, 1\)"),
+            # bool is an int subclass: False would train as class 0, True as class 1
+            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=False)], r"class_id False, outside \[0, 1\)"),
+            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=True)], r"class_id True, outside \[0, 1\)"),
+            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=np.False_)], r"class_id np\.False_, outside \[0, 1\)"),
         ],
-        ids=["negative_class", "class_past_the_last", "duplicate_identity", "float_class", "string_class", "no_class"],
+        ids=[
+            "negative_class", "class_past_the_last", "duplicate_identity", "float_class", "string_class",
+            "no_class", "false_class", "true_class", "numpy_bool_class",
+        ],
     )
     def test_bad_annotations_rejected(self, gt, message):
         probs = np.array([[0.5], [0.3]])
-        boxes = [Box(0.5, 0.5, 0.2, 0.2), Box(0.4, 0.4, 0.2, 0.2)]
+        boxes = box_rows(Box(0.5, 0.5, 0.2, 0.2), Box(0.4, 0.4, 0.2, 0.2))
         with pytest.raises(ValueError, match=message):
             build_match_cost(probs, boxes, gt, LossWeights())
 
@@ -168,14 +166,31 @@ class TestMatchCost:
         probs = np.array([[0.9], [0.5], [0.1]])
         gt = [GtObject(1, Box(0.5, 0.5, 0.2, 0.2)), GtObject(2, Box(0.2, 0.2, 0.1, 0.1))]
         with pytest.raises(ValueError, match="3 probability rows but 1 predicted boxes"):
-            build_match_cost(probs, [Box(0.5, 0.5, 0.2, 0.2)], gt, LossWeights())
+            build_match_cost(probs, box_rows(Box(0.5, 0.5, 0.2, 0.2)), gt, LossWeights())
         with pytest.raises(ValueError, match="3 probability rows but 1 predicted boxes"):
-            assign_newborn(probs, [Box(0.5, 0.5, 0.2, 0.2)], gt, set(), LossWeights())
+            assign_newborn(probs, box_rows(Box(0.5, 0.5, 0.2, 0.2)), gt, set(), LossWeights())
 
     def test_probabilities_must_be_2d(self):
         b = Box(0.5, 0.5, 0.2, 0.2)
         with pytest.raises(ValueError, match=r"\[n_queries, n_classes\], got shape \(2,\)"):
-            build_match_cost(np.array([0.5, 0.3]), [b, b], [GtObject(1, b)], LossWeights())
+            build_match_cost(np.array([0.5, 0.3]), box_rows(b, b), [GtObject(1, b)], LossWeights())
+
+    def test_boxes_in_any_other_form_rejected(self):
+        b = Box(0.5, 0.5, 0.2, 0.2)
+        ok, probs, gt = box_rows(b), np.array([[0.9]]), [GtObject(1, b)]
+        for bad, got in ((b, "a Box"), (np.array([0.5, 0.5, 0.2, 0.2]), r"shape \(4,\)"),
+                         ([b], "a list"), (np.zeros((1, 3)), r"shape \(1, 3\)")):
+            for kernel in (iou, giou, l1_box):
+                with pytest.raises(ShapeError, match=rf"{kernel.__name__} takes \[m,4\] and \[n,4\] box rows, got {got}"):
+                    kernel(bad, ok)
+                with pytest.raises(ShapeError, match=f"got {got}"):
+                    kernel(ok, bad)
+            with pytest.raises(ShapeError, match=f"got {got}"):
+                build_match_cost(probs, bad, gt, LossWeights())
+        # an annotation's box is a Box record, not rows or a tuple
+        for box in (np.array([0.5, 0.5, 0.2, 0.2]), (0.5, 0.5, 0.2, 0.2), np.array([[0.5, 0.5, 0.2, 0.2]])):
+            with pytest.raises(ValueError, match=r"object 1 has box .*, not a Box"):
+                build_match_cost(probs, ok, [GtObject(1, box)], LossWeights())
 
 
 def make_gt(ids_boxes):
@@ -186,24 +201,25 @@ class TestAssignNewborn:
     def setup_method(self):
         self.w = LossWeights()
         self.boxes = [Box(0.2, 0.2, 0.1, 0.1), Box(0.5, 0.5, 0.1, 0.1), Box(0.8, 0.8, 0.1, 0.1)]
+        self.rows = box_rows(*self.boxes)
         self.probs = np.full((3, 1), 0.9)
 
     def test_first_frame_everything_is_newborn(self):
         gt = make_gt([(1, self.boxes[0]), (2, self.boxes[1]), (3, self.boxes[2])])
-        out = assign_newborn(self.probs, self.boxes, gt, set(), self.w)
+        out = assign_newborn(self.probs, self.rows, gt, set(), self.w)
         assert out.identities() == {1, 2, 3}
         # co-located predictions match their own object
         assert sorted(out.pairs) == [(0, 1), (1, 2), (2, 3)]
 
     def test_tracked_ids_excluded(self):
         gt = make_gt([(1, self.boxes[0]), (2, self.boxes[1]), (3, self.boxes[2])])
-        out = assign_newborn(self.probs, self.boxes, gt, {1, 2}, self.w)
+        out = assign_newborn(self.probs, self.rows, gt, {1, 2}, self.w)
         assert out.identities() == {3}
         assert out.pairs == [(2, 3)]
 
     def test_no_newborns_all_background(self):
         gt = make_gt([(1, self.boxes[0])])
-        out = assign_newborn(self.probs, self.boxes, gt, {1}, self.w)
+        out = assign_newborn(self.probs, self.rows, gt, {1}, self.w)
         assert out.pairs == []
 
     def test_never_matches_tracked_identity_randomized(self):
@@ -216,10 +232,7 @@ class TestAssignNewborn:
             ]
             tracked = {i for i in range(n_obj) if rng.random() < 0.5}
             probs = rng.uniform(0, 1, size=(6, 1))
-            preds = [
-                Box(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.05, 0.2, 2))
-                for _ in range(6)
-            ]
+            preds = box_rows(*(Box(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.05, 0.2, 2)) for _ in range(6)))
             out = assign_newborn(probs, preds, gt, tracked, self.w)
             assert not (out.identities() & tracked)
             assert out.pairs == sorted(out.pairs)  # in detect slot order

@@ -6,7 +6,9 @@ import pytest
 
 import querytrack.autodiff as ad
 from querytrack.autodiff import ShapeError, Tape, Tensor
-from querytrack.boxes import Box, box_array, box_giou_rows, box_l1_rows, giou, iou, l1_box
+from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou, iou, l1_box
+
+from box_rows import box_rows
 
 
 def weighted_sum(x, w):
@@ -28,35 +30,35 @@ def random_box(rng, min_side=0.05, max_side=0.6) -> Box:
 
 class TestIou:
     def test_self_overlap_is_one(self):
-        b = Box(0.3, 0.4, 0.2, 0.1)
+        b = box_rows(Box(0.3, 0.4, 0.2, 0.1))
         assert iou(b, b) == pytest.approx(1.0)
 
     def test_disjoint_is_zero(self):
-        assert iou(Box(0.1, 0.1, 0.1, 0.1), Box(0.9, 0.9, 0.1, 0.1)) == 0.0
+        assert iou(box_rows(Box(0.1, 0.1, 0.1, 0.1)), box_rows(Box(0.9, 0.9, 0.1, 0.1))) == 0.0
 
     def test_quarter_offset_value(self):
-        a = Box(0.25, 0.25, 0.5, 0.5)
-        b = Box(0.5, 0.5, 0.5, 0.5)
+        a = box_rows(Box(0.25, 0.25, 0.5, 0.5))
+        b = box_rows(Box(0.5, 0.5, 0.5, 0.5))
         assert iou(a, b) == pytest.approx(1.0 / 7.0, abs=1e-12)
 
     def test_zero_area_union(self):
-        z = Box(0.5, 0.5, 0.0, 0.0)
+        z = box_rows(Box(0.5, 0.5, 0.0, 0.0))
         assert iou(z, z) == 0.0
 
 
 class TestGiou:
     def test_self_overlap_is_one(self):
-        b = Box(0.3, 0.4, 0.2, 0.1)
+        b = box_rows(Box(0.3, 0.4, 0.2, 0.1))
         assert giou(b, b) == pytest.approx(1.0)
 
     def test_far_corners(self):
-        a = Box(0.05, 0.05, 0.1, 0.1)
-        b = Box(0.95, 0.95, 0.1, 0.1)
+        a = box_rows(Box(0.05, 0.05, 0.1, 0.1))
+        b = box_rows(Box(0.95, 0.95, 0.1, 0.1))
         assert giou(a, b) == pytest.approx(-0.98, abs=1e-12)
 
     def test_quarter_offset_value(self):
-        a = Box(0.25, 0.25, 0.5, 0.5)
-        b = Box(0.5, 0.5, 0.5, 0.5)
+        a = box_rows(Box(0.25, 0.25, 0.5, 0.5))
+        b = box_rows(Box(0.5, 0.5, 0.5, 0.5))
         expected = 1.0 / 7.0 - 0.125 / 0.5625
         assert giou(a, b) == pytest.approx(expected, abs=1e-12)
         assert giou(a, b) == pytest.approx(-0.07937, abs=1e-5)
@@ -64,7 +66,7 @@ class TestGiou:
     def test_bounds_and_dominance(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
-            a, b = random_box(rng), random_box(rng)
+            a, b = box_rows(random_box(rng)), box_rows(random_box(rng))
             g, i = giou(a, b), iou(a, b)
             assert -1.0 <= g <= 1.0
             assert 0.0 <= i <= 1.0
@@ -73,26 +75,24 @@ class TestGiou:
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            a, b = random_box(rng), random_box(rng)
-            dx, dy = rng.uniform(-0.2, 0.2, size=2)
-            a2 = Box(a.cx + dx, a.cy + dy, a.w, a.h)
-            b2 = Box(b.cx + dx, b.cy + dy, b.w, b.h)
-            assert iou(a2, b2) == pytest.approx(iou(a, b), abs=1e-12)
-            assert giou(a2, b2) == pytest.approx(giou(a, b), abs=1e-12)
+            a, b = box_rows(random_box(rng)), box_rows(random_box(rng))
+            shift = np.append(rng.uniform(-0.2, 0.2, size=2), [0.0, 0.0])
+            assert iou(a + shift, b + shift) == pytest.approx(iou(a, b), abs=1e-12)
+            assert giou(a + shift, b + shift) == pytest.approx(giou(a, b), abs=1e-12)
 
 
 class TestL1:
     def test_identical_boxes(self):
-        b = Box(0.5, 0.5, 0.2, 0.2)
+        b = box_rows(Box(0.5, 0.5, 0.2, 0.2))
         assert l1_box(b, b) == 0.0
 
     def test_example_value(self):
-        assert l1_box(Box(0.5, 0.5, 0.2, 0.2), Box(0.6, 0.5, 0.2, 0.4)) == pytest.approx(0.3)
+        assert l1_box(box_rows(Box(0.5, 0.5, 0.2, 0.2)), box_rows(Box(0.6, 0.5, 0.2, 0.4))) == pytest.approx(0.3)
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            a, b = random_box(rng), random_box(rng)
+            a, b = box_rows(random_box(rng)), box_rows(random_box(rng))
             assert l1_box(a, b) == pytest.approx(l1_box(b, a), abs=1e-15)
 
 
@@ -101,11 +101,11 @@ class TestTensorVersions:
         rng = np.random.default_rng(3)
         boxes_a = [random_box(rng) for _ in range(12)]
         boxes_b = [random_box(rng) for _ in range(12)]
-        ta = Tensor(np.stack([b.to_array() for b in boxes_a]))
-        tb = Tensor(np.stack([b.to_array() for b in boxes_b]))
+        ta, tb = Tensor(box_rows(*boxes_a)), Tensor(box_rows(*boxes_b))
         g_rows = box_giou_rows(ta, tb).data.reshape(-1)
         l_rows = box_l1_rows(ta, tb).data.reshape(-1)
         for k, (a, b) in enumerate(zip(boxes_a, boxes_b)):
+            a, b = box_rows(a), box_rows(b)
             assert g_rows[k] == pytest.approx(giou(a, b), abs=1e-12)
             assert l_rows[k] == pytest.approx(l1_box(a, b), abs=1e-12)
 
@@ -196,35 +196,29 @@ class TestTensorVersions:
 class TestPairwiseKernels:
     def sets(self, seed, m=12, n=9):
         rng = np.random.default_rng(seed)
-        return [random_box(rng) for _ in range(m)], [random_box(rng) for _ in range(n)]
+        return box_rows(*(random_box(rng) for _ in range(m))), box_rows(*(random_box(rng) for _ in range(n)))
 
     @pytest.mark.parametrize("kernel", [iou, giou, l1_box])
     def test_cell_equals_single_pair(self, kernel):
         boxes_a, boxes_b = self.sets(6)
         full = kernel(boxes_a, boxes_b)
         assert full.shape == (12, 9)
-        for i, a in enumerate(boxes_a):
-            for j, b in enumerate(boxes_b):
-                assert kernel(a, b).shape == (1, 1)
-                assert full[i, j] == kernel(a, b)[0, 0]
-
-    @pytest.mark.parametrize("kernel", [iou, giou, l1_box])
-    def test_box_list_and_array_agree(self, kernel):
-        boxes_a, boxes_b = self.sets(7)
-        rows_a = np.stack([b.to_array() for b in boxes_a])
-        assert np.array_equal(kernel(boxes_a, boxes_b), kernel(rows_a, boxes_b))
+        for i in range(12):
+            for j in range(9):
+                one = kernel(boxes_a[i : i + 1], boxes_b[j : j + 1])
+                assert one.shape == (1, 1)
+                assert full[i, j] == one[0, 0]
 
     @pytest.mark.parametrize("kernel", [iou, giou, l1_box])
     def test_empty_sets(self, kernel):
         boxes_a, _ = self.sets(8)
         assert kernel(np.zeros((0, 4)), boxes_a).shape == (0, 12)
         assert kernel(boxes_a, np.zeros((0, 4))).shape == (12, 0)
-        assert kernel([], []).shape == (0, 0)
+        assert kernel(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0, 0)
 
     def test_diagonal_matches_tensor_rows(self):
         boxes_a, boxes_b = self.sets(9, m=12, n=12)
-        ta = Tensor(np.stack([b.to_array() for b in boxes_a]))
-        tb = Tensor(np.stack([b.to_array() for b in boxes_b]))
+        ta, tb = Tensor(boxes_a), Tensor(boxes_b)
         np.testing.assert_allclose(
             np.diag(giou(boxes_a, boxes_b)), box_giou_rows(ta, tb).data[:, 0], rtol=0, atol=1e-12
         )
@@ -241,22 +235,17 @@ class TestPairwiseKernels:
 
 
 class TestBoxArray:
-    @pytest.mark.parametrize("boxes", [[], np.zeros(0), np.zeros((0, 4))], ids=["list", "vector", "rows"])
-    def test_empty_gives_no_rows(self, boxes):
-        assert box_array(boxes).shape == (0, 4)
-
-    def test_one_box_or_vector_gives_one_row(self):
-        box = Box(0.5, 0.4, 0.2, 0.1)
-        assert box_array(box).tolist() == [[0.5, 0.4, 0.2, 0.1]]
-        assert box_array([0.5, 0.4, 0.2, 0.1]).tolist() == [[0.5, 0.4, 0.2, 0.1]]
+    """[m,4] row arrays, the one form the pairwise kernels take."""
 
     @pytest.mark.parametrize("shape", [(2, 6), (6,), (1, 1, 4), (3, 3)])
     def test_other_shapes_rejected(self, shape):
         # reshape(-1, 4) would read a [2,6] array as three boxes
-        with pytest.raises(ShapeError, match=rf"got shape \({shape[0]},"):
-            box_array(np.zeros(shape))
-        with pytest.raises(ShapeError):
-            iou(np.zeros(shape), [Box(0.5, 0.5, 0.2, 0.2)])
+        ok = box_rows(Box(0.5, 0.5, 0.2, 0.2))
+        for kernel in (iou, giou, l1_box):
+            with pytest.raises(ShapeError, match=rf"{kernel.__name__} takes .* got shape \({shape[0]},"):
+                kernel(np.zeros(shape), ok)
+            with pytest.raises(ShapeError, match=rf"got shape \({shape[0]},"):
+                kernel(ok, np.zeros(shape))
 
 
 def test_invalid_boxes_rejected():

@@ -8,6 +8,8 @@ import querytrack.autodiff as ad
 from querytrack.autodiff import Tape, Tensor
 from querytrack.assignment import Assignment, GtObject, build_match_cost
 from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou, l1_box
+
+from box_rows import box_rows
 from querytrack.losses import (
     ClipLossAccumulator,
     FrameLossTerms,
@@ -130,7 +132,7 @@ class TestFocal:
 class TestFrameLoss:
     def test_perfect_matched_prediction(self):
         b = Box(0.4, 0.4, 0.2, 0.2)
-        preds = StubPreds([[800.0]], [b.to_array()], n_track=0)
+        preds = StubPreds([[800.0]], box_rows(b), n_track=0)
         out = frame_loss(preds, Assignment(), Assignment([(0, 7)]), [GtObject(7, b)], W)
         assert out.detect.item() == pytest.approx(0.0, abs=1e-12)
         assert out.track.item() == 0.0
@@ -140,14 +142,15 @@ class TestFrameLoss:
         # scaled quarter-offset pair: l1 = 0.3, giou = 1/7 - 2/9 ~ -0.07937
         pred_box = Box(0.15, 0.15, 0.3, 0.3)
         gt_box = Box(0.3, 0.3, 0.3, 0.3)
-        assert l1_box(pred_box, gt_box) == pytest.approx(0.3, abs=1e-12)
-        assert giou(pred_box, gt_box) == pytest.approx(-0.07937, abs=1e-5)
-        preds = StubPreds([[0.0]], [pred_box.to_array()], n_track=0)
+        pred_rows, gt_rows = box_rows(pred_box), box_rows(gt_box)
+        assert l1_box(pred_rows, gt_rows) == pytest.approx(0.3, abs=1e-12)
+        assert giou(pred_rows, gt_rows) == pytest.approx(-0.07937, abs=1e-5)
+        preds = StubPreds([[0.0]], pred_rows, n_track=0)
         out = frame_loss(preds, Assignment(), Assignment([(0, 1)]), [GtObject(1, gt_box)], W)
         manual = (
             2.0 * 0.25 * 0.25 * np.log(2.0)
-            + 5.0 * l1_box(pred_box, gt_box)
-            + 2.0 * (1.0 - giou(pred_box, gt_box))
+            + 5.0 * l1_box(pred_rows, gt_rows)
+            + 2.0 * (1.0 - giou(pred_rows, gt_rows))
         )
         assert frame_total(out).item() == pytest.approx(manual, abs=1e-12)
         assert frame_total(out).item() == pytest.approx(3.7453, abs=1e-4)
@@ -298,7 +301,7 @@ def chain_block(preds, lo, hi, class_targets, rows, target_boxes, w):
     if not rows:
         return total
     boxes = ad.gather_rows(preds.boxes, rows)
-    gt = Tensor(np.stack(target_boxes).astype(preds.boxes.data.dtype))
+    gt = Tensor(box_rows(*target_boxes).astype(preds.boxes.data.dtype))
     l1 = scale(row_total(box_l1_rows(boxes, gt)), w.lambda_l1)
     one = Tensor(np.ones((len(rows), 1), dtype=gt.data.dtype))
     one_minus_giou = ad.add(scale(box_giou_rows(boxes, gt), -1.0), one)
@@ -317,7 +320,7 @@ def chain_frame_loss(preds, track_assign, detect_assign, gt, w):
             if ident in by_identity:
                 class_targets[offset + slot, by_identity[ident].class_id] = 1.0
                 rows.append(offset + slot)
-                boxes.append(by_identity[ident].box.to_array())
+                boxes.append(by_identity[ident].box)
         blocks.append((rows, boxes))
     (track_rows, track_boxes), (detect_rows, detect_boxes) = blocks
     return (
