@@ -28,6 +28,11 @@ __all__ = [
     "propagate_assignment",
 ]
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool (`bool` is an `int`)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GtObject:
     """One annotated object in one frame."""
@@ -43,6 +48,8 @@ class Assignment:
 
     Slots absent from `pairs` are background. Slot indices are local to a
     query block (track block or detect block), not to their concatenation.
+    Slots and identities are integers (numpy integers too, not bools), each
+    used once.
     """
 
     pairs: list[tuple[int, int]] = field(default_factory=list)
@@ -50,6 +57,9 @@ class Assignment:
     def __post_init__(self):
         slots = [s for s, _ in self.pairs]
         ids = [i for _, i in self.pairs]
+        for slot, ident in self.pairs:
+            if not (_is_integer(slot) and _is_integer(ident)):
+                raise ValueError(f"assignment pair ({slot!r}, {ident!r}) needs an integer slot and identity")
         if len(set(slots)) != len(slots):
             raise ValueError(f"duplicate query slots in assignment: {slots}")
         if len(set(ids)) != len(ids):
@@ -81,15 +91,17 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
 
 def _read_annotations(gt_frame: list[GtObject], n_classes: int):
     """(each identity's row, [n] integer class ids, float64 [n,4] box rows)
-    of one frame's ground truth, in its order. A box that is not a `Box`, a
-    class id that is not an integer (bools are not) in [0, n_classes), or an
-    identity given twice, raises."""
+    of one frame's ground truth, in its order. An identity that is not an
+    integer (bools are not) or is given twice, a box that is not a `Box`,
+    or a class id that is not an integer in [0, n_classes), raises."""
     row_of, boxes = {}, []
     for obj in gt_frame:
         c, box = obj.class_id, obj.box
+        if not _is_integer(obj.identity):
+            raise ValueError(f"an object has identity {obj.identity!r}, not an integer")
         if not isinstance(box, Box):
             raise ValueError(f"object {obj.identity} has box {box!r}, not a Box")
-        if not (isinstance(c, (int, np.integer)) and not isinstance(c, bool) and 0 <= c < n_classes):
+        if not (_is_integer(c) and 0 <= c < n_classes):
             raise ValueError(f"object {obj.identity} has class_id {c!r}, outside [0, {n_classes})")
         if obj.identity in row_of:
             raise ValueError(f"identity {obj.identity} appears twice in one frame")

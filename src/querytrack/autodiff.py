@@ -24,7 +24,10 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
   it and `concat` take operands of one dtype and raise on a mix, which
   numpy would promote to float64 and hand a float32 input a float64
   gradient,
-- a tape and its tensors belong to one worker; no locking is done,
+- each thread has its own stack of active tapes: an op records on the
+  innermost tape its own thread entered, so threads that each record on
+  their own `Tape` do not see each other's; a tape and its tensors belong
+  to one thread, and no locking is done,
 - a leaf may be a view of a group leaf (`leaf_group`): a 1-d leaf whose
   consecutive slices are the view leaves' data. The ops see only the
   views; each view adds its gradient terms (in its own dtype; another
@@ -40,6 +43,7 @@ each node on the tape is one a reader can find.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -47,6 +51,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "AttentionParams",
+    "FeedForwardParams",
     "GradCheckReport",
     "GradientError",
     "ShapeError",
@@ -77,11 +83,19 @@ class GradientError(RuntimeError):
     """Backward pass misuse: non-scalar loss, detached loss, double backward."""
 
 
-_TAPES: list["Tape"] = []
+class _TapeStack(threading.local):
+    """The calling thread's active tapes, innermost last."""
+
+    def __init__(self) -> None:
+        self.tapes: list[Tape] = []
+
+
+_STACK = _TapeStack()
 
 
 def active_tape() -> "Tape | None":
-    return _TAPES[-1] if _TAPES else None
+    tapes = _STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 class Tape:
@@ -106,11 +120,11 @@ class Tape:
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        _STACK.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        popped = _TAPES.pop()
+        popped = _STACK.tapes.pop()
         assert popped is self, "tapes must unwind in LIFO order"
         return False
 
@@ -430,18 +444,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return custom_op(_project(xd, w.data, b.data), (x, w, b), pull)
 
 
-def _check_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, op: str) -> None:
-    if (
-        x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
-        or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:]
-        or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]
-    ):
-        raise ShapeError(
-            f"{op} needs x [n,k], w1 [k,h], b1 [h], w2 [h,m] and b2 [m], got {x.shape}, "
-            f"{w1.shape}, {b1.shape}, {w2.shape} and {b2.shape}"
-        )
-
-
 def _mlp_forward(xd: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
     """(output, relu output a) of relu(xd w1 + b1) w2 + b2."""
     h = _project(xd, w1.data, b1.data)
@@ -477,7 +479,15 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     forward's mask h > 0 (NaN included), and, like `linear`, reads the
     weights at backward time.
     """
-    _check_mlp(x, w1, b1, w2, b2, "mlp")
+    if (
+        x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+        or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:]
+        or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]
+    ):
+        raise ShapeError(
+            f"mlp needs x [n,k], w1 [k,h], b1 [h], w2 [h,m] and b2 [m], got {x.shape}, "
+            f"{w1.shape}, {b1.shape}, {w2.shape} and {b2.shape}"
+        )
     xd = x.data
     out, a = _mlp_forward(xd, w1, b1, w2, b2)
 
@@ -623,18 +633,103 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return custom_op(out, (x, gain, bias), pull)
 
 
+def _sublayer_width(gain: Tensor, bias: Tensor, op: str) -> int:
+    """The width d of a sublayer's residual stream, which its layer norm's
+    affine fixes: gain and bias [d] each, with d >= 1."""
+    if gain.data.ndim != 1:
+        raise ShapeError(f"{op} affine shapes {gain.shape}/{bias.shape} are not [d] vectors")
+    _check_norm(gain.shape[0], gain, bias, op)
+    return gain.shape[0]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class AttentionParams:
+    """One attention sublayer's parameters, checked once, when it is made.
+
+    gain and bias [d] are its layer norm's affine and fix the width d;
+    w_in [d,3d] and b_in [3d] the packed in-projection, whose column blocks
+    [0,d), [d,2d) and [2d,3d) project the queries, keys and values (DETR's
+    `in_proj_weight`); wo [d,d] and bo [d] the out-projection; n_heads a
+    positive integer (a numpy integer too, not a bool) that divides d.
+    Anything else raises a ShapeError naming it, here, so `attention`
+    checks only what changes per call. The record holds the tensors, so
+    an update of their data in place reaches it; rebinding a tensor's
+    `.data` is not re-checked.
+    """
+
+    gain: Tensor
+    bias: Tensor
+    w_in: Tensor
+    b_in: Tensor
+    wo: Tensor
+    bo: Tensor
+    n_heads: int
+    d: int = field(init=False)
+
+    def __post_init__(self):
+        n_heads = self.n_heads
+        if not (type(n_heads) is int or isinstance(n_heads, np.integer)) or n_heads < 1:
+            raise ShapeError(f"attention n_heads must be a positive int, got {n_heads!r}")
+        d = _sublayer_width(self.gain, self.bias, "attention")
+        if d % n_heads:
+            raise ShapeError(f"attention width {d} is not divisible by n_heads={n_heads}")
+        proj = (self.w_in, self.b_in, self.wo, self.bo)
+        if tuple(t.shape for t in proj) != ((d, 3 * d), (3 * d,), (d, d), (d,)):
+            raise ShapeError(
+                f"attention needs [{d},{3 * d}] and [{d},{d}] weights and [{3 * d}] and [{d}] "
+                f"biases, got {[t.shape for t in proj]}"
+            )
+        object.__setattr__(self, "d", d)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class FeedForwardParams:
+    """One feed-forward sublayer's parameters, checked once, when it is made.
+
+    gain and bias [d] are its layer norm's affine and fix the width d;
+    w1 [d,h], b1 [h], w2 [h,d] and b2 [d] the net's. Anything else raises a
+    ShapeError naming it, here, so `feed_forward` checks only its input.
+    As with `AttentionParams`, rebinding a tensor's `.data` is not
+    re-checked.
+    """
+
+    gain: Tensor
+    bias: Tensor
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
+    d: int = field(init=False)
+
+    def __post_init__(self):
+        d = _sublayer_width(self.gain, self.bias, "feed_forward")
+        w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
+        if (
+            w1.data.ndim != 2 or w2.data.ndim != 2 or w1.shape[0] != d
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]
+        ):
+            raise ShapeError(
+                f"feed_forward needs w1 [{d},h], b1 [h], w2 [h,m] and b2 [m], got {w1.shape}, "
+                f"{b1.shape}, {w2.shape} and {b2.shape}"
+            )
+        if w2.shape[1] != d:
+            raise ShapeError(f"feed_forward output width {w2.shape[1]} != input width {d}")
+        object.__setattr__(self, "d", d)
+
+
 def attention(
-    x: Tensor, gain: Tensor, bias: Tensor, proj, n_heads: int,
-    memory: Tensor | None = None, positions: Tensor | None = None,
+    x: Tensor, p: AttentionParams, memory: Tensor | None = None, positions: Tensor | None = None,
 ) -> Tensor:
     """One pre-norm residual attention sublayer, x + attend(LN(x)), as one op.
 
-    x [n,d] is the residual stream, gain and bias [d] its layer norm's
-    affine, and proj = (w_in, b_in, wo, bo): the in-projection w_in [d,3d]
-    and b_in [3d], whose column blocks [0,d), [d,2d) and [2d,3d) project
-    the queries, keys and values (DETR's packed `in_proj_weight`), and the
-    out-projection wo [d,d] and bo [d] -> [n,d]. With xn = LN(x)
-    (`layer_norm`'s formula), the query, key and value rows are
+    x [n,d] is the residual stream and p the sublayer's `AttentionParams`
+    (its layer norm's gain and bias, the packed in-projection w_in and b_in,
+    the out-projection wo and bo, and n_heads) -> [n,d]. The record checked
+    the parameters when it was made; each call checks that p is an
+    `AttentionParams`, that x is [n, p.d], that memory is [m, p.d] and not
+    given with positions, that positions match x, and that there is at
+    least one key row. With xn = LN(x) (`layer_norm`'s formula), the query,
+    key and value rows are
 
         self-attention:   q = k = xn, or xn + positions [n,d] when given;  v = xn
         cross-attention:  q = xn;  k = v = memory [m,d]
@@ -708,14 +803,11 @@ def attention(
     (and the positions and memory) at backward time. With no tape, the op
     returns its output and builds no backward rule.
     """
-    xd = x.data
-    if xd.ndim != 2:
-        raise ShapeError(f"attention needs x [n,d], got {x.shape}")
-    d = xd.shape[1]
-    if not (type(n_heads) is int or isinstance(n_heads, np.integer)) or n_heads < 1:
-        raise ShapeError(f"attention n_heads must be a positive int, got {n_heads!r}")
-    if d % n_heads:
-        raise ShapeError(f"attention width {d} is not divisible by n_heads={n_heads}")
+    if not isinstance(p, AttentionParams):
+        raise TypeError(f"attention needs an AttentionParams record, got a {type(p).__name__}")
+    xd, d = x.data, p.d
+    if xd.ndim != 2 or xd.shape[1] != d:
+        raise ShapeError(f"attention needs x [n,{d}], got {x.shape}")
     if memory is not None:
         if positions is not None:
             raise ValueError("attention adds positions in self-attention only, not with memory")
@@ -726,15 +818,7 @@ def attention(
     if (xd if memory is None else memory.data).shape[0] == 0:
         raise ShapeError(f"attention needs at least one key row, got x={x.shape} memory="
                          f"{None if memory is None else memory.shape}")
-    _check_norm(d, gain, bias, "attention")
-    if len(proj) != 4:
-        raise ShapeError(f"attention proj needs 4 tensors (w_in, b_in, wo, bo), got {len(proj)}")
-    w_in, b_in, wo, bo = proj
-    if (w_in.shape, b_in.shape, wo.shape, bo.shape) != ((d, 3 * d), (3 * d,), (d, d), (d,)):
-        raise ShapeError(
-            f"attention needs [{d},{3 * d}] and [{d},{d}] weights and [{3 * d}] and [{d}] "
-            f"biases, got {[t.shape for t in proj]}"
-        )
+    gain, bias, w_in, b_in, wo, bo, n_heads = p.gain, p.bias, p.w_in, p.b_in, p.wo, p.bo, p.n_heads
     dh = d // n_heads
     c = 1.0 / math.sqrt(dh)  # a Python float: an np.float64 would promote float32 work
 
@@ -824,14 +908,14 @@ def attention(
     return custom_op(out, (x, gain, bias, w_in, b_in, wo, bo) + extra, pull)
 
 
-def feed_forward(
-    x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
-) -> Tensor:
+def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     """One pre-norm residual feed-forward sublayer, x + mlp(LN(x)), as one op.
 
-    x [n,d] is the residual stream, gain and bias [d] its layer norm's
-    affine, and w1 [d,h], b1 [h], w2 [h,d], b2 [d] the net's. Forward, with
-    `layer_norm`'s and `mlp`'s formulas:
+    x [n,d] is the residual stream and p the sublayer's
+    `FeedForwardParams` (its layer norm's gain and bias, and the net's w1,
+    b1, w2 and b2). The record checked the parameters when it was made;
+    each call checks that p is a `FeedForwardParams` and that x is
+    [n, p.d]. Forward, with `layer_norm`'s and `mlp`'s formulas:
 
         xn = LN(x),  out = x + (relu(xn w1 + b1) w2 + b2)
 
@@ -849,12 +933,11 @@ def feed_forward(
     the parameters at backward time. With no tape, the op returns its
     output and builds no backward rule.
     """
-    d = x.shape[1] if x.data.ndim == 2 else -1
-    h = w1.shape[1] if w1.data.ndim == 2 else -1
-    if d < 0 or (w1.shape, b1.shape, w2.shape, b2.shape) != ((d, h), (h,), (h, d), (d,)):
-        _check_mlp(x, w1, b1, w2, b2, "feed_forward")
-        raise ShapeError(f"feed_forward output width {w2.shape[1]} != input width {d}")
-    _check_norm(d, gain, bias, "feed_forward")
+    if not isinstance(p, FeedForwardParams):
+        raise TypeError(f"feed_forward needs a FeedForwardParams record, got a {type(p).__name__}")
+    if x.data.ndim != 2 or x.shape[1] != p.d:
+        raise ShapeError(f"feed_forward needs x [n,{p.d}], got {x.shape}")
+    gain, bias, w1, b1, w2, b2 = p.gain, p.bias, p.w1, p.b1, p.w2, p.b2
     xn, y, inv = _layer_norm_forward(x.data, gain, bias)
     out, a = _mlp_forward(xn, w1, b1, w2, b2)
     out += x.data

@@ -9,14 +9,18 @@ feed-forward net. Every layer is a stack of pre-norm residual sublayers
 x + f(LN(x)), and each sublayer, its layer norm and residual add included,
 is one tape op: `ad.attention` (through
 `multi_head_attention`) or `ad.feed_forward`. A sublayer's parameters are
-one tuple in its op's argument order, (gain, bias, w, b, ...), and a layer
-is a tuple of sublayers: (attention, ffn) for an encoder layer, so two ops,
-and (self-attention, cross-attention, ffn) for a decoder layer, so three.
-An attention sublayer is (gain, bias, w_in, b_in, wo, bo): as in DETR's
-`in_proj_weight`, one in-projection `<attn>.in.w` [d,3d] and `<attn>.in.b`
-[3d] packs the query, key and value projections as column blocks in that
-order, so self-attention projects all three rows with one product and its
-backward takes their weight and input gradients as one product each.
+one record, `ad.AttentionParams` (gain, bias, w_in, b_in, wo, bo, n_heads)
+or `ad.FeedForwardParams` (gain, bias, w1, b1, w2, b2), and a layer is a
+tuple of records: (attention, ffn) for an encoder layer, so two ops, and
+(self-attention, cross-attention, ffn) for a decoder layer, so three. As
+in DETR's `in_proj_weight`, an attention's one in-projection `<attn>.in.w`
+[d,3d] and `<attn>.in.b` [3d] packs the query, key and value projections
+as column blocks in that order, so self-attention projects all three rows
+with one product and its backward takes their weight and input gradients
+as one product each. The records check every parameter shape and the head
+count once, when the model lays out its parameters (a checkpoint load
+too); on each call an op checks only its inputs: the rows' width, the
+memory and the positions.
 The class head emits logits, which the loss takes on the tape; class
 probabilities are their sigmoid, derived off the tape for matching and
 scoring. The box head's sigmoid keeps box coordinates in [0, 1], strictly
@@ -238,24 +242,27 @@ class _ParamFactory:
         return gain, self.add(f"{name}.bias", (d,), lambda rng, shape: 0.0)
 
     def sublayer(self, norm: str, linears) -> tuple[Tensor, ...]:
-        """A pre-norm sublayer's leaves in its op's argument order: the layer
-        norm `norm`'s gain and bias, then the weight and bias of each
+        """A pre-norm sublayer's leaves in its record's field order: the
+        layer norm `norm`'s gain and bias, then the weight and bias of each
         `linear`, given as its (name, fan_in, fan_out[, blocks]) arguments,
         which are declared first."""
         body = [t for spec in linears for t in self.linear(*spec)]
         return (*self.norm(norm, linears[0][1]), *body)
 
-    def layer(self, name: str, d: int, hidden: int, *attentions) -> tuple:
-        """A layer's `sublayer` tuples: an attention for each (attention,
-        norm) name pair, then the feed-forward net. An attention's `in`
-        linear packs its query, key and value projections as three [d,d]
-        column blocks, drawn in that order."""
+    def layer(self, name: str, d: int, hidden: int, n_heads: int, *attentions) -> tuple:
+        """A layer's sublayer records: an `ad.AttentionParams` with `n_heads`
+        heads for each (attention, norm) name pair, then the feed-forward
+        net's `ad.FeedForwardParams`. An attention's `in` linear packs its
+        query, key and value projections as three [d,d] column blocks, drawn
+        in that order."""
         sublayers = [
-            self.sublayer(f"{name}.{norm}", [(f"{name}.{attn}.in", d, d, 3), (f"{name}.{attn}.out", d, d)])
+            ad.AttentionParams(*self.sublayer(
+                f"{name}.{norm}", [(f"{name}.{attn}.in", d, d, 3), (f"{name}.{attn}.out", d, d)]
+            ), n_heads)
             for attn, norm in attentions
         ]
         ffn = [(f"{name}.ffn.inner", d, hidden), (f"{name}.ffn.outer", hidden, d)]
-        return (*sublayers, self.sublayer(f"{name}.norm_ffn", ffn))
+        return (*sublayers, ad.FeedForwardParams(*self.sublayer(f"{name}.norm_ffn", ffn)))
 
 
 def _group_of(name: str) -> str:
@@ -272,32 +279,31 @@ def _group_of(name: str) -> str:
 
 
 def multi_head_attention(
-    x: Tensor, p: tuple[Tensor, ...], n_heads: int,
-    memory: Tensor | None = None, positions: Tensor | None = None,
+    x: Tensor, p: ad.AttentionParams, memory: Tensor | None = None, positions: Tensor | None = None,
 ) -> Tensor:
     """One pre-norm residual attention sublayer, x + attend(LN(x)), as the one
-    op `ad.attention`, which also checks the shapes. `p` is the sublayer's
-    (gain, bias, w_in, b_in, wo, bo): its layer norm's affine, the packed
-    in-projection w_in [d,3d] and b_in [3d], whose column blocks project
-    the query, key and value rows in that order, and the out-projection
-    wo [d,d], bo [d]. Rows that share an input share one product with
-    w_in: [Q|K|V] in self-attention, [Q|K] and V with positions, Q and
-    [K|V] with memory; the backward takes each product's weight, bias and
-    input gradient as one product each (`ad.attention`).
+    op `ad.attention`, which checks the inputs' shapes. `p` is the
+    sublayer's record, its parameters checked when it was made: its layer
+    norm's affine, the packed in-projection w_in [d,3d] and b_in [3d], whose
+    column blocks project the query, key and value rows in that order, the
+    out-projection wo [d,d], bo [d], and the head count. Rows that share an
+    input share one product with w_in: [Q|K|V] in self-attention, [Q|K] and
+    V with positions, Q and [K|V] with memory; the backward takes each
+    product's weight, bias and input gradient as one product each
+    (`ad.attention`).
 
     Self-attention by default (query, key and value are the normalised x,
     the query and key plus `positions` when given); with `memory`, the
     normalised x attends to the memory rows instead. Rows of the attention
     weights are a softmax, hence row-stochastic.
     """
-    gain, bias, *proj = p
-    return ad.attention(x, gain, bias, proj, n_heads, memory=memory, positions=positions)
+    return ad.attention(x, p, memory=memory, positions=positions)
 
 
-def _encoder_layer(x: Tensor, layer: tuple, n_heads: int, positions: Tensor | None = None) -> Tensor:
+def _encoder_layer(x: Tensor, layer: tuple, positions: Tensor | None = None) -> Tensor:
     """One pre-norm self-attention sublayer, then one pre-norm FFN sublayer.
 
-    `layer` is their (attention, ffn) parameter tuples. The attention's
+    `layer` is their (attention, ffn) parameter records. The attention's
     query and key are the normalised x plus `positions` (when given), its
     value is the normalised x alone. The encoder layers run it without
     positions; the temporal aggregation layer passes the carried block's
@@ -305,7 +311,7 @@ def _encoder_layer(x: Tensor, layer: tuple, n_heads: int, positions: Tensor | No
     convention across the model.
     """
     attention, ffn = layer
-    return ad.feed_forward(multi_head_attention(x, attention, n_heads, positions=positions), *ffn)
+    return ad.feed_forward(multi_head_attention(x, attention, positions=positions), ffn)
 
 
 def sine_positions_2d(n_rows: int, n_cols: int, d: int) -> np.ndarray:
@@ -351,7 +357,7 @@ class TrackingModel:
     Every parameter value lives in one vector `theta` (θ), in the model's
     dtype, laid out in sorted-name order: the checkpoint manifest's order.
     `params` maps each parameter name, in that order, to a view leaf of θ
-    (`autodiff.leaf_group`); the layer tuples (`encoder_layers`,
+    (`autodiff.leaf_group`); the layers' sublayer records (`encoder_layers`,
     `decoder_layers`, `temporal`) and the head attributes hold the same
     tensors. `parameters()` groups the views by module. Update parameters
     in place: rebinding a view's `.data` detaches it from θ.
@@ -377,10 +383,12 @@ class TrackingModel:
         self.patch_w, self.patch_b = f.linear("patch_embed", in_dim, d)
         encoder_attn = ("attn", "norm_attn")
         self.encoder_layers = [
-            f.layer(f"encoder.{i}", d, ffn, encoder_attn) for i in range(cfg.n_encoder_layers)
+            f.layer(f"encoder.{i}", d, ffn, cfg.n_heads, encoder_attn) for i in range(cfg.n_encoder_layers)
         ]
         self.decoder_layers = [
-            f.layer(f"decoder.{i}", d, ffn, ("self_attn", "norm_self"), ("cross_attn", "norm_cross"))
+            f.layer(
+                f"decoder.{i}", d, ffn, cfg.n_heads, ("self_attn", "norm_self"), ("cross_attn", "norm_cross")
+            )
             for i in range(cfg.n_decoder_layers)
         ]
         self.norm_out = f.norm("decoder.norm_out", d)
@@ -392,7 +400,7 @@ class TrackingModel:
         self.cls_w, self.cls_b = f.linear("head.class", d, cfg.n_classes, bias=-2.0)
         self.box_w1, self.box_b1 = f.linear("head.box.inner", d, d)
         self.box_w2, self.box_b2 = f.linear("head.box.outer", d, 4)
-        self.temporal = f.layer("temporal", d, ffn, encoder_attn)
+        self.temporal = f.layer("temporal", d, ffn, cfg.n_heads, encoder_attn)
 
         self.params: dict[str, Tensor] = {name: f.params[name] for name in sorted(f.params)}
         self.theta = np.empty(sum(p.data.size for p in self.params.values()), dtype=cfg.dtype)
@@ -440,7 +448,7 @@ class TrackingModel:
         patches = _cut_patches(image.data.astype(cfg.dtype, copy=False), cfg.patch_size)
         x = ad.add(ad.linear(Tensor(patches), self.patch_w, self.patch_b), self._pos)
         for layer in self.encoder_layers:
-            x = _encoder_layer(x, layer, cfg.n_heads)
+            x = _encoder_layer(x, layer)
         return x
 
     # -- decoding ----------------------------------------------------------
@@ -459,9 +467,7 @@ class TrackingModel:
                 raise ValueError(
                     f"track block {name} are {t.data.dtype}, the model computes in {self.cfg.dtype}"
                 )
-        return _encoder_layer(
-            track_set.embeddings, self.temporal, self.cfg.n_heads, track_set.positions
-        )
+        return _encoder_layer(track_set.embeddings, self.temporal, track_set.positions)
 
     def decode(self, memory: Tensor, track_queries: Tensor | None = None) -> FramePredictions:
         """Refine the frame's queries against its tokens; emit class logits and boxes.
@@ -486,9 +492,9 @@ class TrackingModel:
             queries = ad.concat([track_queries, queries], axis=0)
         x = queries
         for self_attn, cross_attn, ffn in self.decoder_layers:
-            x = multi_head_attention(x, self_attn, cfg.n_heads)
-            x = multi_head_attention(x, cross_attn, cfg.n_heads, memory=memory)
-            x = ad.feed_forward(x, *ffn)
+            x = multi_head_attention(x, self_attn)
+            x = multi_head_attention(x, cross_attn, memory=memory)
+            x = ad.feed_forward(x, ffn)
         hidden = ad.layer_norm(x, *self.norm_out)
         class_logits = ad.linear(hidden, self.cls_w, self.cls_b)
         boxes = ad.sigmoid(ad.mlp(hidden, self.box_w1, self.box_b1, self.box_w2, self.box_b2))

@@ -149,10 +149,16 @@ class TestMatchCost:
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=False)], r"class_id False, outside \[0, 1\)"),
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=True)], r"class_id True, outside \[0, 1\)"),
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=np.False_)], r"class_id np\.False_, outside \[0, 1\)"),
+            # an identity is an integer, as a QueryRecord's track id is
+            ([GtObject("a", Box(0.5, 0.5, 0.2, 0.2))], r"identity 'a', not an integer"),
+            ([GtObject(1.5, Box(0.5, 0.5, 0.2, 0.2))], r"identity 1\.5, not an integer"),
+            ([GtObject(True, Box(0.5, 0.5, 0.2, 0.2))], r"identity True, not an integer"),
+            ([GtObject(None, Box(0.5, 0.5, 0.2, 0.2))], r"identity None, not an integer"),
         ],
         ids=[
             "negative_class", "class_past_the_last", "duplicate_identity", "float_class", "string_class",
             "no_class", "false_class", "true_class", "numpy_bool_class",
+            "string_identity", "float_identity", "bool_identity", "no_identity",
         ],
     )
     def test_bad_annotations_rejected(self, gt, message):
@@ -276,6 +282,25 @@ class TestPropagate:
     def test_overlapping_identities_rejected(self):
         with pytest.raises(ValueError, match="identities"):
             propagate_assignment(Assignment([(0, 1)]), Assignment([(0, 1)]))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(0.5, 7), (np.float64(1.0), 7), (True, 7), (np.True_, 7), ("0", 7),
+     (0, 7.0), (0, False), (0, "a"), (0, None)],
+    ids=["float_slot", "numpy_float_slot", "bool_slot", "numpy_bool_slot", "string_slot",
+         "float_identity", "bool_identity", "string_identity", "no_identity"],
+)
+def test_assignment_rejects_a_slot_or_identity_that_is_not_an_integer(pair):
+    # unchecked, frame_loss indexed with np.intp(pairs): slot 0.5 trained
+    # row 0 and slot True row 1
+    with pytest.raises(ValueError, match=r"assignment pair .* needs an integer slot and identity"):
+        Assignment([(0, 1), pair])
+
+
+def test_assignment_takes_numpy_integers():
+    a = Assignment([(np.int64(0), np.int32(7)), (np.intp(2), 3)])
+    assert a.identities() == {7, 3} and len(a) == 2
 
 
 def test_assignment_rejects_duplicates():

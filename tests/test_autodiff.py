@@ -1,15 +1,20 @@
 import gc
 import re
+import sys
+import threading
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import querytrack.autodiff as ad
+from querytrack.assignment import Assignment, GtObject
 from querytrack.autodiff import Tape, Tensor
-from querytrack.boxes import box_l1_rows
-from querytrack.losses import focal_loss
+from querytrack.boxes import Box, box_l1_rows
+from querytrack.losses import ClipLossAccumulator, LossWeights, clip_average_loss, focal_loss, frame_loss
+from querytrack.model import ModelConfig, QueryRecord, QuerySet, TrackingModel
 
 from chain_ops import scale, slice_axis
 
@@ -183,7 +188,7 @@ def attention_weights(logits):
     """The row softmax inside `ad.attention`, read out for an [n,m] logit
     table through `logit_inputs`."""
     x, norm, proj, memory = logit_inputs(logits)
-    out = ad.attention(x, *norm, proj, 1, memory=memory)
+    out = ad.attention(x, ad.AttentionParams(*norm, *proj, 1), memory=memory)
     return out.data[:, 2 * x.shape[0] :]
 
 
@@ -275,8 +280,7 @@ def textbook_core(qp, kp, vp, n_heads):
     return ad.custom_op(merge_heads(s @ vh), (qp, kp, vp), pull)
 
 
-def unfused_attention_sublayer(x, gain, bias, proj, n_heads, memory=None, positions=None,
-                               core=flash_core):
+def unfused_attention_sublayer(x, p, memory=None, positions=None, core=flash_core):
     """The chain `ad.attention` replaced, op for op: `layer_norm`, the query,
     key and value rows, one `ad.linear` per in-projection product over its
     columns of the packed weight and bias (`slice_axis`), `slice_axis` of
@@ -288,9 +292,9 @@ def unfused_attention_sublayer(x, gain, bias, proj, n_heads, memory=None, positi
     `ad.attention` fuses the layer norm, the projections, the core and the
     residual add; with `textbook_core`, the reference for its arithmetic.
     """
-    w_in, b_in, wo, bo = proj
+    w_in, b_in, wo, bo = p.w_in, p.b_in, p.wo, p.bo
     d = x.shape[1]
-    xn = ad.layer_norm(x, gain, bias)
+    xn = ad.layer_norm(x, p.gain, p.bias)
     if memory is not None:
         products = [(xn, 0, d), (memory, d, 3 * d)]
     elif positions is not None:
@@ -303,12 +307,12 @@ def unfused_attention_sublayer(x, gain, bias, proj, n_heads, memory=None, positi
         for r, lo, hi in products
     ]
     qp, kp, vp = (slice_axis(o, 1, j, j + d) for o in outs for j in range(0, o.shape[1], d))
-    return ad.add(x, ad.linear(core(qp, kp, vp, n_heads), wo, bo))
+    return ad.add(x, ad.linear(core(qp, kp, vp, p.n_heads), wo, bo))
 
 
-def unfused_feed_forward(x, gain, bias, w1, b1, w2, b2):
+def unfused_feed_forward(x, p):
     """`layer_norm`, `mlp` and the residual `add`: the chain `ad.feed_forward` replaced."""
-    return ad.add(x, ad.mlp(ad.layer_norm(x, gain, bias), w1, b1, w2, b2))
+    return ad.add(x, ad.mlp(ad.layer_norm(x, p.gain, p.bias), p.w1, p.b1, p.w2, p.b2))
 
 
 def tape_bits(block, leaves, w, w_extra):
@@ -333,7 +337,7 @@ class TestAttentionOp:
 
     @staticmethod
     def weighted(x, gain, bias, proj, n_heads, w, **kw):
-        return weighted_sum(ad.attention(x, gain, bias, proj, n_heads, **kw), w.data)
+        return weighted_sum(ad.attention(x, ad.AttentionParams(gain, bias, *proj, n_heads), **kw), w.data)
 
     @pytest.mark.parametrize("n,m,d,n_heads", [(3, 5, 4, 1), (2, 4, 6, 2), (4, 3, 8, 4)])
     def test_grad_check(self, n, m, d, n_heads):
@@ -418,8 +422,10 @@ class TestAttentionOp:
         w, w_extra = rng.standard_normal((n, d)), rng.standard_normal((n, d))
         leaves = [x, *norm, *extra.values(), *proj]
 
+        p = ad.AttentionParams(*norm, *proj, n_heads)
+
         def run(op):
-            return tape_bits(lambda: op(x, *norm, proj, n_heads, **extra), leaves, w, w_extra)
+            return tape_bits(lambda: op(x, p, **extra), leaves, w, w_extra)
 
         fused_out, fused_grads = run(ad.attention)
         ref_out, ref_grads = run(unfused_attention_sublayer)
@@ -442,11 +448,14 @@ class TestAttentionOp:
         w, w_extra = rng.standard_normal((n, d)), rng.standard_normal((n, d))
         leaves = [x, memory, *norms[0], *norms[1], *norms[2], *projs[0], *projs[1], *net]
 
+        self_attn, cross_attn = (ad.AttentionParams(*norms[i], *projs[i], n_heads) for i in range(2))
+        ffn = ad.FeedForwardParams(*norms[2], *net)
+
         def run(attention, feed_forward):
             def layer():
-                y = attention(x, *norms[0], projs[0], n_heads)
-                y = attention(y, *norms[1], projs[1], n_heads, memory=memory)
-                return feed_forward(y, *norms[2], *net)
+                y = attention(x, self_attn)
+                y = attention(y, cross_attn, memory=memory)
+                return feed_forward(y, ffn)
 
             return tape_bits(layer, leaves, w, w_extra)
 
@@ -476,7 +485,7 @@ class TestAttentionOp:
             ts = {name: Tensor(a, requires_grad=name in needs) for name, a in arrays.items()}
             with Tape() as tape:
                 out = ad.attention(
-                    ts["x"], ts["gain"], ts["bias"], [ts[name] for name in proj], 2,
+                    ts["x"], ad.AttentionParams(ts["gain"], ts["bias"], *[ts[name] for name in proj], 2),
                     **{name: ts[name] for name in extra},
                 )
                 loss = weighted_sum(out, w)
@@ -502,9 +511,9 @@ class TestAttentionOp:
         leaves = [*random_norm(rng, 4), *random_proj(rng, 4), *extra.values()]
         for t in leaves:
             t.requires_grad = True
-        norm, proj = leaves[:2], leaves[2:6]
+        p = ad.AttentionParams(*leaves[:6], 2)
         with Tape():
-            taped = ad.attention(x, *norm, proj, 2, **extra)
+            taped = ad.attention(x, p, **extra)
         assert taped.requires_grad
 
         def no_node(*args):
@@ -512,7 +521,7 @@ class TestAttentionOp:
 
         monkeypatch.setattr(ad, "custom_op", no_node)
         monkeypatch.setattr(ad.Tape, "record", no_node)
-        out = ad.attention(x, *norm, proj, 2, **extra)
+        out = ad.attention(x, p, **extra)
         assert not out.requires_grad and out._tape is None
         assert np.array_equal(out.data, taped.data)
 
@@ -522,24 +531,29 @@ class TestAttentionOp:
         rng = np.random.default_rng(55)
         x, memory = Tensor(rng.standard_normal((3, 4)), requires_grad=True), rng_tensor(rng, 5, 4)
         positions = rng_tensor(rng, 3, 4)
+        self_attn, cross_attn, temporal = (
+            ad.AttentionParams(*random_norm(rng, 4), *random_proj(rng, 4), 2) for _ in range(3)
+        )
         with Tape() as tape:
-            ad.attention(x, *random_norm(rng, 4), random_proj(rng, 4), 2)
-            ad.attention(x, *random_norm(rng, 4), random_proj(rng, 4), 2, memory=memory)
-            ad.attention(x, *random_norm(rng, 4), random_proj(rng, 4), 2, positions=positions)
+            ad.attention(x, self_attn)
+            ad.attention(x, cross_attn, memory=memory)
+            ad.attention(x, temporal, positions=positions)
         assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["attention"] * 3
 
+    # the record checks the head count against the width once, when it is
+    # made; the op checks each call's rows
     @pytest.mark.parametrize(
-        "x_shape,memory_shape,positions_shape,n_heads",
+        "x_shape,memory_shape,positions_shape,n_heads,match",
         [
-            ((2, 4), None, None, 3),
-            ((2, 4), None, (3, 4), 1),
-            ((2, 4), (3, 2), None, 1),
-            ((2, 4), (0, 4), None, 1),
-            ((4,), None, None, 1),
+            ((2, 4), None, None, 3, None),
+            ((2, 4), None, (3, 4), 1, "positions"),
+            ((2, 4), (3, 2), None, 1, "memory needs"),
+            ((2, 4), (0, 4), None, 1, "at least one key row"),
+            ((4,), None, None, 1, r"needs x \[n,4\]"),
         ],
         ids=["indivisible_width", "positions_rows", "memory_width", "no_key_rows", "not_2d"],
     )
-    def test_bad_shapes_rejected(self, x_shape, memory_shape, positions_shape, n_heads):
+    def test_bad_shapes_rejected(self, x_shape, memory_shape, positions_shape, n_heads, match):
         x = Tensor(np.zeros(x_shape))
         kw = {
             name: Tensor(np.zeros(shape))
@@ -547,51 +561,59 @@ class TestAttentionOp:
             if shape is not None
         }
         norm = [Tensor(np.ones(x_shape[-1])), Tensor(np.zeros(x_shape[-1]))]
-        with pytest.raises(ad.ShapeError):
-            ad.attention(x, *norm, identity_proj(x_shape[-1]), n_heads, **kw)
+        if match is None:
+            with pytest.raises(ad.ShapeError, match="not divisible"):
+                ad.AttentionParams(*norm, *identity_proj(x_shape[-1]), n_heads)
+            return
+        p = ad.AttentionParams(*norm, *identity_proj(x_shape[-1]), n_heads)
+        with pytest.raises(ad.ShapeError, match=match):
+            ad.attention(x, p, **kw)
 
     @pytest.mark.parametrize("n_heads", [0, -2, 2.0, True, "2", None, 3])
     def test_bad_head_count_rejected_by_name(self, n_heads):
         # unchecked, 0 would divide by zero, -2 take the square root of a
         # negative width and 2.0 fail in a reshape
-        x = Tensor(np.zeros((2, 4)))
         with pytest.raises(ad.ShapeError, match="n_heads"):
-            ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), identity_proj(4), n_heads)
+            ad.AttentionParams(Tensor(np.ones(4)), Tensor(np.zeros(4)), *identity_proj(4), n_heads)
 
     def test_numpy_int_head_count_accepted(self):
         x = Tensor(np.zeros((2, 4)))
-        out = ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), identity_proj(4), np.int64(2))
-        assert out.shape == (2, 4)
+        p = ad.AttentionParams(Tensor(np.ones(4)), Tensor(np.zeros(4)), *identity_proj(4), np.int64(2))
+        assert ad.attention(x, p).shape == (2, 4)
 
     def test_positions_with_memory_rejected(self):
         x = Tensor(np.zeros((2, 4)))
+        p = ad.AttentionParams(Tensor(np.ones(4)), Tensor(np.zeros(4)), *identity_proj(4), 1)
         with pytest.raises(ValueError, match="positions in self-attention only"):
-            ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), identity_proj(4), 1,
-                         memory=Tensor(np.zeros((3, 4))), positions=x)
+            ad.attention(x, p, memory=Tensor(np.zeros((3, 4))), positions=x)
 
     @pytest.mark.parametrize("count", [0, 3, 6, 8])
     def test_proj_of_another_length_rejected_by_name(self, count):
-        # unchecked, unpacking six or eight tensors raised a bare ValueError;
+        # the record takes exactly four projection tensors before n_heads;
         # eight is the layout with separate query, key and value projections
-        x = Tensor(np.zeros((2, 4)))
         proj = [Tensor(np.eye(4)), Tensor(np.zeros(4))] * (count // 2) + [Tensor(np.zeros(4))] * (count % 2)
-        with pytest.raises(ad.ShapeError, match=rf"attention proj needs 4 tensors .* got {count}"):
-            ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), proj, 2)
+        with pytest.raises(TypeError, match=r"AttentionParams\.__init__\(\)"):
+            ad.AttentionParams(Tensor(np.ones(4)), Tensor(np.zeros(4)), *proj, 2)
 
     def test_bad_norm_shapes_rejected(self):
-        x = Tensor(np.zeros((2, 4)))
-        with pytest.raises(ad.ShapeError, match="attention affine shapes"):
-            ad.attention(x, Tensor(np.ones(3)), Tensor(np.zeros(4)), identity_proj(4), 1)
+        for gain, bias in [(np.ones(3), np.zeros(4)), (np.ones((4, 4)), np.zeros(4))]:
+            with pytest.raises(ad.ShapeError, match="attention affine shapes"):
+                ad.AttentionParams(Tensor(gain), Tensor(bias), *identity_proj(4), 1)
 
     @pytest.mark.parametrize(
         "index,shape", [(0, (4, 8)), (2, (3, 4)), (1, (4,)), (3, (1, 4)), (0, (4, 4))]
     )
     def test_bad_projection_shapes_rejected(self, index, shape):
-        x = Tensor(np.zeros((2, 4)))
         proj = identity_proj(4)
         proj[index] = Tensor(np.zeros(shape))
         with pytest.raises(ad.ShapeError, match="weights and"):
-            ad.attention(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), proj, 2)
+            ad.AttentionParams(Tensor(np.ones(4)), Tensor(np.zeros(4)), *proj, 2)
+
+    def test_plain_tuple_rejected_by_the_op(self):
+        x = Tensor(np.zeros((2, 4)))
+        fields = (Tensor(np.ones(4)), Tensor(np.zeros(4)), *identity_proj(4), 2)
+        with pytest.raises(TypeError, match="attention needs an AttentionParams record, got a tuple"):
+            ad.attention(x, fields)
 
 
 class TestAttentionFormula:
@@ -608,10 +630,10 @@ class TestAttentionFormula:
         n, d = x.shape
         w, w_extra = rng.standard_normal((n, d)), rng.standard_normal((n, d))
         leaves = [x, *norm, *extra.values(), *proj]
-        out, grads = tape_bits(lambda: ad.attention(x, *norm, proj, n_heads, **extra), leaves, w, w_extra)
+        p = ad.AttentionParams(*norm, *proj, n_heads)
+        out, grads = tape_bits(lambda: ad.attention(x, p, **extra), leaves, w, w_extra)
         ref_out, ref_grads = tape_bits(
-            lambda: unfused_attention_sublayer(x, *norm, proj, n_heads, core=textbook_core, **extra),
-            leaves, w, w_extra,
+            lambda: unfused_attention_sublayer(x, p, core=textbook_core, **extra), leaves, w, w_extra,
         )
         largest = max(np.abs(a).max() for a in [ref_out, *ref_grads])
         names = ["out", "x", "gain", "bias", *extra, *PROJ_NAMES]
@@ -658,7 +680,9 @@ class TestFeedForwardOp:
         rng = np.random.default_rng(70)
         inputs = self.inputs(rng)
         w = rng.standard_normal((5, 4))
-        report = ad.grad_check(lambda *ts: weighted_sum(ad.feed_forward(*ts), w), inputs)
+        report = ad.grad_check(
+            lambda x, *p: weighted_sum(ad.feed_forward(x, ad.FeedForwardParams(*p)), w), inputs
+        )
         assert report.passed, report.max_rel_err
         assert len(report.rel_errs) == 7
 
@@ -667,8 +691,9 @@ class TestFeedForwardOp:
         rng = np.random.default_rng(seed)
         leaves = self.inputs(rng)
         w, w_extra = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-        fused_out, fused_grads = tape_bits(lambda: ad.feed_forward(*leaves), leaves, w, w_extra)
-        ref_out, ref_grads = tape_bits(lambda: unfused_feed_forward(*leaves), leaves, w, w_extra)
+        x, p = leaves[0], ad.FeedForwardParams(*leaves[1:])
+        fused_out, fused_grads = tape_bits(lambda: ad.feed_forward(x, p), leaves, w, w_extra)
+        ref_out, ref_grads = tape_bits(lambda: unfused_feed_forward(x, p), leaves, w, w_extra)
         assert np.array_equal(fused_out, ref_out)
         for name, a, b in zip("x gain bias w1 b1 w2 b2".split(), fused_grads, ref_grads):
             assert np.array_equal(a, b), name
@@ -677,17 +702,23 @@ class TestFeedForwardOp:
         inputs = self.inputs(np.random.default_rng(74))
         inputs[0].requires_grad = True
         with Tape() as tape:
-            ad.feed_forward(*inputs)
+            ad.feed_forward(inputs[0], ad.FeedForwardParams(*inputs[1:]))
         assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["feed_forward"]
 
     def test_bad_shapes_rejected(self):
+        # the record checks the parameters when it is made, the op its input
         x, gain, bias, w1, b1, w2, b2 = self.inputs(np.random.default_rng(75))
         with pytest.raises(ad.ShapeError, match="feed_forward output width 3 != input width 4"):
-            ad.feed_forward(x, gain, bias, w1, b1, Tensor(np.zeros((6, 3))), Tensor(np.zeros(3)))
+            ad.FeedForwardParams(gain, bias, w1, b1, Tensor(np.zeros((6, 3))), Tensor(np.zeros(3)))
         with pytest.raises(ad.ShapeError, match="feed_forward needs"):
-            ad.feed_forward(x, gain, bias, w1, Tensor(np.zeros(5)), w2, b2)
+            ad.FeedForwardParams(gain, bias, w1, Tensor(np.zeros(5)), w2, b2)
         with pytest.raises(ad.ShapeError, match="feed_forward affine shapes"):
-            ad.feed_forward(x, gain, Tensor(np.zeros(5)), w1, b1, w2, b2)
+            ad.FeedForwardParams(gain, Tensor(np.zeros(5)), w1, b1, w2, b2)
+        p = ad.FeedForwardParams(gain, bias, w1, b1, w2, b2)
+        with pytest.raises(ad.ShapeError, match=r"feed_forward needs x \[n,4\], got \(5, 3\)"):
+            ad.feed_forward(Tensor(np.zeros((5, 3))), p)
+        with pytest.raises(TypeError, match="feed_forward needs a FeedForwardParams record, got a tuple"):
+            ad.feed_forward(x, (gain, bias, w1, b1, w2, b2))
 
 
 class TestLayerNorm:
@@ -895,9 +926,11 @@ class TestBackward:
 
         norm, proj = random_norm(rng, 6), random_proj(rng, 6)
 
+        p = ad.AttentionParams(*norm, *proj, 2)
+
         def f(a, b, c):
             h = ad.linear(a, b, c)
-            return weighted_sum(ad.sigmoid(ad.attention(h, *norm, proj, 2)), 1.0)
+            return weighted_sum(ad.sigmoid(ad.attention(h, p)), 1.0)
 
         assert ad.grad_check(f, [a, b, c], tol=1e-4).passed
 
@@ -1033,8 +1066,8 @@ class TestBackward:
             x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
             b = Tensor(rng.standard_normal(4), requires_grad=True)
             with Tape() as tape:
-                proj = [ad.concat([x, x, x], axis=1), ad.concat([b, b, b]), x, b]
-                loss = weighted_sum(ad.attention(ad.linear(x, x, b), b, b, proj, 2, memory=x), 1.0)
+                p = ad.AttentionParams(b, b, ad.concat([x, x, x], axis=1), ad.concat([b, b, b]), x, b, 2)
+                loss = weighted_sum(ad.attention(ad.linear(x, x, b), p, memory=x), 1.0)
             tape.backward(loss)
             return loss.item(), x.grad.copy()
 
@@ -1042,6 +1075,63 @@ class TestBackward:
         l2, g2 = run()
         assert l1 == l2
         assert np.array_equal(g1, g2)
+
+
+TINY = ModelConfig(
+    image_size=16, patch_size=8, d_model=8, n_heads=2, n_encoder_layers=1,
+    n_decoder_layers=1, n_detect_queries=4, ffn_dim=16,
+)
+
+
+class TestTapePerThread:
+    """Each thread records on the innermost tape it entered itself."""
+
+    GT = [GtObject(1, Box(0.4, 0.5, 0.3, 0.2)), GtObject(2, Box(0.7, 0.3, 0.2, 0.25))]
+
+    @classmethod
+    def train_step(cls, seed, barrier):
+        """(loss, group gradients) of one step of a TINY model on two
+        frames: detect slots 0 and 2 take the objects, then carry them as
+        the second frame's track block. `barrier` holds the thread inside
+        its tape until every party has entered its own and recorded."""
+        model = TrackingModel(TINY, seed=seed)
+        images = np.random.default_rng(seed).uniform(0, 1, size=(2, 16, 16, 1))
+        records = [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)]
+        with Tape() as tape:
+            barrier.wait()
+            acc = ClipLossAccumulator()
+            preds = model.forward_frame(Tensor(images[0]))
+            acc.add(frame_loss(preds, Assignment(), Assignment([(0, 1), (2, 2)]), cls.GT, LossWeights()))
+            rows = [preds.n_track, preds.n_track + 2]
+            carried = QuerySet(ad.gather_rows(preds.hidden, rows), records, ad.gather_rows(preds.queries, rows))
+            preds = model.forward_frame(Tensor(images[1]), carried)
+            acc.add(frame_loss(preds, Assignment([(0, 1), (1, 2)]), Assignment(), cls.GT, LossWeights()))
+            loss = clip_average_loss(acc)
+            barrier.wait()
+        tape.backward(loss)
+        return loss.item(), {name: g.grad for name, g in model.parameters().items()}
+
+    def test_threads_train_as_they_do_one_after_the_other(self):
+        # with one stack for all threads, a later thread's tape took the
+        # others' ops, and the first to leave its tape popped another's:
+        # "tapes must unwind in LIFO order"; three threads on two cores,
+        # switching often
+        seeds = (0, 1, 2)
+        alone = [self.train_step(seed, threading.Barrier(1)) for seed in seeds]
+        every = threading.Barrier(len(seeds), timeout=30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                threaded = list(pool.map(lambda seed: self.train_step(seed, every), seeds))
+        finally:
+            sys.setswitchinterval(interval)
+        for (loss, grads), (ref_loss, ref_grads) in zip(threaded, alone):
+            assert loss == ref_loss
+            assert grads.keys() == ref_grads.keys()
+            for name, g in grads.items():
+                assert np.array_equal(g, ref_grads[name]), name
+        assert ad.active_tape() is None
 
 
 class TestGradCheck:
@@ -1136,11 +1226,14 @@ def test_randomized_gradient_sweep():
             (scalar(box_l1_rows), [pred, target]),
             (scalar(ad.sigmoid), [a]),
             (lambda x: focal_loss(x, targets), [a]),
-            (lambda x, g, s, mem, *proj: weighted_sum(ad.attention(x, g, s, proj, 1, memory=mem), 1.0),
+            (lambda x, g, s, mem, *proj: weighted_sum(
+                ad.attention(x, ad.AttentionParams(g, s, *proj, 1), memory=mem), 1.0),
              [a, gain, shift, b, *proj]),
-            (lambda x, g, s, pos, *proj: weighted_sum(ad.attention(x, g, s, proj, 1, positions=pos), 1.0),
+            (lambda x, g, s, pos, *proj: weighted_sum(
+                ad.attention(x, ad.AttentionParams(g, s, *proj, 1), positions=pos), 1.0),
              [a, gain, shift, b, *proj]),
-            (scalar(ad.feed_forward), [a, gain, shift, c, bias, w2, b2]),
+            (lambda x, *p: weighted_sum(ad.feed_forward(x, ad.FeedForwardParams(*p)), 1.0),
+             [a, gain, shift, c, bias, w2, b2]),
             (lambda x: weighted_sum(ad.concat([x, x], axis=0), 1.0), [a]),
         ]:
             report = ad.grad_check(f, args)

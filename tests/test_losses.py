@@ -215,8 +215,12 @@ class TestFrameLoss:
             ([(-1, 1)], [], "track slot -1 is outside the track block of 1 rows"),
             ([], [(-1, 2)], "detect slot -1 is outside the detect block of 4 rows"),
             ([], [(4, 2)], "detect slot 4 is outside the detect block of 4 rows"),
+            # unchecked, np.intp(pairs) made 0.5 detect row 0 and True detect row 1
+            ([], [(0.5, 2)], r"pair \(0\.5, 2\) needs an integer slot"),
+            ([], [(True, 2)], r"pair \(True, 2\) needs an integer slot"),
         ],
-        ids=["track_past_its_block", "track_negative", "detect_negative", "detect_past_its_block"],
+        ids=["track_past_its_block", "track_negative", "detect_negative", "detect_past_its_block",
+             "detect_float_slot", "detect_bool_slot"],
     )
     def test_slot_outside_its_block_rejected(self, track_pairs, detect_pairs, message):
         # one track row, then four detect rows

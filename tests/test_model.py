@@ -81,7 +81,7 @@ class TestEncode:
         def encoder_layers(x):
             x = Tensor(x)
             for attention, ffn in model.encoder_layers:
-                x = ad.feed_forward(multi_head_attention(x, attention, cfg.n_heads), *ffn)
+                x = ad.feed_forward(multi_head_attention(x, attention), ffn)
             return x.data
 
         perm = [1, 0, 2, 3]
@@ -218,7 +218,7 @@ def attention_grads(x, norm, p, n_heads, weight, memory=None):
         t.requires_grad = True
         t.reset_grad()
     with Tape() as tape:
-        out = multi_head_attention(x, norm + p, n_heads, memory=memory)
+        out = multi_head_attention(x, ad.AttentionParams(*norm, *p, n_heads), memory=memory)
         loss = weighted_sum(out, weight.data)
     tape.backward(loss)
     return out.data, [t.grad.copy() for t in leaves]
@@ -251,27 +251,28 @@ class TestAttention:
         x, memory = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((5, 8)))
         p = random_attention(rng, 8)
         with Tape() as tape:
-            multi_head_attention(x, unit_norm(8) + p, 4, memory=memory)
+            multi_head_attention(x, ad.AttentionParams(*unit_norm(8), *p, 4), memory=memory)
             kinds = [pull.__qualname__.split(".")[0] for _, pull in tape.nodes]
         # the layer norm, the projections and the residual add are part of
         # the one attention node
         assert kinds == ["attention"]
 
     def test_zero_key_rows_rejected(self):
-        p = identity_attention(4)
+        p = ad.AttentionParams(*unit_norm(4), *identity_attention(4), 2)
         x, empty = Tensor(np.zeros((2, 4))), Tensor(np.zeros((0, 4)))
         with pytest.raises(ad.ShapeError, match="at least one key row"):
-            multi_head_attention(x, unit_norm(4) + p, 2, memory=empty)
+            multi_head_attention(x, p, memory=empty)
 
     def test_single_zero_query(self):
-        p = identity_attention(1)
-        out = multi_head_attention(Tensor([[0.0]]), unit_norm(1) + p, 1)
+        p = ad.AttentionParams(*unit_norm(1), *identity_attention(1), 1)
+        out = multi_head_attention(Tensor([[0.0]]), p)
         np.testing.assert_allclose(out.data, [[0.0]])
 
     def test_reduces_to_softmax_formula(self):
         rng = np.random.default_rng(4)
         x, memory = (Tensor(rng.standard_normal((3, 4))) for _ in range(2))
-        out = multi_head_attention(x, unit_norm(4) + identity_attention(4), 1, memory=memory)
+        p = ad.AttentionParams(*unit_norm(4), *identity_attention(4), 1)
+        out = multi_head_attention(x, p, memory=memory)
         logits = numpy_layer_norm(x.data) @ memory.data.T / 2.0
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
@@ -282,9 +283,9 @@ class TestAttention:
         # output projection: each row adds exactly one to its residual
         rng = np.random.default_rng(5)
         x, memory = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((7, 4)))
-        p = identity_attention(4)
-        p[0].data[:, 8:], p[1].data[8:] = 0.0, 1.0  # the value block of w_in and b_in
-        out = multi_head_attention(x, unit_norm(4) + p, 2, memory=memory)
+        p = ad.AttentionParams(*unit_norm(4), *identity_attention(4), 2)
+        p.w_in.data[:, 8:], p.b_in.data[8:] = 0.0, 1.0  # the value block of w_in and b_in
+        out = multi_head_attention(x, p, memory=memory)
         np.testing.assert_allclose(out.data - x.data, 1.0, atol=1e-9)
 
     def test_gradient(self):
@@ -293,12 +294,12 @@ class TestAttention:
         norm = random_norm(rng, 4)
 
         def cross(x, gain, bias, memory):
-            out = multi_head_attention(x, [gain, bias] + identity_attention(4), 2, memory=memory)
-            return weighted_sum(out, 1.0)
+            p = ad.AttentionParams(gain, bias, *identity_attention(4), 2)
+            return weighted_sum(multi_head_attention(x, p, memory=memory), 1.0)
 
         def temporal(x, positions):
-            p = identity_attention(4)
-            return weighted_sum(multi_head_attention(x, norm + p, 2, positions=positions), 1.0)
+            p = ad.AttentionParams(*norm, *identity_attention(4), 2)
+            return weighted_sum(multi_head_attention(x, p, positions=positions), 1.0)
 
         assert ad.grad_check(cross, [x, *norm, memory]).passed
         assert ad.grad_check(temporal, [x, positions]).passed
@@ -471,7 +472,7 @@ class TestTemporalAggregation:
             preds = model.forward_frame(img, QuerySet(emb, records, positions=pos))
             return ad.add(weighted_sum(ad.sigmoid(preds.class_logits), 1.0), weighted_sum(preds.boxes, box_weights))
 
-        w_in = model.temporal[0][2]  # the temporal layer's attention (gain, bias, w_in, ...)
+        w_in = model.temporal[0].w_in  # the temporal layer's attention's in-projection
         report = ad.grad_check(f, [emb, pos, w_in], tol=1e-4)
         assert report.passed, report.max_rel_err
 

@@ -77,7 +77,7 @@ class TestLayout:
     def test_view_writes_reach_theta_and_the_layer_structs(self):
         model = TrackingModel(TINY, seed=2)
         model.parameters()["temporal"].data[:] = 0.5
-        assert (model.temporal[0][2].data == 0.5).all()  # the temporal attention's w_in
+        assert (model.temporal[0].w_in.data == 0.5).all()  # the temporal attention's w_in
         assert (model.params["temporal.norm_ffn.bias"].data == 0.5).all()
 
 

@@ -68,9 +68,11 @@ def test_every_op_computes_in_its_inputs_dtype(dtype):
         (ad.sigmoid, [a]), (ad.linear, [a, c, bias]), (ad.mlp, [a, c, bias, w2, b2]),
         (ad.layer_norm, [a, gain, shift]), (lambda x: slice_axis(x, 0, 1, 3), [a]),
         (lambda x: ad.gather_rows(x, [2, 0, 2]), [a]), (lambda x, y: ad.concat([x, y]), [a, b]),
-        (lambda x, g, s, m, *p: ad.attention(x, g, s, p, 2, memory=m), [a, gain, shift, mem, *proj]),
-        (lambda x, g, s, q, *p: ad.attention(x, g, s, p, 2, positions=q), [a, gain, shift, pos, *proj]),
-        (ad.feed_forward, [a, gain, shift, c, bias, w2, b2]),
+        (lambda x, g, s, m, *p: ad.attention(x, ad.AttentionParams(g, s, *p, 2), memory=m),
+         [a, gain, shift, mem, *proj]),
+        (lambda x, g, s, q, *p: ad.attention(x, ad.AttentionParams(g, s, *p, 2), positions=q),
+         [a, gain, shift, pos, *proj]),
+        (lambda x, *p: ad.feed_forward(x, ad.FeedForwardParams(*p)), [a, gain, shift, c, bias, w2, b2]),
         (lambda x: focal_loss(x, targets), [a]), (box_l1_rows, [pred, target]),
     ]:
         ad.reset_grads(args)
@@ -97,9 +99,10 @@ def test_float32_after_float64_at_the_same_width_stays_float32():
         net = [leaf(8, 6), leaf(6), leaf(6, 8), leaf(8)]
         for f, args in [
             (ad.layer_norm, [x, gain, shift]),
-            (lambda x, g, s, *p: ad.attention(x, g, s, p, 2), [x, gain, shift, *proj]),
-            (lambda x, g, s, m, *p: ad.attention(x, g, s, p, 4, memory=m), [x, gain, shift, mem, *proj]),
-            (ad.feed_forward, [x, gain, shift, *net]),
+            (lambda x, g, s, *p: ad.attention(x, ad.AttentionParams(g, s, *p, 2)), [x, gain, shift, *proj]),
+            (lambda x, g, s, m, *p: ad.attention(x, ad.AttentionParams(g, s, *p, 4), memory=m),
+             [x, gain, shift, mem, *proj]),
+            (lambda x, *p: ad.feed_forward(x, ad.FeedForwardParams(*p)), [x, gain, shift, *net]),
         ]:
             ad.reset_grads(args)
             with Tape() as tape:
