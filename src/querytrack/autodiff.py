@@ -188,7 +188,9 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        """Add g into .grad; the first full-shape term is stored as a copy.
+        """Add the gradient term g into .grad: every backward rule hands its
+        inputs their terms through here. The first full-shape term is
+        stored as a copy.
 
         The copy keeps the stored gradient from sharing memory with g, which
         the op that made it may hand to other inputs too. Where g holds a
@@ -201,14 +203,6 @@ class Tensor:
                 return
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    def _accumulate_rows(self, rows, g: np.ndarray) -> None:
-        """Add g into `rows` of .grad (a slice, or row indices without
-        repeats) and leave its other rows as they are; an unset .grad starts
-        as zeros, so the rows hold 0 + g."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad[rows] += g
 
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
@@ -253,12 +247,6 @@ class _ViewLeaf(Tensor):
                 group.grad = np.zeros_like(group.data)
             self.grad = group.grad[self._span].reshape(self.data.shape)
         self.grad += g
-
-    def _accumulate_rows(self, rows, g: np.ndarray) -> None:
-        # through `_accumulate`, which checks the dtype and finds the group
-        full = np.zeros(self.data.shape, g.dtype)
-        full[rows] = g
-        self._accumulate(full)
 
 
 def view_leaf(shape: tuple[int, ...]) -> Tensor:

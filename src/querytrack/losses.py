@@ -2,20 +2,20 @@
 
 The frame loss mirrors the matching cost: focal classification plus L1 and
 generalized-IoU box regression for matched queries, focal background for
-everything else. Per-frame terms are kept split into a track part and a
-detect part so the two can be reported apart; the clip normalizer needs
-only their object counts.
+everything else. As in MOTR's collective average loss, a frame's loss is
+one term over all its queries, track and detect alike, and the clip
+normalizer needs only each frame's object count.
 
-On the tape a frame's loss is two nodes, one per query block, and the clip
-average one more, as DETR's criterion takes one focal call over all logits
-and one L1/GIoU call over all matched boxes. Each node computes what the
-unfused chain of single-purpose ops would (`focal_loss`,
-`boxes.box_l1_rows`, `boxes.box_giou_rows`, with the slicing, gathering
-and weighting around them), with the same products in the same order, so
-values and gradients match that chain bit for bit. The chain is written
-out in the tests, with test-local slicing and scaling ops, as the
-reference for both nodes. The formulas are the same numpy kernels in
-both: `_focal_cells` here, `_l1_rows` and `_giou_rows` in `boxes`.
+On the tape a frame's loss is one node and the clip average one more, as
+DETR's criterion takes one focal call over all logits and one L1/GIoU call
+over all matched boxes. Each node computes what the unfused chain of
+single-purpose ops would (`focal_loss`, `boxes.box_l1_rows`,
+`boxes.box_giou_rows`, with the slicing, gathering and weighting around
+them), with the same products in the same order, so values and gradients
+match that chain bit for bit. The chain is written out in the tests, with
+test-local slicing and scaling ops, as the reference for both nodes. The
+formulas are the same numpy kernels in both: `_focal_cells` here,
+`_l1_rows` and `_giou_rows` in `boxes`.
 The targets come from the matching cost's reader, `_read_annotations`,
 and GIoU clamps degenerate boxes as the matching kernels do (`boxes`).
 """
@@ -109,22 +109,15 @@ def focal_loss(logits: Tensor, targets: np.ndarray, alpha: float = 0.25, gamma: 
 
 @dataclass
 class FrameLossTerms:
-    """One frame's loss split into its track and detect parts.
+    """One frame's loss and its object count.
 
-    `track` and `detect` are the two nodes `frame_loss` records, one per
-    query block. `n_tracked` counts tracked objects still present in the
-    ground truth; `n_newborn` counts matched newborn objects. Their sum is
-    the frame's object count used by the clip normalizer.
+    `loss` is the one node `frame_loss` records. `n_objects` counts the
+    tracked objects still present in the ground truth plus the matched
+    newborn objects: the frame's share of the clip normalizer.
     """
 
-    track: Tensor
-    detect: Tensor
-    n_tracked: int
-    n_newborn: int
-
-    @property
-    def n_objects(self) -> int:
-        return self.n_tracked + self.n_newborn
+    loss: Tensor
+    n_objects: int
 
 
 def frame_loss(
@@ -134,7 +127,7 @@ def frame_loss(
     gt_frame: list[GtObject],
     weights: LossWeights,
 ) -> FrameLossTerms:
-    """Loss of one frame under a fixed label assignment, as one op per query block.
+    """Loss of one frame under a fixed label assignment, as one op.
 
     Track queries whose identity has left the ground truth are supervised as
     background (their object is gone); a detect pair pointing at a missing
@@ -143,23 +136,21 @@ def frame_loss(
 
     The forward takes the focal cells of every query row once and the L1
     and GIoU geometry of every matched row once, track rows first, then
-    newborn rows. Each block (the track rows, then the detect rows) is one
-    node over `preds.class_logits` and, when it has matched rows,
-    `preds.boxes`, with the value
+    newborn rows. The node reads `preds.class_logits` and, when any row is
+    matched, `preds.boxes`. Its value is the track block's sum plus the
+    detect block's, each
 
         Σ focal cells · λ_cls + (Σ L1 · λ_L1 + Σ (1 − GIoU) · λ_GIoU)
 
-    or its first term alone without matched rows. The two nodes save the
-    same arrays and each reads only its own rows of them: the focal cells'
-    six intermediates, and the matched rows' predicted and target boxes,
-    L1 signs and GIoU geometry. A node's backward, for the output gradient
-    g, adds (g·λ_cls)·dfocal into its logit rows, and d = dGIoU(−(g·λ_GIoU)),
-    then d += (g·λ_L1)·sign, into its matched box rows; rows of other blocks
-    are not touched. These are the products of the unfused chain this node
-    stands for (a row slice, `focal_loss`, `gather_rows`, `box_l1_rows`,
-    `box_giou_rows` and a weighting of scale and `add` nodes; the tests
-    write it out with test-local slice and scale ops), in its order, so the
-    value and both gradients match that chain bit for bit.
+    over the block's rows, or its first term alone without matched rows.
+    Its backward, for the output gradient g, adds (g·λ_cls)·dfocal into
+    every logit row, and d = dGIoU(−(g·λ_GIoU)), then d += (g·λ_L1)·sign,
+    into the matched box rows. These are the products of the unfused chain
+    this node stands for (per block a row slice, `focal_loss`,
+    `gather_rows`, `box_l1_rows`, `box_giou_rows` and a weighting of scale
+    and `add` nodes, then one `add` of the two blocks; the tests write it
+    out with test-local slice and scale ops), in its order, so the value
+    and both gradients match that chain bit for bit.
     """
     n_track = preds.n_track
     n_total, n_classes = preds.class_logits.shape
@@ -192,36 +183,32 @@ def frame_loss(
     l1, sign = _l1_rows(pred_rows, target_rows)
     giou, geometry = _giou_rows(pred_rows, target_rows)
 
-    def block(lo: int, hi: int, r0: int, r1: int) -> Tensor:
-        """The node of logit rows lo:hi, whose matched rows are r0:r1."""
-        own, matched = slice(lo, hi), slice(r0, r1)
+    def block_total(own: slice, matched: slice):
+        """One block's sum: its logit rows' focal cells, then its matched rows' box terms."""
         total = np.sum(cells[own]) * weights.lambda_cls
-        if r0 < r1:
+        if matched.start < matched.stop:
             total = total + (
                 l1[matched].sum() * weights.lambda_l1
                 + (1.0 - giou[matched]).sum() * weights.lambda_giou
             )
+        return total
 
-        def pull(g):
-            if logits.requires_grad:
-                d = (g * weights.lambda_cls) * _focal_cells_back([s[own] for s in focal], gamma)
-                logits._accumulate_rows(own, d)
-            if r0 < r1 and boxes.requires_grad:
-                d, _ = _giou_rows_back(
-                    -(g * weights.lambda_giou), pred_rows[matched], target_rows[matched],
-                    [s[matched] for s in geometry], True, False,
-                )
-                d += (g * weights.lambda_l1) * sign[matched]
-                boxes._accumulate_rows(index[matched], d)
-
-        return ad.custom_op(total, (logits, boxes) if r0 < r1 else (logits,), pull)
-
-    return FrameLossTerms(
-        track=block(0, n_track, 0, n_tracked),
-        detect=block(n_track, n_total, n_tracked, len(pairs)),
-        n_tracked=n_tracked,
-        n_newborn=len(pairs) - n_tracked,
+    # summed per block, as the chain does: one sum over all rows would round differently
+    value = block_total(slice(0, n_track), slice(0, n_tracked)) + block_total(
+        slice(n_track, n_total), slice(n_tracked, len(pairs))
     )
+
+    def pull(g):
+        if logits.requires_grad:
+            logits._accumulate((g * weights.lambda_cls) * _focal_cells_back(focal, gamma))
+        if pairs and boxes.requires_grad:
+            d, _ = _giou_rows_back(-(g * weights.lambda_giou), pred_rows, target_rows, geometry, True, False)
+            d += (g * weights.lambda_l1) * sign
+            full = np.zeros_like(boxes.data)
+            full[index] = d
+            boxes._accumulate(full)
+
+    return FrameLossTerms(ad.custom_op(value, (logits, boxes) if pairs else (logits,), pull), len(pairs))
 
 
 @dataclass
@@ -239,22 +226,22 @@ class ClipLossAccumulator:
 
 
 def clip_average_loss(acc: ClipLossAccumulator) -> Tensor:
-    """Sum of all frame terms divided by the clip's total object count, as one op.
+    """Sum of all frame losses divided by the clip's total object count, as one op.
 
     The denominator is clamped at 1 so clips with no objects still train on
-    their background terms. The node reads every frame's `track` and
-    `detect` tensors and saves nothing but them and c = 1/max(N, 1). Its
-    value is the chain's: per frame track + detect, a running sum over the
-    frames, then × c; its backward hands each term g·c, as the scale and
-    `add` nodes it stands for would, so both match that chain bit for bit.
-    One backward pass through the result reaches every frame.
+    their background terms. The node reads every frame's `loss` and saves
+    nothing but them and c = 1/max(N, 1). Its value is the chain's: a
+    running sum over the frames in frame order, then × c; its backward
+    hands each frame's loss g·c, as the scale and `add` nodes it stands for
+    would, so both match that chain bit for bit. One backward pass through
+    the result reaches every frame.
     """
     if not acc.frames:
         raise ValueError("loss accumulator has no frames")
-    terms = tuple(t for f in acc.frames for t in (f.track, f.detect))
-    total = terms[0].data + terms[1].data
-    for f in acc.frames[1:]:
-        total = total + (f.track.data + f.detect.data)
+    terms = tuple(f.loss for f in acc.frames)
+    total = terms[0].data
+    for t in terms[1:]:
+        total = total + t.data
     c = 1.0 / max(acc.total_objects, 1)
 
     def pull(g):

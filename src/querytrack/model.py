@@ -47,6 +47,7 @@ count, `FramePredictions.n_track`, as the track rows come first.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -521,6 +522,11 @@ def _payload_dtype(cfg: ModelConfig) -> np.dtype:
     return np.dtype(cfg.dtype).newbyteorder("<")
 
 
+def _manifest(model: TrackingModel) -> list[dict]:
+    """The header's parameter manifest: every parameter's name and shape, in θ's order."""
+    return [{"name": name, "shape": list(p.shape)} for name, p in model.params.items()]
+
+
 def save_checkpoint(path, model: TrackingModel, extra: dict | None = None) -> None:
     """Write config + named parameters to a deterministic binary container.
 
@@ -531,29 +537,45 @@ def save_checkpoint(path, model: TrackingModel, extra: dict | None = None) -> No
     manifest order) as raw little-endian values in the model's dtype,
     `<f4` for float32, `<f8` for float64. Saving the same model twice
     yields byte-identical files.
+
+    The file is written under a temporary name in the same directory and
+    then renamed onto `path`, so a write that fails midway leaves a file
+    already at `path` as it was, and no temporary file behind. `extra`
+    must be a dict, as the loader requires of the header's `extra`.
     """
+    if extra is not None and not isinstance(extra, dict):
+        raise ValueError(f"extra must be a dict, got a {type(extra).__name__}")
     payload = np.ascontiguousarray(model.theta, dtype=_payload_dtype(model.cfg))
     header = json.dumps(
         {
             "config": {f.name: getattr(model.cfg, f.name) for f in fields(model.cfg)},
             "crc32": zlib.crc32(payload),
             "extra": extra or {},
-            "params": [{"name": name, "shape": list(p.shape)} for name, p in model.params.items()],
+            "params": _manifest(model),
         },
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(header)))
-        fh.write(header)
-        fh.write(payload)
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")  # a new name: a failure below removes only what this call made
+    try:
+        with fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<II", _VERSION, len(header)))
+            fh.write(header)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[TrackingModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, extra metadata).
 
     The model's layout is built without drawing initial values; the
-    manifest must match it entry for entry, and the payload is read into θ.
+    header's manifest must equal that layout's, entry for entry and as JSON
+    (so a shape of 8.0 or true is not 8 or 1), and the payload is read
+    into θ.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
@@ -571,6 +593,8 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
             header = json.loads(raw.decode("utf-8"))
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
             raise ValueError(f"{path}: header is not valid JSON: {e}") from e
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is a {type(header).__name__}, not a JSON object")
         try:
             cfg = ModelConfig(**header["config"])
         except (KeyError, TypeError, ValueError) as e:
@@ -582,34 +606,24 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
             raise ValueError(
                 f"{path}: header 'crc32' is a {type(header['crc32']).__name__}, not an integer"
             )
+        if not isinstance(header["extra"], dict):
+            raise ValueError(
+                f"{path}: header 'extra' is a {type(header['extra']).__name__}, not a JSON object"
+            )
         manifest = header["params"]
         if not isinstance(manifest, list):
             raise ValueError(f"{path}: header 'params' is a {type(manifest).__name__}, not a list")
-        for entry in manifest:
-            if not (
-                isinstance(entry, dict)
-                and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(type(n) is int and n >= 0 for n in entry["shape"])
-            ):
-                raise ValueError(
-                    f"{path}: manifest entry {entry!r} needs a name and a shape "
-                    "of nonnegative integers"
-                )
         model = TrackingModel.__new__(TrackingModel)
         model._build(cfg)
-        params = model.params
-        missing = sorted(set(params) - {entry["name"] for entry in manifest})
-        if missing:
-            raise ValueError(f"{path}: manifest omits parameters {missing}")
-        for entry in manifest:
-            name = entry["name"]
-            if name not in params:
-                raise ValueError(f"{path}: unknown parameter {name}")
-            if tuple(entry["shape"]) != params[name].shape:
-                raise ValueError(f"{path}: shape mismatch for {name}")
-        if [entry["name"] for entry in manifest] != list(params):
-            raise ValueError(f"{path}: manifest does not list each parameter once in sorted order")
+        layout = _manifest(model)
+        for i, (entry, want) in enumerate(zip(manifest, layout)):
+            if json.dumps(entry, sort_keys=True) != json.dumps(want, sort_keys=True):
+                raise ValueError(f"{path}: manifest entry {i} is {entry!r}, the layout's is {want!r}")
+        if len(manifest) != len(layout):
+            longer = "longer" if len(manifest) > len(layout) else "shorter"
+            raise ValueError(
+                f"{path}: manifest has {len(manifest)} entries, {longer} than the layout's {len(layout)}"
+            )
         # read straight into θ's bytes: the views keep pointing at it
         n_read, n_bytes = fh.readinto(model.theta), model.theta.nbytes
         if n_read != n_bytes:

@@ -1,8 +1,8 @@
 """Single-purpose tape ops that only the tests' unfused reference chains use.
 
-The fused ops in `querytrack` (the frame-loss block nodes, the clip
-average, `ad.attention`) are checked bit for bit against the chains of
-small ops they stand for. The package has no caller of a row slice or a
+The fused ops in `querytrack` (the frame-loss node, the clip average,
+`ad.attention`) are checked bit for bit against the chains of small ops
+they stand for. The package has no caller of a row slice or a
 constant scale, so those two ops live here, written on `ad.custom_op`
 under the package's tape contract: each computes in its input's dtype and
 accumulates its gradient through `_accumulate`.

@@ -14,9 +14,10 @@ from querytrack.assignment import Assignment, GtObject
 from querytrack.autodiff import Tape, Tensor
 from querytrack.boxes import Box, box_l1_rows
 from querytrack.losses import ClipLossAccumulator, LossWeights, clip_average_loss, focal_loss, frame_loss
-from querytrack.model import ModelConfig, QueryRecord, QuerySet, TrackingModel
+from querytrack.model import QueryRecord, QuerySet, TrackingModel
 
 from chain_ops import scale, slice_axis
+from tiny import TINY
 
 
 def scalar(f):
@@ -1075,12 +1076,6 @@ class TestBackward:
         l2, g2 = run()
         assert l1 == l2
         assert np.array_equal(g1, g2)
-
-
-TINY = ModelConfig(
-    image_size=16, patch_size=8, d_model=8, n_heads=2, n_encoder_layers=1,
-    n_decoder_layers=1, n_detect_queries=4, ffn_dim=16,
-)
 
 
 class TestTapePerThread:

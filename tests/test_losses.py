@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -18,9 +19,10 @@ from querytrack.losses import (
     focal_loss,
     frame_loss,
 )
-from querytrack.model import ModelConfig, QueryRecord, QuerySet, TrackingModel
+from querytrack.model import QueryRecord, QuerySet, TrackingModel
 
 from chain_ops import scale, slice_axis
+from tiny import TINY
 
 
 def logit(p):
@@ -55,11 +57,6 @@ class StubPreds:
 
 
 W = LossWeights(lambda_cls=2.0, lambda_l1=5.0, lambda_giou=2.0)
-
-
-def frame_total(terms):
-    """A frame's loss, track + detect, as one `ad.add` node."""
-    return ad.add(terms.track, terms.detect)
 
 
 class TestFocal:
@@ -134,8 +131,8 @@ class TestFrameLoss:
         b = Box(0.4, 0.4, 0.2, 0.2)
         preds = StubPreds([[800.0]], box_rows(b), n_track=0)
         out = frame_loss(preds, Assignment(), Assignment([(0, 7)]), [GtObject(7, b)], W)
-        assert out.detect.item() == pytest.approx(0.0, abs=1e-12)
-        assert out.track.item() == 0.0
+        # the empty track block's sum is 0 and the detect block's about 0
+        assert out.loss.item() == pytest.approx(0.0, abs=1e-12)
         assert out.n_objects == 1
 
     def test_worked_composite_value(self):
@@ -152,8 +149,8 @@ class TestFrameLoss:
             + 5.0 * l1_box(pred_rows, gt_rows)
             + 2.0 * (1.0 - giou(pred_rows, gt_rows))
         )
-        assert frame_total(out).item() == pytest.approx(manual, abs=1e-12)
-        assert frame_total(out).item() == pytest.approx(3.7453, abs=1e-4)
+        assert out.loss.item() == pytest.approx(manual, abs=1e-12)
+        assert out.loss.item() == pytest.approx(3.7453, abs=1e-4)
 
     def test_empty_ground_truth_is_all_negatives(self):
         probs = np.array([[0.3], [0.6]])
@@ -162,14 +159,17 @@ class TestFrameLoss:
         expected = 2.0 * sum(
             0.75 * p**2 * -np.log(1 - p) for p in probs.reshape(-1)
         )
-        assert frame_total(out).item() == pytest.approx(expected, abs=1e-12)
+        assert out.loss.item() == pytest.approx(expected, abs=1e-12)
         assert out.n_objects == 0
 
     def test_dead_track_identity_supervised_as_background(self):
         preds = StubPreds(logit([[0.8], [0.2]]), np.full((2, 4), 0.5), n_track=2)
         out = frame_loss(preds, Assignment([(0, 1), (1, 2)]), Assignment(), [GtObject(1, Box(0.5, 0.5, 0.5, 0.5))], W)
-        # identity 2 vanished: contributes only a negative focal term
-        assert out.n_tracked == 1
+        # identity 2 vanished: contributes only a negative focal term, while
+        # identity 1's row is a positive with a perfect box
+        expected = 2.0 * (0.25 * 0.2**2 * -np.log(0.8) + 0.75 * 0.2**2 * -np.log(0.8))
+        assert out.loss.item() == pytest.approx(expected, rel=1e-12)
+        assert out.n_objects == 1
 
     def test_detect_pair_with_missing_identity_raises(self):
         preds = StubPreds(logit([[0.8]]), np.full((1, 4), 0.5), n_track=0)
@@ -191,8 +191,8 @@ class TestFrameLoss:
         preds = StubPreds(np.zeros((5, 1)), boxes, n_track=2)
         cost = build_match_cost(np.zeros((5, 1)), boxes, gt, w)
         out = frame_loss(preds, Assignment([(1, 5)]), Assignment([(0, 3), (2, 8)]), gt, w)
-        np.testing.assert_allclose(out.track.item(), cost[1, 2] + 2.0, rtol=1e-12)
-        np.testing.assert_allclose(out.detect.item(), cost[2, 1] + cost[4, 0] + 4.0, rtol=1e-12)
+        # the track block's one pair, then the detect block's two
+        np.testing.assert_allclose(out.loss.item(), (cost[1, 2] + 2.0) + (cost[2, 1] + cost[4, 0] + 4.0), rtol=1e-12)
 
     @pytest.mark.parametrize(
         "gt, message",
@@ -252,12 +252,12 @@ class TestFrameLoss:
         )
         gt = [GtObject(1, Box(0.5, 0.5, 0.2, 0.2)), GtObject(2, Box(0.3, 0.6, 0.1, 0.3))]
         tr, det = Assignment([(0, 1)]), Assignment([(1, 2)])
-        base = frame_total(frame_loss(preds, tr, det, gt, W)).item()
+        base = frame_loss(preds, tr, det, gt, W).loss.item()
         c = 3.5
         scaled_w = LossWeights(
             lambda_cls=W.lambda_cls * c, lambda_l1=W.lambda_l1 * c, lambda_giou=W.lambda_giou * c
         )
-        scaled = frame_total(frame_loss(preds, tr, det, gt, scaled_w)).item()
+        scaled = frame_loss(preds, tr, det, gt, scaled_w).loss.item()
         assert scaled == pytest.approx(c * base, rel=1e-12)
 
     def test_permutation_equivariance(self):
@@ -268,14 +268,14 @@ class TestFrameLoss:
         preds = StubPreds(logits, boxes, n_track=2)
         tr = Assignment([(0, 1), (1, 2)])
         det = Assignment([(1, 3)])
-        base = frame_total(frame_loss(preds, tr, det, gt, W)).item()
+        base = frame_loss(preds, tr, det, gt, W).loss.item()
 
         # swap the two track slots and permute the detect block
         perm = [1, 0, 4, 2, 3]
         preds_p = StubPreds(logits[perm], boxes[perm], n_track=2)
         tr_p = Assignment([(1, 1), (0, 2)])
         det_p = Assignment([(2, 3)])
-        permuted = frame_total(frame_loss(preds_p, tr_p, det_p, gt, W)).item()
+        permuted = frame_loss(preds_p, tr_p, det_p, gt, W).loss.item()
         assert permuted == pytest.approx(base, abs=1e-12)
 
     def test_gradient_through_boxes_and_probs(self):
@@ -286,7 +286,7 @@ class TestFrameLoss:
 
         def f(logits, boxes):
             preds = type("P", (), {"class_logits": logits, "boxes": boxes, "n_track": 1})()
-            return frame_total(frame_loss(preds, Assignment([(0, 1)]), Assignment([(1, 2)]), gt, W))
+            return frame_loss(preds, Assignment([(0, 1)]), Assignment([(1, 2)]), gt, W).loss
 
         assert ad.grad_check(f, [logits, boxes], tol=1e-4).passed
 
@@ -313,7 +313,8 @@ def chain_block(preds, lo, hi, class_targets, rows, target_boxes, w):
 
 
 def chain_frame_loss(preds, track_assign, detect_assign, gt, w):
-    """(track, detect) of `chain_block`, with the targets gathered as `frame_loss` does."""
+    """The `add` of the two blocks' `chain_block`s, with the targets
+    gathered as `frame_loss` does."""
     n_track, (n_total, n_classes) = preds.n_track, preds.class_logits.shape
     by_identity = {obj.identity: obj for obj in gt}
     class_targets = np.zeros((n_total, n_classes))
@@ -327,7 +328,7 @@ def chain_frame_loss(preds, track_assign, detect_assign, gt, w):
                 boxes.append(by_identity[ident].box)
         blocks.append((rows, boxes))
     (track_rows, track_boxes), (detect_rows, detect_boxes) = blocks
-    return (
+    return ad.add(
         chain_block(preds, 0, n_track, class_targets, track_rows, track_boxes, w),
         chain_block(preds, n_track, n_total, class_targets, detect_rows, detect_boxes, w),
     )
@@ -353,47 +354,43 @@ def block_scenario(rng, dtype, n_track, n_detect, n_tracked, n_newborn, n_dead):
     return preds, Assignment(list(zip(track_slots, track_ids))), Assignment(list(zip(detect_slots, detect_ids))), gt
 
 
-def node_blocks(preds, track_assign, detect_assign, gt, w):
-    """(track, detect) of `frame_loss`, in the order `chain_frame_loss` gives them."""
-    out = frame_loss(preds, track_assign, detect_assign, gt, w)
-    return out.track, out.detect
+def node_frame_loss(preds, track_assign, detect_assign, gt, w):
+    """The frame's node, as `chain_frame_loss` gives the chain's total."""
+    return frame_loss(preds, track_assign, detect_assign, gt, w).loss
 
 
-def blocks_with_upstream(loss_fn, preds, track_assign, detect_assign, gt, w, up_track, up_detect):
-    """(track, detect) of `loss_fn`, after the backward of
-    track·up_track + detect·up_detect, so each block sees its own upstream
-    gradient."""
+def loss_with_upstream(loss_fn, preds, track_assign, detect_assign, gt, w, upstream):
+    """The frame loss of `loss_fn`, after the backward of loss·upstream."""
     with Tape() as tape:
-        track, detect = loss_fn(preds, track_assign, detect_assign, gt, w)
-        loss = ad.add(scale(track, up_track), scale(detect, up_detect))
-    tape.backward(loss)
-    return track, detect
+        loss = loss_fn(preds, track_assign, detect_assign, gt, w)
+        scaled = scale(loss, upstream)
+    tape.backward(scaled)
+    return loss
 
 
 class TestBlockTotal:
-    """Each query block's total as one node, against the chain of public ops
-    it stands for: values, d(logits) and d(boxes) bit for bit."""
+    """A frame's total as one node, against the chain of public ops it
+    stands for (each query block's chain, then their `add`): the value,
+    d(logits) and d(boxes) bit for bit."""
 
     WEIGHTS = LossWeights(lambda_cls=1.7, lambda_l1=4.3, lambda_giou=2.9, focal_alpha=0.3, focal_gamma=1.5)
 
     def run_both(self, scenario, seed):
-        """(node values and gradients, chain values and gradients) of one scenario."""
+        """(node value and gradients, chain value and gradients) of one scenario."""
         results = []
-        for loss_fn in (node_blocks, chain_frame_loss):
+        for loss_fn in (node_frame_loss, chain_frame_loss):
             preds, track_assign, detect_assign, gt = scenario(np.random.default_rng(seed))
-            # two upstream gradients other than 1 and each other
-            track, detect = blocks_with_upstream(
-                loss_fn, preds, track_assign, detect_assign, gt, self.WEIGHTS, 0.37 + seed, 1.9 - 0.1 * seed
-            )
-            results.append((track.data, detect.data, preds.class_logits.grad, preds.boxes.grad))
+            # an upstream gradient other than 1
+            loss = loss_with_upstream(loss_fn, preds, track_assign, detect_assign, gt, self.WEIGHTS, 0.37 + seed)
+            results.append((loss.data, preds.class_logits.grad, preds.boxes.grad))
         # every object of a scenario is matched, so rows are matched exactly when it has objects
         return results, len(gt) > 0
 
     def assert_bits_match(self, scenario, seeds=range(3)):
         for seed in seeds:
             (node, chain), matched = self.run_both(scenario, seed)
-            assert node[2] is not None and (node[3] is not None) == matched, seed
-            for name, got, want in zip(("track", "detect", "d(logits)", "d(boxes)"), node, chain):
+            assert node[1] is not None and (node[2] is not None) == matched, seed
+            for name, got, want in zip(("loss", "d(logits)", "d(boxes)"), node, chain):
                 assert (got is None) == (want is None), (name, seed)
                 if got is not None:
                     assert got.dtype == want.dtype and np.array_equal(got, want), (name, seed)
@@ -418,8 +415,9 @@ class TestBlockTotal:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_a_block_without_matched_rows_leaves_boxes_without_a_gradient(self, dtype):
+        # neither block has a matched row: the node does not read the boxes
         preds, track_assign, detect_assign, gt = block_scenario(np.random.default_rng(3), dtype, 2, 5, 0, 0, 1)
-        blocks_with_upstream(node_blocks, preds, track_assign, detect_assign, gt, self.WEIGHTS, 0.6, 1.3)
+        loss_with_upstream(node_frame_loss, preds, track_assign, detect_assign, gt, self.WEIGHTS, 0.6)
         assert preds.boxes.grad is None and preds.class_logits.grad.dtype == dtype
 
     @pytest.mark.parametrize("n_rows", [0, 1, 4])
@@ -427,54 +425,42 @@ class TestBlockTotal:
         preds, track_assign, detect_assign, gt = block_scenario(
             np.random.default_rng(9), "float64", 3, 4, n_rows // 2, n_rows - n_rows // 2, 1
         )
-
-        def f(*_):
-            out = frame_loss(preds, track_assign, detect_assign, gt, self.WEIGHTS)
-            return ad.add(scale(out.track, 0.7), scale(out.detect, 1.3))
-
-        report = ad.grad_check(f, [preds.class_logits, preds.boxes])
+        report = ad.grad_check(
+            lambda *_: node_frame_loss(preds, track_assign, detect_assign, gt, self.WEIGHTS),
+            [preds.class_logits, preds.boxes],
+        )
         assert report.passed, report.max_rel_err
 
     def test_records_one_tape_node(self):
-        # one node per query block, each reading the logits and the boxes
+        # one node for the frame, reading the logits and the boxes
         preds, track_assign, detect_assign, gt = block_scenario(np.random.default_rng(0), "float64", 3, 4, 1, 2, 1)
         with Tape() as tape:
             out = frame_loss(preds, track_assign, detect_assign, gt, self.WEIGHTS)
-            assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["frame_loss"] * 2
-            assert [o for o, _ in tape.nodes] == [out.track, out.detect]
+            assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["frame_loss"]
+            assert [o for o, _ in tape.nodes] == [out.loss]
 
 
-TINY = ModelConfig(
-    image_size=16,
-    patch_size=8,
-    d_model=8,
-    n_heads=2,
-    n_encoder_layers=1,
-    n_decoder_layers=1,
-    n_detect_queries=4,
-    ffn_dim=16,
-    dtype="float64",
-)
+TINY64 = dataclasses.replace(TINY, dtype="float64")
 
 
 class TestTinyModelFrameLoss:
-    """One TINY frame with a one-row track block and positions, then its loss."""
+    """One float64 TINY frame with a one-row track block and positions, then its loss."""
 
     GT = [GtObject(1, Box(0.4, 0.5, 0.3, 0.2)), GtObject(2, Box(0.7, 0.3, 0.2, 0.25))]
 
     def setup_method(self):
-        self.model = TrackingModel(TINY, seed=30)
+        self.model = TrackingModel(TINY64, seed=30)
         rng = np.random.default_rng(30)
         self.image = Tensor(rng.uniform(0, 1, size=(16, 16, 1)))
         self.track_set = QuerySet(
-            Tensor(rng.standard_normal((1, TINY.d_model))),
+            Tensor(rng.standard_normal((1, TINY64.d_model))),
             [QueryRecord("track", track_id=1)],
-            positions=Tensor(rng.standard_normal((1, TINY.d_model))),
+            positions=Tensor(rng.standard_normal((1, TINY64.d_model))),
         )
 
     def loss(self):
         preds = self.model.forward_frame(self.image, self.track_set)
-        return frame_total(frame_loss(preds, Assignment([(0, 1)]), Assignment([(2, 2)]), self.GT, LossWeights()))
+        return frame_loss(preds, Assignment([(0, 1)]), Assignment([(2, 2)]), self.GT, LossWeights()).loss
 
     def test_gradient_reaches_heads_decoder_and_temporal_layer(self):
         params = self.model.params
@@ -488,10 +474,10 @@ class TestTinyModelFrameLoss:
             self.loss()
             kinds = Counter(pull.__qualname__.split(".", 1)[0] for _, pull in tape.nodes)
         assert kinds == {
-            "attention": 4, "feed_forward": 3, "add": 2, "linear": 2, "frame_loss": 2,
+            "attention": 4, "feed_forward": 3, "add": 1, "linear": 2, "frame_loss": 1,
             "layer_norm": 1, "mlp": 1, "concat": 1, "sigmoid": 1,
         }
-        assert sum(kinds.values()) == 17
+        assert sum(kinds.values()) == 15
         assert not {
             "matmul", "mul", "log", "pow_scalar", "relu", "gelu", "sub", "absolute",
             "scale", "shift", "reduce_sum",
@@ -499,26 +485,22 @@ class TestTinyModelFrameLoss:
 
 
 def make_terms(rng):
-    return FrameLossTerms(
-        track=Tensor(rng.uniform(0, 5)),
-        detect=Tensor(rng.uniform(0, 5)),
-        n_tracked=int(rng.integers(0, 4)),
-        n_newborn=int(rng.integers(0, 3)),
-    )
+    return FrameLossTerms(loss=Tensor(rng.uniform(0, 10)), n_objects=int(rng.integers(0, 6)))
 
 
 class TestClipAverage:
     def test_single_frame_reduction_is_exact(self):
-        terms = FrameLossTerms(track=Tensor(1.25), detect=Tensor(2.5), n_tracked=2, n_newborn=1)
+        # a frame whose track block sums to 1.25 and detect block to 2.5
+        terms = FrameLossTerms(loss=Tensor(1.25 + 2.5), n_objects=3)
         acc = ClipLossAccumulator()
         acc.add(terms)
-        manual = scale(ad.add(terms.track, terms.detect), 1.0 / 3)
+        manual = scale(terms.loss, 1.0 / 3)
         assert clip_average_loss(acc).item() == manual.item()
 
     def test_two_frame_arithmetic(self):
         acc = ClipLossAccumulator()
-        acc.add(FrameLossTerms(Tensor(1.0), Tensor(3.0), 1, 1))
-        acc.add(FrameLossTerms(Tensor(4.0), Tensor(2.0), 2, 1))
+        acc.add(FrameLossTerms(Tensor(1.0 + 3.0), 2))
+        acc.add(FrameLossTerms(Tensor(4.0 + 2.0), 3))
         assert clip_average_loss(acc).item() == pytest.approx(2.0)
 
     def test_matches_manual_ratio_on_random_accumulators(self):
@@ -527,13 +509,13 @@ class TestClipAverage:
             acc = ClipLossAccumulator()
             for _ in range(int(rng.integers(1, 7))):
                 acc.add(make_terms(rng))
-            manual = sum(frame_total(f).item() for f in acc.frames) / max(acc.total_objects, 1)
+            manual = sum(f.loss.item() for f in acc.frames) / max(acc.total_objects, 1)
             assert abs(clip_average_loss(acc).item() - manual) < 1e-9
 
     def test_empty_frames_clamp_denominator(self):
         acc = ClipLossAccumulator()
-        acc.add(FrameLossTerms(Tensor(0.7), Tensor(0.3), 0, 0))
-        acc.add(FrameLossTerms(Tensor(0.5), Tensor(0.5), 0, 0))
+        acc.add(FrameLossTerms(Tensor(0.7 + 0.3), 0))
+        acc.add(FrameLossTerms(Tensor(0.5 + 0.5), 0))
         assert clip_average_loss(acc).item() == pytest.approx(2.0)
 
     def test_no_frames_rejected(self):
@@ -543,27 +525,26 @@ class TestClipAverage:
     @pytest.mark.parametrize("n_frames", range(1, 7))
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_bits_match_the_add_scale_chain(self, n_frames, dtype):
-        # per frame track + detect, a running sum over the frames, then
-        # × 1/max(N, 1); every term gets the upstream gradient times that
+        # a running sum of the frame losses in frame order, then
+        # × 1/max(N, 1); every frame's loss gets the upstream gradient times that
         rng = np.random.default_rng(40 + n_frames)
         results = []
         for use_node in (True, False):
             acc = ClipLossAccumulator()
             for terms in [make_terms(rng) for _ in range(n_frames)]:
-                for t in (terms.track, terms.detect):
-                    t.data, t.requires_grad = t.data.astype(dtype), True
+                terms.loss.data, terms.loss.requires_grad = terms.loss.data.astype(dtype), True
                 acc.add(terms)
             with Tape() as tape:
                 if use_node:
                     average = clip_average_loss(acc)
                 else:
-                    total = frame_total(acc.frames[0])
+                    total = acc.frames[0].loss
                     for terms in acc.frames[1:]:
-                        total = ad.add(total, frame_total(terms))
+                        total = ad.add(total, terms.loss)
                     average = scale(total, 1.0 / max(acc.total_objects, 1))
                 loss = scale(average, 0.83)
             tape.backward(loss)
-            results.append([average.data] + [t.grad for f in acc.frames for t in (f.track, f.detect)])
+            results.append([average.data] + [f.loss.grad for f in acc.frames])
             rng = np.random.default_rng(40 + n_frames)  # the same terms again
         for got, want in zip(*results):
             assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
@@ -573,7 +554,7 @@ class TestClipAverage:
         acc = ClipLossAccumulator()
         for _ in range(3):
             terms = make_terms(rng)
-            terms.track.requires_grad = terms.detect.requires_grad = True
+            terms.loss.requires_grad = True
             acc.add(terms)
         with Tape() as tape:
             clip_average_loss(acc)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import querytrack.autodiff as ad
+import querytrack.model
 from querytrack.autodiff import Tape, Tensor
 from querytrack.model import (
     ModelConfig,
@@ -21,18 +22,9 @@ from querytrack.model import (
 )
 
 from chain_ops import slice_axis
+from tiny import TINY
 
-TINY = ModelConfig(
-    image_size=16,
-    patch_size=8,
-    d_model=8,
-    n_heads=2,
-    n_encoder_layers=1,
-    n_decoder_layers=1,
-    n_detect_queries=4,
-    ffn_dim=16,
-    dtype="float64",
-)
+TINY64 = dataclasses.replace(TINY, dtype="float64")
 
 
 def random_image(rng, cfg):
@@ -88,7 +80,7 @@ class TestEncode:
         np.testing.assert_allclose(encoder_layers(tokens[perm]), encoder_layers(tokens)[perm], atol=1e-10)
 
     def test_indivisible_image_rejected(self):
-        model = TrackingModel(TINY)
+        model = TrackingModel(TINY64)
         with pytest.raises(ad.ShapeError):
             model.encode(Tensor(np.zeros((15, 16, 1))))
 
@@ -341,10 +333,10 @@ class TestDecode:
     def test_slot_identity_under_track_embedding_swap(self):
         # output row follows its input slot: swapping two track embeddings
         # swaps the two output rows, and the detect block is untouched
-        model = TrackingModel(TINY, seed=10)
-        img = random_image(np.random.default_rng(10), TINY)
+        model = TrackingModel(TINY64, seed=10)
+        img = random_image(np.random.default_rng(10), TINY64)
         rng = np.random.default_rng(11)
-        emb = rng.standard_normal((2, TINY.d_model))
+        emb = rng.standard_normal((2, TINY64.d_model))
         records = [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)]
         a = model.forward_frame(img, QuerySet(Tensor(emb), records))
         b = model.forward_frame(img, QuerySet(Tensor(emb[[1, 0]]), records))
@@ -355,56 +347,56 @@ class TestDecode:
     def test_empty_track_rows_decode_the_detect_block_alone(self):
         # the detect block is always there: no track rows, or an empty
         # block of them, give the same detect-only frame
-        model = TrackingModel(TINY, seed=5)
-        memory = model.encode(random_image(np.random.default_rng(5), TINY))
+        model = TrackingModel(TINY64, seed=5)
+        memory = model.encode(random_image(np.random.default_rng(5), TINY64))
         alone = model.decode(memory)
-        empty = model.decode(memory, Tensor(np.zeros((0, TINY.d_model))))
+        empty = model.decode(memory, Tensor(np.zeros((0, TINY64.d_model))))
         for preds in (alone, empty):
-            assert preds.n_track == 0 and len(preds) == TINY.n_detect_queries
+            assert preds.n_track == 0 and len(preds) == TINY64.n_detect_queries
             assert np.array_equal(preds.queries.data, model.detect_queries.data)
         assert np.array_equal(empty.hidden.data, alone.hidden.data)
         # an empty carried block is no carried block
-        img = random_image(np.random.default_rng(6), TINY)
-        carried = QuerySet(Tensor(np.zeros((0, TINY.d_model))), [])
+        img = random_image(np.random.default_rng(6), TINY64)
+        carried = QuerySet(Tensor(np.zeros((0, TINY64.d_model))), [])
         assert np.array_equal(model.forward_frame(img, carried).hidden.data, model.forward_frame(img).hidden.data)
 
     def test_empty_memory_rejected(self):
-        model = TrackingModel(TINY)
+        model = TrackingModel(TINY64)
         with pytest.raises(ad.ShapeError, match="at least one key row"):
-            model.decode(Tensor(np.zeros((0, TINY.d_model))))
+            model.decode(Tensor(np.zeros((0, TINY64.d_model))))
 
     def test_memory_width_mismatch_rejected(self):
-        model = TrackingModel(TINY)
+        model = TrackingModel(TINY64)
         with pytest.raises(ad.ShapeError):
             model.decode(Tensor(np.zeros((4, 6))))
 
     def test_one_dimensional_memory_rejected(self):
-        model = TrackingModel(TINY)
+        model = TrackingModel(TINY64)
         with pytest.raises(ad.ShapeError, match=r"memory needs \[T, 8\] token rows, got \(8,\)"):
-            model.decode(Tensor(np.zeros(TINY.d_model)))
+            model.decode(Tensor(np.zeros(TINY64.d_model)))
 
     @pytest.mark.parametrize("model_dtype, memory_dtype", [("float32", "float64"), ("float64", "float32")])
     def test_memory_in_another_dtype_rejected(self, model_dtype, memory_dtype):
         # a float64 memory would make a float32 model's outputs float64
         model = TrackingModel(dataclasses.replace(TINY, dtype=model_dtype))
-        memory = Tensor(np.zeros((4, TINY.d_model), dtype=memory_dtype))
+        memory = Tensor(np.zeros((4, TINY64.d_model), dtype=memory_dtype))
         with pytest.raises(ValueError, match=f"memory is {memory_dtype}, the model computes in {model_dtype}"):
             model.decode(memory)
 
     def test_query_width_mismatch_rejected(self):
         # a width of 6 on d_model 8 used to fail inside the first attention
-        model = TrackingModel(TINY)
-        for shape in [(2, 6), (TINY.d_model,), (1, 2, TINY.d_model)]:
+        model = TrackingModel(TINY64)
+        for shape in [(2, 6), (TINY64.d_model,), (1, 2, TINY64.d_model)]:
             message = rf"track queries need \[n, 8\] rows, got {re.escape(str(shape))}"
             with pytest.raises(ad.ShapeError, match=message):
-                model.decode(Tensor(np.zeros((4, TINY.d_model))), Tensor(np.zeros(shape)))
+                model.decode(Tensor(np.zeros((4, TINY64.d_model))), Tensor(np.zeros(shape)))
 
     @pytest.mark.parametrize("model_dtype, query_dtype", [("float32", "float64"), ("float64", "float32")])
     def test_queries_in_another_dtype_rejected(self, model_dtype, query_dtype):
         # float64 track rows would make a float32 model's hidden and boxes float64
         model = TrackingModel(dataclasses.replace(TINY, dtype=model_dtype))
-        track_queries = Tensor(np.zeros((2, TINY.d_model), dtype=query_dtype))
-        memory = Tensor(np.zeros((4, TINY.d_model), dtype=model_dtype))
+        track_queries = Tensor(np.zeros((2, TINY64.d_model), dtype=query_dtype))
+        memory = Tensor(np.zeros((4, TINY64.d_model), dtype=model_dtype))
         message = f"track queries are {query_dtype}, the model computes in {model_dtype}"
         with pytest.raises(ValueError, match=message):
             model.decode(memory, track_queries)
@@ -415,7 +407,7 @@ class TestDecode:
         # kind than "track" is rejected as it is built
         with pytest.raises(ValueError, match="unknown query kind 'detect'"):
             QuerySet(
-                Tensor(np.zeros((len(kinds), TINY.d_model))),
+                Tensor(np.zeros((len(kinds), TINY64.d_model))),
                 [QueryRecord(k, track_id=i) for i, k in enumerate(kinds)],
             )
 
@@ -431,8 +423,8 @@ class TestDecode:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting_init)
-        model = TrackingModel(TINY, seed=4)
-        img = random_image(np.random.default_rng(4), TINY)
+        model = TrackingModel(TINY64, seed=4)
+        img = random_image(np.random.default_rng(4), TINY64)
         carried = track_set_of(model, 2)
         assert built == {"QueryRecord": 2, "QuerySet": 1}
         built.clear()
@@ -443,12 +435,12 @@ class TestDecode:
         assert built == {}
 
     def test_gradient_through_query_embeddings(self):
-        model = TrackingModel(TINY, seed=12)
+        model = TrackingModel(TINY64, seed=12)
         rng = np.random.default_rng(12)
-        img = random_image(rng, TINY)
+        img = random_image(rng, TINY64)
         memory = model.encode(img)
-        emb = Tensor(rng.standard_normal((2, TINY.d_model)))
-        box_weights = rng.standard_normal((2 + TINY.n_detect_queries, 4))
+        emb = Tensor(rng.standard_normal((2, TINY64.d_model)))
+        box_weights = rng.standard_normal((2 + TINY64.n_detect_queries, 4))
 
         def f(emb):
             preds = model.decode(memory, emb)
@@ -460,13 +452,13 @@ class TestDecode:
 
 class TestTemporalAggregation:
     def test_gradient_through_track_block_and_positions(self):
-        model = TrackingModel(TINY, seed=17)
+        model = TrackingModel(TINY64, seed=17)
         rng = np.random.default_rng(17)
-        img = random_image(rng, TINY)
-        emb = Tensor(rng.standard_normal((2, TINY.d_model)))
-        pos = Tensor(rng.standard_normal((2, TINY.d_model)))
+        img = random_image(rng, TINY64)
+        emb = Tensor(rng.standard_normal((2, TINY64.d_model)))
+        pos = Tensor(rng.standard_normal((2, TINY64.d_model)))
         records = [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)]
-        box_weights = rng.standard_normal((2 + TINY.n_detect_queries, 4))
+        box_weights = rng.standard_normal((2 + TINY64.n_detect_queries, 4))
 
         def f(emb, pos, w_in):  # w_in is read through the model
             preds = model.forward_frame(img, QuerySet(emb, records, positions=pos))
@@ -477,11 +469,11 @@ class TestTemporalAggregation:
         assert report.passed, report.max_rel_err
 
     def test_positions_are_wired_and_follow_their_rows(self):
-        model = TrackingModel(TINY, seed=18)
-        img = random_image(np.random.default_rng(18), TINY)
+        model = TrackingModel(TINY64, seed=18)
+        img = random_image(np.random.default_rng(18), TINY64)
         rng = np.random.default_rng(19)
-        emb = rng.standard_normal((2, TINY.d_model))
-        pos = rng.standard_normal((2, TINY.d_model))
+        emb = rng.standard_normal((2, TINY64.d_model))
+        pos = rng.standard_normal((2, TINY64.d_model))
         records = [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)]
 
         def hidden(e, p=None):
@@ -504,10 +496,10 @@ class TestTemporalAggregation:
     def test_positions_enter_query_and_key_only(self):
         # one track row attends only to itself with weight 1, so its output
         # depends on the value alone; positions must then change nothing
-        model = TrackingModel(TINY, seed=21)
+        model = TrackingModel(TINY64, seed=21)
         rng = np.random.default_rng(21)
-        emb = Tensor(rng.standard_normal((1, TINY.d_model)))
-        pos = Tensor(rng.standard_normal((1, TINY.d_model)))
+        emb = Tensor(rng.standard_normal((1, TINY64.d_model)))
+        pos = Tensor(rng.standard_normal((1, TINY64.d_model)))
         records = [QueryRecord("track", track_id=1)]
         plain = model.aggregate(QuerySet(emb, records)).data
         with_pos = model.aggregate(QuerySet(emb, records, positions=pos)).data
@@ -518,7 +510,7 @@ class TestTemporalAggregation:
         # a carried block is model state: mixing dtypes would run in mixed precision
         model = TrackingModel(dataclasses.replace(TINY, dtype=model_dtype), seed=22)
         rng = np.random.default_rng(22)
-        emb = rng.standard_normal((2, TINY.d_model))
+        emb = rng.standard_normal((2, TINY64.d_model))
         records = [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)]
         good, bad = Tensor(emb.astype(model_dtype)), Tensor(emb.astype(block_dtype))
         message = f"are {block_dtype}, the model computes in {model_dtype}"
@@ -531,8 +523,8 @@ class TestTemporalAggregation:
         assert model.aggregate(QuerySet(good, records, positions=good)).data.dtype == model_dtype
 
     def test_decoder_input_rows_exposed(self):
-        model = TrackingModel(TINY, seed=20)
-        img = random_image(np.random.default_rng(20), TINY)
+        model = TrackingModel(TINY64, seed=20)
+        img = random_image(np.random.default_rng(20), TINY64)
         ts = track_set_of(model, 2)
         preds = model.forward_frame(img, ts)
         assert np.array_equal(preds.queries.data[:2], model.aggregate(ts).data)
@@ -543,13 +535,13 @@ class TestTemporalAggregation:
 
 class TestClipGraph:
     def test_five_frame_forward_backward_shapes(self):
-        model = TrackingModel(TINY, seed=13)
+        model = TrackingModel(TINY64, seed=13)
         rng = np.random.default_rng(13)
         with Tape() as tape:
             track = None
             total = None
             for _ in range(5):
-                preds = model.forward_frame(random_image(rng, TINY), track)
+                preds = model.forward_frame(random_image(rng, TINY64), track)
                 frame_sum = ad.add(weighted_sum(preds.class_logits, 1.0), weighted_sum(preds.boxes, 1.0))
                 total = frame_sum if total is None else ad.add(total, frame_sum)
                 # feed hidden states back as next-frame track queries
@@ -602,7 +594,7 @@ class TestQuerySet:
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
-        model = TrackingModel(TINY, seed=14)
+        model = TrackingModel(TINY64, seed=14)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, extra={"iteration": 7})
         loaded, extra = load_checkpoint(path)
@@ -612,7 +604,7 @@ class TestCheckpoint:
             assert np.array_equal(p.data, loaded.params[name].data), name
 
     def test_double_save_byte_identical(self, tmp_path):
-        model = TrackingModel(TINY, seed=15)
+        model = TrackingModel(TINY64, seed=15)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(p1, model)
         loaded, _ = load_checkpoint(p1)
@@ -620,8 +612,8 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_loaded_model_same_forward(self, tmp_path):
-        model = TrackingModel(TINY, seed=16)
-        img = random_image(np.random.default_rng(16), TINY)
+        model = TrackingModel(TINY64, seed=16)
+        img = random_image(np.random.default_rng(16), TINY64)
         save_checkpoint(tmp_path / "m.ckpt", model)
         loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
         a = model.forward_frame(img)
@@ -639,6 +631,37 @@ class TestCheckpoint:
         assert np.array_equal(a.hidden.data, b.hidden.data)
 
 
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, TrackingModel(TINY64, seed=15))
+        old = path.read_bytes()
+
+        class PayloadWriteFails:
+            """A file whose payload write stops after 100 bytes and raises."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if isinstance(data, np.ndarray):
+                    self.fh.write(data.tobytes()[:100])
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(
+            querytrack.model, "open", lambda *args: PayloadWriteFails(open(*args)), raising=False
+        )
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(path, TrackingModel(TINY64, seed=16))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     @pytest.mark.parametrize("dtype, itemsize", [("float32", 4), ("float64", 8)])
     def test_roundtrip_in_each_dtype(self, tmp_path, dtype, itemsize):
         model = TrackingModel(dataclasses.replace(TINY, dtype=dtype), seed=23)
@@ -655,8 +678,8 @@ class TestCheckpoint:
             assert loaded.params[name].data.dtype == dtype
             assert np.array_equal(p.data, loaded.params[name].data), name
         rng = np.random.default_rng(23)
-        img = random_image(rng, TINY)
-        emb, pos = (Tensor(rng.standard_normal((2, TINY.d_model)).astype(dtype)) for _ in range(2))
+        img = random_image(rng, TINY64)
+        emb, pos = (Tensor(rng.standard_normal((2, TINY64.d_model)).astype(dtype)) for _ in range(2))
         ts = QuerySet(emb, [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)], pos)
         a, b = model.forward_frame(img, ts), loaded.forward_frame(img, ts)
         for x, y in ((a.class_logits, b.class_logits), (a.boxes, b.boxes), (a.hidden, b.hidden)):
@@ -668,7 +691,7 @@ class TestCheckpointCorruption:
 
     def saved(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, TrackingModel(TINY, seed=18))
+        save_checkpoint(path, TrackingModel(TINY64, seed=18))
         return path
 
     @pytest.mark.parametrize("start", [b"", b"QTC", b"qtck", b"PK\x03\x04"])
@@ -702,7 +725,7 @@ class TestCheckpointCorruption:
         body = json.dumps(header, sort_keys=True).encode("utf-8")
         payload = raw[12 + header_len + n_dropped :]
         path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + payload)
-        with pytest.raises(ValueError, match=rf"model\.ckpt: manifest omits .*{re.escape(dropped['name'])}"):
+        with pytest.raises(ValueError, match=rf"model\.ckpt: manifest entry 0 is .*, the layout's is .*'{re.escape(dropped['name'])}'"):
             load_checkpoint(path)
 
 
@@ -732,6 +755,16 @@ class TestCheckpointCorruption:
         header_len = struct.unpack("<II", raw[4:12])[1]
         path.write_bytes(raw[:12] + b"x" * header_len + raw[12 + header_len :])
         with pytest.raises(ValueError, match=r"model\.ckpt: header is not valid JSON"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [[1, 2], "x", 7, None])
+    def test_header_not_an_object_rejected(self, tmp_path, header):
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        version, header_len = struct.unpack("<II", raw[4:12])
+        body = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len :])
+        with pytest.raises(ValueError, match=rf"model\.ckpt: header is a {type(header).__name__}, not a JSON object"):
             load_checkpoint(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):
@@ -778,7 +811,7 @@ class TestCheckpointCorruption:
         ):
             path = self.saved(tmp_path)
             self.rewrite_header(path, lambda h: edit(h["params"][0]))
-            with pytest.raises(ValueError, match=r"model\.ckpt: manifest entry .* needs a name and a shape"):
+            with pytest.raises(ValueError, match=r"model\.ckpt: manifest entry 0 is .*, the layout's is"):
                 load_checkpoint(path)
 
     def test_params_not_a_list_rejected(self, tmp_path):
@@ -792,6 +825,20 @@ class TestCheckpointCorruption:
         self.rewrite_header(path, lambda h: h.pop("extra"))
         with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'extra' entry"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [[1, 2], "x", 7, None])
+    def test_extra_not_an_object_rejected(self, tmp_path, extra):
+        path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: h.update(extra=extra))
+        with pytest.raises(
+            ValueError, match=rf"model\.ckpt: header 'extra' is a {type(extra).__name__}, not a JSON object"
+        ):
+            load_checkpoint(path)
+        # nor does a save write one
+        if extra is not None:
+            with pytest.raises(ValueError, match=rf"^extra must be a dict, got a {type(extra).__name__}$"):
+                save_checkpoint(tmp_path / "other.ckpt", TrackingModel(TINY64), extra=extra)
+            assert not (tmp_path / "other.ckpt").exists()
 
     def test_flipped_payload_byte_rejected(self, tmp_path):
         path = self.saved(tmp_path)
@@ -866,7 +913,7 @@ def test_config_validation():
 def test_checkpoint_with_the_removed_positional_switch_rejected(tmp_path):
     # files written while the config had a `positional_encoding` field carry it
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, TrackingModel(TINY))
+    save_checkpoint(path, TrackingModel(TINY64))
     raw = path.read_bytes()
     version, header_len = struct.unpack("<II", raw[4:12])
     header = json.loads(raw[12 : 12 + header_len])

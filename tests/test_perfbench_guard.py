@@ -16,18 +16,8 @@ import clips  # noqa: E402
 import drivers  # noqa: E402
 import tracing  # noqa: E402
 
-from querytrack.model import ModelConfig, TrackingModel  # noqa: E402
-
-TINY = ModelConfig(
-    image_size=16,
-    patch_size=8,
-    d_model=8,
-    n_heads=2,
-    n_encoder_layers=1,
-    n_decoder_layers=1,
-    n_detect_queries=4,
-    ffn_dim=16,
-)
+from querytrack.model import TrackingModel  # noqa: E402
+from tiny import TINY  # noqa: E402
 
 
 def test_traced_train_step_and_track_frame_pass_their_checks():

@@ -29,20 +29,9 @@ if PERFBENCH not in sys.path:
 
 import bench  # noqa: E402
 from chain_ops import scale, slice_axis  # noqa: E402
+from tiny import TINY  # noqa: E402
 
 DTYPES = ["float32", "float64"]
-
-TINY32 = ModelConfig(
-    image_size=16,
-    patch_size=8,
-    d_model=8,
-    n_heads=2,
-    n_encoder_layers=1,
-    n_decoder_layers=1,
-    n_detect_queries=4,
-    ffn_dim=16,
-    dtype="float32",
-)
 
 
 def total(x):
@@ -117,7 +106,7 @@ def test_float32_tape_holds_only_float32(monkeypatch):
     # two frames, the second carrying a track block with positions, through
     # the frame loss, the clip average and backward
     outputs, gradients = [], []
-    record, accumulate, accumulate_rows = Tape.record, Tensor._accumulate, Tensor._accumulate_rows
+    record, accumulate = Tape.record, Tensor._accumulate
 
     def spy_record(tape, out, pull):
         outputs.append(out.data.dtype)
@@ -132,14 +121,9 @@ def test_float32_tape_holds_only_float32(monkeypatch):
         gradients.append(np.asarray(g).dtype)
         accumulate(t, g)
 
-    def spy_accumulate_rows(t, rows, g):
-        gradients.append(np.asarray(g).dtype)
-        accumulate_rows(t, rows, g)
-
     monkeypatch.setattr(Tape, "record", spy_record)
     monkeypatch.setattr(Tensor, "_accumulate", spy_accumulate)
-    monkeypatch.setattr(Tensor, "_accumulate_rows", spy_accumulate_rows)
-    model = TrackingModel(TINY32, seed=31)
+    model = TrackingModel(TINY, seed=31)
     rng = np.random.default_rng(31)
     gt = [GtObject(1, Box(0.4, 0.5, 0.3, 0.2)), GtObject(2, Box(0.7, 0.3, 0.2, 0.25))]
     weights = LossWeights()
@@ -156,13 +140,12 @@ def test_float32_tape_holds_only_float32(monkeypatch):
         acc.add(frame_loss(preds, Assignment([(0, 1), (1, 2)]), Assignment(), gt, weights))
         loss = clip_average_loss(acc)
     tape.backward(loss)
-    # 32 nodes: the first frame's 11 and its 2 loss blocks, the 2 carried
-    # gathers, the second frame's 14 and its 2 loss blocks, the clip average.
-    # Every node gets a gradient (32), and 48 terms reach tensors: 42
-    # through `_accumulate` and 6 through `_accumulate_rows` (4 blocks' logit
-    # rows and the box rows of the 2 blocks with matched objects)
-    assert len(outputs) == 32 and set(outputs) == {np.dtype(np.float32)}
-    assert len(gradients) == 32 + 42 + 6 and set(gradients) == {np.dtype(np.float32)}
+    # 30 nodes: the first frame's 11 and its loss, the 2 carried gathers,
+    # the second frame's 14 and its loss, the clip average. Every node gets
+    # a gradient (30), and 44 terms reach tensors through `_accumulate`
+    # (each frame's loss hands its logits and its boxes one term each)
+    assert len(outputs) == 30 and set(outputs) == {np.dtype(np.float32)}
+    assert len(gradients) == 30 + 44 and set(gradients) == {np.dtype(np.float32)}
     grads = [p.grad for p in model.params.values()]
     assert all(g is not None for g in grads)
     assert {g.dtype for g in grads} == {np.dtype(np.float32)}
