@@ -34,7 +34,18 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
   raises) into its slice of the group's gradient, which is zero-filled
   when the first view is reached. So `group.grad` is None exactly when no
   view was reached since the group's last `reset_grad`, and an optimizer
-  can update a group, views and all, as one array.
+  can update a group, views and all, as one array,
+- an op defines its backward rule only when a tape is active: with none it
+  returns its output first, so inference builds no closures,
+- `attention` and `feed_forward`, most of a training tape's nodes, each
+  define a rule that closes over one saved tuple (the saved arrays, the
+  inputs and the need flags), and their helpers are module functions.
+  MOTR's clip-level loss keeps every frame's nodes alive until backward,
+  and each closure cell is an object CPython's cyclic collector tracks:
+  rules over two dozen cells each made a training step start about three
+  collections and, now and then, a walk of every tracked object. The tape
+  makes no reference cycles (`backward` breaks the one through
+  `out._tape`), so those collections found nothing to free.
 
 `Tensor` defines no arithmetic operators: every op is a named function, so
 each node on the tape is one a reader can find.
@@ -189,20 +200,21 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         """Add the gradient term g into .grad: every backward rule hands its
-        inputs their terms through here. The first full-shape term is
-        stored as a copy.
+        inputs their terms through here. g has this tensor's shape; a term
+        of another shape raises a GradientError naming both, where `+=`
+        would broadcast it unseen. The first term is stored as a copy.
 
         The copy keeps the stored gradient from sharing memory with g, which
         the op that made it may hand to other inputs too. Where g holds a
         -0.0 the stored value stays -0.0 (a zero-filled start would give
         +0.0); the two compare equal.
         """
+        if g.shape != self.data.shape:
+            raise GradientError(f"a gradient term of shape {g.shape} for a tensor of shape {self.data.shape}")
         if self.grad is None:
-            if g.shape == self.data.shape:
-                self.grad = g.copy()
-                return
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
@@ -236,9 +248,14 @@ class _ViewLeaf(Tensor):
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        # `+=` would cast a gradient of another dtype into the slice unseen
+        # `+=` would cast a gradient of another dtype into the slice, or
+        # broadcast one of another shape, unseen
         if g.dtype != self.data.dtype:
             raise GradientError(f"a {g.dtype} gradient for a {self.data.dtype} view leaf")
+        if g.shape != self.data.shape:
+            raise GradientError(
+                f"a gradient term of shape {g.shape} for a view leaf of shape {self.data.shape}"
+            )
         if self.grad is None:
             group = self._group and self._group()
             if group is None:
@@ -358,6 +375,9 @@ def _check_dtypes(xs, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     axes = _suffix_axes(a.shape, b.shape)
     _check_dtypes((a, b), "add")
+    out = a.data + b.data
+    if active_tape() is None:
+        return Tensor(out)
 
     def pull(g):
         if a.requires_grad:
@@ -365,13 +385,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_reduce_to(g, axes))
 
-    return custom_op(a.data + b.data, (a, b), pull)
+    return custom_op(out, (a, b), pull)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     # exp(-x) overflows to inf below about -709; 1 / (1 + inf) is the exact limit 0
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-x.data))
+    if active_tape() is None:
+        return Tensor(s)
 
     def pull(g):
         if x.requires_grad:
@@ -423,13 +445,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear needs x [n,k], w [k,m] and b [m], got {x.shape}, {w.shape} and {b.shape}"
         )
     xd = x.data
+    out = _project(xd, w.data, b.data)
+    if active_tape() is None:
+        return Tensor(out)
 
     def pull(g):
         dx = _project_back(xd, w, b, g, x.requires_grad)
         if dx is not None:
             x._accumulate(dx)
 
-    return custom_op(_project(xd, w.data, b.data), (x, w, b), pull)
+    return custom_op(out, (x, w, b), pull)
 
 
 def _mlp_forward(xd: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
@@ -478,6 +503,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         )
     xd = x.data
     out, a = _mlp_forward(xd, w1, b1, w2, b2)
+    if active_tape() is None:
+        return Tensor(out)
 
     def pull(g):
         dx = _mlp_backward(xd, w1, b1, w2, b2, a, g, x.requires_grad)
@@ -500,19 +527,20 @@ def concat(xs, axis: int = 0) -> Tensor:
     if any(t.data.ndim != ndim for t in xs) or len({t.shape[:axis] + t.shape[axis + 1:] for t in xs}) > 1:
         raise ShapeError(f"concat needs equal sizes off axis {axis}, got shapes {[t.shape for t in xs]}")
     _check_dtypes(xs, "concat")
-    parts, start = [], 0
-    for t in xs:
-        stop = start + t.shape[axis]
-        parts.append((slice(None),) * axis + (slice(start, stop),))
-        start = stop
+    out = np.concatenate([t.data for t in xs], axis=axis)
+    if active_tape() is None:
+        return Tensor(out)
 
     def pull(g):
         # each input's gradient is a view of g, taken as a slice
-        for t, part in zip(xs, parts):
+        lead, start = (slice(None),) * axis, 0
+        for t in xs:
+            stop = start + t.shape[axis]
             if t.requires_grad:
-                t._accumulate(g[part])
+                t._accumulate(g[lead + (slice(start, stop),)])
+            start = stop
 
-    return custom_op(np.concatenate([t.data for t in xs], axis=axis), tuple(xs), pull)
+    return custom_op(out, tuple(xs), pull)
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
@@ -532,6 +560,9 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     bad = (idx < 0) | (idx >= x.shape[0])
     if bad.any():
         raise ShapeError(f"gather_rows index {idx[bad][0]} is outside [0, {x.shape[0]})")
+    out = x.data[idx]
+    if active_tape() is None:
+        return Tensor(out)
 
     def pull(g):
         if x.requires_grad:
@@ -539,7 +570,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
             np.add.at(buf, idx, g)
             x._accumulate(buf)
 
-    return custom_op(x.data[idx].copy(), (x,), pull)
+    return custom_op(out, (x,), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +645,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError("layer_norm needs at least one axis to normalise, got a 0-d tensor")
     _check_norm(x.shape[-1], gain, bias, "layer_norm")
     out, y, inv = _layer_norm_forward(x.data, gain, bias)
+    if active_tape() is None:
+        return Tensor(out)
 
     def pull(g):
         _layer_norm_backward(x, gain, bias, y, inv, g)
@@ -640,9 +673,11 @@ class AttentionParams:
     `in_proj_weight`); wo [d,d] and bo [d] the out-projection; n_heads a
     positive integer (a numpy integer too, not a bool) that divides d.
     Anything else raises a ShapeError naming it, here, so `attention`
-    checks only what changes per call. The record holds the tensors, so
-    an update of their data in place reaches it; rebinding a tensor's
-    `.data` is not re-checked.
+    checks only what changes per call. The record also derives, once, the
+    head width dh = d / n_heads and the score scale 1/sqrt(dh), a Python
+    float (an np.float64 would promote float32 work). The record holds the
+    tensors, so an update of their data in place reaches it; rebinding a
+    tensor's `.data` is not re-checked.
     """
 
     gain: Tensor
@@ -653,6 +688,8 @@ class AttentionParams:
     bo: Tensor
     n_heads: int
     d: int = field(init=False)
+    dh: int = field(init=False)
+    scale: float = field(init=False)
 
     def __post_init__(self):
         n_heads = self.n_heads
@@ -668,6 +705,8 @@ class AttentionParams:
                 f"biases, got {[t.shape for t in proj]}"
             )
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "dh", d // n_heads)
+        object.__setattr__(self, "scale", 1.0 / math.sqrt(self.dh))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -705,6 +744,30 @@ class FeedForwardParams:
         object.__setattr__(self, "d", d)
 
 
+def _in_products(xn: np.ndarray, p: AttentionParams, memory: Tensor | None,
+                 positions: Tensor | None) -> tuple:
+    """(rows, w_in columns, b_in columns) of each of `attention`'s
+    in-projection products, for the layer-normed rows xn: one product in
+    self-attention, two with positions or with memory."""
+    d, w, b = p.d, p.w_in.data, p.b_in.data
+    if memory is not None:
+        return (xn, w[:, :d], b[:d]), (memory.data, w[:, d:], b[d:])
+    if positions is not None:
+        return (xn + positions.data, w[:, : 2 * d], b[: 2 * d]), (xn, w[:, 2 * d :], b[2 * d :])
+    return ((xn, w, b),)
+
+
+def _head_blocks(outs: list, p: AttentionParams) -> list:
+    """The in-projection products' outputs (or their gradients) -> the q, k
+    and v blocks as [heads, rows, dh] views."""
+    return [h for a in outs for h in a.reshape(len(a), -1, p.n_heads, p.dh).transpose(1, 2, 0, 3)]
+
+
+def _split_heads(a: np.ndarray, p: AttentionParams) -> np.ndarray:
+    """[rows, d] -> its [heads, rows, dh] view."""
+    return a.reshape(a.shape[0], p.n_heads, p.dh).transpose(1, 0, 2)
+
+
 def attention(
     x: Tensor, p: AttentionParams, memory: Tensor | None = None, positions: Tensor | None = None,
 ) -> Tensor:
@@ -731,8 +794,8 @@ def attention(
         cross-attention:  Q = xn w_in[:, :d] + b_in[:d],
                           [K|V] = memory w_in[:, d:] + b_in[d:]
 
-    Head h owns columns [h*dh, (h+1)*dh) of each block, with dh = d / n_heads,
-    and c = 1/sqrt(dh). Forward:
+    Head h owns columns [h*dh, (h+1)*dh) of each block, with dh = p.dh =
+    d / n_heads, and c = p.scale = 1/sqrt(dh). Forward:
 
         Q̃ = Q · c
         per head, with key-major scores [keys, queries]:
@@ -782,14 +845,16 @@ def attention(
     `tests/test_autodiff.py` builds it), in the order its tape replays
     them. So the output and every gradient match the chain bit for bit.
 
-    With a tape recording, the node saves the layer norm's normalised rows
-    y and 1/std per row, the in-projection outputs (Q̃, K and V are column
-    views of them), E, den ([n_heads, n, 1]) and the merged heads A, whose
-    head view is O. The backward rebuilds the products' rows with the
-    forward's own `products`, from xn recomputed as y ⊙ gain + bias, so
-    they have the forward's bits; like `linear`, it reads the parameters
-    (and the positions and memory) at backward time. With no tape, the op
-    returns its output and builds no backward rule.
+    With a tape recording, the node's rule closes over one saved tuple:
+    the inputs x, p, memory and positions; the layer norm's normalised rows
+    y and 1/std per row; the in-projection outputs and their Q̃, K and V
+    head views; E, den ([n_heads, n, 1]) and the merged heads A, whose head
+    view is O; and which rows and in-projection terms need a gradient,
+    decided when the node is recorded. The backward rebuilds the products'
+    rows with the forward's own `_in_products`, from xn recomputed as
+    y ⊙ gain + bias, so they have the forward's bits; like `linear`, it
+    reads the parameters (and the positions and memory) at backward time.
+    With no tape, the op returns its output and builds no backward rule.
     """
     if not isinstance(p, AttentionParams):
         raise TypeError(f"attention needs an AttentionParams record, got a {type(p).__name__}")
@@ -806,36 +871,19 @@ def attention(
     if (xd if memory is None else memory.data).shape[0] == 0:
         raise ShapeError(f"attention needs at least one key row, got x={x.shape} memory="
                          f"{None if memory is None else memory.shape}")
-    gain, bias, w_in, b_in, wo, bo, n_heads = p.gain, p.bias, p.w_in, p.b_in, p.wo, p.bo, p.n_heads
-    dh = d // n_heads
-    c = 1.0 / math.sqrt(dh)  # a Python float: an np.float64 would promote float32 work
-
-    def products(xn):  # (rows, w_in columns, b_in columns) of each in-projection product
-        w, b = w_in.data, b_in.data
-        if memory is not None:
-            return (xn, w[:, :d], b[:d]), (memory.data, w[:, d:], b[d:])
-        if positions is not None:
-            return (xn + positions.data, w[:, : 2 * d], b[: 2 * d]), (xn, w[:, 2 * d :], b[2 * d :])
-        return ((xn, w, b),)
-
-    def blocks(outs):  # the products' outputs -> q, k and v as [heads, rows, dh] views
-        return [h for a in outs for h in a.reshape(len(a), -1, n_heads, dh).transpose(1, 2, 0, 3)]
-
-    def split(a):  # [rows, d] -> [heads, rows, dh] view
-        return a.reshape(a.shape[0], n_heads, dh).transpose(1, 0, 2)
-
+    gain, bias = p.gain, p.bias
     xn, y, inv = _layer_norm_forward(xd, gain, bias)
-    outs = [_project(*p) for p in products(xn)]
-    qh, kh, vh = blocks(outs)
-    qh *= c
+    outs = [_project(*r) for r in _in_products(xn, p, memory, positions)]
+    qh, kh, vh = _head_blocks(outs, p)
+    qh *= p.scale
     e = kh @ qh.transpose(0, 2, 1)  # key-major: [heads, keys, queries]
     e -= e.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     den = (_column(e.shape[1], 1.0, e.dtype).T @ e).transpose(0, 2, 1)
     heads = np.empty_like(xd)  # A; its head view is O
-    o = np.matmul(e.transpose(0, 2, 1), vh, out=split(heads))
+    o = np.matmul(e.transpose(0, 2, 1), vh, out=_split_heads(heads, p))
     o /= den
-    out = _project(heads, wo.data, bo.data)
+    out = _project(heads, p.wo.data, p.bo.data)
     out += xd
     if active_tape() is None:
         return Tensor(out)
@@ -847,28 +895,32 @@ def attention(
         need_rows = (need_xn or positions.requires_grad, need_xn)
     else:
         need_rows = (need_xn,)
-    need_in = w_in.requires_grad or b_in.requires_grad or any(need_rows)
+    need_in = p.w_in.requires_grad or p.b_in.requires_grad or any(need_rows)
+    saved = (x, p, memory, positions, y, inv, outs, qh, kh, vh, e, den, heads, need_rows, need_in)
 
     def pull(g):
+        x, p, memory, positions, y, inv, outs, qh, kh, vh, e, den, heads, need_rows, need_in = saved
+        gain, bias, w_in, b_in = p.gain, p.bias, p.w_in, p.b_in
         if x.requires_grad:
             x._accumulate(g)
-        ga = _project_back(heads, wo, bo, g, need_in)
+        ga = _project_back(heads, p.wo, p.bo, g, need_in)
         if ga is None:
             return
-        gh = split(ga)
+        gh = _split_heads(ga, p)
         gh /= den
         grads = [np.empty_like(a) for a in outs]
-        gq, gk, gv = blocks(grads)
+        gq, gk, gv = _head_blocks(grads, p)
         np.matmul(e, gh, out=gv)
         dz = vh @ gh.transpose(0, 2, 1)
-        gh *= split(heads)  # G ⊙ O: its row sums are D
-        dz -= (gh @ _column(dh, 1.0, gh.dtype)).transpose(0, 2, 1)
+        gh *= _split_heads(heads, p)  # G ⊙ O: its row sums are D
+        dz -= (gh @ _column(p.dh, 1.0, gh.dtype)).transpose(0, 2, 1)
         dz *= e
         np.matmul(dz, qh, out=gk)
         np.matmul(dz.transpose(0, 2, 1), kh, out=gq)
-        gq *= c
+        gq *= p.scale
         dw, db, dr = [], [], []
-        for (r, w, _), gr, need in zip(products(_affine(y, gain, bias)), grads, need_rows):
+        rows = _in_products(_affine(y, gain, bias), p, memory, positions)
+        for (r, w, _), gr, need in zip(rows, grads, need_rows):
             if w_in.requires_grad:
                 dw.append(r.T @ gr)
             if b_in.requires_grad:
@@ -893,7 +945,7 @@ def attention(
             _layer_norm_backward(x, gain, bias, y, inv, dxn)
 
     extra = tuple(t for t in (memory, positions) if t is not None)
-    return custom_op(out, (x, gain, bias, w_in, b_in, wo, bo) + extra, pull)
+    return custom_op(out, (x, gain, bias, p.w_in, p.b_in, p.wo, p.bo) + extra, pull)
 
 
 def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
@@ -914,12 +966,14 @@ def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     `add`, in the order its tape replays them, so the output and every
     gradient match the chain bit for bit.
 
-    With a tape recording, the node saves the layer norm's normalised rows
-    y and 1/std per row, and the relu output a. The backward recomputes xn
-    as y ⊙ gain + bias and the relu mask as a > 0, the forward's own
-    expressions, so both have the forward's bits; like `linear`, it reads
-    the parameters at backward time. With no tape, the op returns its
-    output and builds no backward rule.
+    With a tape recording, the node's rule closes over one saved tuple:
+    x and p, the layer norm's normalised rows y and 1/std per row, the relu
+    output a, and whether the layer norm needs a gradient, decided when the
+    node is recorded. The backward recomputes xn as y ⊙ gain + bias and the
+    relu mask as a > 0, the forward's own expressions, so both have the
+    forward's bits; like `linear`, it reads the parameters at backward
+    time. With no tape, the op returns its output and builds no backward
+    rule.
     """
     if not isinstance(p, FeedForwardParams):
         raise TypeError(f"feed_forward needs a FeedForwardParams record, got a {type(p).__name__}")
@@ -931,14 +985,15 @@ def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     out += x.data
     if active_tape() is None:
         return Tensor(out)
-    need_norm = x.requires_grad or gain.requires_grad or bias.requires_grad
+    saved = (x, p, y, inv, a, x.requires_grad or gain.requires_grad or bias.requires_grad)
 
     def pull(g):
+        x, p, y, inv, a, need_norm = saved
         if x.requires_grad:
             x._accumulate(g)
-        gxn = _mlp_backward(_affine(y, gain, bias), w1, b1, w2, b2, a, g, need_norm)
+        gxn = _mlp_backward(_affine(y, p.gain, p.bias), p.w1, p.b1, p.w2, p.b2, a, g, need_norm)
         if gxn is not None:
-            _layer_norm_backward(x, gain, bias, y, inv, gxn)
+            _layer_norm_backward(x, p.gain, p.bias, y, inv, gxn)
 
     return custom_op(out, (x, gain, bias, w1, b1, w2, b2), pull)
 

@@ -35,7 +35,7 @@ def weighted_sum(x, w):
 
     def pull(g):
         if x.requires_grad:
-            x._accumulate(g * w)
+            x._accumulate(np.broadcast_to(g * w, x.shape))
 
     return ad.custom_op(np.sum(x.data * w), (x,), pull)
 
@@ -503,8 +503,6 @@ class TestAttentionOp:
 
     @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
     def test_tape_free_call_builds_no_backward_rule(self, mode, monkeypatch):
-        # with no tape, inputs that require grad give an output that does
-        # not, and the op records nothing and makes no custom_op node
         rng = np.random.default_rng(56)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         extra = {"self": {}, "positions": {"positions": rng_tensor(rng, 3, 4)},
@@ -513,18 +511,7 @@ class TestAttentionOp:
         for t in leaves:
             t.requires_grad = True
         p = ad.AttentionParams(*leaves[:6], 2)
-        with Tape():
-            taped = ad.attention(x, p, **extra)
-        assert taped.requires_grad
-
-        def no_node(*args):
-            raise AssertionError("a tape-free attention call built a tape node")
-
-        monkeypatch.setattr(ad, "custom_op", no_node)
-        monkeypatch.setattr(ad.Tape, "record", no_node)
-        out = ad.attention(x, p, **extra)
-        assert not out.requires_grad and out._tape is None
-        assert np.array_equal(out.data, taped.data)
+        assert_no_rule_without_a_tape(lambda: ad.attention(x, p, **extra), monkeypatch)
 
     def test_one_tape_node(self):
         # the layer norm, the projections and the residual add are part of
@@ -1051,6 +1038,52 @@ class TestBackward:
         assert np.array_equal(b.grad, b_grad)
         assert np.array_equal(out.grad, out_grad)
 
+    def test_gradient_term_of_another_shape_rejected(self):
+        # `+=` would broadcast a smaller term over the whole gradient unseen,
+        # and a first term of another shape would be stored as the gradient
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        for g in (np.ones(()), np.ones(3), np.ones((1, 2, 3))):
+            with pytest.raises(ad.GradientError, match=re.escape(f"shape {g.shape} for a tensor of shape (2, 3)")):
+                x._accumulate(g)
+        assert x.grad is None
+        x._accumulate(np.ones((2, 3)))
+        with pytest.raises(ad.GradientError, match=r"shape \(3,\) for a tensor of shape \(2, 3\)"):
+            x._accumulate(np.ones(3))
+        assert np.array_equal(x.grad, np.ones((2, 3)))
+
+    def test_rules_hold_one_saved_tuple_and_are_named_for_their_op(self):
+        # a TINY two-frame training forward, the second frame carrying a
+        # track block with positions. Each attention and feed_forward rule
+        # closes over one cell, its saved tuple; and every rule is defined
+        # inside the op that its qualname starts with, the name by which
+        # the benchmark's tracer files its backward time
+        model = TrackingModel(TINY, seed=33)
+        rng = np.random.default_rng(33)
+        gt = [GtObject(1, Box(0.4, 0.5, 0.3, 0.2)), GtObject(2, Box(0.7, 0.3, 0.2, 0.25))]
+        weights = LossWeights()
+        with Tape() as tape:
+            acc = ClipLossAccumulator()
+            preds = model.forward_frame(Tensor(rng.uniform(0, 1, size=(16, 16, 1))))
+            acc.add(frame_loss(preds, Assignment(), Assignment([(0, 1), (2, 2)]), gt, weights))
+            carried = QuerySet(
+                ad.gather_rows(preds.hidden, [0, 2]),
+                [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)],
+                positions=ad.gather_rows(preds.queries, [0, 2]),
+            )
+            preds = model.forward_frame(Tensor(rng.uniform(0, 1, size=(16, 16, 1))), carried)
+            acc.add(frame_loss(preds, Assignment([(0, 1), (1, 2)]), Assignment(), gt, weights))
+            clip_average_loss(acc)
+        kinds = set()
+        for _, pull in tape.nodes:
+            kind = pull.__qualname__.split(".", 1)[0]
+            op = getattr(sys.modules[pull.__module__], kind)
+            assert pull.__qualname__ == f"{kind}.<locals>.pull", pull.__qualname__
+            assert pull.__code__ in op.__code__.co_consts, pull.__qualname__
+            if kind in ("attention", "feed_forward"):
+                assert len(pull.__closure__) == 1, (kind, pull.__code__.co_freevars)
+            kinds.add(kind)
+        assert {"attention", "feed_forward", "gather_rows", "frame_loss", "clip_average_loss"} <= kinds
+
     def test_input_added_to_itself_gets_twice_the_gradient(self):
         rng = np.random.default_rng(14)
         x, w = Tensor(rng.standard_normal((2, 3)), requires_grad=True), rng.standard_normal((2, 3))
@@ -1177,6 +1210,49 @@ class TestGradCheck:
         with pytest.raises(TypeError, match=r"grad_check input 1 Tensor\(shape=\(2,\)\) is float32"):
             ad.grad_check(lambda x, y: weighted_sum(ad.add(x, y), 1.0), [x, y])
         assert not y.requires_grad
+
+
+def assert_no_rule_without_a_tape(call, monkeypatch):
+    """With no tape, call()'s inputs that require grad give an output that
+    does not, and its op returns before it defines its rule or reaches
+    custom_op."""
+    with Tape():
+        taped = call()
+    assert taped.requires_grad
+
+    def no_node(*args):
+        raise AssertionError("a tape-free call built a tape node")
+
+    monkeypatch.setattr(ad, "custom_op", no_node)
+    monkeypatch.setattr(ad.Tape, "record", no_node)
+    out = call()
+    assert not out.requires_grad and out._tape is None
+    assert np.array_equal(out.data, taped.data)
+
+
+# (input shapes, op) for each op but attention, whose three forms
+# `TestAttentionOp` checks
+TAPE_FREE_OPS = {
+    "linear": ([(3, 4), (4, 2), (2,)], ad.linear),
+    "mlp": ([(3, 4), (4, 5), (5,), (5, 2), (2,)], ad.mlp),
+    "layer_norm": ([(3, 4), (4,), (4,)], ad.layer_norm),
+    "add": ([(3, 4), (4,)], ad.add),
+    "sigmoid": ([(3, 4)], ad.sigmoid),
+    "concat": ([(3, 4), (2, 4)], lambda *xs: ad.concat(xs)),
+    "gather_rows": ([(3, 4)], lambda x: ad.gather_rows(x, [2, 0, 2])),
+    "feed_forward": (
+        [(3, 4), (4,), (4,), (4, 5), (5,), (5, 4), (4,)],
+        lambda x, *p: ad.feed_forward(x, ad.FeedForwardParams(*p)),
+    ),
+}
+
+
+@pytest.mark.parametrize("op", list(TAPE_FREE_OPS))
+def test_tape_free_call_builds_no_backward_rule(op, monkeypatch):
+    shapes, call = TAPE_FREE_OPS[op]
+    rng = np.random.default_rng(57)
+    leaves = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+    assert_no_rule_without_a_tape(lambda: call(*leaves), monkeypatch)
 
 
 class TestTensorDtype:

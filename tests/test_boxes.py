@@ -17,7 +17,7 @@ def weighted_sum(x, w):
 
     def pull(g):
         if x.requires_grad:
-            x._accumulate(g * w)
+            x._accumulate(np.broadcast_to(g * w, x.shape))
 
     return ad.custom_op(np.sum(x.data * w), (x,), pull)
 

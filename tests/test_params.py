@@ -231,6 +231,19 @@ def test_view_refuses_a_gradient_in_another_dtype():
     assert group.grad.dtype == np.float32 and b.grad is None
 
 
+def test_view_refuses_a_gradient_of_another_shape():
+    # adding a scalar or a row into the slice in place would broadcast it unseen
+    group = ad.leaf_group(np.zeros(6), views((2, 3)))
+    (a,) = group._views
+    with pytest.raises(ad.GradientError, match=r"shape \(\) for a view leaf of shape \(2, 3\)"):
+        a._accumulate(np.ones(()))
+    assert group.grad is None and a.grad is None
+    a._accumulate(np.ones((2, 3)))
+    with pytest.raises(ad.GradientError, match=r"shape \(3,\) for a view leaf of shape \(2, 3\)"):
+        a._accumulate(np.ones(3))
+    assert np.array_equal(group.grad, np.ones(6))
+
+
 def test_view_without_a_live_group_raises():
     (a,) = views((2,))
     with pytest.raises(ad.GradientError, match="not in a live leaf group"):
