@@ -48,18 +48,20 @@ class Assignment:
 
     Slots absent from `pairs` are background. Slot indices are local to a
     query block (track block or detect block), not to their concatenation.
-    Slots and identities are integers (numpy integers too, not bools), each
-    used once.
+    Each pair is a (slot, identity) tuple of integers (numpy integers too,
+    not bools), and each slot and identity is used once.
     """
 
     pairs: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
+        for pair in self.pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise ValueError(f"assignment pair {pair!r} is not a (slot, identity) 2-tuple")
+            if not (_is_integer(pair[0]) and _is_integer(pair[1])):
+                raise ValueError(f"assignment pair {pair!r} needs an integer slot and identity")
         slots = [s for s, _ in self.pairs]
         ids = [i for _, i in self.pairs]
-        for slot, ident in self.pairs:
-            if not (_is_integer(slot) and _is_integer(ident)):
-                raise ValueError(f"assignment pair ({slot!r}, {ident!r}) needs an integer slot and identity")
         if len(set(slots)) != len(slots):
             raise ValueError(f"duplicate query slots in assignment: {slots}")
         if len(set(ids)) != len(ids):

@@ -19,22 +19,24 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
   into float64,
 - `grad_check` takes float64 leaves only (central differences need double
   precision),
-- `add`, the one binary op, accepts equal shapes or a second operand whose
-  shape is a suffix of the first (leading-axis expansion, e.g. bias add);
-  it and `concat` take operands of one dtype and raise on a mix, which
-  numpy would promote to float64 and hand a float32 input a float64
-  gradient,
+- `add`, the one binary op, takes two operands of one shape (biases
+  broadcast inside the ops that add them); it and `concat` take operands
+  of one dtype and raise on a mix, which numpy would promote to float64
+  and hand a float32 input a float64 gradient,
+- every op output goes onto the tape through `custom_op`, and every
+  gradient term into a tensor through `Tensor._accumulate`, which checks
+  the term's shape and dtype against the tensor's and raises on either,
 - each thread has its own stack of active tapes: an op records on the
   innermost tape its own thread entered, so threads that each record on
   their own `Tape` do not see each other's; a tape and its tensors belong
   to one thread, and no locking is done,
 - a leaf may be a view of a group leaf (`leaf_group`): a 1-d leaf whose
   consecutive slices are the view leaves' data. The ops see only the
-  views; each view adds its gradient terms (in its own dtype; another
-  raises) into its slice of the group's gradient, which is zero-filled
-  when the first view is reached. So `group.grad` is None exactly when no
-  view was reached since the group's last `reset_grad`, and an optimizer
-  can update a group, views and all, as one array,
+  views; each view adds its gradient terms into its slice of the group's
+  gradient, which is zero-filled when the first view is reached. So
+  `group.grad` is None exactly when no view was reached since the group's
+  last `reset_grad`, and an optimizer can update a group, views and all,
+  as one array,
 - an op defines its backward rule only when a tape is active: with none it
   returns its output first, so inference builds no closures,
 - `attention` and `feed_forward`, most of a training tape's nodes, each
@@ -200,21 +202,28 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         """Add the gradient term g into .grad: every backward rule hands its
-        inputs their terms through here. g has this tensor's shape; a term
-        of another shape raises a GradientError naming both, where `+=`
-        would broadcast it unseen. The first term is stored as a copy.
-
-        The copy keeps the stored gradient from sharing memory with g, which
-        the op that made it may hand to other inputs too. Where g holds a
-        -0.0 the stored value stays -0.0 (a zero-filled start would give
-        +0.0); the two compare equal.
+        inputs their terms through here. g has this tensor's shape and
+        dtype; a term of another shape or dtype raises one GradientError
+        naming both, before anything is stored, where `+=` would broadcast
+        or cast it unseen. The first term starts the gradient
+        (`_first_term`); later ones are added in place.
         """
-        if g.shape != self.data.shape:
-            raise GradientError(f"a gradient term of shape {g.shape} for a tensor of shape {self.data.shape}")
+        data = self.data
+        if g.shape != data.shape or g.dtype != data.dtype:
+            raise GradientError(
+                f"a {g.dtype} gradient term of shape {g.shape} for a {data.dtype} tensor of shape {data.shape}"
+            )
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = self._first_term(g)
         else:
             self.grad += g
+
+    def _first_term(self, g: np.ndarray) -> np.ndarray:
+        """The gradient that the checked first term g starts: a copy, so it
+        shares no memory with g, which the op that made it may hand to
+        other inputs too. Where g holds a -0.0 the stored value stays -0.0
+        (a zero-filled start would give +0.0); the two compare equal."""
+        return g.copy()
 
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
@@ -247,23 +256,18 @@ class _ViewLeaf(Tensor):
             self.grad[...] = 0.0
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        # `+=` would cast a gradient of another dtype into the slice, or
-        # broadcast one of another shape, unseen
-        if g.dtype != self.data.dtype:
-            raise GradientError(f"a {g.dtype} gradient for a {self.data.dtype} view leaf")
-        if g.shape != self.data.shape:
-            raise GradientError(
-                f"a gradient term of shape {g.shape} for a view leaf of shape {self.data.shape}"
-            )
-        if self.grad is None:
-            group = self._group and self._group()
-            if group is None:
-                raise GradientError("view leaf is not in a live leaf group")
-            if group.grad is None:
-                group.grad = np.zeros_like(group.data)
-            self.grad = group.grad[self._span].reshape(self.data.shape)
-        self.grad += g
+    def _first_term(self, g: np.ndarray) -> np.ndarray:
+        """Bind this view's gradient to its slice of the group's gradient,
+        zero-filling that when this is the group's first view reached, and
+        add g into it."""
+        group = self._group and self._group()
+        if group is None:
+            raise GradientError("view leaf is not in a live leaf group")
+        if group.grad is None:
+            group.grad = np.zeros_like(group.data)
+        grad = group.grad[self._span].reshape(self.data.shape)
+        grad += g
+        return grad
 
 
 def view_leaf(shape: tuple[int, ...]) -> Tensor:
@@ -313,25 +317,17 @@ def reset_grads(tensors) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _make(data: np.ndarray, inputs: tuple) -> Tensor:
-    """Build an op output; marks it grad-tracked if recording applies."""
+def custom_op(data: np.ndarray, inputs: tuple, pull) -> Tensor:
+    """The one way onto the tape: the output `Tensor(data)` of an op whose
+    backward rule `pull(grad_out)` hands each input its term through
+    `_accumulate`. When a tape is active and an input requires gradients,
+    the output requires them too and the tape records it (`Tape.record`)."""
     out = Tensor(data)
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
-    return out
-
-
-def custom_op(data: np.ndarray, inputs: tuple, pull) -> Tensor:
-    """Extension point: create an op output with an explicit backward rule.
-
-    `pull(grad_out)` must accumulate into each input via `_accumulate`.
-    The rule is recorded only when gradients are being tracked.
-    """
-    out = _make(data, inputs)
-    if out.requires_grad:
-        out._tape.record(out, pull)
+        tape.record(out, pull)
     return out
 
 
@@ -343,22 +339,6 @@ def _column(n: int, value: float, dtype: np.dtype) -> np.ndarray:
     col = np.full((n, 1), value, dtype=dtype)
     col.flags.writeable = False
     return col
-
-
-def _suffix_axes(a_shape: tuple, b_shape: tuple) -> tuple | None:
-    """Leading axes to reduce when b broadcasts into a; None if shapes equal."""
-    if a_shape == b_shape:
-        return None
-    if len(b_shape) < len(a_shape) and a_shape[len(a_shape) - len(b_shape):] == b_shape:
-        return tuple(range(len(a_shape) - len(b_shape)))
-    raise ShapeError(
-        f"shapes {a_shape} and {b_shape} do not match "
-        "(equal shapes or suffix broadcast only)"
-    )
-
-
-def _reduce_to(g: np.ndarray, axes: tuple | None) -> np.ndarray:
-    return g if axes is None else g.sum(axis=axes)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +353,12 @@ def _check_dtypes(xs, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    axes = _suffix_axes(a.shape, b.shape)
+    """a + b for two tensors of one shape and one dtype; backward hands
+    both the output gradient g. Any other pair of shapes raises a
+    ShapeError naming both: biases broadcast inside the ops that add them
+    (`_project`, `_affine`)."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs equal shapes, got {a.shape} and {b.shape}")
     _check_dtypes((a, b), "add")
     out = a.data + b.data
     if active_tape() is None:
@@ -383,7 +368,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(_reduce_to(g, axes))
+            b._accumulate(g)
 
     return custom_op(out, (a, b), pull)
 

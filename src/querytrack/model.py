@@ -146,6 +146,8 @@ class QuerySet:
     positions: Tensor | None = None
 
     def __post_init__(self):
+        if self.embeddings.data.ndim != 2:
+            raise ValueError(f"track block embeddings need [n, d] rows, got shape {self.embeddings.shape}")
         if self.embeddings.shape[0] != len(self.records):
             raise ValueError(
                 f"{self.embeddings.shape[0]} embedding rows for {len(self.records)} records"
@@ -438,9 +440,12 @@ class TrackingModel:
     def encode(self, image: Tensor) -> Tensor:
         """Image [H,W,C] -> frame tokens [T, d_model]; no gradient reaches the image.
 
-        The image is data, not state: its patches are cast to the model's dtype.
+        The image, a `Tensor`, is data, not state: its patches are cast to
+        the model's dtype.
         """
         cfg = self.cfg
+        if not isinstance(image, Tensor):
+            raise TypeError(f"encode needs the image as a Tensor, got a {type(image).__name__}")
         if image.shape != (cfg.image_size, cfg.image_size, cfg.n_channels):
             raise ShapeError(
                 f"image shape {image.shape} != configured "

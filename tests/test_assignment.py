@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,13 @@ class TestPropagate:
     def test_overlapping_identities_rejected(self):
         with pytest.raises(ValueError, match="identities"):
             propagate_assignment(Assignment([(0, 1)]), Assignment([(0, 1)]))
+
+
+@pytest.mark.parametrize("pair", [(1, 2, 3), 5, (4,), [0, 1]], ids=["triple", "int", "single", "list"])
+def test_assignment_rejects_a_pair_that_is_not_a_two_tuple(pair):
+    # unchecked, these raised bare unpacking errors, or took a list as a pair
+    with pytest.raises(ValueError, match=rf"assignment pair {re.escape(repr(pair))} is not a \(slot, identity\) 2-tuple"):
+        Assignment([(0, 1), pair])
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,15 @@ class TestEncode:
         img = random_image(np.random.default_rng(0), model.cfg)
         assert model.encode(img).shape == (64, 64)
 
+    def test_image_must_be_a_tensor(self):
+        # unchecked, a numpy image failed inside the patch cut with an
+        # AttributeError on a memoryview
+        model = TrackingModel(TINY)
+        img = random_image(np.random.default_rng(0), TINY).data
+        for call in (model.encode, model.forward_frame):
+            with pytest.raises(TypeError, match="encode needs the image as a Tensor, got a ndarray"):
+                call(img)
+
     def test_zero_encoder_layers_is_pure_projection(self):
         cfg = ModelConfig(
             image_size=16, patch_size=8, d_model=8, n_heads=2,
@@ -562,6 +571,15 @@ class TestQuerySet:
         emb = Tensor(np.zeros((2, 4)))
         with pytest.raises(ValueError, match="duplicate"):
             QuerySet(emb, [QueryRecord("track", 1), QueryRecord("track", 1)])
+
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 4, 1)])
+    def test_embeddings_must_be_rows(self, shape):
+        # unchecked, a 0-d block raised a bare IndexError and a 1-d one was
+        # taken until the temporal layer met it
+        records = [QueryRecord("track", 1), QueryRecord("track", 2)]
+        message = rf"track block embeddings need \[n, d\] rows, got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            QuerySet(Tensor(np.zeros(shape)), records)
 
     def test_positions_shape_must_match_embeddings(self):
         emb = Tensor(np.zeros((2, 4)))

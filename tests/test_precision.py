@@ -53,7 +53,7 @@ def test_every_op_computes_in_its_inputs_dtype(dtype):
     pred, target, proj = leaf(3, 4), leaf(3, 4), [leaf(4, 12), leaf(12), leaf(4, 4), leaf(4)]
     targets = (rng.random((3, 4)) < 0.5).astype(np.float64)
     for f, args in [
-        (ad.add, [a, b]), (ad.add, [a, shift]), (lambda x: scale(x, 0.3), [a]),
+        (ad.add, [a, b]), (ad.add, [a, a]), (lambda x: scale(x, 0.3), [a]),
         (ad.sigmoid, [a]), (ad.linear, [a, c, bias]), (ad.mlp, [a, c, bias, w2, b2]),
         (ad.layer_norm, [a, gain, shift]), (lambda x: slice_axis(x, 0, 1, 3), [a]),
         (lambda x: ad.gather_rows(x, [2, 0, 2]), [a]), (lambda x, y: ad.concat([x, y]), [a, b]),
@@ -142,10 +142,11 @@ def test_float32_tape_holds_only_float32(monkeypatch):
     tape.backward(loss)
     # 30 nodes: the first frame's 11 and its loss, the 2 carried gathers,
     # the second frame's 14 and its loss, the clip average. Every node gets
-    # a gradient (30), and 44 terms reach tensors through `_accumulate`
-    # (each frame's loss hands its logits and its boxes one term each)
+    # a gradient (30), and 140 terms reach tensors through `_accumulate`:
+    # 44 into op outputs (each frame's loss hands its logits and its boxes
+    # one term each) and 96 into the parameters' view leaves
     assert len(outputs) == 30 and set(outputs) == {np.dtype(np.float32)}
-    assert len(gradients) == 30 + 44 and set(gradients) == {np.dtype(np.float32)}
+    assert len(gradients) == 30 + 44 + 96 and set(gradients) == {np.dtype(np.float32)}
     grads = [p.grad for p in model.params.values()]
     assert all(g is not None for g in grads)
     assert {g.dtype for g in grads} == {np.dtype(np.float32)}
