@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from querytrack.autodiff import _is_integer
 from querytrack.boxes import Box, giou, l1_box
 
 __all__ = [
@@ -27,11 +28,6 @@ __all__ = [
     "hungarian",
     "propagate_assignment",
 ]
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, and not a bool (`bool` is an `int`)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
 
 @dataclass(frozen=True)
 class GtObject:
@@ -156,6 +152,14 @@ def assign_newborn(
     return Assignment([(q, newborn[t].identity) for q, t in hungarian(cost)])
 
 
+def _check_disjoint(track: Assignment, detect: Assignment) -> None:
+    """Raise a ValueError naming the identities that are in both the track
+    and the detect assignment: one object would supervise two queries."""
+    both = sorted(track.identities() & detect.identities())
+    if both:
+        raise ValueError(f"identities {both} are in both the track and the detect assignment")
+
+
 def propagate_assignment(prev_tr: Assignment, prev_det: Assignment) -> Assignment:
     """Next frame's track-query assignment from the previous frame's results.
 
@@ -163,8 +167,6 @@ def propagate_assignment(prev_tr: Assignment, prev_det: Assignment) -> Assignmen
     pairs (ordered by detect slot); slots are renumbered consecutively to
     match the next frame's track-query order. Identities never change.
     """
-    overlap = prev_tr.identities() & prev_det.identities()
-    if overlap:
-        raise ValueError(f"identities {sorted(overlap)} present in both assignments")
+    _check_disjoint(prev_tr, prev_det)
     ordered = sorted(prev_tr.pairs) + sorted(prev_det.pairs)
     return Assignment([(slot, ident) for slot, (_, ident) in enumerate(ordered)])

@@ -96,6 +96,13 @@ class GradientError(RuntimeError):
     """Backward pass misuse: non-scalar loss, detached loss, double backward."""
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool (`bool` is an `int`): the
+    package's one integer test, for head counts here, track ids in `model`
+    and slots and identities in `assignment`."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class _TapeStack(threading.local):
     """The calling thread's active tapes, innermost last."""
 
@@ -464,6 +471,20 @@ def _mlp_backward(xd, w1, b1, w2, b2, a, g, need_x: bool):
     return _project_back(xd, w1, b1, gh, need_x)
 
 
+def _check_mlp(op: str, k: int, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> None:
+    """Raise a ShapeError naming `op` unless w1 [k,h], b1 [h], w2 [h,m] and
+    b2 [m] are a two-layer net on k input columns: the one shape rule of
+    `mlp`, checked per call, and of `FeedForwardParams`, checked once."""
+    if (
+        w1.data.ndim != 2 or w2.data.ndim != 2 or w1.shape[0] != k
+        or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]
+    ):
+        raise ShapeError(
+            f"{op} needs w1 [{k},h], b1 [h], w2 [h,m] and b2 [m], got {w1.shape}, "
+            f"{b1.shape}, {w2.shape} and {b2.shape}"
+        )
+
+
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two-layer ReLU net relu(x [n,k] @ w1 [k,h] + b1 [h]) @ w2 [h,m] + b2 [m]
     -> [n,m], as one op.
@@ -477,15 +498,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     forward's mask h > 0 (NaN included), and, like `linear`, reads the
     weights at backward time.
     """
-    if (
-        x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
-        or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:]
-        or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]
-    ):
-        raise ShapeError(
-            f"mlp needs x [n,k], w1 [k,h], b1 [h], w2 [h,m] and b2 [m], got {x.shape}, "
-            f"{w1.shape}, {b1.shape}, {w2.shape} and {b2.shape}"
-        )
+    if x.data.ndim != 2:
+        raise ShapeError(f"mlp needs x [n,k], got {x.shape}")
+    _check_mlp("mlp", x.shape[1], w1, b1, w2, b2)
     xd = x.data
     out, a = _mlp_forward(xd, w1, b1, w2, b2)
     if active_tape() is None:
@@ -678,7 +693,7 @@ class AttentionParams:
 
     def __post_init__(self):
         n_heads = self.n_heads
-        if not (type(n_heads) is int or isinstance(n_heads, np.integer)) or n_heads < 1:
+        if not _is_integer(n_heads) or n_heads < 1:
             raise ShapeError(f"attention n_heads must be a positive int, got {n_heads!r}")
         d = _sublayer_width(self.gain, self.bias, "attention")
         if d % n_heads:
@@ -715,17 +730,9 @@ class FeedForwardParams:
 
     def __post_init__(self):
         d = _sublayer_width(self.gain, self.bias, "feed_forward")
-        w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
-        if (
-            w1.data.ndim != 2 or w2.data.ndim != 2 or w1.shape[0] != d
-            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]
-        ):
-            raise ShapeError(
-                f"feed_forward needs w1 [{d},h], b1 [h], w2 [h,m] and b2 [m], got {w1.shape}, "
-                f"{b1.shape}, {w2.shape} and {b2.shape}"
-            )
-        if w2.shape[1] != d:
-            raise ShapeError(f"feed_forward output width {w2.shape[1]} != input width {d}")
+        _check_mlp("feed_forward", d, self.w1, self.b1, self.w2, self.b2)
+        if self.w2.shape[1] != d:
+            raise ShapeError(f"feed_forward output width {self.w2.shape[1]} != input width {d}")
         object.__setattr__(self, "d", d)
 
 

@@ -7,15 +7,17 @@ that turns Boxes into rows.
 
 The overlap geometry (corners, per-axis spans, enclosing sides and the
 intersection, union and enclosing areas) is written once, in `_overlap`,
-over broadcastable `[..., 4]` rows. Two surfaces sit on it: the pairwise
-numpy kernels `iou`/`giou`/`l1_box` (`[m,4] x [n,4] -> [m,n]`) for matching
-costs and metrics, and `box_giou_rows`, one differentiable tape op over
-aligned rows (`[n,4] x [n,4] -> [n,1]`). `box_l1_rows` is its L1
-counterpart, also one tape op. The row ops' arithmetic is the kernels
-`_l1_rows`, `_giou_rows` and `_giou_rows_back`, which `losses.frame_loss`
-calls too, on all of a frame's matched rows at once. Both surfaces divide
-by union and enclosing areas clamped below at EPS_GUARD, so a zero union
-gives IoU 0 and pairwise `giou` equals `box_giou_rows` bit for bit.
+over broadcastable `[..., 4]` rows, and GIoU once, in the row kernel
+`_giou_rows`. Two surfaces sit on them: the pairwise numpy kernels
+`iou`/`giou`/`l1_box` (`[m,4] x [n,4] -> [m,n]`) for matching costs and
+metrics, and `box_giou_rows`, one differentiable tape op over aligned rows
+(`[n,4] x [n,4] -> [n,1]`). `box_l1_rows` is its L1 counterpart, also one
+tape op. Pairwise `giou` is `_giou_rows` on the rows broadcast as
+`[m,1,4]` and `[1,n,4]`, so it equals `box_giou_rows` bit for bit. The row
+ops' arithmetic is the kernels `_l1_rows`, `_giou_rows` and
+`_giou_rows_back`, which `losses.frame_loss` calls too, on all of a
+frame's matched rows at once. Both surfaces divide by union and enclosing
+areas clamped below at EPS_GUARD, so a zero union gives IoU 0.
 """
 
 from __future__ import annotations
@@ -108,16 +110,15 @@ def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise generalized IoU in [-1, 1]: IoU minus empty enclosing-area
-    fraction, with `_giou_rows`' clamps, so its diagonal is `box_giou_rows`."""
-    _, _, inter, union, enclosing = _overlap(*_pairwise("giou", a, b))
-    return inter / np.maximum(union, EPS_GUARD) - (enclosing - union) / np.maximum(enclosing, EPS_GUARD)
+    fraction, as `_giou_rows` on the broadcast rows, so its diagonal is
+    `box_giou_rows`."""
+    return _giou_rows(*_pairwise("giou", a, b))[0]
 
 
 def l1_box(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise sum of absolute coordinate differences in (cx, cy, w, h)."""
     a, b = _pairwise("l1_box", a, b)
-    d = np.abs(a - b)
-    return d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
+    return np.abs(a - b).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +157,14 @@ def box_l1_rows(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def _giou_rows(a: np.ndarray, b: np.ndarray):
-    """(GIoU [n,1], saved geometry) of aligned [n,4] rows a and b; every
-    saved array has the rows as its leading axis, so a slice of rows of each
-    is the geometry of those rows."""
+    """(GIoU [n], saved geometry) of aligned [n,4] rows a and b; every saved
+    array has the rows as its leading axis, so a slice of rows of each is
+    the geometry of those rows. Broadcast [m,1,4] and [1,n,4] rows give
+    the pairwise [m,n] GIoU, `giou`."""
     span, sides, inter, union, enclosing = _overlap(a, b)
     uc, cc = np.maximum(union, EPS_GUARD), np.maximum(enclosing, EPS_GUARD)
     i, empty = inter / uc, (enclosing - union) / cc
-    return (i - empty)[:, None], (span, sides, union, enclosing, uc, cc, i, empty)
+    return i - empty, (span, sides, union, enclosing, uc, cc, i, empty)
 
 
 def _giou_rows_back(g, a: np.ndarray, b: np.ndarray, geometry, need_a: bool, need_b: bool):
@@ -208,4 +210,4 @@ def box_giou_rows(pred: Tensor, target: Tensor) -> Tensor:
         if db is not None:
             target._accumulate(db)
 
-    return ad.custom_op(value, (pred, target), pull)
+    return ad.custom_op(value[:, None], (pred, target), pull)

@@ -22,13 +22,14 @@ and GIoU clamps degenerate boxes as the matching kernels do (`boxes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
 import querytrack.autodiff as ad
 from querytrack.autodiff import Tensor
-from querytrack.assignment import Assignment, GtObject, _read_annotations
+from querytrack.assignment import Assignment, GtObject, _check_disjoint, _read_annotations
 from querytrack.boxes import _giou_rows, _giou_rows_back, _l1_rows
 from querytrack.boxes import box_giou_rows, box_l1_rows  # noqa: F401  the benchmark's tracer wraps them here
 
@@ -44,7 +45,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights shared by the matching cost and the loss terms."""
+    """Weights shared by the matching cost and the loss terms.
+
+    Each is a real number, not a bool: anything else, or a value out of its
+    range, raises a ValueError naming the field. Each is stored as a Python
+    float, the form of every scalar constant the ops take.
+    """
 
     lambda_cls: float = 2.0
     lambda_l1: float = 5.0
@@ -53,13 +59,16 @@ class LossWeights:
     focal_gamma: float = 2.0
 
     def __post_init__(self):
-        # every comparison with NaN is false, so NaN fails each check
-        for name in ("lambda_cls", "lambda_l1", "lambda_giou", "focal_gamma"):
-            value = getattr(self, name)
-            if not 0 <= value < float("inf"):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if not 0 <= self.focal_alpha <= 1:
-            raise ValueError(f"focal_alpha must be in [0, 1], got {self.focal_alpha!r}")
+        for f in fields(self):
+            value, alpha = getattr(self, f.name), f.name == "focal_alpha"
+            # the type before the range: True passes it as 1 and "2" raises a TypeError; NaN fails it
+            if isinstance(value, bool) or not isinstance(value, Real) or not (
+                0 <= value <= 1 if alpha else 0 <= value < float("inf")
+            ):
+                want = "a real number in [0, 1]" if alpha else "a finite, nonnegative real number"
+                raise ValueError(f"{f.name} must be {want}, got {value!r}")
+            # stored as a Python float: a numpy float64 would make a float32 model's loss float64
+            object.__setattr__(self, f.name, float(value))
         if max(self.lambda_cls, self.lambda_l1, self.lambda_giou) == 0:
             raise ValueError("at least one loss weight must be positive")
 
@@ -160,9 +169,7 @@ def frame_loss(
         for slot, _ in assign.pairs:
             if not 0 <= slot < size:
                 raise ValueError(f"{block} slot {slot} is outside the {block} block of {size} rows")
-    both = sorted(track_assign.identities() & detect_assign.identities())
-    if both:
-        raise ValueError(f"identities {both} are in both the track and the detect assignment")
+    _check_disjoint(track_assign, detect_assign)
     for _, ident in detect_assign.pairs:
         if ident not in row_of:
             raise ValueError(f"detect assignment references missing identity {ident}")

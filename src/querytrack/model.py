@@ -126,7 +126,7 @@ class QueryRecord:
     def __post_init__(self):
         if self.kind != "track":
             raise ValueError(f"unknown query kind {self.kind!r}; a record names a track query")
-        if isinstance(self.track_id, bool) or not isinstance(self.track_id, (int, np.integer)):
+        if not ad._is_integer(self.track_id):
             raise ValueError(f"track_id must be an integer, got {self.track_id!r}")
 
 
@@ -138,7 +138,8 @@ class QuerySet:
     set. `positions`, optional and row-aligned with `embeddings`, are the
     decoder input rows that produced them: the temporal aggregation layer
     adds them to its query and key, and a block without positions gets no
-    positional term. The model appends its own detect block.
+    positional term. The model appends its own detect block. Embeddings
+    and positions that are not `Tensor`s raise a TypeError naming them.
     """
 
     embeddings: Tensor
@@ -146,6 +147,10 @@ class QuerySet:
     positions: Tensor | None = None
 
     def __post_init__(self):
+        for name in ("embeddings", "positions"):
+            t = getattr(self, name)
+            if not (isinstance(t, Tensor) or name == "positions" and t is None):
+                raise TypeError(f"track block {name} must be a Tensor, got a {type(t).__name__}")
         if self.embeddings.data.ndim != 2:
             raise ValueError(f"track block embeddings need [n, d] rows, got shape {self.embeddings.shape}")
         if self.embeddings.shape[0] != len(self.records):
@@ -244,28 +249,26 @@ class _ParamFactory:
         gain = self.add(f"{name}.gain", (d,), lambda rng, shape: 1.0)
         return gain, self.add(f"{name}.bias", (d,), lambda rng, shape: 0.0)
 
-    def sublayer(self, norm: str, linears) -> tuple[Tensor, ...]:
-        """A pre-norm sublayer's leaves in its record's field order: the
-        layer norm `norm`'s gain and bias, then the weight and bias of each
-        `linear`, given as its (name, fan_in, fan_out[, blocks]) arguments,
-        which are declared first."""
-        body = [t for spec in linears for t in self.linear(*spec)]
-        return (*self.norm(norm, linears[0][1]), *body)
-
     def layer(self, name: str, d: int, hidden: int, n_heads: int, *attentions) -> tuple:
         """A layer's sublayer records: an `ad.AttentionParams` with `n_heads`
         heads for each (attention, norm) name pair, then the feed-forward
-        net's `ad.FeedForwardParams`. An attention's `in` linear packs its
-        query, key and value projections as three [d,d] column blocks, drawn
-        in that order."""
+        net's `ad.FeedForwardParams`. Each record's leaves are declared in
+        its field order, its layer norm's first; a norm draws nothing, so
+        the draws are its linears' in order. An attention's `in` linear
+        packs its query, key and value projections as three [d,d] column
+        blocks, drawn in that order."""
         sublayers = [
-            ad.AttentionParams(*self.sublayer(
-                f"{name}.{norm}", [(f"{name}.{attn}.in", d, d, 3), (f"{name}.{attn}.out", d, d)]
-            ), n_heads)
+            ad.AttentionParams(
+                *self.norm(f"{name}.{norm}", d),
+                *self.linear(f"{name}.{attn}.in", d, d, 3), *self.linear(f"{name}.{attn}.out", d, d), n_heads,
+            )
             for attn, norm in attentions
         ]
-        ffn = [(f"{name}.ffn.inner", d, hidden), (f"{name}.ffn.outer", hidden, d)]
-        return (*sublayers, ad.FeedForwardParams(*self.sublayer(f"{name}.norm_ffn", ffn)))
+        ffn = ad.FeedForwardParams(
+            *self.norm(f"{name}.norm_ffn", d),
+            *self.linear(f"{name}.ffn.inner", d, hidden), *self.linear(f"{name}.ffn.outer", hidden, d),
+        )
+        return (*sublayers, ffn)
 
 
 def _group_of(name: str) -> str:
@@ -459,20 +462,30 @@ class TrackingModel:
 
     # -- decoding ----------------------------------------------------------
 
+    def _check_rows(self, name: str, t: Tensor) -> None:
+        """The model's one rule for the rows it is handed: `t` must be
+        [n, d_model] rows, else a ShapeError, in the model's dtype, else a
+        ValueError, each naming `name`. It holds for the memory and the
+        track queries `decode` takes and for a carried block's embeddings
+        and positions."""
+        cfg = self.cfg
+        if t.data.ndim != 2 or t.shape[1] != cfg.d_model:
+            raise ShapeError(f"{name} need [n, {cfg.d_model}] rows, got {t.shape}")
+        if t.data.dtype != cfg.dtype:
+            raise ValueError(f"{name} are {t.data.dtype}, the model computes in {cfg.dtype}")
+
     def aggregate(self, track_set: QuerySet) -> Tensor:
         """Temporal aggregation: carried track block -> this frame's track queries.
 
         Self-attention over the track rows only, with no slot-index term, so
         output row i belongs to input row i and swapping two rows (with
         their positions) swaps the two outputs. The carried block is model
-        state: its embeddings and positions must be in the model's dtype.
+        state: its embeddings and positions must be [n, d_model] rows in the
+        model's dtype (`_check_rows`).
         """
-        for name in ("embeddings", "positions"):
-            t = getattr(track_set, name)
-            if t is not None and t.data.dtype != self.cfg.dtype:
-                raise ValueError(
-                    f"track block {name} are {t.data.dtype}, the model computes in {self.cfg.dtype}"
-                )
+        self._check_rows("track block embeddings", track_set.embeddings)
+        if track_set.positions is not None:
+            self._check_rows("track block positions", track_set.positions)
         return _encoder_layer(track_set.embeddings, self.temporal, track_set.positions)
 
     def decode(self, memory: Tensor, track_queries: Tensor | None = None) -> FramePredictions:
@@ -481,20 +494,12 @@ class TrackingModel:
         The queries are the `track_queries` rows, when given, followed by the
         learnable detect block, joined by one `ad.concat`. `memory` is the
         frame's tokens, [T, d_model], and the track queries are [n, d_model]
-        rows; both in the model's dtype.
+        rows; both in the model's dtype (`_check_rows`).
         """
-        cfg = self.cfg
-        if memory.data.ndim != 2 or memory.shape[1] != cfg.d_model:
-            raise ShapeError(f"memory needs [T, {cfg.d_model}] token rows, got {memory.shape}")
-        if memory.data.dtype != cfg.dtype:
-            raise ValueError(f"memory is {memory.data.dtype}, the model computes in {cfg.dtype}")
+        self._check_rows("memory tokens", memory)
         queries = self.detect_queries
         if track_queries is not None:
-            t = track_queries.data
-            if t.ndim != 2 or t.shape[1] != cfg.d_model:
-                raise ShapeError(f"track queries need [n, {cfg.d_model}] rows, got {t.shape}")
-            if t.dtype != cfg.dtype:
-                raise ValueError(f"track queries are {t.dtype}, the model computes in {cfg.dtype}")
+            self._check_rows("track queries", track_queries)
             queries = ad.concat([track_queries, queries], axis=0)
         x = queries
         for self_attn, cross_attn, ffn in self.decoder_layers:
@@ -504,7 +509,7 @@ class TrackingModel:
         hidden = ad.layer_norm(x, *self.norm_out)
         class_logits = ad.linear(hidden, self.cls_w, self.cls_b)
         boxes = ad.sigmoid(ad.mlp(hidden, self.box_w1, self.box_b1, self.box_w2, self.box_b2))
-        n_track = queries.shape[0] - cfg.n_detect_queries
+        n_track = queries.shape[0] - self.cfg.n_detect_queries
         return FramePredictions(class_logits, boxes, hidden, queries, n_track)
 
     def forward_frame(self, image: Tensor, track_set: QuerySet | None = None) -> FramePredictions:

@@ -16,7 +16,7 @@ from querytrack.boxes import Box, box_l1_rows
 from querytrack.losses import ClipLossAccumulator, LossWeights, clip_average_loss, focal_loss, frame_loss
 from querytrack.model import QueryRecord, QuerySet, TrackingModel
 
-from chain_ops import scale, slice_axis
+from chain_ops import scale, slice_axis, weighted_sum
 from tiny import TINY
 
 
@@ -27,17 +27,6 @@ def scalar(f):
 
 def rng_tensor(rng, *shape):
     return Tensor(rng.standard_normal(shape))
-
-
-def weighted_sum(x, w):
-    """sum(x * w) for a constant array (or number) w, as one test-local tape op."""
-    w = np.asarray(w, dtype=np.float64)
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g * w, x.shape))
-
-    return ad.custom_op(np.sum(x.data * w), (x,), pull)
 
 
 PROJ_NAMES = ["w_in", "b_in", "wo", "bo"]

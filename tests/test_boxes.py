@@ -9,17 +9,7 @@ from querytrack.autodiff import ShapeError, Tape, Tensor
 from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou, iou, l1_box
 
 from box_rows import box_rows
-
-
-def weighted_sum(x, w):
-    """sum(x * w) for a constant array (or number) w, as one test-local tape op."""
-    w = np.asarray(w, dtype=np.float64)
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g * w, x.shape))
-
-    return ad.custom_op(np.sum(x.data * w), (x,), pull)
+from chain_ops import weighted_sum
 
 
 def random_box(rng, min_side=0.05, max_side=0.6) -> Box:

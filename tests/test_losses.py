@@ -21,7 +21,7 @@ from querytrack.losses import (
 )
 from querytrack.model import QueryRecord, QuerySet, TrackingModel
 
-from chain_ops import scale, slice_axis
+from chain_ops import scale, slice_axis, total
 from tiny import TINY
 
 
@@ -291,25 +291,20 @@ class TestFrameLoss:
         assert ad.grad_check(f, [logits, boxes], tol=1e-4).passed
 
 
-def row_total(x):
-    """sum(x) as one test-local tape op; backward hands g to every cell."""
-    return ad.custom_op(x.data.sum(), (x,), lambda g: x._accumulate(np.broadcast_to(g, x.shape).copy()))
-
-
 def chain_block(preds, lo, hi, class_targets, rows, target_boxes, w):
     """One query block's loss as the chain of public ops `frame_loss` stands for:
     slice_axis → focal_loss; gather_rows → box_l1_rows and box_giou_rows; then
     cls·λ_cls + (Σ L1·λ_L1 + Σ (1 − GIoU)·λ_GIoU) as scale, sum and add nodes."""
     logits = slice_axis(preds.class_logits, 0, lo, hi)
-    total = scale(focal_loss(logits, class_targets[lo:hi], w.focal_alpha, w.focal_gamma), w.lambda_cls)
+    cls = scale(focal_loss(logits, class_targets[lo:hi], w.focal_alpha, w.focal_gamma), w.lambda_cls)
     if not rows:
-        return total
+        return cls
     boxes = ad.gather_rows(preds.boxes, rows)
     gt = Tensor(box_rows(*target_boxes).astype(preds.boxes.data.dtype))
-    l1 = scale(row_total(box_l1_rows(boxes, gt)), w.lambda_l1)
+    l1 = scale(total(box_l1_rows(boxes, gt)), w.lambda_l1)
     one = Tensor(np.ones((len(rows), 1), dtype=gt.data.dtype))
     one_minus_giou = ad.add(scale(box_giou_rows(boxes, gt), -1.0), one)
-    return ad.add(total, ad.add(l1, scale(row_total(one_minus_giou), w.lambda_giou)))
+    return ad.add(cls, ad.add(l1, scale(total(one_minus_giou), w.lambda_giou)))
 
 
 def chain_frame_loss(preds, track_assign, detect_assign, gt, w):
@@ -574,11 +569,32 @@ def test_weights_validation():
         ("lambda_cls", float("nan")), ("lambda_l1", float("inf")), ("lambda_giou", -1.0),
         ("focal_alpha", 1.5), ("focal_alpha", -0.25), ("focal_alpha", float("nan")),
         ("focal_gamma", -1.0), ("focal_gamma", float("inf")), ("focal_gamma", float("nan")),
+        # not a real number: each raised a bare TypeError from a comparison, or was taken as 1
+        ("lambda_cls", "2"), ("focal_alpha", None), ("lambda_l1", True), ("lambda_giou", np.True_),
+        ("focal_gamma", [2.0]), ("focal_alpha", complex(0.5, 0)),
     ],
 )
 def test_weights_reject_bad_values_by_name(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         LossWeights(**{field: value})
+
+
+def test_numpy_weights_are_stored_as_python_floats():
+    # a numpy float64 weight made a float32 model's frame loss float64, and
+    # its backward raised a GradientError on the float64 logit gradient
+    w = LossWeights(
+        lambda_cls=np.float64(2.0), lambda_l1=np.float32(5.0), lambda_giou=2, focal_gamma=np.int64(2)
+    )
+    assert all(type(getattr(w, f)) is float for f in ("lambda_cls", "lambda_l1", "lambda_giou", "focal_gamma"))
+    assert w == LossWeights()
+    model = TrackingModel(TINY, seed=0)
+    gt = [GtObject(1, Box(0.5, 0.5, 0.2, 0.2))]
+    with Tape() as tape:
+        preds = model.forward_frame(Tensor(np.zeros((16, 16, 1), np.float32)))
+        loss = frame_loss(preds, Assignment(), Assignment([(0, 1)]), gt, w).loss
+    assert loss.data.dtype == np.float32
+    tape.backward(loss)
+    assert preds.class_logits.grad.dtype == np.float32
 
 
 def test_weights_accept_the_bounds():

@@ -21,7 +21,7 @@ from querytrack.model import (
     sine_positions_2d,
 )
 
-from chain_ops import slice_axis
+from chain_ops import slice_axis, weighted_sum
 from tiny import TINY
 
 TINY64 = dataclasses.replace(TINY, dtype="float64")
@@ -133,17 +133,6 @@ def numpy_layer_norm(x):
     """Layer norm rows of x with unit gain and zero bias, eps 1e-5, in numpy."""
     xc = x - x.mean(axis=1, keepdims=True)
     return xc / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
-
-
-def weighted_sum(x, w):
-    """sum(x * w) for a constant array (or number) w, as one test-local tape op."""
-    w = np.asarray(w, dtype=np.float64)
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g * w, x.shape))
-
-    return ad.custom_op(np.sum(x.data * w), (x,), pull)
 
 
 def per_head_attention(x, norm, p, n_heads, weight, memory=None):
@@ -381,7 +370,7 @@ class TestDecode:
 
     def test_one_dimensional_memory_rejected(self):
         model = TrackingModel(TINY64)
-        with pytest.raises(ad.ShapeError, match=r"memory needs \[T, 8\] token rows, got \(8,\)"):
+        with pytest.raises(ad.ShapeError, match=r"memory tokens need \[n, 8\] rows, got \(8,\)"):
             model.decode(Tensor(np.zeros(TINY64.d_model)))
 
     @pytest.mark.parametrize("model_dtype, memory_dtype", [("float32", "float64"), ("float64", "float32")])
@@ -389,7 +378,7 @@ class TestDecode:
         # a float64 memory would make a float32 model's outputs float64
         model = TrackingModel(dataclasses.replace(TINY, dtype=model_dtype))
         memory = Tensor(np.zeros((4, TINY64.d_model), dtype=memory_dtype))
-        with pytest.raises(ValueError, match=f"memory is {memory_dtype}, the model computes in {model_dtype}"):
+        with pytest.raises(ValueError, match=f"memory tokens are {memory_dtype}, the model computes in {model_dtype}"):
             model.decode(memory)
 
     def test_query_width_mismatch_rejected(self):
@@ -581,6 +570,15 @@ class TestQuerySet:
         with pytest.raises(ValueError, match=message):
             QuerySet(Tensor(np.zeros(shape)), records)
 
+    @pytest.mark.parametrize("field", ["embeddings", "positions"])
+    def test_numpy_rows_rejected(self, field):
+        # unchecked, numpy rows passed the shape checks (an array has `.data`
+        # and `.shape` too) and failed in the temporal layer as an AttributeError
+        rows = {"embeddings": Tensor(np.zeros((2, 8), np.float32)), "positions": None}
+        rows[field] = np.zeros((2, 8), np.float32)
+        with pytest.raises(TypeError, match=rf"^track block {field} must be a Tensor, got a ndarray$"):
+            QuerySet(records=[QueryRecord("track", 1), QueryRecord("track", 2)], **rows)
+
     def test_positions_shape_must_match_embeddings(self):
         emb = Tensor(np.zeros((2, 4)))
         for shape in [(1, 4), (2, 3), (8,)]:
@@ -704,6 +702,22 @@ class TestCheckpoint:
             assert x.data.dtype == dtype and np.array_equal(x.data, y.data)
 
 
+def rewrite_header(path, edit, cut=0):
+    """Rewrite the JSON header of the checkpoint at `path`, keeping its
+    version and payload: edit(header) changes the decoded header in place,
+    and an `edit` that is not callable is written as the whole header. The
+    payload loses its first `cut` bytes."""
+    raw = path.read_bytes()
+    version, header_len = struct.unpack("<II", raw[4:12])
+    header = json.loads(raw[12 : 12 + header_len])
+    if callable(edit):
+        edit(header)
+    else:
+        header = edit
+    body = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len + cut :])
+
+
 class TestCheckpointCorruption:
     """Each damaged file fails loudly with an error naming the file."""
 
@@ -733,27 +747,13 @@ class TestCheckpointCorruption:
 
     def test_manifest_missing_parameter_rejected(self, tmp_path):
         path = self.saved(tmp_path)
-        raw = path.read_bytes()
-        version, header_len = struct.unpack("<II", raw[4:12])
-        header = json.loads(raw[12 : 12 + header_len])
         # drop the first parameter's manifest entry and its payload, so the
         # byte count still matches and only the manifest is wrong
-        dropped = header["params"].pop(0)
+        dropped = querytrack.model._manifest(TrackingModel(TINY64))[0]
         n_dropped = int(np.prod(dropped["shape"])) * 8
-        body = json.dumps(header, sort_keys=True).encode("utf-8")
-        payload = raw[12 + header_len + n_dropped :]
-        path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + payload)
+        rewrite_header(path, lambda h: h["params"].pop(0), cut=n_dropped)
         with pytest.raises(ValueError, match=rf"model\.ckpt: manifest entry 0 is .*, the layout's is .*'{re.escape(dropped['name'])}'"):
             load_checkpoint(path)
-
-
-    def rewrite_config(self, path, **changes):
-        raw = path.read_bytes()
-        version, header_len = struct.unpack("<II", raw[4:12])
-        header = json.loads(raw[12 : 12 + header_len])
-        header["config"].update(changes)
-        body = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len :])
 
     def test_truncated_header_prefix_rejected(self, tmp_path):
         path = self.saved(tmp_path)
@@ -778,43 +778,31 @@ class TestCheckpointCorruption:
     @pytest.mark.parametrize("header", [[1, 2], "x", 7, None])
     def test_header_not_an_object_rejected(self, tmp_path, header):
         path = self.saved(tmp_path)
-        raw = path.read_bytes()
-        version, header_len = struct.unpack("<II", raw[4:12])
-        body = json.dumps(header).encode("utf-8")
-        path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len :])
+        rewrite_header(path, header)
         with pytest.raises(ValueError, match=rf"model\.ckpt: header is a {type(header).__name__}, not a JSON object"):
             load_checkpoint(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = self.saved(tmp_path)
-        self.rewrite_config(path, n_wings=2)
+        rewrite_header(path, lambda h: h["config"].update(n_wings=2))
         with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*n_wings"):
             load_checkpoint(path)
 
     def test_invalid_config_value_rejected(self, tmp_path):
         path = self.saved(tmp_path)
-        self.rewrite_config(path, d_model=7)
+        rewrite_header(path, lambda h: h["config"].update(d_model=7))
         with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*d_model 7"):
             load_checkpoint(path)
 
     def test_zero_heads_in_config_rejected(self, tmp_path):
         path = self.saved(tmp_path)
-        self.rewrite_config(path, n_heads=0)
+        rewrite_header(path, lambda h: h["config"].update(n_heads=0))
         with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*n_heads must be"):
             load_checkpoint(path)
 
-    def rewrite_header(self, path, edit):
-        """Apply edit(header) and write the header back, payload unchanged."""
-        raw = path.read_bytes()
-        version, header_len = struct.unpack("<II", raw[4:12])
-        header = json.loads(raw[12 : 12 + header_len])
-        edit(header)
-        body = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len :])
-
     def test_missing_params_key_rejected(self, tmp_path):
         path = self.saved(tmp_path)
-        self.rewrite_header(path, lambda h: h.pop("params"))
+        rewrite_header(path, lambda h: h.pop("params"))
         with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'params' entry"):
             load_checkpoint(path)
 
@@ -828,26 +816,26 @@ class TestCheckpointCorruption:
             lambda entry: entry.update(shape=None),
         ):
             path = self.saved(tmp_path)
-            self.rewrite_header(path, lambda h: edit(h["params"][0]))
+            rewrite_header(path, lambda h: edit(h["params"][0]))
             with pytest.raises(ValueError, match=r"model\.ckpt: manifest entry 0 is .*, the layout's is"):
                 load_checkpoint(path)
 
     def test_params_not_a_list_rejected(self, tmp_path):
         path = self.saved(tmp_path)
-        self.rewrite_header(path, lambda h: h.update(params="weights"))
+        rewrite_header(path, lambda h: h.update(params="weights"))
         with pytest.raises(ValueError, match=r"model\.ckpt: header 'params' is a str, not a list"):
             load_checkpoint(path)
 
     def test_missing_extra_key_rejected(self, tmp_path):
         path = self.saved(tmp_path)
-        self.rewrite_header(path, lambda h: h.pop("extra"))
+        rewrite_header(path, lambda h: h.pop("extra"))
         with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'extra' entry"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("extra", [[1, 2], "x", 7, None])
     def test_extra_not_an_object_rejected(self, tmp_path, extra):
         path = self.saved(tmp_path)
-        self.rewrite_header(path, lambda h: h.update(extra=extra))
+        rewrite_header(path, lambda h: h.update(extra=extra))
         with pytest.raises(
             ValueError, match=rf"model\.ckpt: header 'extra' is a {type(extra).__name__}, not a JSON object"
         ):
@@ -868,12 +856,12 @@ class TestCheckpointCorruption:
 
     def test_missing_or_non_integer_crc32_rejected(self, tmp_path):
         path = self.saved(tmp_path)
-        self.rewrite_header(path, lambda h: h.pop("crc32"))
+        rewrite_header(path, lambda h: h.pop("crc32"))
         with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'crc32' entry"):
             load_checkpoint(path)
         for bad in ("12", 1.5, True, None):
             path = self.saved(tmp_path)
-            self.rewrite_header(path, lambda h: h.update(crc32=bad))
+            rewrite_header(path, lambda h: h.update(crc32=bad))
             with pytest.raises(ValueError, match=r"model\.ckpt: header 'crc32' is a \w+, not an integer"):
                 load_checkpoint(path)
 
@@ -887,7 +875,7 @@ class TestCheckpointCorruption:
         # the payload is sized by the header's dtype: a wrong one misreads every byte
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, TrackingModel(dataclasses.replace(TINY, dtype=saved), seed=18))
-        self.rewrite_config(path, dtype=claimed)
+        rewrite_header(path, lambda h: h["config"].update(dtype=claimed))
         with pytest.raises(ValueError, match=rf"model\.ckpt: {message}"):
             load_checkpoint(path)
 
@@ -932,12 +920,7 @@ def test_checkpoint_with_the_removed_positional_switch_rejected(tmp_path):
     # files written while the config had a `positional_encoding` field carry it
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, TrackingModel(TINY64))
-    raw = path.read_bytes()
-    version, header_len = struct.unpack("<II", raw[4:12])
-    header = json.loads(raw[12 : 12 + header_len])
-    header["config"]["positional_encoding"] = True
-    body = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len :])
+    rewrite_header(path, lambda h: h["config"].update(positional_encoding=True))
     with pytest.raises(ValueError, match=r"model\.ckpt: invalid config in header.*positional_encoding"):
         load_checkpoint(path)
 

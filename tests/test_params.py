@@ -10,9 +10,7 @@ import dataclasses
 import gc
 import json
 import struct
-import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +18,9 @@ import pytest
 import querytrack.autodiff as ad
 from querytrack.model import ModelConfig, TrackingModel, load_checkpoint, save_checkpoint
 
-PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
-
-import clips  # noqa: E402
-import drivers  # noqa: E402
-from tiny import TINY  # noqa: E402
+import clips
+import drivers
+from tiny import TINY
 
 
 class TestLayout:

@@ -5,19 +5,12 @@
 only in a traced benchmark run (`perfbench/run.py --trace 1`).
 """
 
-import sys
-from pathlib import Path
+import clips
+import drivers
+import tracing
 
-PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
-
-import clips  # noqa: E402
-import drivers  # noqa: E402
-import tracing  # noqa: E402
-
-from querytrack.model import TrackingModel  # noqa: E402
-from tiny import TINY  # noqa: E402
+from querytrack.model import TrackingModel
+from tiny import TINY
 
 
 def test_traced_train_step_and_track_frame_pass_their_checks():

@@ -9,9 +9,7 @@ pinned loss probe bit for bit.
 """
 
 import dataclasses
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,20 +21,11 @@ from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou
 from querytrack.losses import ClipLossAccumulator, LossWeights, clip_average_loss, focal_loss, frame_loss
 from querytrack.model import ModelConfig, QueryRecord, QuerySet, TrackingModel
 
-PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
-
-import bench  # noqa: E402
-from chain_ops import scale, slice_axis  # noqa: E402
-from tiny import TINY  # noqa: E402
+import bench
+from chain_ops import scale, slice_axis, total
+from tiny import TINY
 
 DTYPES = ["float32", "float64"]
-
-
-def total(x):
-    """sum(x) as one test-local tape op, in x's dtype."""
-    return ad.custom_op(x.data.sum(), (x,), lambda g: x._accumulate(np.broadcast_to(g, x.shape).copy()))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
