@@ -4,10 +4,10 @@ Everything the model and losses compute runs through the ops in this module.
 Ops execute eagerly on numpy arrays; when a `Tape` is active and an input
 requires gradients, the op appends its backward rule to the tape.
 Calling `Tape.backward(loss)` replays the rules in reverse execution order,
-accumulating gradients additively into every participating tensor. It
-releases each rule once the rule has run, so an op output and the arrays
-its rule saved live only until that rule is done, unless the caller holds
-them; a tensor the caller holds keeps its `.grad`.
+accumulating gradients additively into every participating tensor that
+requires one. It releases each rule once the rule has run, so an op output
+and the arrays its rule saved live only until that rule is done, unless
+the caller holds them; a tensor the caller holds keeps its `.grad`.
 
 Conventions kept deliberately narrow so each backward rule stays auditable:
 
@@ -26,6 +26,8 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
 - every op output goes onto the tape through `custom_op`, and every
   gradient term into a tensor through `Tensor._accumulate`, which checks
   the term's shape and dtype against the tensor's and raises on either,
+  and keeps the term only when the tensor requires a gradient: a backward
+  rule hands each of its inputs its term without asking,
 - each thread has its own stack of active tapes: an op records on the
   innermost tape its own thread entered, so threads that each record on
   their own `Tape` do not see each other's; a tape and its tensors belong
@@ -40,8 +42,8 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
 - an op defines its backward rule only when a tape is active: with none it
   returns its output first, so inference builds no closures,
 - `attention` and `feed_forward`, most of a training tape's nodes, each
-  define a rule that closes over one saved tuple (the saved arrays, the
-  inputs and the need flags), and their helpers are module functions.
+  define a rule that closes over one saved tuple (the saved arrays and
+  the inputs), and their helpers are module functions.
   MOTR's clip-level loss keeps every frame's nodes alive until backward,
   and each closure cell is an object CPython's cyclic collector tracks:
   rules over two dozen cells each made a training step start about three
@@ -208,18 +210,23 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        """Add the gradient term g into .grad: every backward rule hands its
-        inputs their terms through here. g has this tensor's shape and
-        dtype; a term of another shape or dtype raises one GradientError
-        naming both, before anything is stored, where `+=` would broadcast
-        or cast it unseen. The first term starts the gradient
-        (`_first_term`); later ones are added in place.
+        """Add the gradient term g into .grad if this tensor requires a
+        gradient: every backward rule hands each of its inputs its term
+        through here, and this is the one place that drops a term for a
+        tensor that needs none. g has this tensor's shape and dtype; a term
+        of another shape or dtype raises one GradientError naming both,
+        whether or not the tensor requires a gradient, before anything is
+        stored, where `+=` would broadcast or cast it unseen. The first
+        term starts the gradient (`_first_term`); later ones are added in
+        place.
         """
         data = self.data
         if g.shape != data.shape or g.dtype != data.dtype:
             raise GradientError(
                 f"a {g.dtype} gradient term of shape {g.shape} for a {data.dtype} tensor of shape {data.shape}"
             )
+        if not self.requires_grad:
+            return
         if self.grad is None:
             self.grad = self._first_term(g)
         else:
@@ -372,10 +379,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return Tensor(out)
 
     def pull(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
+        a._accumulate(g)
+        b._accumulate(g)
 
     return custom_op(out, (a, b), pull)
 
@@ -388,8 +393,7 @@ def sigmoid(x: Tensor) -> Tensor:
         return Tensor(s)
 
     def pull(g):
-        if x.requires_grad:
-            x._accumulate(g * s * (1.0 - s))
+        x._accumulate(g * s * (1.0 - s))
 
     return custom_op(s, (x,), pull)
 
@@ -415,13 +419,18 @@ def _column_sums(g: np.ndarray) -> np.ndarray:
     return (_column(g.shape[0], 1.0, g.dtype).T @ g).reshape(g.shape[1])
 
 
-def _project_back(r: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray, need_r: bool):
+def _project_back(r: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray, need_r: bool = True):
     """`_project`'s backward for the output gradient g: accumulate dw = rᵀ g,
-    then db = the column sums of g; return dr = g wᵀ if need_r, else None."""
-    if w.requires_grad:
-        w._accumulate(r.T @ g)
-    if b.requires_grad:
-        b._accumulate(_column_sums(g))
+    then db = the column sums of g; return dr = g wᵀ, or None when need_r
+    is false.
+
+    Only `linear` passes need_r, as its input's `requires_grad`: the image
+    patches of the model's patch embedding are the one input that no
+    workload differentiates, and without the flag every training frame
+    would compute a [64,64]×[64,64] g wᵀ only for `_accumulate` to drop it.
+    """
+    w._accumulate(r.T @ g)
+    b._accumulate(_column_sums(g))
     return g @ w.data.T if need_r else None
 
 
@@ -456,19 +465,17 @@ def _mlp_forward(xd: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor)
     return _project(a, w2.data, b2.data), a
 
 
-def _mlp_backward(xd, w1, b1, w2, b2, a, g, need_x: bool):
-    """Accumulate the w2, b2, w1 and b1 terms, in that order; return dx or None.
+def _mlp_backward(xd, w1, b1, w2, b2, a, g):
+    """Accumulate the w2, b2, w1 and b1 terms, in that order; return dx.
 
     Each layer's terms are `_project_back`'s, with gh = (g w2ᵀ) ⊙ (a > 0)
     the first layer's output gradient. The mask a > 0 is the forward's
     h > 0: a = h where h > 0, and 0, -0 or NaN (for h = -inf or NaN) where
     it is not.
     """
-    gh = _project_back(a, w2, b2, g, need_x or w1.requires_grad or b1.requires_grad)
-    if gh is None:
-        return None
+    gh = _project_back(a, w2, b2, g)
     gh *= a > 0
-    return _project_back(xd, w1, b1, gh, need_x)
+    return _project_back(xd, w1, b1, gh)
 
 
 def _check_mlp(op: str, k: int, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> None:
@@ -507,9 +514,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         return Tensor(out)
 
     def pull(g):
-        dx = _mlp_backward(xd, w1, b1, w2, b2, a, g, x.requires_grad)
-        if dx is not None:
-            x._accumulate(dx)
+        x._accumulate(_mlp_backward(xd, w1, b1, w2, b2, a, g))
 
     return custom_op(out, (x, w1, b1, w2, b2), pull)
 
@@ -536,8 +541,7 @@ def concat(xs, axis: int = 0) -> Tensor:
         lead, start = (slice(None),) * axis, 0
         for t in xs:
             stop = start + t.shape[axis]
-            if t.requires_grad:
-                t._accumulate(g[lead + (slice(start, stop),)])
+            t._accumulate(g[lead + (slice(start, stop),)])
             start = stop
 
     return custom_op(out, tuple(xs), pull)
@@ -565,10 +569,9 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         return Tensor(out)
 
     def pull(g):
-        if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            np.add.at(buf, idx, g)
-            x._accumulate(buf)
+        buf = np.zeros_like(x.data)
+        np.add.at(buf, idx, g)
+        x._accumulate(buf)
 
     return custom_op(out, (x,), pull)
 
@@ -621,18 +624,15 @@ def _layer_norm_backward(x, gain: Tensor, bias: Tensor, y, inv, g) -> None:
     each row mean a product with the forward's column of 1/d.
     """
     d = y.shape[-1]
-    if gain.requires_grad:
-        gain._accumulate(_column_sums((g * y).reshape(-1, d)))
-    if bias.requires_grad:
-        bias._accumulate(_column_sums(g.reshape(-1, d)))
-    if x.requires_grad:
-        mean = _column(d, 1.0 / d, y.dtype)
-        gy = g * gain.data
-        dx = gy - gy @ mean
-        gy *= y
-        dx -= y * (gy @ mean)
-        dx *= inv
-        x._accumulate(dx)
+    gain._accumulate(_column_sums((g * y).reshape(-1, d)))
+    bias._accumulate(_column_sums(g.reshape(-1, d)))
+    mean = _column(d, 1.0 / d, y.dtype)
+    gy = g * gain.data
+    dx = gy - gy @ mean
+    gy *= y
+    dx -= y * (gy @ mean)
+    dx *= inv
+    x._accumulate(dx)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -840,12 +840,13 @@ def attention(
     With a tape recording, the node's rule closes over one saved tuple:
     the inputs x, p, memory and positions; the layer norm's normalised rows
     y and 1/std per row; the in-projection outputs and their Q̃, K and V
-    head views; E, den ([n_heads, n, 1]) and the merged heads A, whose head
-    view is O; and which rows and in-projection terms need a gradient,
-    decided when the node is recorded. The backward rebuilds the products'
-    rows with the forward's own `_in_products`, from xn recomputed as
-    y ⊙ gain + bias, so they have the forward's bits; like `linear`, it
-    reads the parameters (and the positions and memory) at backward time.
+    head views; and E, den ([n_heads, n, 1]) and the merged heads A, whose
+    head view is O. The backward hands every input its term, and
+    `Tensor._accumulate` keeps those of the inputs that need a gradient.
+    It rebuilds the products' rows with the forward's own `_in_products`,
+    from xn recomputed as y ⊙ gain + bias, so they have the forward's
+    bits; like `linear`, it reads the parameters (and the positions and
+    memory) at backward time.
     With no tape, the op returns its output and builds no backward rule.
     """
     if not isinstance(p, AttentionParams):
@@ -880,25 +881,13 @@ def attention(
     if active_tape() is None:
         return Tensor(out)
 
-    need_xn = x.requires_grad or gain.requires_grad or bias.requires_grad
-    if memory is not None:
-        need_rows = (need_xn, memory.requires_grad)
-    elif positions is not None:
-        need_rows = (need_xn or positions.requires_grad, need_xn)
-    else:
-        need_rows = (need_xn,)
-    need_in = p.w_in.requires_grad or p.b_in.requires_grad or any(need_rows)
-    saved = (x, p, memory, positions, y, inv, outs, qh, kh, vh, e, den, heads, need_rows, need_in)
+    saved = (x, p, memory, positions, y, inv, outs, qh, kh, vh, e, den, heads)
 
     def pull(g):
-        x, p, memory, positions, y, inv, outs, qh, kh, vh, e, den, heads, need_rows, need_in = saved
-        gain, bias, w_in, b_in = p.gain, p.bias, p.w_in, p.b_in
-        if x.requires_grad:
-            x._accumulate(g)
-        ga = _project_back(heads, p.wo, p.bo, g, need_in)
-        if ga is None:
-            return
-        gh = _split_heads(ga, p)
+        x, p, memory, positions, y, inv, outs, qh, kh, vh, e, den, heads = saved
+        gain, bias = p.gain, p.bias
+        x._accumulate(g)
+        gh = _split_heads(_project_back(heads, p.wo, p.bo, g), p)
         gh /= den
         grads = [np.empty_like(a) for a in outs]
         gq, gk, gv = _head_blocks(grads, p)
@@ -911,30 +900,22 @@ def attention(
         np.matmul(dz.transpose(0, 2, 1), kh, out=gq)
         gq *= p.scale
         dw, db, dr = [], [], []
-        rows = _in_products(_affine(y, gain, bias), p, memory, positions)
-        for (r, w, _), gr, need in zip(rows, grads, need_rows):
-            if w_in.requires_grad:
-                dw.append(r.T @ gr)
-            if b_in.requires_grad:
-                db.append(_column_sums(gr))
-            dr.append(gr @ w.T if need else None)
-        if dw:
-            w_in._accumulate(np.concatenate(dw, axis=1) if len(dw) > 1 else dw[0])
-        if db:
-            b_in._accumulate(np.concatenate(db) if len(db) > 1 else db[0])
+        for (r, w, _), gr in zip(_in_products(_affine(y, gain, bias), p, memory, positions), grads):
+            dw.append(r.T @ gr)
+            db.append(_column_sums(gr))
+            dr.append(gr @ w.T)
+        p.w_in._accumulate(np.concatenate(dw, axis=1) if len(dw) > 1 else dw[0])
+        p.b_in._accumulate(np.concatenate(db) if len(db) > 1 else db[0])
         if memory is not None:
             dxn, dm = dr
-            if dm is not None:
-                memory._accumulate(dm)
+            memory._accumulate(dm)
         elif positions is not None:
             dqk, dv = dr
-            if dqk is not None and positions.requires_grad:
-                positions._accumulate(dqk)
-            dxn = None if dv is None else dv + dqk
+            positions._accumulate(dqk)
+            dxn = dv + dqk
         else:
             (dxn,) = dr
-        if dxn is not None:
-            _layer_norm_backward(x, gain, bias, y, inv, dxn)
+        _layer_norm_backward(x, gain, bias, y, inv, dxn)
 
     extra = tuple(t for t in (memory, positions) if t is not None)
     return custom_op(out, (x, gain, bias, p.w_in, p.b_in, p.wo, p.bo) + extra, pull)
@@ -959,9 +940,8 @@ def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     gradient match the chain bit for bit.
 
     With a tape recording, the node's rule closes over one saved tuple:
-    x and p, the layer norm's normalised rows y and 1/std per row, the relu
-    output a, and whether the layer norm needs a gradient, decided when the
-    node is recorded. The backward recomputes xn as y ⊙ gain + bias and the
+    x and p, the layer norm's normalised rows y and 1/std per row, and the
+    relu output a. The backward recomputes xn as y ⊙ gain + bias and the
     relu mask as a > 0, the forward's own expressions, so both have the
     forward's bits; like `linear`, it reads the parameters at backward
     time. With no tape, the op returns its output and builds no backward
@@ -977,15 +957,13 @@ def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     out += x.data
     if active_tape() is None:
         return Tensor(out)
-    saved = (x, p, y, inv, a, x.requires_grad or gain.requires_grad or bias.requires_grad)
+    saved = (x, p, y, inv, a)
 
     def pull(g):
-        x, p, y, inv, a, need_norm = saved
-        if x.requires_grad:
-            x._accumulate(g)
-        gxn = _mlp_backward(_affine(y, p.gain, p.bias), p.w1, p.b1, p.w2, p.b2, a, g, need_norm)
-        if gxn is not None:
-            _layer_norm_backward(x, p.gain, p.bias, y, inv, gxn)
+        x, p, y, inv, a = saved
+        x._accumulate(g)
+        gxn = _mlp_backward(_affine(y, p.gain, p.bias), p.w1, p.b1, p.w2, p.b2, a, g)
+        _layer_norm_backward(x, p.gain, p.bias, y, inv, gxn)
 
     return custom_op(out, (x, gain, bias, w1, b1, w2, b2), pull)
 

@@ -148,10 +148,8 @@ def box_l1_rows(pred: Tensor, target: Tensor) -> Tensor:
     value, sign = _l1_rows(pred.data, target.data)
 
     def pull(g):
-        if pred.requires_grad:
-            pred._accumulate(g * sign)
-        if target.requires_grad:
-            target._accumulate(-(g * sign))
+        pred._accumulate(g * sign)
+        target._accumulate(-(g * sign))
 
     return ad.custom_op(value, (pred, target), pull)
 
@@ -167,23 +165,21 @@ def _giou_rows(a: np.ndarray, b: np.ndarray):
     return i - empty, (span, sides, union, enclosing, uc, cc, i, empty)
 
 
-def _giou_rows_back(g, a: np.ndarray, b: np.ndarray, geometry, need_a: bool, need_b: bool):
-    """(d a, d b), each [n,4] or None when not asked for, of `_giou_rows`
-    for the output gradient g: an [n] vector, or one scalar for every row."""
+def _giou_rows_back(g, a: np.ndarray, b: np.ndarray, geometry):
+    """d a [n,4] of `_giou_rows(a, b)` for the output gradient g: an [n]
+    vector, or one scalar for every row. The geometry is symmetric in a and
+    b (the union adds the two areas, and addition commutes), so
+    `_giou_rows_back(g, b, a, geometry)` is d b, bit for bit."""
     span, sides, union, enclosing, uc, cc, i, empty = geometry
     d_union = g / cc - g * i / uc * (union > EPS_GUARD)
     d_span = (g / uc - d_union)[:, None] * (span > 0) * np.maximum(0.0, span[:, ::-1])
     d_sides = (g * (empty * (enclosing > EPS_GUARD) - 1.0) / cc)[:, None] * sides[:, ::-1]
-
-    def operand(x_rows, y_rows):
-        x_lo, x_hi = _corners(x_rows)
-        y_lo, y_hi = _corners(y_rows)
-        d_lo = -d_span * (x_lo >= y_lo) - d_sides * (x_lo <= y_lo)
-        d_hi = d_span * (x_hi <= y_hi) + d_sides * (x_hi >= y_hi)
-        d_wh = (d_hi - d_lo) * 0.5 + d_union[:, None] * x_rows[:, 3:1:-1]
-        return np.concatenate([d_lo + d_hi, d_wh], axis=1)
-
-    return operand(a, b) if need_a else None, operand(b, a) if need_b else None
+    a_lo, a_hi = _corners(a)
+    b_lo, b_hi = _corners(b)
+    d_lo = -d_span * (a_lo >= b_lo) - d_sides * (a_lo <= b_lo)
+    d_hi = d_span * (a_hi <= b_hi) + d_sides * (a_hi >= b_hi)
+    d_wh = (d_hi - d_lo) * 0.5 + d_union[:, None] * a[:, 3:1:-1]
+    return np.concatenate([d_lo + d_hi, d_wh], axis=1)
 
 
 def box_giou_rows(pred: Tensor, target: Tensor) -> Tensor:
@@ -204,10 +200,7 @@ def box_giou_rows(pred: Tensor, target: Tensor) -> Tensor:
     value, geometry = _giou_rows(a, b)
 
     def pull(g):
-        da, db = _giou_rows_back(g[:, 0], a, b, geometry, pred.requires_grad, target.requires_grad)
-        if da is not None:
-            pred._accumulate(da)
-        if db is not None:
-            target._accumulate(db)
+        pred._accumulate(_giou_rows_back(g[:, 0], a, b, geometry))
+        target._accumulate(_giou_rows_back(g[:, 0], b, a, geometry))
 
     return ad.custom_op(value[:, None], (pred, target), pull)

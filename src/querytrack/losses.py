@@ -110,8 +110,7 @@ def focal_loss(logits: Tensor, targets: np.ndarray, alpha: float = 0.25, gamma: 
     cells, saved = _focal_cells(logits.data, t, alpha, gamma)
 
     def pull(g):
-        if logits.requires_grad:
-            logits._accumulate(g * _focal_cells_back(saved, gamma))
+        logits._accumulate(g * _focal_cells_back(saved, gamma))
 
     return ad.custom_op(np.sum(cells), (logits,), pull)
 
@@ -206,10 +205,11 @@ def frame_loss(
     )
 
     def pull(g):
-        if logits.requires_grad:
-            logits._accumulate((g * weights.lambda_cls) * _focal_cells_back(focal, gamma))
-        if pairs and boxes.requires_grad:
-            d, _ = _giou_rows_back(-(g * weights.lambda_giou), pred_rows, target_rows, geometry, True, False)
+        logits._accumulate((g * weights.lambda_cls) * _focal_cells_back(focal, gamma))
+        # with no matched row `boxes` is no input of the node: its .grad stays
+        # None, not zeros, so that an optimizer skips it
+        if pairs:
+            d = _giou_rows_back(-(g * weights.lambda_giou), pred_rows, target_rows, geometry)
             d += (g * weights.lambda_l1) * sign
             full = np.zeros_like(boxes.data)
             full[index] = d
@@ -254,7 +254,6 @@ def clip_average_loss(acc: ClipLossAccumulator) -> Tensor:
     def pull(g):
         g = g * c
         for t in terms:
-            if t.requires_grad:
-                t._accumulate(g)
+            t._accumulate(g)
 
     return ad.custom_op(total * c, terms, pull)

@@ -139,7 +139,8 @@ class QuerySet:
     decoder input rows that produced them: the temporal aggregation layer
     adds them to its query and key, and a block without positions gets no
     positional term. The model appends its own detect block. Embeddings
-    and positions that are not `Tensor`s raise a TypeError naming them.
+    and positions that are not `Tensor`s, and records that are not
+    `QueryRecord`s, raise a TypeError naming them.
     """
 
     embeddings: Tensor
@@ -151,6 +152,9 @@ class QuerySet:
             t = getattr(self, name)
             if not (isinstance(t, Tensor) or name == "positions" and t is None):
                 raise TypeError(f"track block {name} must be a Tensor, got a {type(t).__name__}")
+        for r in self.records:
+            if not isinstance(r, QueryRecord):
+                raise TypeError(f"track block records must be QueryRecords, got a {type(r).__name__}")
         if self.embeddings.data.ndim != 2:
             raise ValueError(f"track block embeddings need [n, d] rows, got shape {self.embeddings.shape}")
         if self.embeddings.shape[0] != len(self.records):

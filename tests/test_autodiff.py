@@ -126,7 +126,8 @@ class TestMlp:
         assert w2.grad[1].tolist() == [0.0] * 2
 
     def test_only_the_second_layer_needs_a_gradient(self):
-        # the backward stops after w2 and b2: nothing upstream asks for gh
+        # only w2 and b2 keep a gradient: `_accumulate` drops the terms the
+        # backward hands x, w1 and b1
         rng = np.random.default_rng(33)
         x, w1, b1, w2, b2 = self.inputs(rng)
         w2.requires_grad = b2.requires_grad = True
@@ -455,35 +456,42 @@ class TestAttentionOp:
         for i, (a, b) in enumerate(zip(fused_grads, ref_grads)):
             assert np.array_equal(a, b), i
 
-    @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
+    @pytest.mark.parametrize("mode", ["self", "positions", "memory", "feed_forward"])
     def test_each_input_gets_its_gradient_alone(self, mode):
         # the query, key and value row gradients reach x (through the layer
-        # norm), the positions or the memory whichever inputs need one: an
+        # norm), the positions or the memory, and the feed-forward net's
+        # reach x through its layer norm, whichever inputs need one: an
         # input's gradient is the same bits alone as with all the others,
         # and an input that needs none gets none
         rng = np.random.default_rng(70)
         n, m, d = 4, 6, 8
-        extra = {"self": {}, "positions": {"positions": (n, d)}, "memory": {"memory": (m, d)}}[mode]
-        proj = PROJ_NAMES
+        extra = {"positions": {"positions": (n, d)}, "memory": {"memory": (m, d)}}.get(mode, {})
         arrays = {"x": rng.standard_normal((n, d))}
         arrays["gain"], arrays["bias"] = (t.data for t in random_norm(rng, d))
         arrays.update({name: rng.standard_normal(shape) for name, shape in extra.items()})
-        arrays.update(zip(proj, (t.data for t in random_proj(rng, d))))
+        if mode == "feed_forward":
+            params = ["w1", "b1", "w2", "b2"]
+            arrays.update(zip(params, (rng.standard_normal(s) for s in [(d, 2 * d), (2 * d,), (2 * d, d), (d,)])))
+        else:
+            params = PROJ_NAMES
+            arrays.update(zip(params, (t.data for t in random_proj(rng, d))))
         w = rng.standard_normal((n, d))
 
         def grads(needs):
             ts = {name: Tensor(a, requires_grad=name in needs) for name, a in arrays.items()}
+            norm, net = (ts["gain"], ts["bias"]), [ts[name] for name in params]
             with Tape() as tape:
-                out = ad.attention(
-                    ts["x"], ad.AttentionParams(ts["gain"], ts["bias"], *[ts[name] for name in proj], 2),
-                    **{name: ts[name] for name in extra},
-                )
+                if mode == "feed_forward":
+                    out = ad.feed_forward(ts["x"], ad.FeedForwardParams(*norm, *net))
+                else:
+                    out = ad.attention(ts["x"], ad.AttentionParams(*norm, *net, 2),
+                                       **{name: ts[name] for name in extra})
                 loss = weighted_sum(out, w)
             tape.backward(loss)
             return {name: t.grad for name, t in ts.items()}
 
         every = grads(set(arrays))
-        for needs in [{name} for name in arrays] + [{"x", "w_in"}, {*extra, "gain", "b_in"}]:
+        for needs in [{name} for name in arrays] + [{"x", params[0]}, {*extra, "gain", params[1]}]:
             for name, g in grads(needs).items():
                 if name in needs:
                     assert np.array_equal(g, every[name]), (needs, name)
@@ -1027,12 +1035,17 @@ class TestBackward:
     def test_gradient_term_of_another_shape_rejected(self):
         # `+=` would broadcast a smaller term over the whole gradient unseen,
         # and a first term of another shape would be stored as the gradient
-        x = Tensor(np.zeros((2, 3)), requires_grad=True)
-        for g in (np.ones(()), np.ones(3), np.ones((1, 2, 3))):
-            message = f"a float64 gradient term of shape {g.shape} for a float64 tensor of shape (2, 3)"
-            with pytest.raises(ad.GradientError, match=re.escape(message)):
-                x._accumulate(g)
+        # (and a tensor that needs no gradient still rejects one: the check
+        # comes before the term is dropped)
+        x, frozen = Tensor(np.zeros((2, 3)), requires_grad=True), Tensor(np.zeros((2, 3)))
+        for t in (x, frozen):
+            for g in (np.ones(()), np.ones(3), np.ones((1, 2, 3))):
+                message = f"a float64 gradient term of shape {g.shape} for a float64 tensor of shape (2, 3)"
+                with pytest.raises(ad.GradientError, match=re.escape(message)):
+                    t._accumulate(g)
         assert x.grad is None
+        frozen._accumulate(np.ones((2, 3)))
+        assert frozen.grad is None
         x._accumulate(np.ones((2, 3)))
         with pytest.raises(ad.GradientError, match=r"float64 gradient term of shape \(3,\) for a float64 tensor"):
             x._accumulate(np.ones(3))
@@ -1041,11 +1054,16 @@ class TestBackward:
     def test_gradient_term_of_another_dtype_rejected(self):
         # a float64 first term would be stored as a float32 tensor's
         # gradient, and a later one `+=` would cast down unseen
+        # (and a tensor that needs no gradient still rejects one)
         x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+        frozen = Tensor(np.zeros((2, 3), dtype=np.float32))
         message = "a float64 gradient term of shape (2, 3) for a float32 tensor of shape (2, 3)"
-        with pytest.raises(ad.GradientError, match=re.escape(message)):
-            x._accumulate(np.ones((2, 3)))
+        for t in (x, frozen):
+            with pytest.raises(ad.GradientError, match=re.escape(message)):
+                t._accumulate(np.ones((2, 3)))
         assert x.grad is None
+        frozen._accumulate(np.ones((2, 3), dtype=np.float32))
+        assert frozen.grad is None
         x._accumulate(np.ones((2, 3), dtype=np.float32))
         with pytest.raises(ad.GradientError, match=re.escape(message)):
             x._accumulate(np.ones((2, 3)))

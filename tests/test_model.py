@@ -579,6 +579,11 @@ class TestQuerySet:
         with pytest.raises(TypeError, match=rf"^track block {field} must be a Tensor, got a ndarray$"):
             QuerySet(records=[QueryRecord("track", 1), QueryRecord("track", 2)], **rows)
 
+    def test_records_must_be_query_records(self):
+        # unchecked, ints failed in the duplicate-id check as a bare AttributeError
+        with pytest.raises(TypeError, match=r"^track block records must be QueryRecords, got a int$"):
+            QuerySet(Tensor(np.zeros((2, 8), np.float32)), [1, 2])
+
     def test_positions_shape_must_match_embeddings(self):
         emb = Tensor(np.zeros((2, 4)))
         for shape in [(1, 4), (2, 3), (8,)]:

@@ -94,7 +94,7 @@ def test_float32_after_float64_at_the_same_width_stays_float32():
 def test_float32_tape_holds_only_float32(monkeypatch):
     # two frames, the second carrying a track block with positions, through
     # the frame loss, the clip average and backward
-    outputs, gradients = [], []
+    outputs, gradients, dropped = [], [], []
     record, accumulate = Tape.record, Tensor._accumulate
 
     def spy_record(tape, out, pull):
@@ -107,7 +107,10 @@ def test_float32_tape_holds_only_float32(monkeypatch):
         record(tape, out, spy_pull)
 
     def spy_accumulate(t, g):
-        gradients.append(np.asarray(g).dtype)
+        if t.requires_grad:
+            gradients.append(np.asarray(g).dtype)
+        else:
+            dropped.append((t, np.asarray(g).dtype))
         accumulate(t, g)
 
     monkeypatch.setattr(Tape, "record", spy_record)
@@ -131,11 +134,14 @@ def test_float32_tape_holds_only_float32(monkeypatch):
     tape.backward(loss)
     # 30 nodes: the first frame's 11 and its loss, the 2 carried gathers,
     # the second frame's 14 and its loss, the clip average. Every node gets
-    # a gradient (30), and 140 terms reach tensors through `_accumulate`:
-    # 44 into op outputs (each frame's loss hands its logits and its boxes
-    # one term each) and 96 into the parameters' view leaves
+    # a gradient (30), and 140 terms reach tensors that require a gradient
+    # through `_accumulate`: 44 into op outputs (each frame's loss hands its
+    # logits and its boxes one term each) and 96 into the parameters' view
+    # leaves. `_accumulate` drops the terms of tensors that need none: the
+    # patch embedding's `add` hands the positional table one per frame
     assert len(outputs) == 30 and set(outputs) == {np.dtype(np.float32)}
     assert len(gradients) == 30 + 44 + 96 and set(gradients) == {np.dtype(np.float32)}
+    assert [(t is model._pos, dtype) for t, dtype in dropped] == [(True, np.dtype(np.float32))] * 2
     grads = [p.grad for p in model.params.values()]
     assert all(g is not None for g in grads)
     assert {g.dtype for g in grads} == {np.dtype(np.float32)}
