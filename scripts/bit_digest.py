@@ -11,8 +11,12 @@ drivers and the clip generator), writes no bytecode into it, and prints:
 
 - for float32 and float64, on the train_clip and train_crowded
   workloads' model configs, one line per step of `N_STEPS`
-  `drivers.train_step`s on fixed-seed clips: the loss as a float hex, and
-  the sha256 of θ and of the group gradients after the step;
+  `drivers.train_step`s on fixed-seed clips: the loss as a float hex, the
+  sha256 of θ and of the group gradients after the step, and the sha256
+  of every frame's newborn match cost and chosen pairs, the cost rebuilt
+  from the step's `matches` with the checkout's
+  `assignment.build_match_cost` and `drivers.WEIGHTS` (so a kernel change
+  that moves the cost's bits but keeps the chosen pairs shows too);
 - one line for a `STREAM_FRAMES`-frame `drivers.track_frame` stream on
   track_stream's config: the sha256 of its logits, boxes and hidden rows.
 
@@ -60,6 +64,16 @@ def _sha(arrays) -> str:
     return h.hexdigest()
 
 
+def match_arrays(drivers, matches):
+    """Per frame of one step, the newborn match cost [n_detect, n_newborn]
+    and the chosen (slot, identity) pairs as an int64 [k, 2] array."""
+    import numpy as np  # here, not at the top: `main` fixes the BLAS threads before numpy loads
+
+    for frame in matches:
+        yield drivers.assignment.build_match_cost(frame.probs, frame.boxes, frame.newborn, drivers.WEIGHTS)
+        yield np.array(frame.chosen.pairs, dtype=np.int64).reshape(-1, 2)
+
+
 def train_lines(bench, w) -> list[str]:
     """`N_STEPS` training steps of the workload `w` per dtype, one line each."""
     lines = []
@@ -68,9 +82,12 @@ def train_lines(bench, w) -> list[str]:
         optimizer = bench.drivers.Adam(model.parameters())
         for k in range(N_STEPS):
             clip = bench.make_clip(bench.clip_seed(CLIP_SEED, k), w.n_frames, w.n_objects, w.cfg.image_size)
-            loss = bench.drivers.train_step(model, clip, optimizer).loss
+            result = bench.drivers.train_step(model, clip, optimizer)
             grads = _sha(g.grad for g in model.parameters().values())
-            lines.append(f"{w.name} {dtype} step {k} loss {loss.hex()} theta {_sha([model.theta])} grads {grads}")
+            lines.append(
+                f"{w.name} {dtype} step {k} loss {result.loss.hex()} theta {_sha([model.theta])} "
+                f"grads {grads} matches {_sha(match_arrays(bench.drivers, result.matches))}"
+            )
     return lines
 
 

@@ -62,6 +62,7 @@ import threading
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -103,6 +104,13 @@ def _is_integer(value) -> bool:
     package's one integer test, for head counts here, track ids in `model`
     and slots and identities in `assignment`."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number (a Python or numpy int or float), and not a bool: the
+    package's one test for a scalar it reads as a number, a loss weight in
+    `losses` or a `Box` field in `boxes`."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 class _TapeStack(threading.local):
@@ -519,29 +527,26 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return custom_op(out, (x, w1, b1, w2, b2), pull)
 
 
-def concat(xs, axis: int = 0) -> Tensor:
-    """Join tensors of one dtype along `axis`; a negative axis counts from
-    the last, as in numpy. Every other axis must have the same size."""
+def concat(xs) -> Tensor:
+    """Stack [n_i, k] row blocks of one width k and one dtype into one
+    [Σ n_i, k] tensor, in order; backward hands each block its rows of g.
+    Anything else, no blocks included, raises a ShapeError naming the
+    shapes. The model's one caller, `decode`, stacks the track rows over
+    the detect rows."""
     xs = list(xs)
-    if not xs:
-        raise ShapeError("concat needs at least one tensor")
-    ndim = xs[0].data.ndim
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"concat axis {axis} is out of range for shape {xs[0].shape}")
-    axis %= ndim
-    if any(t.data.ndim != ndim for t in xs) or len({t.shape[:axis] + t.shape[axis + 1:] for t in xs}) > 1:
-        raise ShapeError(f"concat needs equal sizes off axis {axis}, got shapes {[t.shape for t in xs]}")
+    if not xs or any(t.data.ndim != 2 for t in xs) or len({t.shape[1] for t in xs}) > 1:
+        raise ShapeError(f"concat needs [n,k] row blocks of one width, got shapes {[t.shape for t in xs]}")
     _check_dtypes(xs, "concat")
-    out = np.concatenate([t.data for t in xs], axis=axis)
+    out = np.concatenate([t.data for t in xs])
     if active_tape() is None:
         return Tensor(out)
 
     def pull(g):
-        # each input's gradient is a view of g, taken as a slice
-        lead, start = (slice(None),) * axis, 0
+        # each block's gradient is a view of g, its rows
+        start = 0
         for t in xs:
-            stop = start + t.shape[axis]
-            t._accumulate(g[lead + (slice(start, stop),)])
+            stop = start + t.shape[0]
+            t._accumulate(g[start:stop])
             start = stop
 
     return custom_op(out, tuple(xs), pull)
@@ -591,7 +596,7 @@ def _check_norm(d: int, gain: Tensor, bias: Tensor, op: str) -> None:
 
 
 def _layer_norm_forward(xd: np.ndarray, gain: Tensor, bias: Tensor):
-    """(output, normalised rows y, 1/std per row) of the layer norm over the last axis.
+    """(output, normalised rows y, 1/std per row) of the layer norm of [n, d] rows xd.
 
     The row mean and the variance are each one product with a [d,1] column
     of 1/d in xd's dtype: numpy's reductions along a short last axis run
@@ -616,16 +621,17 @@ def _affine(y: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
 
 
 def _layer_norm_backward(x, gain: Tensor, bias: Tensor, y, inv, g) -> None:
-    """Accumulate the gain, bias and x terms of the layer norm, in that order.
+    """Accumulate the gain, bias and x terms of the layer norm of [n, d]
+    rows, in that order.
 
     dgain = column sums of g ⊙ y, dbias = column sums of g (each a
-    `_column_sums` product over the rows of every leading axis), and with
-    gy = g ⊙ gain: dx = (gy − rowmean(gy) − y ⊙ rowmean(gy ⊙ y)) ⊙ inv,
-    each row mean a product with the forward's column of 1/d.
+    `_column_sums` product), and with gy = g ⊙ gain:
+    dx = (gy − rowmean(gy) − y ⊙ rowmean(gy ⊙ y)) ⊙ inv, each row mean a
+    product with the forward's column of 1/d.
     """
-    d = y.shape[-1]
-    gain._accumulate(_column_sums((g * y).reshape(-1, d)))
-    bias._accumulate(_column_sums(g.reshape(-1, d)))
+    d = y.shape[1]
+    gain._accumulate(_column_sums(g * y))
+    bias._accumulate(_column_sums(g))
     mean = _column(d, 1.0 / d, y.dtype)
     gy = g * gain.data
     dx = gy - gy @ mean
@@ -636,14 +642,16 @@ def _layer_norm_backward(x, gain: Tensor, bias: Tensor, y, inv, g) -> None:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+    """Normalize each row of x [n, d] to zero mean / unit variance, then
+    the affine gain [d] and bias [d] -> [n, d], as one op.
 
-    x needs at least one axis. The variance gets `_NORM_EPS` added, as in
-    every fused sublayer's layer norm.
+    x takes [n, d] rows, as `linear`, `mlp`, `attention` and
+    `feed_forward` do; anything else raises a ShapeError. The variance
+    gets `_NORM_EPS` added, as in every fused sublayer's layer norm.
     """
-    if x.data.ndim == 0:
-        raise ShapeError("layer_norm needs at least one axis to normalise, got a 0-d tensor")
-    _check_norm(x.shape[-1], gain, bias, "layer_norm")
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm needs x [n,d], got {x.shape}")
+    _check_norm(x.shape[1], gain, bias, "layer_norm")
     out, y, inv = _layer_norm_forward(x.data, gain, bias)
     if active_tape() is None:
         return Tensor(out)

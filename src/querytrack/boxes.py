@@ -7,13 +7,14 @@ that turns Boxes into rows.
 
 The overlap geometry (corners, per-axis spans, enclosing sides and the
 intersection, union and enclosing areas) is written once, in `_overlap`,
-over broadcastable `[..., 4]` rows, and GIoU once, in the row kernel
-`_giou_rows`. Two surfaces sit on them: the pairwise numpy kernels
-`iou`/`giou`/`l1_box` (`[m,4] x [n,4] -> [m,n]`) for matching costs and
-metrics, and `box_giou_rows`, one differentiable tape op over aligned rows
-(`[n,4] x [n,4] -> [n,1]`). `box_l1_rows` is its L1 counterpart, also one
-tape op. Pairwise `giou` is `_giou_rows` on the rows broadcast as
-`[m,1,4]` and `[1,n,4]`, so it equals `box_giou_rows` bit for bit. The row
+over broadcastable `[..., 4]` rows, and L1 and GIoU once each, in the row
+kernels `_l1_rows` and `_giou_rows`. Two surfaces sit on them: the
+pairwise numpy kernels `iou`/`giou`/`l1_box` (`[m,4] x [n,4] -> [m,n]`)
+for matching costs and metrics, and the differentiable tape ops
+`box_l1_rows` and `box_giou_rows`, one node each over aligned rows
+(`[n,4] x [n,4] -> [n,1]`). Pairwise `giou` and `l1_box` are the row
+kernels on the rows broadcast as `[m,1,4]` and `[1,n,4]`, so their
+diagonals equal `box_giou_rows` and `box_l1_rows` bit for bit. The row
 ops' arithmetic is the kernels `_l1_rows`, `_giou_rows` and
 `_giou_rows_back`, which `losses.frame_loss` calls too, on all of a
 frame's matched rows at once. Both surfaces divide by union and enclosing
@@ -41,8 +42,9 @@ class Box:
     """Axis-aligned box as (cx, cy, w, h), normalized to the image extent.
 
     The annotation record of one ground-truth object. Every field must be
-    finite. Centers may straddle borders; w and h must be nonnegative and
-    within a loose sanity bound. The box code itself takes `[m,4]` rows.
+    a finite real number, not a bool, else a ValueError names it. Centers
+    may straddle borders; w and h must be nonnegative and within a loose
+    sanity bound. The box code itself takes `[m,4]` rows.
     """
 
     cx: float
@@ -51,9 +53,11 @@ class Box:
     h: float
 
     def __post_init__(self):
-        if not (isfinite(self.cx) and isfinite(self.cy) and isfinite(self.w) and isfinite(self.h)):
-            name = next(n for n in ("cx", "cy", "w", "h") if not isfinite(getattr(self, n)))
-            raise ValueError(f"box {name} must be finite, got {getattr(self, name)}")
+        for name in ("cx", "cy", "w", "h"):
+            value = getattr(self, name)
+            # the type before the value: isfinite takes True as 1 and raises a TypeError on a str
+            if not (ad._is_real(value) and isfinite(value)):
+                raise ValueError(f"box {name} must be finite, a real number and not a bool, got {value!r}")
         if self.w < 0 or self.h < 0:
             raise ValueError(f"box sides must be nonnegative, got w={self.w} h={self.h}")
         if self.w > 2 or self.h > 2:
@@ -116,9 +120,9 @@ def giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def l1_box(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise sum of absolute coordinate differences in (cx, cy, w, h)."""
-    a, b = _pairwise("l1_box", a, b)
-    return np.abs(a - b).sum(axis=-1)
+    """Pairwise sum of absolute coordinate differences in (cx, cy, w, h),
+    as `_l1_rows` on the broadcast rows, so its diagonal is `box_l1_rows`."""
+    return _l1_rows(*_pairwise("l1_box", a, b))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -132,26 +136,35 @@ def _check_rows(op: str, pred: Tensor, target: Tensor) -> None:
 
 
 def _l1_rows(a: np.ndarray, b: np.ndarray):
-    """(L1 distance [n,1], sign(a − b) [n,4]) of aligned [n,4] rows a and b:
-    the value of `box_l1_rows` and what its backward multiplies by."""
+    """(L1 distance [...], difference a − b [..., 4]) of [..., 4] rows a and
+    b, broadcast against each other: aligned [n,4] rows give `box_l1_rows`'s
+    value, whose backward multiplies by sign(a − b), and [m,1,4] and
+    [1,n,4] rows the pairwise [m,n] `l1_box`. The four absolute gaps are
+    summed by column adds, in coordinate order: the same bits as numpy's
+    reduction over the 4-wide last axis, which took 139 µs against 76 µs
+    for pairwise [116,4] x [40,4] rows (float64, one BLAS thread)."""
     diff = a - b
-    return np.abs(diff).sum(axis=1, keepdims=True), np.sign(diff)
+    gap = np.abs(diff)
+    return gap[..., 0] + gap[..., 1] + gap[..., 2] + gap[..., 3], diff
 
 
 def box_l1_rows(pred: Tensor, target: Tensor) -> Tensor:
-    """Row-wise coordinate L1 distance between [n,4] box tensors -> [n,1], as one op.
+    """Row-wise coordinate L1 distance between [n,4] box tensors -> [n,1], as
+    one op: `_l1_rows` on the aligned rows.
 
     Backward, for the output gradient g: g · sign(pred − target) for the
-    prediction and its negation for the target.
+    prediction and its negation for the target, the sign taken from the
+    saved difference when the backward runs.
     """
     _check_rows("box_l1_rows", pred, target)
-    value, sign = _l1_rows(pred.data, target.data)
+    value, diff = _l1_rows(pred.data, target.data)
 
     def pull(g):
-        pred._accumulate(g * sign)
-        target._accumulate(-(g * sign))
+        d = g * np.sign(diff)
+        pred._accumulate(d)
+        target._accumulate(-d)
 
-    return ad.custom_op(value, (pred, target), pull)
+    return ad.custom_op(value[:, None], (pred, target), pull)
 
 
 def _giou_rows(a: np.ndarray, b: np.ndarray):

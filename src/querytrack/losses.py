@@ -23,7 +23,6 @@ and GIoU clamps degenerate boxes as the matching kernels do (`boxes`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from numbers import Real
 
 import numpy as np
 
@@ -62,7 +61,7 @@ class LossWeights:
         for f in fields(self):
             value, alpha = getattr(self, f.name), f.name == "focal_alpha"
             # the type before the range: True passes it as 1 and "2" raises a TypeError; NaN fails it
-            if isinstance(value, bool) or not isinstance(value, Real) or not (
+            if not ad._is_real(value) or not (
                 0 <= value <= 1 if alpha else 0 <= value < float("inf")
             ):
                 want = "a real number in [0, 1]" if alpha else "a finite, nonnegative real number"
@@ -152,13 +151,14 @@ def frame_loss(
 
     over the block's rows, or its first term alone without matched rows.
     Its backward, for the output gradient g, adds (g·λ_cls)·dfocal into
-    every logit row, and d = dGIoU(−(g·λ_GIoU)), then d += (g·λ_L1)·sign,
-    into the matched box rows. These are the products of the unfused chain
-    this node stands for (per block a row slice, `focal_loss`,
-    `gather_rows`, `box_l1_rows`, `box_giou_rows` and a weighting of scale
-    and `add` nodes, then one `add` of the two blocks; the tests write it
-    out with test-local slice and scale ops), in its order, so the value
-    and both gradients match that chain bit for bit.
+    every logit row, and d = dGIoU(−(g·λ_GIoU)), then
+    d += (g·λ_L1)·sign(pred − target), into the matched box rows. These
+    are the products of the unfused chain this node stands for (per block
+    a row slice, `focal_loss`, `gather_rows`, `box_l1_rows`,
+    `box_giou_rows` and a weighting of scale and `add` nodes, then one
+    `add` of the two blocks; the tests write it out with test-local slice
+    and scale ops), in its order, so the value and both gradients match
+    that chain bit for bit.
     """
     n_track = preds.n_track
     n_total, n_classes = preds.class_logits.shape
@@ -186,7 +186,7 @@ def frame_loss(
     cells, focal = _focal_cells(logits.data, class_targets, weights.focal_alpha, gamma)
     pred_rows = boxes.data[index]
     target_rows = gt_rows[matched_gt].astype(boxes.data.dtype, copy=False)
-    l1, sign = _l1_rows(pred_rows, target_rows)
+    l1, diff = _l1_rows(pred_rows, target_rows)
     giou, geometry = _giou_rows(pred_rows, target_rows)
 
     def block_total(own: slice, matched: slice):
@@ -210,7 +210,7 @@ def frame_loss(
         # None, not zeros, so that an optimizer skips it
         if pairs:
             d = _giou_rows_back(-(g * weights.lambda_giou), pred_rows, target_rows, geometry)
-            d += (g * weights.lambda_l1) * sign
+            d += (g * weights.lambda_l1) * np.sign(diff)
             full = np.zeros_like(boxes.data)
             full[index] = d
             boxes._accumulate(full)
@@ -246,9 +246,7 @@ def clip_average_loss(acc: ClipLossAccumulator) -> Tensor:
     if not acc.frames:
         raise ValueError("loss accumulator has no frames")
     terms = tuple(f.loss for f in acc.frames)
-    total = terms[0].data
-    for t in terms[1:]:
-        total = total + t.data
+    total = sum(t.data for t in terms)
     c = 1.0 / max(acc.total_objects, 1)
 
     def pull(g):

@@ -110,10 +110,6 @@ class ModelConfig:
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
 
-    @property
-    def tokens_per_side(self) -> int:
-        return self.image_size // self.patch_size
-
 
 @dataclass(frozen=True)
 class QueryRecord:
@@ -422,7 +418,7 @@ class TrackingModel:
             stop = start + sum(v.data.size for v in views)
             self._groups[group_name] = ad.leaf_group(self.theta[start:stop], views)
             start = stop
-        side = cfg.tokens_per_side
+        side = cfg.image_size // cfg.patch_size
         self._pos = Tensor(sine_positions_2d(side, side, d).astype(cfg.dtype))
         return f.inits
 
@@ -504,7 +500,7 @@ class TrackingModel:
         queries = self.detect_queries
         if track_queries is not None:
             self._check_rows("track queries", track_queries)
-            queries = ad.concat([track_queries, queries], axis=0)
+            queries = ad.concat([track_queries, queries])
         x = queries
         for self_attn, cross_attn, ffn in self.decoder_layers:
             x = multi_head_attention(x, self_attn)
@@ -529,6 +525,10 @@ class TrackingModel:
 
 _MAGIC = b"QTCK"
 _VERSION = 3
+# the header's entries besides its config, in the order they are checked:
+# (key, the one Python type `json.loads` gives a valid value, its wording
+# in the error); `type(...) is int` refuses true and 1.0 as a crc32
+_HEADER_ENTRIES = (("params", list, "a list"), ("extra", dict, "a JSON object"), ("crc32", int, "an integer"))
 
 
 def _payload_dtype(cfg: ModelConfig) -> np.dtype:
@@ -586,10 +586,13 @@ def save_checkpoint(path, model: TrackingModel, extra: dict | None = None) -> No
 def load_checkpoint(path) -> tuple[TrackingModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, extra metadata).
 
-    The model's layout is built without drawing initial values; the
-    header's manifest must equal that layout's, entry for entry and as JSON
-    (so a shape of 8.0 or true is not 8 or 1), and the payload is read
-    into θ.
+    The header must be a JSON object with a valid config and the entries
+    of `_HEADER_ENTRIES`, each of its type; the first that is missing or of
+    another type raises a ValueError naming it. The model's layout is built
+    without drawing initial values; the header's manifest must equal that
+    layout's, entry for entry and as JSON (so a shape of 8.0 or true is not
+    8 or 1), and the payload is read into θ, whose checksum must be the
+    header's crc32.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
@@ -613,20 +616,12 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
             cfg = ModelConfig(**header["config"])
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: invalid config in header: {e!r}") from e
-        for key in ("params", "extra", "crc32"):
+        for key, kind, wording in _HEADER_ENTRIES:
             if key not in header:
                 raise ValueError(f"{path}: header has no {key!r} entry")
-        if type(header["crc32"]) is not int:
-            raise ValueError(
-                f"{path}: header 'crc32' is a {type(header['crc32']).__name__}, not an integer"
-            )
-        if not isinstance(header["extra"], dict):
-            raise ValueError(
-                f"{path}: header 'extra' is a {type(header['extra']).__name__}, not a JSON object"
-            )
+            if type(header[key]) is not kind:
+                raise ValueError(f"{path}: header {key!r} is a {type(header[key]).__name__}, not {wording}")
         manifest = header["params"]
-        if not isinstance(manifest, list):
-            raise ValueError(f"{path}: header 'params' is a {type(manifest).__name__}, not a list")
         model = TrackingModel.__new__(TrackingModel)
         model._build(cfg)
         layout = _manifest(model)

@@ -19,12 +19,7 @@ from querytrack.autodiff import ShapeError, Tensor
 def scale(x: Tensor, c: float) -> Tensor:
     """x · c for a Python float c; backward hands x g · c."""
     c = float(c)
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(g * c)
-
-    return ad.custom_op(x.data * c, (x,), pull)
+    return ad.custom_op(x.data * c, (x,), lambda g: x._accumulate(g * c))
 
 
 def total(x: Tensor) -> Tensor:
@@ -35,12 +30,7 @@ def total(x: Tensor) -> Tensor:
 def weighted_sum(x: Tensor, w) -> Tensor:
     """sum(x * w) for a constant array (or number) w, taken as float64, as one tape op."""
     w = np.asarray(w, dtype=np.float64)
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g * w, x.shape))
-
-    return ad.custom_op(np.sum(x.data * w), (x,), pull)
+    return ad.custom_op(np.sum(x.data * w), (x,), lambda g: x._accumulate(np.broadcast_to(g * w, x.shape)))
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -51,9 +41,8 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index = (slice(None),) * (axis % ndim) + (slice(start, stop),)
 
     def pull(g):
-        if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            buf[index] = g
-            x._accumulate(buf)
+        buf = np.zeros_like(x.data)
+        buf[index] = g
+        x._accumulate(buf)
 
     return ad.custom_op(x.data[index].copy(), (x,), pull)

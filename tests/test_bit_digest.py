@@ -6,6 +6,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tiny import TINY
@@ -34,7 +35,7 @@ def test_digest_of_the_tiny_model_is_one_line_per_step_and_repeats_bit_for_bit(m
     bench = bit_digest.load(ROOT)
     lines = bit_digest.digest_lines(bench, tiny_workloads(bench))
     steps = [
-        rf"{name} {dtype} step {k} loss -?0x[0-9a-f.]+p[+-]\d+ theta {SHA} grads {SHA}"
+        rf"{name} {dtype} step {k} loss -?0x[0-9a-f.]+p[+-]\d+ theta {SHA} grads {SHA} matches {SHA}"
         for name in ("train_clip", "train_crowded")
         for dtype in ("float32", "float64")
         for k in range(bit_digest.N_STEPS)
@@ -47,6 +48,24 @@ def test_digest_of_the_tiny_model_is_one_line_per_step_and_repeats_bit_for_bit(m
     thetas = [line.split()[7] for line in lines[:-1]]
     assert len(set(thetas)) == len(thetas)
     assert bit_digest.digest_lines(bench, tiny_workloads(bench)) == lines
+
+
+def test_match_arrays_are_each_frames_cost_and_chosen_pairs(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = bit_digest.load(ROOT)
+    w = tiny_workloads(bench)["train_crowded"]
+    model = bench.TrackingModel(w.cfg, seed=bench.MODEL_SEED)
+    clip = bench.make_clip(bench.clip_seed(bit_digest.CLIP_SEED, 0), w.n_frames, w.n_objects, w.cfg.image_size)
+    matches = bench.drivers.train_step(model, clip, bench.drivers.Adam(model.parameters())).matches
+    arrays = list(bit_digest.match_arrays(bench.drivers, matches))
+    assert len(arrays) == 2 * len(matches) == 2 * w.n_frames
+    assert any(frame.chosen.pairs for frame in matches)
+    for frame, cost, pairs in zip(matches, arrays[::2], arrays[1::2]):
+        assert cost.shape == (w.cfg.n_detect_queries, len(frame.newborn))
+        # the cost the matcher minimised: the chosen pairs are its optimum
+        assert pairs.dtype == np.int64 and pairs.shape == (len(frame.chosen), 2)
+        assert [tuple(p) for p in pairs.tolist()] == list(frame.chosen.pairs)
+        assert bench.drivers.check_matching(frame) == []
 
 
 def test_a_checkout_other_than_the_imported_one_is_refused(tmp_path, monkeypatch):

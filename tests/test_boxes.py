@@ -209,12 +209,8 @@ class TestPairwiseKernels:
     def test_diagonal_matches_tensor_rows(self):
         boxes_a, boxes_b = self.sets(9, m=12, n=12)
         ta, tb = Tensor(boxes_a), Tensor(boxes_b)
-        np.testing.assert_allclose(
-            np.diag(giou(boxes_a, boxes_b)), box_giou_rows(ta, tb).data[:, 0], rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            np.diag(l1_box(boxes_a, boxes_b)), box_l1_rows(ta, tb).data[:, 0], rtol=0, atol=1e-12
-        )
+        np.testing.assert_array_equal(np.diag(giou(boxes_a, boxes_b)), box_giou_rows(ta, tb).data[:, 0])
+        np.testing.assert_array_equal(np.diag(l1_box(boxes_a, boxes_b)), box_l1_rows(ta, tb).data[:, 0])
 
     def test_tiny_identical_boxes_clamp_as_the_rows_do(self):
         # union 1e-14 is below EPS_GUARD: unclamped, the pairwise IoU was
@@ -253,6 +249,12 @@ def test_invalid_boxes_rejected():
         ((math.inf, 0.5, 0.1, 0.1), "cx"),
         ((0.5, -math.inf, 0.1, 0.1), "cy"),
         ((0.5, 0.5, 0.1, math.nan), "h"),
+        # not real numbers: a bool passed as 1 or 0, and isfinite raised a bare TypeError on the rest
+        ((True, 0.5, 0.1, 0.1), "cx"),
+        ((0.5, 0.5, False, 0.1), "w"),
+        ((0.5, 0.5, 0.1, np.True_), "h"),
+        (("0.5", 0.5, 0.1, 0.1), "cx"),
+        ((0.5, None, 0.1, 0.1), "cy"),
     ],
 )
 def test_non_finite_boxes_rejected(args, field):
