@@ -17,9 +17,13 @@ After the runs it prints one line per end-to-end metric of the parent's
 BENCHMARK.json: the parent's and the change's median (in full, so a
 bit-identical `loss_end` reads the same), the parent's quartile spread
 (third quartile minus first), in how many pairs the change was strictly
-better by the metric's `better` (and in how many the two tied), and
-whether the change's median is within the metric's `bound`, a fraction of
-the parent's median. Pairs with a bad run are left out of the summary.
+better by the metric's `better` (and in how many the two tied), whether
+a gain is claimable, and whether the change's median is within the
+metric's `bound`, a fraction of the parent's median. A gain is claimable
+when the change's median is better, the change won at least 9 of every 10
+pairs (a tie is no win), and the gap between the medians is larger than
+the parent's quartile spread. Pairs with a bad run are left out of the
+summary.
 The script exits 1 when any run crashed, read `correct: false` or had
 `failed` > 0, and 0 otherwise: it reports the bounds, it does not enforce
 them.
@@ -99,15 +103,18 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         p_med, c_med = statistics.median(parent), statistics.median(change)
+        spread = quartile_spread(parent)
+        wins = sum(sign * c < sign * p for p, c in zip(parent, change))
         rows.append({
             "name": name,
             "unit": m["unit"],
             "parent_median": p_med,
             "change_median": c_med,
-            "parent_spread": quartile_spread(parent),
-            "wins": sum(sign * c < sign * p for p, c in zip(parent, change)),
+            "parent_spread": spread,
+            "wins": wins,
             "ties": sum(c == p for p, c in zip(parent, change)),
             "pairs": len(pairs),
+            "claimable": sign * (p_med - c_med) > spread and 10 * wins >= 9 * len(pairs),
             "bound": bound,
             "within_bound": sign * c_med <= sign * p_med * (1.0 + sign * bound),
         })
@@ -119,6 +126,7 @@ def format_row(row: dict) -> str:
         f"{row['name']:12s} {row['unit']:5s} parent {row['parent_median']} "
         f"change {row['change_median']} parent spread {row['parent_spread']:.3g} "
         f"change won {row['wins']}/{row['pairs']} ({row['ties']} tied) "
+        f"gain claimable: {'yes' if row['claimable'] else 'no'} "
         f"within bound {row['bound']}: {'yes' if row['within_bound'] else 'NO'}"
     )
 

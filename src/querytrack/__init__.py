@@ -8,8 +8,8 @@ queries. One clip-level loss supervises everything. Runs on a small
 tape-based numpy autodiff core.
 """
 
-from querytrack.autodiff import Tape, Tensor, grad_check
+from querytrack.autodiff import Tape, Tensor
 
 __version__ = "0.1.0"
 
-__all__ = ["Tape", "Tensor", "grad_check", "__version__"]
+__all__ = ["Tape", "Tensor", "__version__"]

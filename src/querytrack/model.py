@@ -444,7 +444,11 @@ class TrackingModel:
         """Image [H,W,C] -> frame tokens [T, d_model]; no gradient reaches the image.
 
         The image, a `Tensor`, is data, not state: its patches are cast to
-        the model's dtype.
+        the model's dtype. An image with a pixel that is NaN or infinite in
+        that dtype (a float64 pixel past float32's range is infinite in
+        float32) raises a ValueError that counts them, before any op runs:
+        one such pixel would turn every token, and so every box and logit,
+        into NaN.
         """
         cfg = self.cfg
         if not isinstance(image, Tensor):
@@ -454,7 +458,11 @@ class TrackingModel:
                 f"image shape {image.shape} != configured "
                 f"({cfg.image_size}, {cfg.image_size}, {cfg.n_channels})"
             )
-        patches = _cut_patches(image.data.astype(cfg.dtype, copy=False), cfg.patch_size)
+        pixels = image.data.astype(cfg.dtype, copy=False)
+        if not np.isfinite(pixels).all():
+            n_bad = pixels.size - np.count_nonzero(np.isfinite(pixels))
+            raise ValueError(f"image has {n_bad} NaN or infinite pixels in {cfg.dtype}")
+        patches = _cut_patches(pixels, cfg.patch_size)
         x = ad.add(ad.linear(Tensor(patches), self.patch_w, self.patch_b), self._pos)
         for layer in self.encoder_layers:
             x = _encoder_layer(x, layer)

@@ -40,9 +40,28 @@ def test_summary_of_made_up_pairs():
     assert (step["parent_median"], step["change_median"]) == (10.0, 13.0)
     assert (step["wins"], step["ties"], step["within_bound"]) == (1, 0, False)
     assert (loss["wins"], loss["ties"], loss["parent_spread"], loss["within_bound"]) == (0, 5, 0.0, True)
+    assert not (fps["claimable"] or step["claimable"] or loss["claimable"])
     line = ab_pairs.format_row(step)
-    assert line.startswith("step_ms_p50") and "change won 1/5 (0 tied)" in line
+    assert line.startswith("step_ms_p50") and "change won 1/5 (0 tied) gain claimable: no" in line
     assert line.endswith("within bound 0.2: NO")
+
+    # ten pairs; each parent metric's quartiles sit 4.5 steps of 0.1 or 1 apart
+    parent = [(100.0 + k, 10.0 + k / 10, 4.0 + k / 10) for k in range(10)]
+    change = [
+        # frames/s 10 higher in 9 pairs and tied in one: median 113.5 against 104.5
+        (fps + 10.0 * (k < 9),
+         # step time 1 ms lower in 8 pairs, 0.5 ms higher in 2: a wide gap, too few wins
+         step - 1.0 if k < 8 else step + 0.5,
+         # loss 0.1 lower in every pair: a gap within the parent's 0.45 spread
+         loss - 0.1)
+        for k, (fps, step, loss) in enumerate(parent)
+    ]
+    fps, step, loss = ab_pairs.summarize(METRICS, [pair(p, c) for p, c in zip(parent, change)])
+    assert (fps["wins"], fps["ties"], fps["parent_spread"], fps["claimable"]) == (9, 1, 4.5, True)
+    assert (step["wins"], step["change_median"] < step["parent_median"] - step["parent_spread"]) == (8, True)
+    assert not step["claimable"]
+    assert (loss["wins"], loss["parent_spread"] > 0.1, loss["claimable"]) == (10, True, False)
+    assert "change won 9/10 (1 tied) gain claimable: yes" in ab_pairs.format_row(fps)
 
 
 def test_bound_edges_hold_both_ways():

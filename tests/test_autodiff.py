@@ -17,6 +17,7 @@ from querytrack.losses import ClipLossAccumulator, LossWeights, clip_average_los
 from querytrack.model import QueryRecord, QuerySet, TrackingModel
 
 from chain_ops import scale, slice_axis, weighted_sum
+from gradcheck import grad_check
 from tiny import TINY
 
 
@@ -90,7 +91,7 @@ class TestMatmul:
         b = rng_tensor(rng, 4, 2)
         c = rng_tensor(rng, 2)
         w = rng.standard_normal((3, 2))
-        report = ad.grad_check(lambda a, b, c: weighted_sum(ad.linear(a, b, c), w), [a, b, c])
+        report = grad_check(lambda a, b, c: weighted_sum(ad.linear(a, b, c), w), [a, b, c])
         assert report.passed, report.max_rel_err
         assert report.max_rel_err < 1e-6
 
@@ -115,7 +116,7 @@ class TestMlp:
         b1.data[1] = -50.0  # hidden unit 1 is off for every row
         assert ((x.data @ w1.data + b1.data)[:, 1] < 0).all()
         w = rng.standard_normal((5, 2))
-        report = ad.grad_check(lambda *ts: weighted_sum(ad.mlp(*ts), w), [x, w1, b1, w2, b2])
+        report = grad_check(lambda *ts: weighted_sum(ad.mlp(*ts), w), [x, w1, b1, w2, b2])
         assert report.passed, report.max_rel_err
         # nothing flows through the dead unit
         assert w1.grad[:, 1].tolist() == [0.0] * 3 and b1.grad[1] == 0.0
@@ -331,7 +332,7 @@ class TestAttentionOp:
         # cross-attention: x attends to m memory rows
         rng = np.random.default_rng(n * 100 + m * 10 + n_heads)
         x, memory, w = rng_tensor(rng, n, d), rng_tensor(rng, m, d), rng_tensor(rng, n, d)
-        report = ad.grad_check(
+        report = grad_check(
             lambda x, gain, bias, memory, *proj: self.weighted(
                 x, gain, bias, proj, n_heads, w, memory=memory
             ),
@@ -346,7 +347,7 @@ class TestAttentionOp:
         # query and key are LN(x) + positions, the value is LN(x)
         rng = np.random.default_rng(20 + n_heads)
         x, positions, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
-        report = ad.grad_check(
+        report = grad_check(
             lambda x, gain, bias, positions, *proj: self.weighted(
                 x, gain, bias, proj, n_heads, w, positions=positions
             ),
@@ -375,7 +376,7 @@ class TestAttentionOp:
         for checked, t in inputs.items():
             for other in inputs.values():
                 other.requires_grad = False
-            report = ad.grad_check(f, [t])
+            report = grad_check(f, [t])
             assert report.passed, (checked, report.max_rel_err)
 
     @pytest.mark.parametrize("n_heads", [1, 2])
@@ -383,7 +384,7 @@ class TestAttentionOp:
         # self-attention, as in the encoder layers and decoder self-attention
         rng = np.random.default_rng(30 + n_heads)
         x, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
-        report = ad.grad_check(
+        report = grad_check(
             lambda x, gain, bias, *proj: self.weighted(x, gain, bias, proj, n_heads, w),
             [x, *random_norm(rng, 6), *random_proj(rng, 6)],
         )
@@ -661,7 +662,7 @@ class TestFeedForwardOp:
         rng = np.random.default_rng(70)
         inputs = self.inputs(rng)
         w = rng.standard_normal((5, 4))
-        report = ad.grad_check(
+        report = grad_check(
             lambda x, *p: weighted_sum(ad.feed_forward(x, ad.FeedForwardParams(*p)), w), inputs
         )
         assert report.passed, report.max_rel_err
@@ -735,7 +736,7 @@ class TestLayerNorm:
         def f(x, gain, bias):
             return weighted_sum(ad.layer_norm(x, gain, bias), w)
 
-        report = ad.grad_check(f, [x, gain, bias], tol=1e-5)
+        report = grad_check(f, [x, gain, bias], tol=1e-5)
         assert report.passed, report.max_rel_err
 
 
@@ -745,7 +746,7 @@ class TestElementwise:
 
     def test_sigmoid_gradient_closed_form(self):
         x = Tensor(0.0)
-        report = ad.grad_check(scalar(ad.sigmoid), [x])
+        report = grad_check(scalar(ad.sigmoid), [x])
         assert report.passed
         x.reset_grad()
         with Tape() as tape:
@@ -806,15 +807,15 @@ class TestElementwise:
     def test_unary_gradients(self, op):
         rng = np.random.default_rng(5)
         x = Tensor(rng.uniform(0.2, 2.0, size=(4, 3)))
-        assert ad.grad_check(scalar(op), [x]).passed
+        assert grad_check(scalar(op), [x]).passed
 
     def test_slice_and_gather_gradients(self):
         rng = np.random.default_rng(7)
         x = rng_tensor(rng, 5, 4)
-        assert ad.grad_check(lambda x: weighted_sum(slice_axis(x, 1, 1, 3), 1.0), [x]).passed
+        assert grad_check(lambda x: weighted_sum(slice_axis(x, 1, 1, 3), 1.0), [x]).passed
         # repeated index exercises scatter-add
         w = rng.standard_normal((4, 4))
-        assert ad.grad_check(lambda x: weighted_sum(ad.gather_rows(x, [0, 2, 2, 4]), w), [x]).passed
+        assert grad_check(lambda x: weighted_sum(ad.gather_rows(x, [0, 2, 2, 4]), w), [x]).passed
 
     @pytest.mark.parametrize(
         "idx, message",
@@ -896,7 +897,7 @@ class TestBackward:
             h = ad.linear(a, b, c)
             return weighted_sum(ad.sigmoid(ad.attention(h, p)), 1.0)
 
-        assert ad.grad_check(f, [a, b, c], tol=1e-4).passed
+        assert grad_check(f, [a, b, c], tol=1e-4).passed
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -1167,7 +1168,7 @@ class TestTapePerThread:
 class TestGradCheck:
     def test_linear_function_near_exact(self):
         x = Tensor(np.arange(5.0))
-        report = ad.grad_check(lambda x: weighted_sum(scale(x, 4.0), 1.0), [x])
+        report = grad_check(lambda x: weighted_sum(scale(x, 4.0), 1.0), [x])
         assert report.passed
         assert report.max_rel_err < 1e-9
 
@@ -1179,7 +1180,7 @@ class TestGradCheck:
             return ad.custom_op(x.data**2, (x,), pull)
 
         x = Tensor(np.array([1.0, -2.0]))
-        report = ad.grad_check(lambda x: weighted_sum(bad_square(x), 1.0), [x])
+        report = grad_check(lambda x: weighted_sum(bad_square(x), 1.0), [x])
         assert not report.passed
         assert report.max_rel_err > 0.1
 
@@ -1194,23 +1195,23 @@ class TestGradCheck:
         a = np.random.default_rng(15).uniform(0.5, 2.0, size=(3, 4))
         before = a.copy()
         for leaf in (Tensor(a.T), Tensor(np.ascontiguousarray(a.T))):
-            report = ad.grad_check(zero_grad_square, [leaf])
+            report = grad_check(zero_grad_square, [leaf])
             assert not report.passed and report.max_rel_err > 0.5, leaf.data.flags.c_contiguous
         np.testing.assert_array_equal(a, before)
 
     def test_eps_bounds_enforced(self):
         with pytest.raises(ValueError):
-            ad.grad_check(lambda x: weighted_sum(x, 1.0), [Tensor([1.0])], eps=1e-8)
+            grad_check(lambda x: weighted_sum(x, 1.0), [Tensor([1.0])], eps=1e-8)
 
     def test_non_scalar_function_rejected(self):
         with pytest.raises(ad.GradientError, match=r"grad_check needs a scalar function, got \(2,\)"):
-            ad.grad_check(lambda x: scale(x, 2.0), [Tensor([1.0, 2.0])])
+            grad_check(lambda x: scale(x, 2.0), [Tensor([1.0, 2.0])])
 
     def test_float32_leaf_rejected_by_name(self):
         # float32 rounding of f is far larger than a central difference at eps
         x, y = Tensor([1.0, 2.0]), Tensor(np.array([1.0, 2.0], dtype=np.float32))
         with pytest.raises(TypeError, match=r"grad_check input 1 Tensor\(shape=\(2,\)\) is float32"):
-            ad.grad_check(lambda x, y: weighted_sum(ad.add(x, y), 1.0), [x, y])
+            grad_check(lambda x, y: weighted_sum(ad.add(x, y), 1.0), [x, y])
         assert not y.requires_grad
 
 
@@ -1309,7 +1310,7 @@ def test_randomized_gradient_sweep():
              [a, gain, shift, c, bias, w2, b2]),
             (lambda x: weighted_sum(ad.concat([x, x]), 1.0), [a]),
         ]:
-            report = ad.grad_check(f, args)
+            report = grad_check(f, args)
             assert report.passed, (trial, f, report.max_rel_err)
             cases += 1
     assert cases >= 100

@@ -10,6 +10,7 @@ from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou, iou, l1_box
 
 from box_rows import box_rows
 from chain_ops import weighted_sum
+from gradcheck import grad_check
 
 
 def random_box(rng, min_side=0.05, max_side=0.6) -> Box:
@@ -106,7 +107,7 @@ class TestTensorVersions:
             a = np.array([[0.4 + rng.uniform(-0.05, 0.05), 0.5, 0.31, 0.27]])
             b = np.array([[0.5, 0.45 + rng.uniform(-0.05, 0.05), 0.24, 0.33]])
             ta, tb = Tensor(a), Tensor(b)
-            report = ad.grad_check(
+            report = grad_check(
                 lambda x, y: weighted_sum(box_giou_rows(x, y), 1.0), [ta, tb], tol=1e-4
             )
             assert report.passed, report.max_rel_err
@@ -141,7 +142,7 @@ class TestTensorVersions:
     def test_giou_gradient_pred_and_target(self, pred, target):
         ta, tb = Tensor(pred), Tensor(target)
         # distinct row weights on the [2,1] GIoU column
-        report = ad.grad_check(lambda x, y: weighted_sum(box_giou_rows(x, y), [[1.0], [-0.7]]), [ta, tb])
+        report = grad_check(lambda x, y: weighted_sum(box_giou_rows(x, y), [[1.0], [-0.7]]), [ta, tb])
         assert report.passed, report.max_rel_err
 
     def test_zero_area_rows_finite(self):
@@ -179,7 +180,7 @@ class TestTensorVersions:
         ta = Tensor(rng.uniform(0.2, 0.8, size=(3, 4)))
         tb = Tensor(rng.uniform(0.2, 0.8, size=(3, 4)))
         # distinct row weights, so a gradient routed to the wrong row shows
-        report = ad.grad_check(lambda x, y: weighted_sum(box_l1_rows(x, y), [[1.0], [-0.7], [2.5]]), [ta, tb])
+        report = grad_check(lambda x, y: weighted_sum(box_l1_rows(x, y), [[1.0], [-0.7], [2.5]]), [ta, tb])
         assert report.passed, report.max_rel_err
 
 

@@ -22,6 +22,7 @@ from querytrack.losses import (
 from querytrack.model import QueryRecord, QuerySet, TrackingModel
 
 from chain_ops import scale, slice_axis, total
+from gradcheck import grad_check
 from tiny import TINY
 
 
@@ -77,7 +78,7 @@ class TestFocal:
         rng = np.random.default_rng(0)
         x = Tensor(logit(rng.uniform(0.1, 0.9, size=(4, 2))))
         t = (rng.random((4, 2)) < 0.4).astype(float)
-        report = ad.grad_check(lambda x: focal_loss(x, t), [x])
+        report = grad_check(lambda x: focal_loss(x, t), [x])
         assert report.passed, report.max_rel_err
 
     def test_gradient_with_other_alpha_and_gamma(self):
@@ -85,7 +86,7 @@ class TestFocal:
         x = Tensor(rng.normal(0.0, 3.0, size=(5, 3)))
         t = (rng.random((5, 3)) < 0.5).astype(float)
         for alpha, gamma in ((0.5, 0.0), (0.1, 1.0), (0.9, 3.5)):
-            report = ad.grad_check(lambda x: focal_loss(x, t, alpha, gamma), [x])
+            report = grad_check(lambda x: focal_loss(x, t, alpha, gamma), [x])
             assert report.passed, (alpha, gamma, report.max_rel_err)
 
     def test_records_one_tape_node(self):
@@ -288,7 +289,7 @@ class TestFrameLoss:
             preds = type("P", (), {"class_logits": logits, "boxes": boxes, "n_track": 1})()
             return frame_loss(preds, Assignment([(0, 1)]), Assignment([(1, 2)]), gt, W).loss
 
-        assert ad.grad_check(f, [logits, boxes], tol=1e-4).passed
+        assert grad_check(f, [logits, boxes], tol=1e-4).passed
 
 
 def chain_block(preds, lo, hi, class_targets, rows, target_boxes, w):
@@ -420,7 +421,7 @@ class TestBlockTotal:
         preds, track_assign, detect_assign, gt = block_scenario(
             np.random.default_rng(9), "float64", 3, 4, n_rows // 2, n_rows - n_rows // 2, 1
         )
-        report = ad.grad_check(
+        report = grad_check(
             lambda *_: node_frame_loss(preds, track_assign, detect_assign, gt, self.WEIGHTS),
             [preds.class_logits, preds.boxes],
         )
@@ -460,7 +461,7 @@ class TestTinyModelFrameLoss:
     def test_gradient_reaches_heads_decoder_and_temporal_layer(self):
         params = self.model.params
         names = ["head.class.w", "head.box.outer.w", "decoder.0.ffn.inner.w", "temporal.attn.in.w"]
-        report = ad.grad_check(lambda *_: self.loss(), [params[n] for n in names])
+        report = grad_check(lambda *_: self.loss(), [params[n] for n in names])
         assert report.passed, report.max_rel_err
 
     def test_op_granularity(self):

@@ -22,6 +22,7 @@ from querytrack.model import (
 )
 
 from chain_ops import slice_axis, weighted_sum
+from gradcheck import grad_check
 from tiny import TINY
 
 TINY64 = dataclasses.replace(TINY, dtype="float64")
@@ -53,6 +54,29 @@ class TestEncode:
         for call in (model.encode, model.forward_frame):
             with pytest.raises(TypeError, match="encode needs the image as a Tensor, got a ndarray"):
                 call(img)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected_with_their_count(self, value):
+        # unchecked, one NaN or infinite pixel turned every box and logit
+        # into NaN, with at most a warning
+        model = TrackingModel(TINY)
+        img = random_image(np.random.default_rng(0), TINY)
+        img.data[3, 4, 0] = value
+        with pytest.raises(ValueError, match="image has 1 NaN or infinite pixels in float32"):
+            model.forward_frame(img)
+        img.data[:2, :, 0] = value
+        with pytest.raises(ValueError, match="image has 33 NaN or infinite pixels in float32"):
+            model.encode(img)
+
+    def test_pixel_past_float32_range_rejected_in_float32(self):
+        # finite in float64, 1e39 is infinite in float32: numpy warns of the
+        # cast's overflow, then the check names the pixel
+        img = random_image(np.random.default_rng(0), TINY)
+        img.data[3, 4, 0] = 1e39
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="image has 1 NaN or infinite pixels in float32"):
+                TrackingModel(TINY).encode(img)
+        assert np.isfinite(TrackingModel(TINY64).encode(img).data).all()
 
     def test_zero_encoder_layers_is_pure_projection(self):
         cfg = ModelConfig(
@@ -291,8 +315,8 @@ class TestAttention:
             p = ad.AttentionParams(*norm, *identity_attention(4), 2)
             return weighted_sum(multi_head_attention(x, p, positions=positions), 1.0)
 
-        assert ad.grad_check(cross, [x, *norm, memory]).passed
-        assert ad.grad_check(temporal, [x, positions]).passed
+        assert grad_check(cross, [x, *norm, memory]).passed
+        assert grad_check(temporal, [x, positions]).passed
 
 
 class TestDecode:
@@ -444,7 +468,7 @@ class TestDecode:
             preds = model.decode(memory, emb)
             return ad.add(weighted_sum(ad.sigmoid(preds.class_logits), 1.0), weighted_sum(preds.boxes, box_weights))
 
-        report = ad.grad_check(f, [emb], tol=1e-4)
+        report = grad_check(f, [emb], tol=1e-4)
         assert report.passed, report.max_rel_err
 
 
@@ -463,7 +487,7 @@ class TestTemporalAggregation:
             return ad.add(weighted_sum(ad.sigmoid(preds.class_logits), 1.0), weighted_sum(preds.boxes, box_weights))
 
         w_in = model.temporal[0].w_in  # the temporal layer's attention's in-projection
-        report = ad.grad_check(f, [emb, pos, w_in], tol=1e-4)
+        report = grad_check(f, [emb, pos, w_in], tol=1e-4)
         assert report.passed, report.max_rel_err
 
     def test_positions_are_wired_and_follow_their_rows(self):

@@ -26,3 +26,12 @@ def test_every_script_resolves_to_a_callable():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {script} -> {target} is not callable"
+
+
+def test_the_package_exports_the_tape_and_its_tensors_only():
+    # the gradient check is the tests' own (tests/gradcheck.py), not the package's
+    import querytrack
+    import querytrack.autodiff as ad
+
+    assert querytrack.__all__ == ["Tape", "Tensor", "__version__"]
+    assert not hasattr(ad, "grad_check") and not hasattr(ad, "GradCheckReport")
