@@ -8,14 +8,15 @@ normalizer needs only each frame's object count.
 
 On the tape a frame's loss is one node and the clip average one more, as
 DETR's criterion takes one focal call over all logits and one L1/GIoU call
-over all matched boxes. Each node computes what the unfused chain of
-single-purpose ops would (`focal_loss`, `boxes.box_l1_rows`,
-`boxes.box_giou_rows`, with the slicing, gathering and weighting around
-them), with the same products in the same order, so values and gradients
-match that chain bit for bit. The chain is written out in the tests, with
-test-local slicing and scaling ops, as the reference for both nodes. The
-formulas are the same numpy kernels in both: `_focal_cells` here,
-`_l1_rows` and `_giou_rows` in `boxes`.
+over all matched boxes. A frame's value is one sum over its rows: the
+focal cells of every query row, then the box terms of every matched row.
+Each node computes what the unfused chain of single-purpose ops would
+(`focal_loss`, `boxes.box_l1_rows`, `boxes.box_giou_rows`, with the
+gathering and weighting around them), with the same products in the same
+order, so values and gradients match that chain bit for bit. The chain is
+written out in the tests, with test-local scaling ops, as the reference
+for both nodes. The formulas are the same numpy kernels in both:
+`_focal_cells` here, `_l1_rows` and `_giou_rows` in `boxes`.
 The targets come from the matching cost's reader, `_read_annotations`,
 and GIoU clamps degenerate boxes as the matching kernels do (`boxes`).
 """
@@ -118,7 +119,8 @@ def focal_loss(logits: Tensor, targets: np.ndarray, alpha: float = 0.25, gamma: 
 class FrameLossTerms:
     """One frame's loss and its object count.
 
-    `loss` is the one node `frame_loss` records. `n_objects` counts the
+    `loss` is the one node `frame_loss` records, one sum over the frame's
+    rows, track and detect alike. `n_objects` counts the
     tracked objects still present in the ground truth plus the matched
     newborn objects: the frame's share of the clip normalizer.
     """
@@ -144,21 +146,19 @@ def frame_loss(
     The forward takes the focal cells of every query row once and the L1
     and GIoU geometry of every matched row once, track rows first, then
     newborn rows. The node reads `preds.class_logits` and, when any row is
-    matched, `preds.boxes`. Its value is the track block's sum plus the
-    detect block's, each
+    matched, `preds.boxes`. Its value is one sum over the frame's rows,
 
         Σ focal cells · λ_cls + (Σ L1 · λ_L1 + Σ (1 − GIoU) · λ_GIoU)
 
-    over the block's rows, or its first term alone without matched rows.
-    Its backward, for the output gradient g, adds (g·λ_cls)·dfocal into
-    every logit row, and d = dGIoU(−(g·λ_GIoU)), then
-    d += (g·λ_L1)·sign(pred − target), into the matched box rows. These
-    are the products of the unfused chain this node stands for (per block
-    a row slice, `focal_loss`, `gather_rows`, `box_l1_rows`,
-    `box_giou_rows` and a weighting of scale and `add` nodes, then one
-    `add` of the two blocks; the tests write it out with test-local slice
-    and scale ops), in its order, so the value and both gradients match
-    that chain bit for bit.
+    with the focal sum over every logit row and the box sums over every
+    matched row, 0 without one. Its backward, for the output gradient g,
+    adds (g·λ_cls)·dfocal into every logit row, and d = dGIoU(−(g·λ_GIoU)),
+    then d += (g·λ_L1)·sign(pred − target), into the matched box rows. These
+    are the products of the unfused chain this node stands for
+    (`focal_loss` over every logit row, `gather_rows` of the matched rows,
+    `box_l1_rows`, `box_giou_rows` and a weighting of scale and `add`
+    nodes; the tests write it out with test-local scale ops), in its
+    order, so the value and both gradients match that chain bit for bit.
     """
     n_track = preds.n_track
     n_total, n_classes = preds.class_logits.shape
@@ -175,7 +175,6 @@ def frame_loss(
 
     # (logit row, ground-truth row) per matched query; a dead track identity is background
     pairs = [(slot, row_of[ident]) for slot, ident in track_assign.pairs if ident in row_of]
-    n_tracked = len(pairs)
     pairs += [(n_track + slot, row_of[ident]) for slot, ident in detect_assign.pairs]
     index, matched_gt = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
@@ -189,19 +188,9 @@ def frame_loss(
     l1, diff = _l1_rows(pred_rows, target_rows)
     giou, geometry = _giou_rows(pred_rows, target_rows)
 
-    def block_total(own: slice, matched: slice):
-        """One block's sum: its logit rows' focal cells, then its matched rows' box terms."""
-        total = np.sum(cells[own]) * weights.lambda_cls
-        if matched.start < matched.stop:
-            total = total + (
-                l1[matched].sum() * weights.lambda_l1
-                + (1.0 - giou[matched]).sum() * weights.lambda_giou
-            )
-        return total
-
-    # summed per block, as the chain does: one sum over all rows would round differently
-    value = block_total(slice(0, n_track), slice(0, n_tracked)) + block_total(
-        slice(n_track, n_total), slice(n_tracked, len(pairs))
+    # without matched rows the box sums are 0, and adding them changes no bit
+    value = np.sum(cells) * weights.lambda_cls + (
+        l1.sum() * weights.lambda_l1 + (1.0 - giou).sum() * weights.lambda_giou
     )
 
     def pull(g):

@@ -600,7 +600,8 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
     without drawing initial values; the header's manifest must equal that
     layout's, entry for entry and as JSON (so a shape of 8.0 or true is not
     8 or 1), and the payload is read into θ, whose checksum must be the
-    header's crc32.
+    header's crc32. The header length is checked against the bytes left in
+    the file before the header is read, so a corrupt length allocates nothing.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
@@ -611,12 +612,12 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
         version, header_len = struct.unpack("<II", prefix)
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        raw = fh.read(header_len)
-        if len(raw) != header_len:
-            raise ValueError(f"{path}: truncated header: {len(raw)} of {header_len} bytes")
+        size = os.fstat(fh.fileno()).st_size
+        if header_len > size - fh.tell():
+            raise ValueError(f"{path}: truncated header: {size - fh.tell()} of {header_len} bytes")
         try:
-            header = json.loads(raw.decode("utf-8"))
-        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError, deep nesting
             raise ValueError(f"{path}: header is not valid JSON: {e}") from e
         if not isinstance(header, dict):
             raise ValueError(f"{path}: header is a {type(header).__name__}, not a JSON object")
@@ -650,7 +651,7 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
             raise ValueError(
                 f"{path}: payload checksum {crc:#010x} != header crc32 {header['crc32']:#010x}"
             )
-        trailing = len(fh.read())
+        trailing = size - fh.tell()
         if trailing:
             raise ValueError(f"{path}: {trailing} trailing bytes after the last payload")
     if not _payload_dtype(cfg).isnative:

@@ -21,7 +21,7 @@ from querytrack.losses import (
 )
 from querytrack.model import QueryRecord, QuerySet, TrackingModel
 
-from chain_ops import scale, slice_axis, total
+from chain_ops import scale, total
 from gradcheck import grad_check
 from tiny import TINY
 
@@ -292,42 +292,31 @@ class TestFrameLoss:
         assert grad_check(f, [logits, boxes], tol=1e-4).passed
 
 
-def chain_block(preds, lo, hi, class_targets, rows, target_boxes, w):
-    """One query block's loss as the chain of public ops `frame_loss` stands for:
-    slice_axis → focal_loss; gather_rows → box_l1_rows and box_giou_rows; then
-    cls·λ_cls + (Σ L1·λ_L1 + Σ (1 − GIoU)·λ_GIoU) as scale, sum and add nodes."""
-    logits = slice_axis(preds.class_logits, 0, lo, hi)
-    cls = scale(focal_loss(logits, class_targets[lo:hi], w.focal_alpha, w.focal_gamma), w.lambda_cls)
-    if not rows:
-        return cls
-    boxes = ad.gather_rows(preds.boxes, rows)
-    gt = Tensor(box_rows(*target_boxes).astype(preds.boxes.data.dtype))
-    l1 = scale(total(box_l1_rows(boxes, gt)), w.lambda_l1)
-    one = Tensor(np.ones((len(rows), 1), dtype=gt.data.dtype))
-    one_minus_giou = ad.add(scale(box_giou_rows(boxes, gt), -1.0), one)
-    return ad.add(cls, ad.add(l1, scale(total(one_minus_giou), w.lambda_giou)))
-
-
 def chain_frame_loss(preds, track_assign, detect_assign, gt, w):
-    """The `add` of the two blocks' `chain_block`s, with the targets
-    gathered as `frame_loss` does."""
+    """The frame's loss as the chain of public ops `frame_loss` stands for,
+    with the targets gathered as `frame_loss` does, track rows first:
+    focal_loss over every logit row; gather_rows of the matched rows →
+    box_l1_rows and box_giou_rows; then
+    cls·λ_cls + (Σ L1·λ_L1 + Σ (1 − GIoU)·λ_GIoU) as scale, sum and add nodes."""
     n_track, (n_total, n_classes) = preds.n_track, preds.class_logits.shape
     by_identity = {obj.identity: obj for obj in gt}
     class_targets = np.zeros((n_total, n_classes))
-    blocks = []
+    rows, target_boxes = [], []
     for offset, assign in ((0, track_assign), (n_track, detect_assign)):
-        rows, boxes = [], []
         for slot, ident in assign.pairs:
             if ident in by_identity:
                 class_targets[offset + slot, by_identity[ident].class_id] = 1.0
                 rows.append(offset + slot)
-                boxes.append(by_identity[ident].box)
-        blocks.append((rows, boxes))
-    (track_rows, track_boxes), (detect_rows, detect_boxes) = blocks
-    return ad.add(
-        chain_block(preds, 0, n_track, class_targets, track_rows, track_boxes, w),
-        chain_block(preds, n_track, n_total, class_targets, detect_rows, detect_boxes, w),
-    )
+                target_boxes.append(by_identity[ident].box)
+    cls = scale(focal_loss(preds.class_logits, class_targets, w.focal_alpha, w.focal_gamma), w.lambda_cls)
+    if not rows:
+        return cls
+    boxes = ad.gather_rows(preds.boxes, rows)
+    gt_rows = Tensor(box_rows(*target_boxes).astype(preds.boxes.data.dtype))
+    l1 = scale(total(box_l1_rows(boxes, gt_rows)), w.lambda_l1)
+    one = Tensor(np.ones((len(rows), 1), dtype=gt_rows.data.dtype))
+    one_minus_giou = ad.add(scale(box_giou_rows(boxes, gt_rows), -1.0), one)
+    return ad.add(cls, ad.add(l1, scale(total(one_minus_giou), w.lambda_giou)))
 
 
 def block_scenario(rng, dtype, n_track, n_detect, n_tracked, n_newborn, n_dead):
@@ -366,7 +355,7 @@ def loss_with_upstream(loss_fn, preds, track_assign, detect_assign, gt, w, upstr
 
 class TestBlockTotal:
     """A frame's total as one node, against the chain of public ops it
-    stands for (each query block's chain, then their `add`): the value,
+    stands for (one chain over the rows of both query blocks): the value,
     d(logits) and d(boxes) bit for bit."""
 
     WEIGHTS = LossWeights(lambda_cls=1.7, lambda_l1=4.3, lambda_giou=2.9, focal_alpha=0.3, focal_gamma=1.5)

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +348,23 @@ class TestDecode:
         preds = model.forward_frame(img, track_set_of(model, 2))
         for arr in (preds.class_probs.data, preds.boxes.data):
             assert np.all(arr > 0) and np.all(arr < 1)
+
+    @pytest.mark.parametrize(
+        "dtype, inside, past",
+        [("float32", (-88.5, 16.5), (-88.8, 16.7)), ("float64", (-709.5, 36.6), (-709.9, 36.8))],
+    )
+    def test_box_sigmoid_saturates_where_documented(self, dtype, inside, past):
+        # with head.box.outer.w zero each box logit is its bias exactly: inside
+        # the documented range the box stays strictly inside (0, 1), past it
+        # the sigmoid gives exactly 0 or 1
+        model = TrackingModel(dataclasses.replace(TINY, dtype=dtype), seed=9)
+        model.params["head.box.outer.w"].data[...] = 0.0
+        model.params["head.box.outer.b"].data[...] = [inside[0], inside[1], past[0], past[1]]
+        img = random_image(np.random.default_rng(9), model.cfg)
+        boxes = model.forward_frame(img, track_set_of(model, 2)).boxes.data
+        assert boxes.dtype == dtype
+        assert np.all(boxes[:, :2] > 0) and np.all(boxes[:, :2] < 1)
+        assert np.all(boxes[:, 2] == 0) and np.all(boxes[:, 3] == 1)
 
     def test_box_list_is_float64_rows_of_the_boxes(self):
         model = TrackingModel(dataclasses.replace(TINY, dtype="float32"), seed=9)
@@ -803,6 +824,38 @@ class TestCheckpointCorruption:
         path.write_bytes(raw[:12] + b"x" * header_len + raw[12 + header_len :])
         with pytest.raises(ValueError, match=r"model\.ckpt: header is not valid JSON"):
             load_checkpoint(path)
+
+    def test_header_nested_past_the_decoder_depth_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        header_len = struct.unpack("<II", raw[4:12])[1]
+        deep = b"[" * 200_000
+        path.write_bytes(raw[:4] + struct.pack("<II", 3, len(deep)) + deep + raw[12 + header_len :])
+        with pytest.raises(ValueError, match=r"model\.ckpt: header is not valid JSON"):
+            load_checkpoint(path)
+
+    def test_header_length_past_the_file_allocates_nothing(self, tmp_path):
+        # a 3.75 GiB header length in a small file, loaded in a child whose
+        # address space is capped at 1.5 GB: reading the header would raise
+        # MemoryError there, so the length must be checked against the file
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<II", 3, 0xF0000000) + raw[12:])
+        child = f"""
+import resource, sys
+sys.path.insert(0, {str(Path(querytrack.__file__).parents[1])!r})
+from querytrack.model import load_checkpoint
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    load_checkpoint({str(path)!r})
+except ValueError as e:
+    print(e)
+"""
+        # one BLAS thread, so the child's imports stay far below the cap
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert re.fullmatch(rf".*model\.ckpt: truncated header: {len(raw) - 12} of {0xF0000000} bytes\n", run.stdout)
 
     @pytest.mark.parametrize("header", [[1, 2], "x", 7, None])
     def test_header_not_an_object_rejected(self, tmp_path, header):
