@@ -22,8 +22,11 @@ a gain is claimable, and whether the change's median is within the
 metric's `bound`, a fraction of the parent's median. A gain is claimable
 when the change's median is better, the change won at least 9 of every 10
 pairs (a tie is no win), and the gap between the medians is larger than
-the parent's quartile spread. Pairs with a bad run are left out of the
-summary.
+the parent's quartile spread. A metric whose parent runs all read one
+value and whose change runs all read one value is deterministic: its row
+says so and gives the relative change, and it claims no gain, since the
+spread of such a metric is 0 and would let a rounding-level move pass.
+Pairs with a bad run are left out of the summary.
 The script exits 1 when any run crashed, read `correct: false` or had
 `failed` > 0, and 0 otherwise: it reports the bounds, it does not enforce
 them.
@@ -105,6 +108,7 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
         p_med, c_med = statistics.median(parent), statistics.median(change)
         spread = quartile_spread(parent)
         wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+        deterministic = len(set(parent)) == len(set(change)) == 1
         rows.append({
             "name": name,
             "unit": m["unit"],
@@ -114,7 +118,9 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
             "wins": wins,
             "ties": sum(c == p for p, c in zip(parent, change)),
             "pairs": len(pairs),
-            "claimable": sign * (p_med - c_med) > spread and 10 * wins >= 9 * len(pairs),
+            "deterministic": deterministic,
+            "relative_change": (c_med - p_med) / p_med,
+            "claimable": not deterministic and sign * (p_med - c_med) > spread and 10 * wins >= 9 * len(pairs),
             "bound": bound,
             "within_bound": sign * c_med <= sign * p_med * (1.0 + sign * bound),
         })
@@ -122,9 +128,13 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
 
 
 def format_row(row: dict) -> str:
+    spread = (
+        f"deterministic, relative change {row['relative_change']:+.2g}" if row["deterministic"]
+        else f"parent spread {row['parent_spread']:.3g}"
+    )
     return (
         f"{row['name']:12s} {row['unit']:5s} parent {row['parent_median']} "
-        f"change {row['change_median']} parent spread {row['parent_spread']:.3g} "
+        f"change {row['change_median']} {spread} "
         f"change won {row['wins']}/{row['pairs']} ({row['ties']} tied) "
         f"gain claimable: {'yes' if row['claimable'] else 'no'} "
         f"within bound {row['bound']}: {'yes' if row['within_bound'] else 'NO'}"

@@ -374,13 +374,15 @@ class TrackingModel:
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         inits = self._build(cfg)
+        self._lay_out()
         rng = np.random.default_rng(seed)
         for name, init in inits.items():
             p = self.params[name]
             p.data[...] = init(rng, p.shape)
 
     def _build(self, cfg: ModelConfig) -> dict:
-        """Lay out θ and its views, uninitialised; return the initialisers."""
+        """Declare every parameter as a view leaf with no memory behind it
+        yet, and return the initialisers; `_lay_out` allocates θ under them."""
         self.cfg = cfg
         f = _ParamFactory()
         d, ffn = cfg.d_model, cfg.ffn_dim
@@ -409,6 +411,12 @@ class TrackingModel:
         self.temporal = f.layer("temporal", d, ffn, cfg.n_heads, encoder_attn)
 
         self.params: dict[str, Tensor] = {name: f.params[name] for name in sorted(f.params)}
+        return f.inits
+
+    def _lay_out(self) -> None:
+        """Allocate θ, uninitialised, under the declared views, group them
+        by module, and make the patches' positional code."""
+        cfg = self.cfg
         self.theta = np.empty(sum(p.data.size for p in self.params.values()), dtype=cfg.dtype)
         self._groups: dict[str, Tensor] = {}
         start = 0
@@ -419,8 +427,7 @@ class TrackingModel:
             self._groups[group_name] = ad.leaf_group(self.theta[start:stop], views)
             start = stop
         side = cfg.image_size // cfg.patch_size
-        self._pos = Tensor(sine_positions_2d(side, side, d).astype(cfg.dtype))
-        return f.inits
+        self._pos = Tensor(sine_positions_2d(side, side, cfg.d_model).astype(cfg.dtype))
 
     def parameters(self) -> dict[str, Tensor]:
         """One 1-d leaf per module, by module name, in θ's order; each is a
@@ -600,8 +607,11 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
     without drawing initial values; the header's manifest must equal that
     layout's, entry for entry and as JSON (so a shape of 8.0 or true is not
     8 or 1), and the payload is read into θ, whose checksum must be the
-    header's crc32. The header length is checked against the bytes left in
-    the file before the header is read, so a corrupt length allocates nothing.
+    header's crc32. Nothing is allocated past what the file can hold: the
+    header length and θ's size are each checked against the bytes left in
+    the file before they are read, and a config with more layers than the
+    manifest has entries (every layer declares a parameter) is rejected
+    before a layer is declared.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
@@ -631,6 +641,11 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
             if type(header[key]) is not kind:
                 raise ValueError(f"{path}: header {key!r} is a {type(header[key]).__name__}, not {wording}")
         manifest = header["params"]
+        n_layers = cfg.n_encoder_layers + cfg.n_decoder_layers
+        if n_layers > len(manifest):
+            raise ValueError(
+                f"{path}: manifest has {len(manifest)} entries, fewer than the config's {n_layers} layers"
+            )
         model = TrackingModel.__new__(TrackingModel)
         model._build(cfg)
         layout = _manifest(model)
@@ -642,18 +657,20 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
             raise ValueError(
                 f"{path}: manifest has {len(manifest)} entries, {longer} than the layout's {len(layout)}"
             )
+        left = size - fh.tell()
+        n_bytes = sum(p.data.size for p in model.params.values()) * _payload_dtype(cfg).itemsize
+        if n_bytes > left:
+            raise ValueError(f"{path}: truncated payload: {left} of {n_bytes} bytes")
+        model._lay_out()
         # read straight into θ's bytes: the views keep pointing at it
-        n_read, n_bytes = fh.readinto(model.theta), model.theta.nbytes
-        if n_read != n_bytes:
-            raise ValueError(f"{path}: truncated payload: {n_read} of {n_bytes} bytes")
+        fh.readinto(model.theta)
         crc = zlib.crc32(model.theta)
         if crc != header["crc32"]:
             raise ValueError(
                 f"{path}: payload checksum {crc:#010x} != header crc32 {header['crc32']:#010x}"
             )
-        trailing = size - fh.tell()
-        if trailing:
-            raise ValueError(f"{path}: {trailing} trailing bytes after the last payload")
+        if left > n_bytes:
+            raise ValueError(f"{path}: {left - n_bytes} trailing bytes after the last payload")
     if not _payload_dtype(cfg).isnative:
         model.theta.byteswap(inplace=True)
     return model, header["extra"]

@@ -64,6 +64,20 @@ def test_summary_of_made_up_pairs():
     assert "change won 9/10 (1 tied) gain claimable: yes" in ab_pairs.format_row(fps)
 
 
+def test_a_deterministic_metric_claims_no_gain():
+    # train_crowded's loss_end, 1.4e-8 relative lower in all of 10 pairs:
+    # a rounding-level move that a zero parent spread would let pass
+    pairs = [pair((100.0 + k, 10.0, 6.609424686431884), (101.0 + k, 10.0, 6.609424591064453)) for k in range(10)]
+    fps, step, loss = ab_pairs.summarize(METRICS, pairs)
+    assert (loss["wins"], loss["parent_spread"], loss["deterministic"], loss["claimable"]) == (10, 0.0, True, False)
+    assert loss["relative_change"] == pytest.approx(-1.443e-8, rel=1e-3)
+    assert (step["deterministic"], step["relative_change"], step["claimable"]) == (True, 0.0, False)
+    assert (fps["deterministic"], fps["wins"]) == (False, 10)
+    line = ab_pairs.format_row(loss)
+    assert "deterministic, relative change -1.4e-08 change won 10/10 (0 tied) gain claimable: no" in line
+    assert "deterministic" not in ab_pairs.format_row(fps)
+
+
 def test_bound_edges_hold_both_ways():
     # a median exactly at its bound is within it, in either direction
     fps, step, _ = ab_pairs.summarize(METRICS, [pair((100.0, 10.0, 4.0), (80.0, 12.0, 4.4))])

@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 import querytrack.autodiff as ad
-from querytrack.assignment import Assignment, GtObject
 from querytrack.autodiff import Tape, Tensor
-from querytrack.boxes import Box, box_l1_rows
-from querytrack.losses import ClipLossAccumulator, LossWeights, clip_average_loss, focal_loss, frame_loss
-from querytrack.model import QueryRecord, QuerySet, TrackingModel
+from querytrack.boxes import box_l1_rows
+from querytrack.losses import focal_loss
+from querytrack.model import TrackingModel
 
 from chain_ops import scale, slice_axis, weighted_sum
 from gradcheck import grad_check
-from tiny import TINY
+from tiny import TINY, two_frame_clip_loss
 
 
 def scalar(f):
@@ -318,6 +317,61 @@ def tape_bits(block, leaves, w, w_extra):
     tape.backward(loss)
     return out.data, [t.grad.copy() for t in leaves]
 
+
+def per_head_attention(x, norm, proj, n_heads, w, memory=None):
+    """Reference in numpy, one head at a time with 2-d products.
+
+    Returns the sublayer output x + attend(LN(x)) and the gradients of
+    sum(output * w) w.r.t. x, the norm's gain and bias, the memory (when
+    given) and the four projection parameters: `tape_bits`' leaf order.
+    """
+    gain, bias = (t.data for t in norm)
+    w_in, b_in, wo, bo = (t.data for t in proj)
+    d = x.shape[1]
+    wq, wk, wv = w_in[:, :d], w_in[:, d : 2 * d], w_in[:, 2 * d :]
+    bq, bk, bv = b_in[:d], b_in[d : 2 * d], b_in[2 * d :]
+    xd = x.data
+    mu = xd.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(((xd - mu) ** 2).mean(axis=1, keepdims=True) + 1e-5)
+    y = (xd - mu) * inv
+    xn = y * gain + bias
+    kv = xn if memory is None else memory.data
+    qp, kp, vp = xn @ wq + bq, kv @ wk + bk, kv @ wv + bv
+    dh = d // n_heads
+    c = 1.0 / np.sqrt(dh)
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
+    weights, heads = [], []
+    for hc in cols:
+        z = qp[:, hc] @ kp[:, hc].T * c
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        weights.append(e / e.sum(axis=1, keepdims=True))
+        heads.append(weights[-1] @ vp[:, hc])
+    merged = np.concatenate(heads, axis=1)
+    out = xd + merged @ wo + bo
+
+    g_merged = w @ wo.T
+    dqp, dkp, dvp = np.zeros_like(qp), np.zeros_like(kp), np.zeros_like(vp)
+    for hc, s in zip(cols, weights):
+        g_head = g_merged[:, hc]
+        dvp[:, hc] = s.T @ g_head
+        ds = g_head @ vp[:, hc].T
+        dz = s * (ds - (ds * s).sum(axis=1, keepdims=True)) * c
+        dqp[:, hc] = dz @ kp[:, hc]
+        dkp[:, hc] = dz.T @ qp[:, hc]
+    dxn = dqp @ wq.T
+    dkv = dkp @ wk.T + dvp @ wv.T
+    if memory is None:
+        dxn = dxn + dkv
+    gy = dxn * gain
+    dx = w + inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
+    return out, [
+        dx, (dxn * y).sum(axis=0), dxn.sum(axis=0), *([] if memory is None else [dkv]),
+        np.hstack([xn.T @ dqp, kv.T @ dkp, kv.T @ dvp]),
+        np.concatenate([dqp.sum(axis=0), dkp.sum(axis=0), dvp.sum(axis=0)]),
+        merged.T @ w, w.sum(axis=0),
+    ]
+
+
 class TestAttentionOp:
     """`ad.attention`: a pre-norm residual attention sublayer, x + attend(LN(x)),
     with its projections and batched-head softmax(Q Kᵀ / sqrt(dh)) V, as one
@@ -558,6 +612,10 @@ class TestAttentionOp:
         with pytest.raises(ad.ShapeError, match="n_heads"):
             ad.AttentionParams(Tensor(np.ones(4)), Tensor(np.zeros(4)), *identity_proj(4), n_heads)
 
+    def test_single_zero_query(self):
+        p = ad.AttentionParams(Tensor(np.ones(1)), Tensor(np.zeros(1)), *identity_proj(1), 1)
+        np.testing.assert_allclose(ad.attention(Tensor([[0.0]]), p).data, [[0.0]])
+
     def test_numpy_int_head_count_accepted(self):
         x = Tensor(np.zeros((2, 4)))
         p = ad.AttentionParams(Tensor(np.ones(4)), Tensor(np.zeros(4)), *identity_proj(4), np.int64(2))
@@ -599,8 +657,9 @@ class TestAttentionOp:
 
 
 class TestAttentionFormula:
-    """`ad.attention`'s arithmetic against the textbook formula: the same
-    math, so the output and every gradient agree to rounding."""
+    """`ad.attention`'s arithmetic against the textbook formula and against
+    `per_head_attention`: the same math, so the output and every gradient
+    agree to rounding."""
 
     @staticmethod
     def assert_match(x, norm, proj, n_heads, extra, seed):
@@ -634,6 +693,29 @@ class TestAttentionFormula:
             "memory": {"memory": Tensor(rng.standard_normal((m, d)))},
         }[mode]
         self.assert_match(x, random_norm(rng, d), random_proj(rng, d), n_heads, extra, 90 + n_heads)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4, 8])
+    @pytest.mark.parametrize("shared_query_key", [False, True])
+    def test_matches_per_head_reference(self, n_heads, shared_query_key):
+        # shared query and key: self-attention; otherwise cross-attention
+        # to memory rows
+        rng = np.random.default_rng(40 + n_heads)
+        for _ in range(5):
+            d = n_heads * int(rng.integers(1, 5))
+            n = int(rng.integers(1, 7))
+            m = n + int(rng.integers(1, 5))
+            x = Tensor(rng.standard_normal((n, d)))
+            extra = {} if shared_query_key else {"memory": Tensor(rng.standard_normal((m, d)))}
+            norm, proj = random_norm(rng, d), random_proj(rng, d)
+            w = rng.standard_normal((n, d))
+            p = ad.AttentionParams(*norm, *proj, n_heads)
+            leaves = [x, *norm, *extra.values(), *proj]
+            out, grads = tape_bits(lambda: ad.attention(x, p, **extra), leaves, w, np.zeros((n, d)))
+            ref_out, ref_grads = per_head_attention(x, norm, proj, n_heads, w, **extra)
+            np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+            assert len(grads) == len(ref_grads) == (7 if shared_query_key else 8)
+            for a, b in zip(grads, ref_grads):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", ["offset_row", "single_key", "equal_scores"])
     def test_matches_textbook_formula_at_edge_logits(self, case):
@@ -1058,22 +1140,8 @@ class TestBackward:
         # closes over one cell, its saved tuple; and every rule is defined
         # inside the op that its qualname starts with, the name by which
         # the benchmark's tracer files its backward time
-        model = TrackingModel(TINY, seed=33)
-        rng = np.random.default_rng(33)
-        gt = [GtObject(1, Box(0.4, 0.5, 0.3, 0.2)), GtObject(2, Box(0.7, 0.3, 0.2, 0.25))]
-        weights = LossWeights()
         with Tape() as tape:
-            acc = ClipLossAccumulator()
-            preds = model.forward_frame(Tensor(rng.uniform(0, 1, size=(16, 16, 1))))
-            acc.add(frame_loss(preds, Assignment(), Assignment([(0, 1), (2, 2)]), gt, weights))
-            carried = QuerySet(
-                ad.gather_rows(preds.hidden, [0, 2]),
-                [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)],
-                positions=ad.gather_rows(preds.queries, [0, 2]),
-            )
-            preds = model.forward_frame(Tensor(rng.uniform(0, 1, size=(16, 16, 1))), carried)
-            acc.add(frame_loss(preds, Assignment([(0, 1), (1, 2)]), Assignment(), gt, weights))
-            clip_average_loss(acc)
+            two_frame_clip_loss(TrackingModel(TINY, seed=33), 33)
         kinds = set()
         for _, pull in tape.nodes:
             kind = pull.__qualname__.split(".", 1)[0]
@@ -1117,27 +1185,15 @@ class TestBackward:
 class TestTapePerThread:
     """Each thread records on the innermost tape it entered itself."""
 
-    GT = [GtObject(1, Box(0.4, 0.5, 0.3, 0.2)), GtObject(2, Box(0.7, 0.3, 0.2, 0.25))]
-
-    @classmethod
-    def train_step(cls, seed, barrier):
-        """(loss, group gradients) of one step of a TINY model on two
-        frames: detect slots 0 and 2 take the objects, then carry them as
-        the second frame's track block. `barrier` holds the thread inside
-        its tape until every party has entered its own and recorded."""
+    @staticmethod
+    def train_step(seed, barrier):
+        """(loss, group gradients) of one step of a TINY model on
+        `two_frame_clip_loss`. `barrier` holds the thread inside its tape
+        until every party has entered its own and recorded."""
         model = TrackingModel(TINY, seed=seed)
-        images = np.random.default_rng(seed).uniform(0, 1, size=(2, 16, 16, 1))
-        records = [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)]
         with Tape() as tape:
             barrier.wait()
-            acc = ClipLossAccumulator()
-            preds = model.forward_frame(Tensor(images[0]))
-            acc.add(frame_loss(preds, Assignment(), Assignment([(0, 1), (2, 2)]), cls.GT, LossWeights()))
-            rows = [preds.n_track, preds.n_track + 2]
-            carried = QuerySet(ad.gather_rows(preds.hidden, rows), records, ad.gather_rows(preds.queries, rows))
-            preds = model.forward_frame(Tensor(images[1]), carried)
-            acc.add(frame_loss(preds, Assignment([(0, 1), (1, 2)]), Assignment(), cls.GT, LossWeights()))
-            loss = clip_average_loss(acc)
+            loss = two_frame_clip_loss(model, seed)
             barrier.wait()
         tape.backward(loss)
         return loss.item(), {name: g.grad for name, g in model.parameters().items()}

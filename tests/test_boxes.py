@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-import querytrack.autodiff as ad
 from querytrack.autodiff import ShapeError, Tape, Tensor
 from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou, iou, l1_box
 

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 from collections import Counter
 
@@ -23,7 +22,7 @@ from querytrack.model import QueryRecord, QuerySet, TrackingModel
 
 from chain_ops import scale, total
 from gradcheck import grad_check
-from tiny import TINY
+from tiny import TINY, TINY64
 
 
 def logit(p):
@@ -423,9 +422,6 @@ class TestBlockTotal:
             out = frame_loss(preds, track_assign, detect_assign, gt, self.WEIGHTS)
             assert [pull.__qualname__.split(".")[0] for _, pull in tape.nodes] == ["frame_loss"]
             assert [o for o, _ in tape.nodes] == [out.loss]
-
-
-TINY64 = dataclasses.replace(TINY, dtype="float64")
 
 
 class TestTinyModelFrameLoss:

@@ -20,16 +20,13 @@ from querytrack.model import (
     QuerySet,
     TrackingModel,
     load_checkpoint,
-    multi_head_attention,
     save_checkpoint,
     sine_positions_2d,
 )
 
 from chain_ops import slice_axis, weighted_sum
 from gradcheck import grad_check
-from tiny import TINY
-
-TINY64 = dataclasses.replace(TINY, dtype="float64")
+from tiny import TINY, TINY64
 
 
 def random_image(rng, cfg):
@@ -110,7 +107,7 @@ class TestEncode:
         def encoder_layers(x):
             x = Tensor(x)
             for attention, ffn in model.encoder_layers:
-                x = ad.feed_forward(multi_head_attention(x, attention), ffn)
+                x = ad.feed_forward(ad.attention(x, attention), ffn)
             return x.data
 
         perm = [1, 0, 2, 3]
@@ -139,188 +136,6 @@ class TestEncode:
         b = sine_positions_2d(3, 4, 8)
         assert a.shape == (12, 8)
         assert np.array_equal(a, b)
-
-
-def packed_attention(wq, bq, wk, bk, wv, bv, wo, bo, requires_grad=False):
-    """(w_in, b_in, wo, bo) with w_in = [wq|wk|wv] and b_in = [bq|bk|bv]."""
-    arrays = [np.hstack([wq, wk, wv]), np.concatenate([bq, bk, bv]), wo, bo]
-    return [Tensor(a, requires_grad=requires_grad) for a in arrays]
-
-
-def identity_attention(d):
-    """(w_in, b_in, wo, bo): identity blocks and zero biases."""
-    eye, zero = np.eye(d), np.zeros(d)
-    return packed_attention(*[eye, zero] * 4)
-
-
-def unit_norm(d):
-    return [Tensor(np.ones(d)), Tensor(np.zeros(d))]
-
-
-def numpy_layer_norm(x):
-    """Layer norm rows of x with unit gain and zero bias, eps 1e-5, in numpy."""
-    xc = x - x.mean(axis=1, keepdims=True)
-    return xc / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
-
-
-def per_head_attention(x, norm, p, n_heads, weight, memory=None):
-    """Reference in numpy, one head at a time with 2-d products.
-
-    Returns the sublayer output x + attend(LN(x)) and the gradients of
-    sum(output * weight) w.r.t. x, the norm's gain and bias, the memory
-    (when given) and the four projection parameters, in the order
-    `attention_grads` uses.
-    """
-    gain, bias = (t.data for t in norm)
-    w_in, b_in, wo, bo = (t.data for t in p)
-    d = x.shape[1]
-    wq, wk, wv = w_in[:, :d], w_in[:, d : 2 * d], w_in[:, 2 * d :]
-    bq, bk, bv = b_in[:d], b_in[d : 2 * d], b_in[2 * d :]
-    xd = x.data
-    mu = xd.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(((xd - mu) ** 2).mean(axis=1, keepdims=True) + 1e-5)
-    y = (xd - mu) * inv
-    xn = y * gain + bias
-    kv = xn if memory is None else memory.data
-    qp, kp, vp = xn @ wq + bq, kv @ wk + bk, kv @ wv + bv
-    dh = d // n_heads
-    c = 1.0 / np.sqrt(dh)
-    cols = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
-    weights, heads = [], []
-    for hc in cols:
-        z = qp[:, hc] @ kp[:, hc].T * c
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        weights.append(e / e.sum(axis=1, keepdims=True))
-        heads.append(weights[-1] @ vp[:, hc])
-    merged = np.concatenate(heads, axis=1)
-    out = xd + merged @ wo + bo
-
-    g = weight.data
-    g_merged = g @ wo.T
-    dqp, dkp, dvp = np.zeros_like(qp), np.zeros_like(kp), np.zeros_like(vp)
-    for hc, s in zip(cols, weights):
-        g_head = g_merged[:, hc]
-        dvp[:, hc] = s.T @ g_head
-        ds = g_head @ vp[:, hc].T
-        dz = s * (ds - (ds * s).sum(axis=1, keepdims=True)) * c
-        dqp[:, hc] = dz @ kp[:, hc]
-        dkp[:, hc] = dz.T @ qp[:, hc]
-    dxn = dqp @ wq.T
-    dkv = dkp @ wk.T + dvp @ wv.T
-    if memory is None:
-        dxn = dxn + dkv
-    gy = dxn * gain
-    dx = g + inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
-    return out, [
-        dx, (dxn * y).sum(axis=0), dxn.sum(axis=0), *([] if memory is None else [dkv]),
-        np.hstack([xn.T @ dqp, kv.T @ dkp, kv.T @ dvp]),
-        np.concatenate([dqp.sum(axis=0), dkp.sum(axis=0), dvp.sum(axis=0)]),
-        merged.T @ g, g.sum(axis=0),
-    ]
-
-
-def random_attention(rng, d):
-    draws = [rng.standard_normal((d, d) if i % 2 == 0 else d) / np.sqrt(d) for i in range(8)]
-    return packed_attention(*draws, requires_grad=True)
-
-
-def random_norm(rng, d):
-    gain, bias = 1.0 + 0.3 * rng.standard_normal(d), 0.3 * rng.standard_normal(d)
-    return [Tensor(gain), Tensor(bias)]
-
-
-def attention_grads(x, norm, p, n_heads, weight, memory=None):
-    """Forward value and tape gradients of sum(sublayer * weight) w.r.t. inputs and params."""
-    leaves = [x, *norm, *([] if memory is None else [memory]), *p]
-    for t in leaves:
-        t.requires_grad = True
-        t.reset_grad()
-    with Tape() as tape:
-        out = multi_head_attention(x, ad.AttentionParams(*norm, *p, n_heads), memory=memory)
-        loss = weighted_sum(out, weight.data)
-    tape.backward(loss)
-    return out.data, [t.grad.copy() for t in leaves]
-
-
-class TestAttention:
-    @pytest.mark.parametrize("n_heads", [1, 2, 4, 8])
-    @pytest.mark.parametrize("shared_query_key", [False, True])
-    def test_matches_per_head_reference(self, n_heads, shared_query_key):
-        # shared query and key: self-attention; otherwise cross-attention
-        # to memory rows
-        rng = np.random.default_rng(40 + n_heads)
-        for _ in range(5):
-            d = n_heads * int(rng.integers(1, 5))
-            n = int(rng.integers(1, 7))
-            m = n + int(rng.integers(1, 5))
-            x = Tensor(rng.standard_normal((n, d)))
-            memory = None if shared_query_key else Tensor(rng.standard_normal((m, d)))
-            norm, p = random_norm(rng, d), random_attention(rng, d)
-            weight = Tensor(rng.standard_normal((n, d)))
-            fused = attention_grads(x, norm, p, n_heads, weight, memory)
-            ref = per_head_attention(x, norm, p, n_heads, weight, memory)
-            np.testing.assert_allclose(fused[0], ref[0], rtol=0, atol=1e-12)
-            assert len(fused[1]) == len(ref[1]) == (7 if shared_query_key else 8)
-            for a, b in zip(fused[1], ref[1]):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-    def test_one_call_records_one_attention_node(self):
-        rng = np.random.default_rng(7)
-        x, memory = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((5, 8)))
-        p = random_attention(rng, 8)
-        with Tape() as tape:
-            multi_head_attention(x, ad.AttentionParams(*unit_norm(8), *p, 4), memory=memory)
-            kinds = [pull.__qualname__.split(".")[0] for _, pull in tape.nodes]
-        # the layer norm, the projections and the residual add are part of
-        # the one attention node
-        assert kinds == ["attention"]
-
-    def test_zero_key_rows_rejected(self):
-        p = ad.AttentionParams(*unit_norm(4), *identity_attention(4), 2)
-        x, empty = Tensor(np.zeros((2, 4))), Tensor(np.zeros((0, 4)))
-        with pytest.raises(ad.ShapeError, match="at least one key row"):
-            multi_head_attention(x, p, memory=empty)
-
-    def test_single_zero_query(self):
-        p = ad.AttentionParams(*unit_norm(1), *identity_attention(1), 1)
-        out = multi_head_attention(Tensor([[0.0]]), p)
-        np.testing.assert_allclose(out.data, [[0.0]])
-
-    def test_reduces_to_softmax_formula(self):
-        rng = np.random.default_rng(4)
-        x, memory = (Tensor(rng.standard_normal((3, 4))) for _ in range(2))
-        p = ad.AttentionParams(*unit_norm(4), *identity_attention(4), 1)
-        out = multi_head_attention(x, p, memory=memory)
-        logits = numpy_layer_norm(x.data) @ memory.data.T / 2.0
-        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-        weights /= weights.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(out.data, x.data + weights @ memory.data, atol=1e-12)
-
-    def test_rows_of_attention_sum_to_one_via_constant_values(self):
-        # all-ones values (zero value weight, unit value bias) and identity
-        # output projection: each row adds exactly one to its residual
-        rng = np.random.default_rng(5)
-        x, memory = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((7, 4)))
-        p = ad.AttentionParams(*unit_norm(4), *identity_attention(4), 2)
-        p.w_in.data[:, 8:], p.b_in.data[8:] = 0.0, 1.0  # the value block of w_in and b_in
-        out = multi_head_attention(x, p, memory=memory)
-        np.testing.assert_allclose(out.data - x.data, 1.0, atol=1e-9)
-
-    def test_gradient(self):
-        rng = np.random.default_rng(6)
-        x, memory, positions = (Tensor(rng.standard_normal((3, 4))) for _ in range(3))
-        norm = random_norm(rng, 4)
-
-        def cross(x, gain, bias, memory):
-            p = ad.AttentionParams(gain, bias, *identity_attention(4), 2)
-            return weighted_sum(multi_head_attention(x, p, memory=memory), 1.0)
-
-        def temporal(x, positions):
-            p = ad.AttentionParams(*norm, *identity_attention(4), 2)
-            return weighted_sum(multi_head_attention(x, p, positions=positions), 1.0)
-
-        assert grad_check(cross, [x, *norm, memory]).passed
-        assert grad_check(temporal, [x, positions]).passed
 
 
 class TestDecode:
@@ -834,13 +649,11 @@ class TestCheckpointCorruption:
         with pytest.raises(ValueError, match=r"model\.ckpt: header is not valid JSON"):
             load_checkpoint(path)
 
-    def test_header_length_past_the_file_allocates_nothing(self, tmp_path):
-        # a 3.75 GiB header length in a small file, loaded in a child whose
-        # address space is capped at 1.5 GB: reading the header would raise
-        # MemoryError there, so the length must be checked against the file
-        path = self.saved(tmp_path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:4] + struct.pack("<II", 3, 0xF0000000) + raw[12:])
+    @staticmethod
+    def load_in_child(path):
+        """The ValueError message of `load_checkpoint(path)`, run in a child
+        whose address space is capped at 1.5 GB: a load that allocates more
+        than the file can hold raises MemoryError there, and the child fails."""
         child = f"""
 import resource, sys
 sys.path.insert(0, {str(Path(querytrack.__file__).parents[1])!r})
@@ -855,7 +668,42 @@ except ValueError as e:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
         run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert re.fullmatch(rf".*model\.ckpt: truncated header: {len(raw) - 12} of {0xF0000000} bytes\n", run.stdout)
+        return run.stdout
+
+    def test_header_length_past_the_file_allocates_nothing(self, tmp_path):
+        # a 3.75 GiB header length in a small file: the length must be
+        # checked against the file before the header is read
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<II", 3, 0xF0000000) + raw[12:])
+        message = self.load_in_child(path)
+        assert re.fullmatch(rf".*model\.ckpt: truncated header: {len(raw) - 12} of {0xF0000000} bytes\n", message)
+
+    def test_theta_past_the_file_allocates_nothing(self, tmp_path):
+        # a config and manifest that agree on d_model 4096: θ would take
+        # 2.13 GiB, so its size must be checked against the file before θ
+        # is allocated
+        path, sizes = self.saved(tmp_path), []
+        wide = {TINY64.d_model: 4096, 3 * TINY64.d_model: 3 * 4096}  # d and the packed q|k|v width
+
+        def widen(header):
+            header["config"]["d_model"] = 4096
+            for entry in header["params"]:
+                entry["shape"] = [wide.get(n, n) for n in entry["shape"]]
+                sizes.append(int(np.prod(entry["shape"])))
+
+        rewrite_header(path, widen)
+        payload = TrackingModel(TINY64).theta.nbytes
+        message = self.load_in_child(path)
+        assert re.fullmatch(rf".*model\.ckpt: truncated payload: {payload} of {8 * sum(sizes)} bytes\n", message)
+
+    def test_layers_past_the_manifest_declare_nothing(self, tmp_path):
+        # every layer declares a parameter, so 4000 decoder layers cannot
+        # match a 53-entry manifest; laying them out first took 0.6 s
+        path = self.saved(tmp_path)
+        rewrite_header(path, lambda h: h["config"].update(n_decoder_layers=4000))
+        message = self.load_in_child(path)
+        assert re.fullmatch(r".*model\.ckpt: manifest has 53 entries, fewer than the config's 4001 layers\n", message)
 
     @pytest.mark.parametrize("header", [[1, 2], "x", 7, None])
     def test_header_not_an_object_rejected(self, tmp_path, header):
@@ -886,6 +734,46 @@ except ValueError as e:
         path = self.saved(tmp_path)
         rewrite_header(path, lambda h: h.pop("params"))
         with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'params' entry"):
+            load_checkpoint(path)
+
+    def test_manifest_with_separate_qkv_names_rejected(self, tmp_path):
+        # a checkpoint of the layout with separate q, k and v projections has
+        # the same payload size; its manifest names the parameters this
+        # layout lacks
+        path, d = self.saved(tmp_path), TINY64.d_model
+
+        def separate_qkv(header):
+            manifest = []
+            for entry in header["params"]:
+                stem, proj, part = (entry["name"].rsplit(".", 2) + ["", ""])[:3]
+                if proj != "in":
+                    manifest.append(entry)
+                elif part == "w":
+                    manifest += [{"name": f"{stem}.{p}.{q}", "shape": [d, d] if q == "w" else [d]}
+                                 for p in ("q", "k", "v") for q in ("b", "w")]
+            header["params"] = sorted(manifest, key=lambda entry: entry["name"])
+
+        rewrite_header(path, separate_qkv)
+        with pytest.raises(ValueError, match=r"model\.ckpt: manifest entry \d+ is .*, the layout's is \{'name': '[\w.]+attn\.in\.b'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.insert(0, m.pop(1)), r"manifest entry 0 is \{'name': '[\w.]+', 'shape': \[\d+(, \d+)*\]\}, the layout's is"),
+            (lambda m: m.append(dict(m[0])), r"manifest has 54 entries, longer than the layout's 53"),
+            (lambda m: m[0].update(shape=[1]), r"manifest entry 0 is \{'name': '[\w.]+', 'shape': \[1\]\}, the layout's is"),
+            (lambda m: m.append({"name": "extra.w", "shape": [1]}), r"manifest has 54 entries, longer than the layout's 53"),
+            (lambda m: m.pop(), r"manifest has 52 entries, shorter than the layout's 53"),
+            (lambda m: m[0].update(dtype="float32"), r"manifest entry 0 is \{.*'dtype': 'float32'.*\}, the layout's is"),
+            (lambda m: m[0].update(shape=[float(n) for n in m[0]["shape"]]), r"manifest entry 0 is .*\.0\]"),
+        ],
+        ids=["reordered", "listed_twice", "other_shape", "unknown_name", "dropped_last", "extra_key", "float_shape"],
+    )
+    def test_manifest_must_match_the_layout(self, tmp_path, edit, message):
+        path = self.saved(tmp_path)
+        rewrite_header(path, lambda h: edit(h["params"]))
+        with pytest.raises(ValueError, match=rf"model\.ckpt: {message}"):
             load_checkpoint(path)
 
     def test_manifest_entry_without_shape_rejected(self, tmp_path):

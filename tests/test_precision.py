@@ -15,15 +15,14 @@ import numpy as np
 import pytest
 
 import querytrack.autodiff as ad
-from querytrack.assignment import Assignment, GtObject
 from querytrack.autodiff import Tape, Tensor
-from querytrack.boxes import Box, box_giou_rows, box_l1_rows, giou
-from querytrack.losses import ClipLossAccumulator, LossWeights, clip_average_loss, focal_loss, frame_loss
-from querytrack.model import ModelConfig, QueryRecord, QuerySet, TrackingModel
+from querytrack.boxes import box_giou_rows, box_l1_rows, giou
+from querytrack.losses import focal_loss
+from querytrack.model import ModelConfig, TrackingModel
 
 import bench
 from chain_ops import scale, slice_axis, total
-from tiny import TINY
+from tiny import TINY, two_frame_clip_loss
 
 DTYPES = ["float32", "float64"]
 
@@ -92,8 +91,7 @@ def test_float32_after_float64_at_the_same_width_stays_float32():
 
 
 def test_float32_tape_holds_only_float32(monkeypatch):
-    # two frames, the second carrying a track block with positions, through
-    # the frame loss, the clip average and backward
+    # `two_frame_clip_loss` and its backward
     outputs, gradients, dropped = [], [], []
     record, accumulate = Tape.record, Tensor._accumulate
 
@@ -116,21 +114,8 @@ def test_float32_tape_holds_only_float32(monkeypatch):
     monkeypatch.setattr(Tape, "record", spy_record)
     monkeypatch.setattr(Tensor, "_accumulate", spy_accumulate)
     model = TrackingModel(TINY, seed=31)
-    rng = np.random.default_rng(31)
-    gt = [GtObject(1, Box(0.4, 0.5, 0.3, 0.2)), GtObject(2, Box(0.7, 0.3, 0.2, 0.25))]
-    weights = LossWeights()
     with Tape() as tape:
-        acc = ClipLossAccumulator()
-        preds = model.forward_frame(Tensor(rng.uniform(0, 1, size=(16, 16, 1))))
-        acc.add(frame_loss(preds, Assignment(), Assignment([(0, 1), (2, 2)]), gt, weights))
-        carried = QuerySet(
-            ad.gather_rows(preds.hidden, [0, 2]),
-            [QueryRecord("track", track_id=1), QueryRecord("track", track_id=2)],
-            positions=ad.gather_rows(preds.queries, [0, 2]),
-        )
-        preds = model.forward_frame(Tensor(rng.uniform(0, 1, size=(16, 16, 1))), carried)
-        acc.add(frame_loss(preds, Assignment([(0, 1), (1, 2)]), Assignment(), gt, weights))
-        loss = clip_average_loss(acc)
+        loss = two_frame_clip_loss(model, 31)
     tape.backward(loss)
     # 30 nodes: the first frame's 11 and its loss, the 2 carried gathers,
     # the second frame's 14 and its loss, the clip average. Every node gets
