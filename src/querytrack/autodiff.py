@@ -364,10 +364,14 @@ def _column(n: int, value: float, dtype: np.dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_dtypes(xs, op: str) -> None:
+def _check_dtypes(xs, inputs: str) -> None:
+    """Raise a ValueError naming `inputs` (say "add operands") and their
+    dtypes unless the tensors xs share one dtype: numpy would promote a
+    float32 and a float64 input to float64, and the backward would then
+    hand the float32 one a float64 gradient."""
     dtypes = [t.data.dtype for t in xs]
     if len(set(dtypes)) > 1:
-        raise ValueError(f"{op} operands are {', '.join(map(str, dtypes))}; they need one dtype")
+        raise ValueError(f"{inputs} are {', '.join(map(str, dtypes))}; they need one dtype")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -377,7 +381,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     (`_project`, `_affine`)."""
     if a.shape != b.shape:
         raise ShapeError(f"add needs equal shapes, got {a.shape} and {b.shape}")
-    _check_dtypes((a, b), "add")
+    _check_dtypes((a, b), "add operands")
     out = a.data + b.data
     if active_tape() is None:
         return Tensor(out)
@@ -532,7 +536,7 @@ def concat(xs) -> Tensor:
     xs = list(xs)
     if not xs or any(t.data.ndim != 2 for t in xs) or len({t.shape[1] for t in xs}) > 1:
         raise ShapeError(f"concat needs [n,k] row blocks of one width, got shapes {[t.shape for t in xs]}")
-    _check_dtypes(xs, "concat")
+    _check_dtypes(xs, "concat operands")
     out = np.concatenate([t.data for t in xs])
     if active_tape() is None:
         return Tensor(out)
@@ -774,9 +778,10 @@ def attention(
     the out-projection wo and bo, and n_heads) -> [n,d]. The record checked
     the parameters when it was made; each call checks that p is an
     `AttentionParams`, that x is [n, p.d], that memory is [m, p.d] and not
-    given with positions, that positions match x, and that there is at
-    least one key row. With xn = LN(x) (`layer_norm`'s formula), the query,
-    key and value rows are
+    given with positions, that positions match x, that memory and
+    positions are in x's dtype, and that there is at least one key row.
+    With xn = LN(x) (`layer_norm`'s formula), the query, key and value
+    rows are
 
         self-attention:   q = k = xn, or xn + positions [n,d] when given;  v = xn
         cross-attention:  q = xn;  k = v = memory [m,d]
@@ -863,8 +868,14 @@ def attention(
             raise ValueError("attention adds positions in self-attention only, not with memory")
         if memory.data.ndim != 2 or memory.shape[1] != d:
             raise ShapeError(f"attention memory needs [m,{d}] rows, got {memory.shape}")
-    if positions is not None and positions.shape != xd.shape:
-        raise ShapeError(f"attention positions {positions.shape} do not match x {x.shape}")
+        # one comparison on the hot path; `_check_dtypes` only words the error
+        if memory.data.dtype != xd.dtype:
+            _check_dtypes((x, memory), "attention x and memory")
+    if positions is not None:
+        if positions.shape != xd.shape:
+            raise ShapeError(f"attention positions {positions.shape} do not match x {x.shape}")
+        if positions.data.dtype != xd.dtype:
+            _check_dtypes((x, positions), "attention x and positions")
     if (xd if memory is None else memory.data).shape[0] == 0:
         raise ShapeError(f"attention needs at least one key row, got x={x.shape} memory="
                          f"{None if memory is None else memory.shape}")

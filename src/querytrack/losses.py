@@ -141,7 +141,8 @@ def frame_loss(
     Track queries whose identity has left the ground truth are supervised as
     background (their object is gone); a detect pair pointing at a missing
     identity, a slot outside its block, or an identity in both assignments
-    (one object supervising two queries) is a caller bug and raises.
+    (one object supervising two queries) is a caller bug and raises, as do
+    class logits and boxes in two dtypes.
 
     The forward takes the focal cells of every query row once and the L1
     and GIoU geometry of every matched row once, track rows first, then
@@ -162,6 +163,7 @@ def frame_loss(
     """
     n_track = preds.n_track
     n_total, n_classes = preds.class_logits.shape
+    ad._check_dtypes((preds.class_logits, preds.boxes), "frame_loss class_logits and boxes")
     row_of, class_ids, gt_rows = _read_annotations(gt_frame, n_classes)
     blocks = (("track", track_assign, n_track), ("detect", detect_assign, n_total - n_track))
     for block, assign, size in blocks:
@@ -225,16 +227,18 @@ def clip_average_loss(acc: ClipLossAccumulator) -> Tensor:
     """Sum of all frame losses divided by the clip's total object count, as one op.
 
     The denominator is clamped at 1 so clips with no objects still train on
-    their background terms. The node reads every frame's `loss` and saves
-    nothing but them and c = 1/max(N, 1). Its value is the chain's: a
-    running sum over the frames in frame order, then × c; its backward
-    hands each frame's loss g·c, as the scale and `add` nodes it stands for
-    would, so both match that chain bit for bit. One backward pass through
-    the result reaches every frame.
+    their background terms; frame losses in two dtypes raise a ValueError.
+    The node reads every frame's `loss` and saves nothing but them and
+    c = 1/max(N, 1). Its value is the chain's: a running sum over the
+    frames in frame order, then × c; its backward hands each frame's loss
+    g·c, as the scale and `add` nodes it stands for would, so both match
+    that chain bit for bit. One backward pass through the result reaches
+    every frame.
     """
     if not acc.frames:
         raise ValueError("loss accumulator has no frames")
     terms = tuple(f.loss for f in acc.frames)
+    ad._check_dtypes(terms, "clip_average_loss frame losses")
     total = sum(t.data for t in terms)
     c = 1.0 / max(acc.total_objects, 1)
 

@@ -414,8 +414,10 @@ class TrackingModel:
         return f.inits
 
     def _lay_out(self) -> None:
-        """Allocate θ, uninitialised, under the declared views, group them
-        by module, and make the patches' positional code."""
+        """Allocate θ, uninitialised, under the declared views, and group
+        them by module. The patches' positional code is no parameter, and
+        the first `encode` makes it (two threads that make it at once make
+        the same values): a checkpoint's size bounds θ, not the image size."""
         cfg = self.cfg
         self.theta = np.empty(sum(p.data.size for p in self.params.values()), dtype=cfg.dtype)
         self._groups: dict[str, Tensor] = {}
@@ -426,8 +428,7 @@ class TrackingModel:
             stop = start + sum(v.data.size for v in views)
             self._groups[group_name] = ad.leaf_group(self.theta[start:stop], views)
             start = stop
-        side = cfg.image_size // cfg.patch_size
-        self._pos = Tensor(sine_positions_2d(side, side, cfg.d_model).astype(cfg.dtype))
+        self._pos: Tensor | None = None
 
     def parameters(self) -> dict[str, Tensor]:
         """One 1-d leaf per module, by module name, in θ's order; each is a
@@ -470,6 +471,9 @@ class TrackingModel:
             n_bad = pixels.size - np.count_nonzero(np.isfinite(pixels))
             raise ValueError(f"image has {n_bad} NaN or infinite pixels in {cfg.dtype}")
         patches = _cut_patches(pixels, cfg.patch_size)
+        if self._pos is None:
+            side = cfg.image_size // cfg.patch_size
+            self._pos = Tensor(sine_positions_2d(side, side, cfg.d_model).astype(cfg.dtype))
         x = ad.add(ad.linear(Tensor(patches), self.patch_w, self.patch_b), self._pos)
         for layer in self.encoder_layers:
             x = _encoder_layer(x, layer)
@@ -609,9 +613,10 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
     8 or 1), and the payload is read into θ, whose checksum must be the
     header's crc32. Nothing is allocated past what the file can hold: the
     header length and θ's size are each checked against the bytes left in
-    the file before they are read, and a config with more layers than the
+    the file before they are read, a config with more layers than the
     manifest has entries (every layer declares a parameter) is rejected
-    before a layer is declared.
+    before a layer is declared, and the positional code, whose size the
+    config's image size alone sets, waits for the model's first `encode`.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:

@@ -2,7 +2,6 @@ import gc
 import re
 import sys
 import threading
-import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -605,6 +604,20 @@ class TestAttentionOp:
         with pytest.raises(ad.ShapeError, match=match):
             ad.attention(x, p, **kw)
 
+    @pytest.mark.parametrize("name", ["memory", "positions"])
+    def test_memory_or_positions_in_another_dtype_rejected(self, name):
+        # unchecked, numpy would compute in float64 behind the float32
+        # output, and the backward would then blame w_in
+        rng = np.random.default_rng(57)
+        x = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+        leaves = random_norm(rng, 4) + random_proj(rng, 4)
+        p = ad.AttentionParams(*(Tensor(t.data.astype(np.float32)) for t in leaves), 2)
+        other = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        message = f"attention x and {name} are float32, float64; they need one dtype"
+        with Tape() as tape, pytest.raises(ValueError, match=message):
+            ad.attention(x, p, **{name: other})
+        assert tape.nodes == []
+
     @pytest.mark.parametrize("n_heads", [0, -2, 2.0, True, "2", None, 3])
     def test_bad_head_count_rejected_by_name(self, n_heads):
         # unchecked, 0 would divide by zero, -2 take the square root of a
@@ -836,17 +849,6 @@ class TestElementwise:
         tape.backward(out)
         np.testing.assert_allclose(x.grad, 0.25, atol=1e-12)
 
-    def test_sigmoid_saturates_without_overflow_warning(self):
-        x = Tensor([-800.0, 800.0], requires_grad=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with Tape() as tape:
-                out = ad.sigmoid(x)
-                loss = weighted_sum(out, 1.0)
-            tape.backward(loss)
-        assert out.data.tolist() == [0.0, 1.0]
-        assert np.isfinite(x.grad).all()
-
     def test_concat_shape(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((5, 3)))
@@ -938,16 +940,6 @@ class TestElementwise:
         tape.backward(loss)
         for t, part in zip(xs, np.split(w, 3)):
             assert np.array_equal(t.grad, part)
-
-    def test_slice_axis_negative_axis_counts_from_the_last(self):
-        x = Tensor(np.arange(24.0).reshape(2, 3, 4))
-        assert np.array_equal(slice_axis(x, -1, 1, 3).data, x.data[..., 1:3])
-        assert np.array_equal(slice_axis(x, -3, 1, 2).data, x.data[1:2])
-
-    @pytest.mark.parametrize("axis", [2, 3, -3])
-    def test_slice_axis_out_of_range_rejected(self, axis):
-        with pytest.raises(ad.ShapeError, match=rf"axis {axis} is out of range for shape \(2, 3\)"):
-            slice_axis(Tensor(np.zeros((2, 3))), axis, 0, 1)
 
 
 class TestBackward:

@@ -492,26 +492,6 @@ class TestCheckpoint:
         save_checkpoint(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_loaded_model_same_forward(self, tmp_path):
-        model = TrackingModel(TINY64, seed=16)
-        img = random_image(np.random.default_rng(16), TINY64)
-        save_checkpoint(tmp_path / "m.ckpt", model)
-        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
-        a = model.forward_frame(img)
-        b = loaded.forward_frame(img)
-        assert np.array_equal(a.class_probs.data, b.class_probs.data)
-        assert np.array_equal(a.boxes.data, b.boxes.data)
-        # a track block with positions runs every temporal.* parameter
-        carried = track_set_of(model, 2)
-        pos = Tensor(np.random.default_rng(17).standard_normal(carried.embeddings.shape))
-        ts = QuerySet(carried.embeddings, carried.records, positions=pos)
-        a = model.forward_frame(img, ts)
-        b = loaded.forward_frame(img, ts)
-        assert np.array_equal(a.class_probs.data, b.class_probs.data)
-        assert np.array_equal(a.boxes.data, b.boxes.data)
-        assert np.array_equal(a.hidden.data, b.hidden.data)
-
-
     def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, TrackingModel(TINY64, seed=15))
@@ -651,18 +631,21 @@ class TestCheckpointCorruption:
 
     @staticmethod
     def load_in_child(path):
-        """The ValueError message of `load_checkpoint(path)`, run in a child
-        whose address space is capped at 1.5 GB: a load that allocates more
-        than the file can hold raises MemoryError there, and the child fails."""
+        """The ValueError message of `load_checkpoint(path)`, or "loaded" and
+        the model's image size, run in a child whose address space is capped
+        at 1.5 GB: a load that allocates more than the file can hold raises
+        MemoryError there, and the child fails."""
         child = f"""
 import resource, sys
 sys.path.insert(0, {str(Path(querytrack.__file__).parents[1])!r})
 from querytrack.model import load_checkpoint
 resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))
 try:
-    load_checkpoint({str(path)!r})
+    model, _ = load_checkpoint({str(path)!r})
 except ValueError as e:
     print(e)
+else:
+    print("loaded", model.cfg.image_size)
 """
         # one BLAS thread, so the child's imports stay far below the cap
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
@@ -704,6 +687,14 @@ except ValueError as e:
         rewrite_header(path, lambda h: h["config"].update(n_decoder_layers=4000))
         message = self.load_in_child(path)
         assert re.fullmatch(r".*model\.ckpt: manifest has 53 entries, fewer than the config's 4001 layers\n", message)
+
+    def test_a_large_image_size_allocates_no_positional_code_at_load(self, tmp_path):
+        # θ does not depend on the image size, so this file is valid; its
+        # positional code would take 1 GiB ((32768 / 8)² rows of 8 values),
+        # and the first `encode` makes it, not the load
+        path = self.saved(tmp_path)
+        rewrite_header(path, lambda h: h["config"].update(image_size=32768))
+        assert self.load_in_child(path) == "loaded 32768\n"
 
     @pytest.mark.parametrize("header", [[1, 2], "x", 7, None])
     def test_header_not_an_object_rejected(self, tmp_path, header):
