@@ -20,9 +20,11 @@ bit-identical `loss_end` reads the same), the parent's quartile spread
 better by the metric's `better` (and in how many the two tied), whether
 a gain is claimable, and whether the change's median is within the
 metric's `bound`, a fraction of the parent's median. A gain is claimable
-when the change's median is better, the change won at least 9 of every 10
-pairs (a tie is no win), and the gap between the medians is larger than
-the parent's quartile spread. A metric whose parent runs all read one
+when at least 10 good pairs ran, the change's median is better, the
+change won at least 9 of every 10 pairs (a tie is no win), and the gap
+between the medians is larger than the parent's quartile spread: fewer
+pairs give too rough a spread and win count to rest a claim on, however
+clearly the change won them. A metric whose parent runs all read one
 value and whose change runs all read one value is deterministic: its row
 says so and gives the relative change, and it claims no gain, since the
 spread of such a metric is 0 and would let a rounding-level move pass.
@@ -42,6 +44,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+CLAIM_PAIRS = 10  # the fewest good pairs a claimed gain rests on
 
 
 def parse_args(argv):
@@ -120,7 +123,10 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
             "pairs": len(pairs),
             "deterministic": deterministic,
             "relative_change": (c_med - p_med) / p_med,
-            "claimable": not deterministic and sign * (p_med - c_med) > spread and 10 * wins >= 9 * len(pairs),
+            "claimable": (
+                len(pairs) >= CLAIM_PAIRS and not deterministic
+                and sign * (p_med - c_med) > spread and 10 * wins >= 9 * len(pairs)
+            ),
             "bound": bound,
             "within_bound": sign * c_med <= sign * p_med * (1.0 + sign * bound),
         })

@@ -15,8 +15,9 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
   its backward: scalar constants are Python floats, which never promote an
   array, and the constant columns that turn row sums and means into
   matrix products (`_column`) are built in the input's dtype and cached
-  per dtype; `Tensor` turns any other input (Python numbers, lists, ints)
-  into float64,
+  per dtype; `Tensor` turns any other real input (Python numbers, lists,
+  bools, ints) into float64 and rejects the rest (objects, strings,
+  complex numbers),
 - `add`, the one binary op, takes two operands of one shape (biases
   broadcast inside the ops that add them); it and `concat` take operands
   of one dtype and raise on a mix, which numpy would promote to float64
@@ -184,19 +185,31 @@ class Tape:
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
+def _real_as_float64(data: np.ndarray) -> np.ndarray:
+    """`Tensor`'s data of a dtype other than float32 and float64: bool,
+    integer and float arrays as float64; any other dtype kind raises,
+    where `astype` would parse strings, read None as NaN and drop an
+    imaginary part."""
+    if data.dtype.kind not in "biuf":
+        raise TypeError(f"a Tensor holds real numbers, got dtype {data.dtype}")
+    return data.astype(np.float64)
+
+
 class Tensor:
     """Dense n-d value, optionally carrying a gradient.
 
     Leaves are built directly (`Tensor(data, requires_grad=True)`); every op
     output is a non-leaf that remembers the tape it was recorded on. A
-    float32 or float64 array is kept as it is; anything else becomes float64.
+    float32 or float64 array is kept as it is; other real data (bools,
+    integers, other floats) becomes float64, and data of any other dtype
+    (objects, strings, complex numbers) raises a TypeError naming it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
-        self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
+        self.data = data if data.dtype in _FLOAT_DTYPES else _real_as_float64(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._tape: Tape | None = None

@@ -544,10 +544,11 @@ class TrackingModel:
 
 _MAGIC = b"QTCK"
 _VERSION = 3
-# the header's entries besides its config, in the order they are checked:
-# (key, the one Python type `json.loads` gives a valid value, its wording
-# in the error); `type(...) is int` refuses true and 1.0 as a crc32
-_HEADER_ENTRIES = (("params", list, "a list"), ("extra", dict, "a JSON object"), ("crc32", int, "an integer"))
+# the header's entries, in the order they are checked: (key, the one Python
+# type `json.loads` gives a valid value, its wording in the error);
+# `type(...) is int` refuses true and 1.0 as a crc32
+_HEADER_ENTRIES = (("config", dict, "a JSON object"), ("params", list, "a list"),
+                   ("extra", dict, "a JSON object"), ("crc32", int, "an integer"))
 
 
 def _payload_dtype(cfg: ModelConfig) -> np.dtype:
@@ -605,13 +606,15 @@ def save_checkpoint(path, model: TrackingModel, extra: dict | None = None) -> No
 def load_checkpoint(path) -> tuple[TrackingModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, extra metadata).
 
-    The header must be a JSON object with a valid config and the entries
-    of `_HEADER_ENTRIES`, each of its type; the first that is missing or of
-    another type raises a ValueError naming it. The model's layout is built
-    without drawing initial values; the header's manifest must equal that
-    layout's, entry for entry and as JSON (so a shape of 8.0 or true is not
-    8 or 1), and the payload is read into θ, whose checksum must be the
-    header's crc32. Nothing is allocated past what the file can hold: the
+    The header must be a JSON object with the entries of `_HEADER_ENTRIES`,
+    each of its type; the first that is missing or of another type raises a
+    ValueError naming it. Its config must then be a valid `ModelConfig`:
+    an unknown key or an invalid value raises a ValueError that quotes the
+    config's own error. The model's layout is built without drawing
+    initial values; the header's manifest must equal that layout's, entry
+    for entry and as JSON (so a shape of 8.0 or true is not 8 or 1), and
+    the payload is read into θ, whose checksum must be the header's
+    crc32. Nothing is allocated past what the file can hold: the
     header length and θ's size are each checked against the bytes left in
     the file before they are read, a config with more layers than the
     manifest has entries (every layer declares a parameter) is rejected
@@ -636,15 +639,15 @@ def load_checkpoint(path) -> tuple[TrackingModel, dict]:
             raise ValueError(f"{path}: header is not valid JSON: {e}") from e
         if not isinstance(header, dict):
             raise ValueError(f"{path}: header is a {type(header).__name__}, not a JSON object")
-        try:
-            cfg = ModelConfig(**header["config"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{path}: invalid config in header: {e!r}") from e
         for key, kind, wording in _HEADER_ENTRIES:
             if key not in header:
                 raise ValueError(f"{path}: header has no {key!r} entry")
             if type(header[key]) is not kind:
                 raise ValueError(f"{path}: header {key!r} is a {type(header[key]).__name__}, not {wording}")
+        try:
+            cfg = ModelConfig(**header["config"])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: invalid config in header: {e!r}") from e
         manifest = header["params"]
         n_layers = cfg.n_encoder_layers + cfg.n_decoder_layers
         if n_layers > len(manifest):

@@ -63,6 +63,13 @@ def test_summary_of_made_up_pairs():
     assert (loss["wins"], loss["parent_spread"] > 0.1, loss["claimable"]) == (10, True, False)
     assert "change won 9/10 (1 tied) gain claimable: yes" in ab_pairs.format_row(fps)
 
+    # fewer than ten pairs claim nothing, however clearly the change won them:
+    # here by 20% in every pair, far past the parent's spread
+    for n in (3, 5, 9):
+        few = [pair((100.0 + k, 10.0 + k / 10, 4.0), (120.0 + k, 8.0 + k / 10, 4.0)) for k in range(n)]
+        fps, step, _ = ab_pairs.summarize(METRICS, few)
+        assert (fps["wins"], step["wins"], fps["claimable"], step["claimable"]) == (n, n, False, False)
+
 
 def test_a_deterministic_metric_claims_no_gain():
     # train_crowded's loss_end, 1.4e-8 relative lower in all of 10 pairs:

@@ -1315,6 +1315,16 @@ class TestTensorDtype:
         for data in (1.5, 3, [1, 2], [[0.5]], np.arange(3), np.ones(2, np.float16), True):
             assert Tensor(data).data.dtype == np.float64, data
 
+    @pytest.mark.parametrize(
+        "data, dtype",
+        [(np.array([1.0, None]), "object"), (np.array(["1.5"]), "<U3"), (np.array([1 + 2j]), "complex128")],
+        ids=["none", "string", "complex"],
+    )
+    def test_data_that_is_not_real_rejected(self, data, dtype):
+        # astype would read None as NaN, parse "1.5" and drop the imaginary part
+        with pytest.raises(TypeError, match=rf"^a Tensor holds real numbers, got dtype {dtype}$"):
+            Tensor(data)
+
 
 @pytest.mark.parametrize("shape", [(2,), (1, 3), (0,)])
 def test_item_needs_one_element(shape):

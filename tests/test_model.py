@@ -259,16 +259,6 @@ class TestDecode:
         with pytest.raises(ValueError, match=message):
             model.decode(memory, track_queries)
 
-    @pytest.mark.parametrize("kinds", [["detect"], ["track", "detect"]])
-    def test_carried_block_with_detect_records_rejected(self, kinds):
-        # the model appends its own detect block, so a record of any other
-        # kind than "track" is rejected as it is built
-        with pytest.raises(ValueError, match="unknown query kind 'detect'"):
-            QuerySet(
-                Tensor(np.zeros((len(kinds), TINY64.d_model))),
-                [QueryRecord(k, track_id=i) for i, k in enumerate(kinds)],
-            )
-
     def test_forward_frame_builds_no_query_records(self, monkeypatch):
         # the detect block is the model's own: a frame, with or without a
         # carried block, constructs no QueryRecord and no QuerySet
@@ -547,11 +537,10 @@ class TestCheckpoint:
             assert x.data.dtype == dtype and np.array_equal(x.data, y.data)
 
 
-def rewrite_header(path, edit, cut=0):
+def rewrite_header(path, edit):
     """Rewrite the JSON header of the checkpoint at `path`, keeping its
     version and payload: edit(header) changes the decoded header in place,
-    and an `edit` that is not callable is written as the whole header. The
-    payload loses its first `cut` bytes."""
+    and an `edit` that is not callable is written as the whole header."""
     raw = path.read_bytes()
     version, header_len = struct.unpack("<II", raw[4:12])
     header = json.loads(raw[12 : 12 + header_len])
@@ -560,7 +549,7 @@ def rewrite_header(path, edit, cut=0):
     else:
         header = edit
     body = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len + cut :])
+    path.write_bytes(raw[:4] + struct.pack("<II", version, len(body)) + body + raw[12 + header_len :])
 
 
 class TestCheckpointCorruption:
@@ -588,16 +577,6 @@ class TestCheckpointCorruption:
         path = self.saved(tmp_path)
         path.write_bytes(path.read_bytes()[:-12])
         with pytest.raises(ValueError, match=r"model\.ckpt: truncated payload"):
-            load_checkpoint(path)
-
-    def test_manifest_missing_parameter_rejected(self, tmp_path):
-        path = self.saved(tmp_path)
-        # drop the first parameter's manifest entry and its payload, so the
-        # byte count still matches and only the manifest is wrong
-        dropped = querytrack.model._manifest(TrackingModel(TINY64))[0]
-        n_dropped = int(np.prod(dropped["shape"])) * 8
-        rewrite_header(path, lambda h: h["params"].pop(0), cut=n_dropped)
-        with pytest.raises(ValueError, match=rf"model\.ckpt: manifest entry 0 is .*, the layout's is .*'{re.escape(dropped['name'])}'"):
             load_checkpoint(path)
 
     def test_truncated_header_prefix_rejected(self, tmp_path):
@@ -706,7 +685,7 @@ else:
     def test_unknown_config_key_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         rewrite_header(path, lambda h: h["config"].update(n_wings=2))
-        with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*n_wings"):
+        with pytest.raises(ValueError, match=r"model\.ckpt: invalid config in header.*n_wings"):
             load_checkpoint(path)
 
     def test_invalid_config_value_rejected(self, tmp_path):
@@ -715,37 +694,10 @@ else:
         with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*d_model 7"):
             load_checkpoint(path)
 
-    def test_zero_heads_in_config_rejected(self, tmp_path):
-        path = self.saved(tmp_path)
-        rewrite_header(path, lambda h: h["config"].update(n_heads=0))
-        with pytest.raises(ValueError, match=r"model\.ckpt: invalid config.*n_heads must be"):
-            load_checkpoint(path)
-
     def test_missing_params_key_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         rewrite_header(path, lambda h: h.pop("params"))
         with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'params' entry"):
-            load_checkpoint(path)
-
-    def test_manifest_with_separate_qkv_names_rejected(self, tmp_path):
-        # a checkpoint of the layout with separate q, k and v projections has
-        # the same payload size; its manifest names the parameters this
-        # layout lacks
-        path, d = self.saved(tmp_path), TINY64.d_model
-
-        def separate_qkv(header):
-            manifest = []
-            for entry in header["params"]:
-                stem, proj, part = (entry["name"].rsplit(".", 2) + ["", ""])[:3]
-                if proj != "in":
-                    manifest.append(entry)
-                elif part == "w":
-                    manifest += [{"name": f"{stem}.{p}.{q}", "shape": [d, d] if q == "w" else [d]}
-                                 for p in ("q", "k", "v") for q in ("b", "w")]
-            header["params"] = sorted(manifest, key=lambda entry: entry["name"])
-
-        rewrite_header(path, separate_qkv)
-        with pytest.raises(ValueError, match=r"model\.ckpt: manifest entry \d+ is .*, the layout's is \{'name': '[\w.]+attn\.in\.b'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -767,20 +719,6 @@ else:
         with pytest.raises(ValueError, match=rf"model\.ckpt: {message}"):
             load_checkpoint(path)
 
-    def test_manifest_entry_without_shape_rejected(self, tmp_path):
-        # a missing shape, then shapes that are no list of nonnegative integers
-        for edit in (
-            lambda entry: entry.pop("shape"),
-            lambda entry: entry.update(shape="ab"),
-            lambda entry: entry.update(shape=[-1, 8]),
-            lambda entry: entry.update(shape=[2.5]),
-            lambda entry: entry.update(shape=None),
-        ):
-            path = self.saved(tmp_path)
-            rewrite_header(path, lambda h: edit(h["params"][0]))
-            with pytest.raises(ValueError, match=r"model\.ckpt: manifest entry 0 is .*, the layout's is"):
-                load_checkpoint(path)
-
     def test_params_not_a_list_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         rewrite_header(path, lambda h: h.update(params="weights"))
@@ -788,19 +726,23 @@ else:
             load_checkpoint(path)
 
     def test_missing_extra_key_rejected(self, tmp_path):
-        path = self.saved(tmp_path)
-        rewrite_header(path, lambda h: h.pop("extra"))
-        with pytest.raises(ValueError, match=r"model\.ckpt: header has no 'extra' entry"):
-            load_checkpoint(path)
+        # and the config, the header's other JSON object
+        for key in ("config", "extra"):
+            path = self.saved(tmp_path)
+            rewrite_header(path, lambda h: h.pop(key))
+            with pytest.raises(ValueError, match=rf"model\.ckpt: header has no '{key}' entry"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("extra", [[1, 2], "x", 7, None])
     def test_extra_not_an_object_rejected(self, tmp_path, extra):
-        path = self.saved(tmp_path)
-        rewrite_header(path, lambda h: h.update(extra=extra))
-        with pytest.raises(
-            ValueError, match=rf"model\.ckpt: header 'extra' is a {type(extra).__name__}, not a JSON object"
-        ):
-            load_checkpoint(path)
+        # and the config, the header's other JSON object
+        for key in ("config", "extra"):
+            path = self.saved(tmp_path)
+            rewrite_header(path, lambda h: h.update({key: extra}))
+            with pytest.raises(
+                ValueError, match=rf"model\.ckpt: header '{key}' is a {type(extra).__name__}, not a JSON object"
+            ):
+                load_checkpoint(path)
         # nor does a save write one
         if extra is not None:
             with pytest.raises(ValueError, match=rf"^extra must be a dict, got a {type(extra).__name__}$"):
@@ -848,15 +790,6 @@ else:
         with pytest.raises(ValueError, match=r"model\.ckpt: unsupported checkpoint version 2"):
             load_checkpoint(path)
 
-    def test_version_1_file_rejected(self, tmp_path):
-        # version 1 files carry no checksum and older parameter names
-        path = self.saved(tmp_path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-        with pytest.raises(ValueError, match=r"model\.ckpt: unsupported checkpoint version 1"):
-            load_checkpoint(path)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(d_model=10, n_heads=4)
@@ -875,15 +808,6 @@ def test_config_validation():
             ModelConfig(**{field: value})
     # layer counts may be 0
     assert ModelConfig(n_encoder_layers=0, n_decoder_layers=0).n_encoder_layers == 0
-
-
-def test_checkpoint_with_the_removed_positional_switch_rejected(tmp_path):
-    # files written while the config had a `positional_encoding` field carry it
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, TrackingModel(TINY64))
-    rewrite_header(path, lambda h: h["config"].update(positional_encoding=True))
-    with pytest.raises(ValueError, match=r"model\.ckpt: invalid config in header.*positional_encoding"):
-        load_checkpoint(path)
 
 
 def test_config_dtype_validation():
