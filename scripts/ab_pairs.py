@@ -26,7 +26,8 @@ between the medians is larger than the parent's quartile spread: fewer
 pairs give too rough a spread and win count to rest a claim on, however
 clearly the change won them. A metric whose parent runs all read one
 value and whose change runs all read one value is deterministic: its row
-says so and gives the relative change, and it claims no gain, since the
+says so and gives the relative change (or says the parent median is 0,
+which gives none), and it claims no gain, since the
 spread of such a metric is 0 and would let a rounding-level move pass.
 Pairs with a bad run are left out of the summary.
 The script exits 1 when any run crashed, read `correct: false` or had
@@ -122,7 +123,7 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
             "ties": sum(c == p for p, c in zip(parent, change)),
             "pairs": len(pairs),
             "deterministic": deterministic,
-            "relative_change": (c_med - p_med) / p_med,
+            "relative_change": (c_med - p_med) / p_med if deterministic and p_med else None,
             "claimable": (
                 len(pairs) >= CLAIM_PAIRS and not deterministic
                 and sign * (p_med - c_med) > spread and 10 * wins >= 9 * len(pairs)
@@ -134,10 +135,12 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
 
 
 def format_row(row: dict) -> str:
-    spread = (
-        f"deterministic, relative change {row['relative_change']:+.2g}" if row["deterministic"]
-        else f"parent spread {row['parent_spread']:.3g}"
-    )
+    if not row["deterministic"]:
+        spread = f"parent spread {row['parent_spread']:.3g}"
+    elif row["relative_change"] is None:
+        spread = "deterministic, parent median 0"
+    else:
+        spread = f"deterministic, relative change {row['relative_change']:+.2g}"
     return (
         f"{row['name']:12s} {row['unit']:5s} parent {row['parent_median']} "
         f"change {row['change_median']} {spread} "

@@ -4,7 +4,7 @@ Three layers: a minimum-cost assignment solver (scipy's), the pairwise
 class/box matching cost, and the per-frame label-assignment rules the
 tracker trains with — newborn objects are matched to detect queries only,
 while track queries inherit the assignment of the object they already carry.
-The cost and `losses.frame_loss` take a frame's checked class ids and box
+The cost and `losses.frame_loss` take a frame's checked identities and box
 rows from one reader, `_read_annotations`, so both see the same targets.
 Boxes are float64 `[m,4]` rows throughout; that reader is the one place a
 `Box` record becomes a row.
@@ -31,11 +31,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GtObject:
-    """One annotated object in one frame."""
+    """One annotated object in one frame, of the one class the model tracks."""
 
     identity: int
     box: Box
-    class_id: int = 0
 
 
 @dataclass
@@ -87,26 +86,22 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def _read_annotations(gt_frame: list[GtObject], n_classes: int):
-    """(each identity's row, [n] integer class ids, float64 [n,4] box rows)
-    of one frame's ground truth, in its order. An identity that is not an
-    integer (bools are not) or is given twice, a box that is not a `Box`,
-    or a class id that is not an integer in [0, n_classes), raises."""
+def _read_annotations(gt_frame: list[GtObject]):
+    """(each identity's row, float64 [n,4] box rows) of one frame's ground
+    truth, in its order. An identity that is not an integer (bools are not)
+    or is given twice, or a box that is not a `Box`, raises."""
     row_of, boxes = {}, []
     for obj in gt_frame:
-        c, box = obj.class_id, obj.box
+        box = obj.box
         if not _is_integer(obj.identity):
             raise ValueError(f"an object has identity {obj.identity!r}, not an integer")
         if not isinstance(box, Box):
             raise ValueError(f"object {obj.identity} has box {box!r}, not a Box")
-        if not (_is_integer(c) and 0 <= c < n_classes):
-            raise ValueError(f"object {obj.identity} has class_id {c!r}, outside [0, {n_classes})")
         if obj.identity in row_of:
             raise ValueError(f"identity {obj.identity} appears twice in one frame")
         row_of[obj.identity] = len(row_of)
         boxes.append((box.cx, box.cy, box.w, box.h))
-    class_ids = np.array([obj.class_id for obj in gt_frame], dtype=np.intp)
-    return row_of, class_ids, np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    return row_of, np.array(boxes, dtype=np.float64).reshape(-1, 4)
 
 
 def build_match_cost(
@@ -117,19 +112,20 @@ def build_match_cost(
 ) -> np.ndarray:
     """Pairwise query/target matching cost, [n_queries, n_targets].
 
-    cost(q, t) = lambda_cls * (-p_q[class_t]) + lambda_l1 * l1 + lambda_giou * (-giou),
-    the same weights the box/class losses use. `pred_probs` must be
-    [n_queries, n_classes] and `pred_boxes` float64 [n_queries, 4] rows;
-    the box kernels raise ShapeError for any other box input.
+    cost(q, t) = lambda_cls * (-p_q) + lambda_l1 * l1 + lambda_giou * (-giou),
+    the same weights the box/class losses use, with p_q query q's class
+    probability. `pred_probs` must be [n_queries, 1], the column every
+    target shares, and `pred_boxes` float64 [n_queries, 4] rows; the box
+    kernels raise ShapeError for any other box input.
     """
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
-    if pred_probs.ndim != 2:
-        raise ValueError(f"pred_probs must be [n_queries, n_classes], got shape {pred_probs.shape}")
-    _, class_ids, target_rows = _read_annotations(targets, pred_probs.shape[1])
+    if pred_probs.ndim != 2 or pred_probs.shape[1] != 1:
+        raise ValueError(f"pred_probs must be [n_queries, 1], got shape {pred_probs.shape}")
+    _, target_rows = _read_annotations(targets)
     l1, g = l1_box(pred_boxes, target_rows), giou(pred_boxes, target_rows)
     if len(pred_boxes) != len(pred_probs):
         raise ValueError(f"{len(pred_probs)} probability rows but {len(pred_boxes)} predicted boxes")
-    return weights.lambda_cls * -pred_probs[:, class_ids] + weights.lambda_l1 * l1 + weights.lambda_giou * -g
+    return weights.lambda_cls * -pred_probs + weights.lambda_l1 * l1 + weights.lambda_giou * -g
 
 
 def assign_newborn(

@@ -162,9 +162,9 @@ def frame_loss(
     order, so the value and both gradients match that chain bit for bit.
     """
     n_track = preds.n_track
-    n_total, n_classes = preds.class_logits.shape
+    n_total = preds.class_logits.shape[0]
     ad._check_dtypes((preds.class_logits, preds.boxes), "frame_loss class_logits and boxes")
-    row_of, class_ids, gt_rows = _read_annotations(gt_frame, n_classes)
+    row_of, gt_rows = _read_annotations(gt_frame)
     blocks = (("track", track_assign, n_track), ("detect", detect_assign, n_total - n_track))
     for block, assign, size in blocks:
         for slot, _ in assign.pairs:
@@ -181,8 +181,8 @@ def frame_loss(
     index, matched_gt = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
     logits, boxes = preds.class_logits, preds.boxes
-    class_targets = np.zeros((n_total, n_classes), dtype=logits.data.dtype)
-    class_targets[index, class_ids[matched_gt]] = 1.0
+    class_targets = np.zeros_like(logits.data)
+    class_targets[index, 0] = 1.0
     gamma = weights.focal_gamma
     cells, focal = _focal_cells(logits.data, class_targets, weights.focal_alpha, gamma)
     pred_rows = boxes.data[index]

@@ -1,11 +1,12 @@
 """Toy-scale encoder/decoder producing per-query scores, boxes and states.
 
-A frame image is cut into non-overlapping patches, linearly embedded with a
-2-d sine positional code and refined by standard self-attention; the frame's
-queries (the track queries, a variable block, first; the fixed learnable
-detect block, which the decoder appends itself, second) run through pre-norm
-decoder layers of self-attention, cross-attention to the frame tokens and a
-feed-forward net. Every layer is a stack of pre-norm residual sublayers
+A square one-channel frame image is cut into non-overlapping 8×8 patches
+(`PATCH_SIZE`), linearly embedded with a 2-d sine positional code and
+refined by standard self-attention; the frame's queries (the track
+queries, a variable block, first; the fixed learnable detect block, which
+the decoder appends itself, second) run through pre-norm decoder layers
+of self-attention, cross-attention to the frame tokens and a feed-forward
+net. Every layer is a stack of pre-norm residual sublayers
 x + f(LN(x)), and each sublayer, its layer norm and residual add included,
 is one tape op: `ad.attention` (through
 `multi_head_attention`) or `ad.feed_forward`. A sublayer's parameters are
@@ -21,11 +22,12 @@ as one product each. The records check every parameter shape and the head
 count once, when the model lays out its parameters (a checkpoint load
 too); on each call an op checks only its inputs: the rows' width, the
 memory and the positions.
-The class head emits logits, which the loss takes on the tape; class
-probabilities are their sigmoid, derived off the tape for matching and
-scoring. The box head's sigmoid keeps box coordinates in [0, 1], strictly
-inside (0, 1) for box logits in about (-709.7, 36.7) in float64 and
-(-88.7, 16.6) in float32: past those the sigmoid rounds to exactly 0 or 1.
+The model tracks one object class: the class head emits one logit per
+query, which the loss takes on the tape; the class probability is its
+sigmoid, derived off the tape for matching and scoring. The box head's
+sigmoid keeps box coordinates in [0, 1], strictly inside (0, 1) for box
+logits in about (-709.7, 36.7) in float64 and (-88.7, 16.6) in float32:
+past those the sigmoid rounds to exactly 0 or 1.
 Query order is slot identity: output row i always belongs to input query i.
 
 The model computes in one dtype, `ModelConfig.dtype`: float32 (the
@@ -59,6 +61,7 @@ import querytrack.autodiff as ad
 from querytrack.autodiff import ShapeError, Tensor
 
 __all__ = [
+    "PATCH_SIZE",
     "FramePredictions",
     "ModelConfig",
     "QueryRecord",
@@ -72,19 +75,29 @@ __all__ = [
 
 
 _DTYPES = ("float32", "float64")
+PATCH_SIZE = 8  # the side of a square image patch, in pixels
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The model's sizes and dtype.
+
+    `image_size` is the side of a square one-channel image, a multiple of
+    `PATCH_SIZE`; `d_model` the width of every token and query row, a
+    multiple of `n_heads` and of 4 (the 2-d sine code); `n_heads` the
+    attention heads; `n_encoder_layers` and `n_decoder_layers` the layer
+    counts, which may be 0; `n_detect_queries` the learnable detect block's
+    rows; `ffn_dim` the feed-forward width; `dtype` that of every parameter
+    and op output. The model tracks one object class: its class head emits
+    one logit per query.
+    """
+
     image_size: int = 64
-    patch_size: int = 8
-    n_channels: int = 1
     d_model: int = 64
     n_heads: int = 4
     n_encoder_layers: int = 2
     n_decoder_layers: int = 3
     n_detect_queries: int = 16
-    n_classes: int = 1
     ffn_dim: int = 128
     dtype: str = "float32"  # or "float64": the dtype of every parameter and op output
 
@@ -105,10 +118,8 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_model % 4:
             raise ValueError("d_model must be a multiple of 4 for the 2-d sine code")
-        if self.image_size % self.patch_size:
-            raise ValueError(
-                f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
-            )
+        if self.image_size % PATCH_SIZE:
+            raise ValueError(f"image_size {self.image_size} not divisible by PATCH_SIZE {PATCH_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -181,7 +192,7 @@ class FramePredictions:
     positions (`queries`) with one row index.
     """
 
-    class_logits: Tensor  # [n, n_classes]
+    class_logits: Tensor  # [n, 1], one class
     boxes: Tensor  # [n, 4], (cx, cy, w, h)
     hidden: Tensor  # [n, d_model]
     queries: Tensor  # [n, d_model], decoder input rows
@@ -193,7 +204,7 @@ class FramePredictions:
         return ad.sigmoid(Tensor(self.class_logits.data))
 
     def scores(self) -> np.ndarray:
-        """Best class probability per query."""
+        """The class probability per query."""
         return self.class_probs.data.max(axis=1)
 
     def box_list(self) -> np.ndarray:
@@ -320,36 +331,26 @@ def _encoder_layer(x: Tensor, layer: tuple, positions: Tensor | None = None) -> 
     return ad.feed_forward(multi_head_attention(x, attention, positions=positions), ffn)
 
 
-def sine_positions_2d(n_rows: int, n_cols: int, d: int) -> np.ndarray:
-    """Fixed 2-d sine/cosine code: half the channels per grid axis."""
+def sine_positions_2d(side: int, d: int) -> np.ndarray:
+    """Fixed 2-d sine/cosine code of a square `side`×`side` grid, row-major:
+    half the channels per grid axis, both axes coded alike."""
     half = d // 2
-
-    def axis_code(n: int) -> np.ndarray:
-        pos = np.arange(n, dtype=np.float64)[:, None]
-        freq = np.exp(np.arange(0, half, 2, dtype=np.float64) * (-np.log(10000.0) / half))
-        code = np.zeros((n, half))
-        code[:, 0::2] = np.sin(pos * freq)
-        code[:, 1::2] = np.cos(pos * freq)
-        return code
-
-    rows = np.repeat(axis_code(n_rows), n_cols, axis=0)
-    cols = np.tile(axis_code(n_cols), (n_rows, 1))
-    return np.concatenate([rows, cols], axis=1)
+    pos = np.arange(side, dtype=np.float64)[:, None]
+    freq = np.exp(np.arange(0, half, 2, dtype=np.float64) * (-np.log(10000.0) / half))
+    code = np.zeros((side, half))
+    code[:, 0::2] = np.sin(pos * freq)
+    code[:, 1::2] = np.cos(pos * freq)
+    return np.concatenate([np.repeat(code, side, axis=0), np.tile(code, (side, 1))], axis=1)
 
 
-def _cut_patches(image: np.ndarray, patch: int) -> np.ndarray:
-    """[H,W,C] image -> [T, patch*patch*C] rows, one per non-overlapping patch.
+def _cut_patches(image: np.ndarray) -> np.ndarray:
+    """[S,S,1] image -> [T, PATCH_SIZE²] rows, one per non-overlapping patch.
 
-    Patches scan row-major over the patch grid; T = (H/patch)*(W/patch). The
+    Patches scan row-major over the patch grid; T = (S/PATCH_SIZE)². The
     cut is plain numpy: nothing differentiates with respect to an image.
     """
-    h, w, c = image.shape
-    hp, wp = h // patch, w // patch
-    return (
-        image.reshape(hp, patch, wp, patch, c)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(hp * wp, patch * patch * c)
-    )
+    g = image.shape[0] // PATCH_SIZE
+    return image.reshape(g, PATCH_SIZE, g, PATCH_SIZE).transpose(0, 2, 1, 3).reshape(g * g, PATCH_SIZE**2)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +387,7 @@ class TrackingModel:
         self.cfg = cfg
         f = _ParamFactory()
         d, ffn = cfg.d_model, cfg.ffn_dim
-        in_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
-
-        self.patch_w, self.patch_b = f.linear("patch_embed", in_dim, d)
+        self.patch_w, self.patch_b = f.linear("patch_embed", PATCH_SIZE * PATCH_SIZE, d)
         encoder_attn = ("attn", "norm_attn")
         self.encoder_layers = [
             f.layer(f"encoder.{i}", d, ffn, cfg.n_heads, encoder_attn) for i in range(cfg.n_encoder_layers)
@@ -405,7 +404,7 @@ class TrackingModel:
             lambda rng, shape: rng.normal(0.0, 0.02, size=shape),
         )
         # negative class bias starts scores low so background dominates early
-        self.cls_w, self.cls_b = f.linear("head.class", d, cfg.n_classes, bias=-2.0)
+        self.cls_w, self.cls_b = f.linear("head.class", d, 1, bias=-2.0)
         self.box_w1, self.box_b1 = f.linear("head.box.inner", d, d)
         self.box_w2, self.box_b2 = f.linear("head.box.outer", d, 4)
         self.temporal = f.layer("temporal", d, ffn, cfg.n_heads, encoder_attn)
@@ -449,7 +448,8 @@ class TrackingModel:
     # -- encoding ----------------------------------------------------------
 
     def encode(self, image: Tensor) -> Tensor:
-        """Image [H,W,C] -> frame tokens [T, d_model]; no gradient reaches the image.
+        """Image [image_size, image_size, 1] -> frame tokens [T, d_model]; no
+        gradient reaches the image.
 
         The image, a `Tensor`, is data, not state: its patches are cast to
         the model's dtype. An image with a pixel that is NaN or infinite in
@@ -461,19 +461,17 @@ class TrackingModel:
         cfg = self.cfg
         if not isinstance(image, Tensor):
             raise TypeError(f"encode needs the image as a Tensor, got a {type(image).__name__}")
-        if image.shape != (cfg.image_size, cfg.image_size, cfg.n_channels):
+        if image.shape != (cfg.image_size, cfg.image_size, 1):
             raise ShapeError(
-                f"image shape {image.shape} != configured "
-                f"({cfg.image_size}, {cfg.image_size}, {cfg.n_channels})"
+                f"image shape {image.shape} != configured ({cfg.image_size}, {cfg.image_size}, 1)"
             )
         pixels = image.data.astype(cfg.dtype, copy=False)
         if not np.isfinite(pixels).all():
             n_bad = pixels.size - np.count_nonzero(np.isfinite(pixels))
             raise ValueError(f"image has {n_bad} NaN or infinite pixels in {cfg.dtype}")
-        patches = _cut_patches(pixels, cfg.patch_size)
+        patches = _cut_patches(pixels)
         if self._pos is None:
-            side = cfg.image_size // cfg.patch_size
-            self._pos = Tensor(sine_positions_2d(side, side, cfg.d_model).astype(cfg.dtype))
+            self._pos = Tensor(sine_positions_2d(cfg.image_size // PATCH_SIZE, cfg.d_model).astype(cfg.dtype))
         x = ad.add(ad.linear(Tensor(patches), self.patch_w, self.patch_b), self._pos)
         for layer in self.encoder_layers:
             x = _encoder_layer(x, layer)

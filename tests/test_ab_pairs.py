@@ -79,10 +79,15 @@ def test_a_deterministic_metric_claims_no_gain():
     assert (loss["wins"], loss["parent_spread"], loss["deterministic"], loss["claimable"]) == (10, 0.0, True, False)
     assert loss["relative_change"] == pytest.approx(-1.443e-8, rel=1e-3)
     assert (step["deterministic"], step["relative_change"], step["claimable"]) == (True, 0.0, False)
-    assert (fps["deterministic"], fps["wins"]) == (False, 10)
+    assert (fps["deterministic"], fps["wins"], fps["relative_change"]) == (False, 10, None)
     line = ab_pairs.format_row(loss)
     assert "deterministic, relative change -1.4e-08 change won 10/10 (0 tied) gain claimable: no" in line
     assert "deterministic" not in ab_pairs.format_row(fps)
+    # a parent median of 0 gives no relative change, and the row says why
+    fps, _, _ = ab_pairs.summarize(METRICS, [pair((0.0, 10.0, 4.0), (1.0, 10.0, 4.0))])
+    assert (fps["deterministic"], fps["relative_change"]) == (True, None)
+    line = ab_pairs.format_row(fps)
+    assert "frames_per_s 1/s   parent 0.0 change 1.0 deterministic, parent median 0 change won 1/1" in line
 
 
 def test_bound_edges_hold_both_ways():

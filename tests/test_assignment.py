@@ -110,39 +110,17 @@ class TestMatchCost:
                 assert c > prev
             prev = c
 
-
-    def test_each_column_takes_its_own_class_probability(self):
-        w = LossWeights(lambda_cls=2.0, lambda_l1=0.0, lambda_giou=0.0)
-        b = Box(0.5, 0.5, 0.2, 0.2)
-        probs = np.array([[0.1, 0.7], [0.4, 0.2], [0.9, 0.3]])
-        targets = [GtObject(0, b, class_id=1), GtObject(1, b, class_id=0), GtObject(2, b, class_id=1)]
-        cost = build_match_cost(probs, box_rows(b, b, b), targets, w)
-        np.testing.assert_array_equal(cost, -2.0 * probs[:, [1, 0, 1]])
-
     @pytest.mark.parametrize(
         "gt, message",
         [
-            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=-1)], r"class_id -1, outside \[0, 1\)"),
-            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=1)], r"class_id 1, outside \[0, 1\)"),
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2)), GtObject(1, Box(0.3, 0.3, 0.1, 0.1))], "identity 1 appears twice"),
-            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=0.0)], r"class_id 0\.0, outside \[0, 1\)"),
-            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id="0")], r"class_id '0', outside \[0, 1\)"),
-            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=None)], r"class_id None, outside \[0, 1\)"),
-            # bool is an int subclass: False would train as class 0, True as class 1
-            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=False)], r"class_id False, outside \[0, 1\)"),
-            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=True)], r"class_id True, outside \[0, 1\)"),
-            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=np.False_)], r"class_id np\.False_, outside \[0, 1\)"),
             # an identity is an integer, as a QueryRecord's track id is
             ([GtObject("a", Box(0.5, 0.5, 0.2, 0.2))], r"identity 'a', not an integer"),
             ([GtObject(1.5, Box(0.5, 0.5, 0.2, 0.2))], r"identity 1\.5, not an integer"),
             ([GtObject(True, Box(0.5, 0.5, 0.2, 0.2))], r"identity True, not an integer"),
             ([GtObject(None, Box(0.5, 0.5, 0.2, 0.2))], r"identity None, not an integer"),
         ],
-        ids=[
-            "negative_class", "class_past_the_last", "duplicate_identity", "float_class", "string_class",
-            "no_class", "false_class", "true_class", "numpy_bool_class",
-            "string_identity", "float_identity", "bool_identity", "no_identity",
-        ],
+        ids=["duplicate_identity", "string_identity", "float_identity", "bool_identity", "no_identity"],
     )
     def test_bad_annotations_rejected(self, gt, message):
         probs = np.array([[0.5], [0.3]])
@@ -161,8 +139,11 @@ class TestMatchCost:
 
     def test_probabilities_must_be_2d(self):
         b = Box(0.5, 0.5, 0.2, 0.2)
-        with pytest.raises(ValueError, match=r"\[n_queries, n_classes\], got shape \(2,\)"):
+        with pytest.raises(ValueError, match=r"\[n_queries, 1\], got shape \(2,\)"):
             build_match_cost(np.array([0.5, 0.3]), box_rows(b, b), [GtObject(1, b)], LossWeights())
+        # one query's [1, 2] table against two targets would broadcast column t to target t
+        with pytest.raises(ValueError, match=r"\[n_queries, 1\], got shape \(1, 2\)"):
+            build_match_cost(np.array([[0.5, 0.3]]), box_rows(b), [GtObject(1, b), GtObject(2, b)], LossWeights())
 
     def test_boxes_in_any_other_form_rejected(self):
         b = Box(0.5, 0.5, 0.2, 0.2)
@@ -235,15 +216,14 @@ class TestAssignNewborn:
 
 class TestReadAnnotations:
     def test_rows_classes_and_boxes_in_frame_order(self):
-        gt = [GtObject(7, Box(0.5, 0.4, 0.2, 0.1), class_id=2), GtObject(3, Box(0.1, 0.2, 0.3, 0.4))]
-        row_of, class_ids, rows = _read_annotations(gt, 3)
+        gt = [GtObject(7, Box(0.5, 0.4, 0.2, 0.1)), GtObject(3, Box(0.1, 0.2, 0.3, 0.4))]
+        row_of, rows = _read_annotations(gt)
         assert row_of == {7: 0, 3: 1}
-        assert class_ids.dtype.kind == "i" and class_ids.tolist() == [2, 0]
         assert rows.dtype == np.float64 and rows.tolist() == [[0.5, 0.4, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]]
 
     def test_empty_frame(self):
-        row_of, class_ids, rows = _read_annotations([], 1)
-        assert row_of == {} and class_ids.shape == (0,) and rows.shape == (0, 4)
+        row_of, rows = _read_annotations([])
+        assert row_of == {} and rows.shape == (0, 4)
 
 
 class TestPropagate:

@@ -167,11 +167,9 @@ class TestFrameLoss:
     @pytest.mark.parametrize(
         "gt, message",
         [
-            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=-1)], r"class_id -1, outside \[0, 1\)"),
-            ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2), class_id=1)], r"class_id 1, outside \[0, 1\)"),
             ([GtObject(1, Box(0.5, 0.5, 0.2, 0.2)), GtObject(1, Box(0.3, 0.3, 0.1, 0.1))], "identity 1 appears twice"),
         ],
-        ids=["negative_class", "class_past_the_last", "duplicate_identity"],
+        ids=["duplicate_identity"],
     )
     def test_bad_annotations_rejected(self, gt, message):
         preds = StubPreds([[0.0], [0.0]], np.full((2, 4), 0.5), n_track=0)
@@ -270,14 +268,13 @@ def chain_frame_loss(preds, track_assign, detect_assign, gt, w):
     focal_loss over every logit row; gather_rows of the matched rows →
     box_l1_rows and box_giou_rows; then
     cls·λ_cls + (Σ L1·λ_L1 + Σ (1 − GIoU)·λ_GIoU) as scale, sum and add nodes."""
-    n_track, (n_total, n_classes) = preds.n_track, preds.class_logits.shape
-    by_identity = {obj.identity: obj for obj in gt}
-    class_targets = np.zeros((n_total, n_classes))
+    n_track, by_identity = preds.n_track, {obj.identity: obj for obj in gt}
+    class_targets = np.zeros(preds.class_logits.shape)
     rows, target_boxes = [], []
     for offset, assign in ((0, track_assign), (n_track, detect_assign)):
         for slot, ident in assign.pairs:
             if ident in by_identity:
-                class_targets[offset + slot, by_identity[ident].class_id] = 1.0
+                class_targets[offset + slot, 0] = 1.0
                 rows.append(offset + slot)
                 target_boxes.append(by_identity[ident].box)
     cls = scale(focal_loss(preds.class_logits, class_targets, w.focal_alpha, w.focal_gamma), w.lambda_cls)
@@ -292,16 +289,16 @@ def chain_frame_loss(preds, track_assign, detect_assign, gt, w):
 
 
 def block_scenario(rng, dtype, n_track, n_detect, n_tracked, n_newborn, n_dead):
-    """Predictions over two classes, a ground-truth frame and the two
-    assignments: n_tracked live and n_dead vanished identities in the track
-    block, n_newborn matched detect slots."""
+    """One-class predictions, a ground-truth frame and the two assignments:
+    n_tracked live and n_dead vanished identities in the track block,
+    n_newborn matched detect slots."""
     n = n_track + n_detect
     boxes = np.hstack([rng.uniform(0.25, 0.75, (n, 2)), rng.uniform(0.05, 0.4, (n, 2))])
-    preds = StubPreds(rng.normal(0.0, 2.0, (n, 2)), boxes, n_track)
+    preds = StubPreds(rng.normal(0.0, 2.0, (n, 1)), boxes, n_track)
     for t in (preds.class_logits, preds.boxes):
         t.data, t.requires_grad = t.data.astype(dtype), True
     gt = [
-        GtObject(k + 1, Box(*rng.uniform(0.3, 0.7, 2), *rng.uniform(0.05, 0.4, 2)), int(rng.integers(0, 2)))
+        GtObject(k + 1, Box(*rng.uniform(0.3, 0.7, 2), *rng.uniform(0.05, 0.4, 2)))
         for k in range(n_tracked + n_newborn)
     ]
     track_slots = rng.permutation(n_track)[: n_tracked + n_dead].tolist()

@@ -30,7 +30,7 @@ from tiny import TINY, TINY64
 
 
 def random_image(rng, cfg):
-    return Tensor(rng.uniform(0, 1, size=(cfg.image_size, cfg.image_size, cfg.n_channels)))
+    return Tensor(rng.uniform(0, 1, size=(cfg.image_size, cfg.image_size, 1)))
 
 
 def track_set_of(model, n, start_id=1):
@@ -81,7 +81,7 @@ class TestEncode:
 
     def test_zero_encoder_layers_is_pure_projection(self):
         cfg = ModelConfig(
-            image_size=16, patch_size=8, d_model=8, n_heads=2,
+            image_size=16, d_model=8, n_heads=2,
             n_encoder_layers=0, n_decoder_layers=1, n_detect_queries=2,
             ffn_dim=16, dtype="float64",
         )
@@ -90,12 +90,12 @@ class TestEncode:
         tokens = model.encode(img)
         # the [16,16,1] image's two-by-two grid of 8x8 patches, row-major
         patches = np.stack([img.data[r:r + 8, c:c + 8].reshape(-1) for r in (0, 8) for c in (0, 8)])
-        manual = patches @ model.patch_w.data + model.patch_b.data + sine_positions_2d(2, 2, 8)
+        manual = patches @ model.patch_w.data + model.patch_b.data + sine_positions_2d(2, 8)
         np.testing.assert_allclose(tokens.data, manual, atol=1e-12)
 
     def test_patch_permutation_equivariance_without_positions(self):
         cfg = ModelConfig(
-            image_size=16, patch_size=8, d_model=8, n_heads=2,
+            image_size=16, d_model=8, n_heads=2,
             n_encoder_layers=2, n_decoder_layers=1, n_detect_queries=2,
             ffn_dim=16, dtype="float64",
         )
@@ -132,9 +132,9 @@ class TestEncode:
                 assert np.array_equal(tokens[0], ref)
 
     def test_positional_code_shape_and_determinism(self):
-        a = sine_positions_2d(3, 4, 8)
-        b = sine_positions_2d(3, 4, 8)
-        assert a.shape == (12, 8)
+        a = sine_positions_2d(3, 8)
+        b = sine_positions_2d(3, 8)
+        assert a.shape == (9, 8)
         assert np.array_equal(a, b)
 
 
@@ -796,13 +796,12 @@ def test_config_validation():
     # 6 splits into 2 heads but not into the sine code's 4 blocks
     with pytest.raises(ValueError, match="d_model must be a multiple of 4 for the 2-d sine code"):
         ModelConfig(d_model=6, n_heads=2)
-    with pytest.raises(ValueError):
-        ModelConfig(image_size=60, patch_size=8)
+    with pytest.raises(ValueError, match="image_size 60 not divisible by PATCH_SIZE 8"):
+        ModelConfig(image_size=60)
     # sizes are checked before any divisibility check divides by them
     for field, value in [
-        ("n_heads", 0), ("patch_size", 0), ("image_size", -64), ("d_model", -8),
-        ("n_decoder_layers", -2), ("ffn_dim", 0), ("n_detect_queries", 0), ("n_classes", 0),
-        ("n_channels", 0), ("d_model", 64.0), ("n_heads", True), ("n_encoder_layers", "2"),
+        ("n_heads", 0), ("image_size", -64), ("d_model", -8), ("n_decoder_layers", -2),
+        ("ffn_dim", 0), ("n_detect_queries", 0), ("d_model", 64.0), ("n_heads", True), ("n_encoder_layers", "2"),
     ]:
         with pytest.raises(ValueError, match=rf"{field} must be an integer >= [01], got"):
             ModelConfig(**{field: value})

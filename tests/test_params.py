@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import querytrack.autodiff as ad
-from querytrack.model import ModelConfig, TrackingModel, load_checkpoint, save_checkpoint
+from querytrack.model import PATCH_SIZE, ModelConfig, TrackingModel, load_checkpoint, save_checkpoint
 
 import clips
 import drivers
@@ -82,13 +82,13 @@ def separate_qkv_draws(cfg, seed):
         linear(f"{name}.ffn.inner", d, cfg.ffn_dim)
         linear(f"{name}.ffn.outer", cfg.ffn_dim, d)
 
-    linear("patch_embed", cfg.patch_size * cfg.patch_size * cfg.n_channels, d)
+    linear("patch_embed", PATCH_SIZE * PATCH_SIZE, d)
     for i in range(cfg.n_encoder_layers):
         layer(f"encoder.{i}", "attn")
     for i in range(cfg.n_decoder_layers):
         layer(f"decoder.{i}", "self_attn", "cross_attn")
     values["detect_queries"] = rng.normal(0.0, 0.02, size=(cfg.n_detect_queries, d))
-    linear("head.class", d, cfg.n_classes, bias=-2.0)
+    linear("head.class", d, 1, bias=-2.0)
     linear("head.box.inner", d, d)
     linear("head.box.outer", d, 4)
     layer("temporal", "attn")

@@ -20,7 +20,6 @@ from querytrack.model import ModelConfig, QueryRecord, QuerySet
 
 TINY = ModelConfig(
     image_size=16,
-    patch_size=8,
     d_model=8,
     n_heads=2,
     n_encoder_layers=1,
@@ -41,7 +40,7 @@ def two_frame_clip_loss(model, seed):
     frame. Their hidden rows, with their query rows as positions, are the
     second frame's track block, and its two rows take the same objects."""
     cfg = model.cfg
-    images = np.random.default_rng(seed).uniform(0, 1, size=(2, cfg.image_size, cfg.image_size, cfg.n_channels))
+    images = np.random.default_rng(seed).uniform(0, 1, size=(2, cfg.image_size, cfg.image_size, 1))
     weights, acc = LossWeights(), ClipLossAccumulator()
     preds = model.forward_frame(Tensor(images[0]))
     acc.add(frame_loss(preds, Assignment(), Assignment([(0, 1), (2, 2)]), CLIP_GT, weights))
