@@ -19,7 +19,11 @@ bit-identical `loss_end` reads the same), the parent's quartile spread
 (third quartile minus first), in how many pairs the change was strictly
 better by the metric's `better` (and in how many the two tied), whether
 a gain is claimable, and whether the change's median is within the
-metric's `bound`, a fraction of the parent's median. A gain is claimable
+metric's `bound`, a fraction of the parent's median: "yes", "NO", or
+"unresolved" when the parent's quartile spread is wider than the bound
+times the parent median's magnitude, since the medians of such runs can
+land on either side of the bound by chance; a row whose every change run
+is better than every parent run reads "yes" all the same. A gain is claimable
 when at least 10 good pairs ran, the change's median is better, the
 change won at least 9 of every 10 pairs (a tie is no win), and the gap
 between the medians is larger than the parent's quartile spread: fewer
@@ -112,6 +116,7 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
         p_med, c_med = statistics.median(parent), statistics.median(change)
         spread = quartile_spread(parent)
         wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+        all_better = max(sign * c for c in change) < min(sign * p for p in parent)
         deterministic = len(set(parent)) == len(set(change)) == 1
         rows.append({
             "name": name,
@@ -129,9 +134,16 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
                 and sign * (p_med - c_med) > spread and 10 * wins >= 9 * len(pairs)
             ),
             "bound": bound,
-            "within_bound": sign * c_med <= sign * p_med * (1.0 + sign * bound),
+            # None: unresolved, the parent's runs spread wider than the bound
+            "within_bound": (
+                None if spread > bound * abs(p_med) and not all_better
+                else sign * c_med <= sign * p_med * (1.0 + sign * bound)
+            ),
         })
     return rows
+
+
+_VERDICTS = {True: "yes", False: "NO", None: "unresolved"}
 
 
 def format_row(row: dict) -> str:
@@ -146,7 +158,7 @@ def format_row(row: dict) -> str:
         f"change {row['change_median']} {spread} "
         f"change won {row['wins']}/{row['pairs']} ({row['ties']} tied) "
         f"gain claimable: {'yes' if row['claimable'] else 'no'} "
-        f"within bound {row['bound']}: {'yes' if row['within_bound'] else 'NO'}"
+        f"within bound {row['bound']}: {_VERDICTS[row['within_bound']]}"
     )
 
 

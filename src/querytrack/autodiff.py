@@ -27,10 +27,16 @@ Conventions kept deliberately narrow so each backward rule stays auditable:
   the term's shape and dtype against the tensor's and raises on either,
   and keeps the term only when the tensor requires a gradient: a backward
   rule hands each of its inputs its term without asking,
-- each thread has its own stack of active tapes: an op records on the
-  innermost tape its own thread entered, so threads that each record on
-  their own `Tape` do not see each other's; a tape and its tensors belong
-  to one thread, and no locking is done,
+- each thread records on one tape at a time, held in a per-thread slot:
+  entering a `Tape` while the thread already records on one raises a
+  GradientError, since the outer tape's backward would not replay the
+  inner tape's nodes and the inputs below them would get no gradient and
+  no error; threads that each record on their own `Tape` do not see each
+  other's, a tape and its tensors belong to one thread, and no locking
+  is done,
+- an op's inputs are leaves (tensors no tape recorded) or tensors of the
+  active tape: `custom_op` raises a GradientError naming an input that
+  another tape recorded, whose nodes this tape's backward would not reach,
 - a leaf may be a view of a group leaf (`leaf_group`): a 1-d leaf whose
   consecutive slices are the view leaves' data. The ops see only the
   views; each view adds its gradient terms into its slice of the group's
@@ -93,7 +99,8 @@ class ShapeError(ValueError):
 
 
 class GradientError(RuntimeError):
-    """Backward pass misuse: non-scalar loss, detached loss, double backward."""
+    """Tape misuse: non-scalar loss, detached loss, double backward, a nested
+    tape, an op input of another tape."""
 
 
 def _is_integer(value) -> bool:
@@ -110,19 +117,17 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-class _TapeStack(threading.local):
-    """The calling thread's active tapes, innermost last."""
+class _TapeSlot(threading.local):
+    """The tape the calling thread records on, or None."""
 
-    def __init__(self) -> None:
-        self.tapes: list[Tape] = []
+    tape: "Tape | None" = None
 
 
-_STACK = _TapeStack()
+_SLOT = _TapeSlot()
 
 
 def active_tape() -> "Tape | None":
-    tapes = _STACK.tapes
-    return tapes[-1] if tapes else None
+    return _SLOT.tape
 
 
 class Tape:
@@ -134,7 +139,12 @@ class Tape:
             loss = build_loss(...)
         tape.backward(loss)
 
-    One backward pass per tape; build a fresh tape per training step.
+    One backward pass per tape; build a fresh tape per training step. A
+    thread records on one tape at a time: entering a tape while the thread
+    records on another raises a GradientError and leaves that one
+    recording, and leaving a tape clears the thread's slot. While another
+    tape records, an op output this tape recorded is no op's input
+    (`custom_op` raises).
     backward() takes the recorded nodes off the tape and releases each one
     as soon as its rule has run. So the rule's closure, the arrays it saved,
     its output tensor and that tensor's gradient are freed before the rules
@@ -147,12 +157,13 @@ class Tape:
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        _STACK.tapes.append(self)
+        if _SLOT.tape is not None:
+            raise GradientError("this thread already records on a tape; tapes do not nest")
+        _SLOT.tape = self
         return self
 
     def __exit__(self, *exc) -> bool:
-        popped = _STACK.tapes.pop()
-        assert popped is self, "tapes must unwind in LIFO order"
+        _SLOT.tape = None
         return False
 
     def record(self, out: "Tensor", pull) -> None:
@@ -352,10 +363,19 @@ def custom_op(data: np.ndarray, inputs: tuple, pull) -> Tensor:
     """The one way onto the tape: the output `Tensor(data)` of an op whose
     backward rule `pull(grad_out)` hands each input its term through
     `_accumulate`. When a tape is active and an input requires gradients,
-    the output requires them too and the tape records it (`Tape.record`)."""
+    the output requires them too and the tape records it (`Tape.record`).
+    With a tape active, an input that another tape recorded raises a
+    GradientError naming it: this tape's backward would stop at it."""
     out = Tensor(data)
     tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if tape is None:
+        return out
+    needs_grad = False
+    for i, t in enumerate(inputs):
+        if t._tape is not None and t._tape is not tape:
+            raise GradientError(f"op input {i}, {t!r}, is recorded on another tape than the active one")
+        needs_grad |= t.requires_grad
+    if needs_grad:
         out.requires_grad = True
         out._tape = tape
         tape.record(out, pull)

@@ -204,8 +204,9 @@ class FramePredictions:
         return ad.sigmoid(Tensor(self.class_logits.data))
 
     def scores(self) -> np.ndarray:
-        """The class probability per query."""
-        return self.class_probs.data.max(axis=1)
+        """The class probability per query, [n]: the one column of
+        `class_probs`."""
+        return self.class_probs.data[:, 0]
 
     def box_list(self) -> np.ndarray:
         """The predicted boxes as float64 [n, 4] rows, the form the matcher

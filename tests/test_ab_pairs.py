@@ -96,6 +96,14 @@ def test_bound_edges_hold_both_ways():
     assert fps["within_bound"] and step["within_bound"]
     fps, step, loss = ab_pairs.summarize(METRICS, [pair((100.0, 10.0, 4.0), (79.0, 12.5, 4.5))])
     assert not (fps["within_bound"] or step["within_bound"] or loss["within_bound"])
+    # parent quartile spreads 25, 3 and 1, wider than the bounds' 20, 2 and
+    # 0.4: a median within (step) or past (loss) its bound is unresolved,
+    # unless every change run is better than every parent run (frames/s)
+    parent = [(70.0, 8.0, 3.0), (90.0, 9.0, 4.0), (100.0, 10.0, 4.0), (115.0, 12.0, 5.0), (130.0, 13.0, 6.0)]
+    fps, step, loss = ab_pairs.summarize(METRICS, [pair(p, (131.0, 10.5, 6.0)) for p in parent])
+    assert (fps["within_bound"], step["within_bound"], loss["within_bound"]) == (True, None, None)
+    assert ab_pairs.format_row(fps).endswith("within bound 0.2: yes")
+    assert ab_pairs.format_row(step).endswith("within bound 0.2: unresolved")
 
 
 def test_unknown_direction_rejected_by_name():

@@ -14,7 +14,7 @@ from querytrack.boxes import box_l1_rows
 from querytrack.losses import focal_loss
 from querytrack.model import TrackingModel
 
-from chain_ops import scale, slice_axis, weighted_sum
+from chain_ops import scale, slice_axis, total, weighted_sum
 from gradcheck import grad_check
 from tiny import TINY, two_frame_clip_loss
 
@@ -994,6 +994,55 @@ class TestBackward:
         tape.backward(loss)
         with pytest.raises(ad.GradientError, match="already"):
             tape.backward(loss)
+
+    @staticmethod
+    def one_tape_gradients():
+        """(x, w, b) leaves of an identity `linear` at x = [[1, 2]], and the
+        gradients of total(sigmoid(linear(x, w, b))) recorded on one tape:
+        x's is sigmoid's slope at 1 and 2."""
+        def leaves():
+            return (Tensor([[1.0, 2.0]], requires_grad=True), Tensor(np.eye(2), requires_grad=True),
+                    Tensor(np.zeros(2), requires_grad=True))
+
+        ref = leaves()
+        with Tape() as tape:
+            loss = total(ad.sigmoid(ad.linear(*ref)))
+        tape.backward(loss)
+        np.testing.assert_allclose(ref[0].grad, [[0.19661193, 0.10499359]], rtol=1e-7)
+        return leaves(), [t.grad for t in ref]
+
+    def test_nested_tape_rejected_and_the_outer_keeps_recording(self):
+        # a nested tape used to take sigmoid's node, and the outer backward
+        # then left x, w and b without a gradient and raised nothing
+        (x, w, b), ref = self.one_tape_gradients()
+        with Tape() as outer:
+            a = ad.linear(x, w, b)
+            with pytest.raises(ad.GradientError, match="already records on a tape; tapes do not nest"):
+                with Tape():
+                    pytest.fail("a nested tape was entered")
+            assert ad.active_tape() is outer
+            loss = total(ad.sigmoid(a))
+        assert ad.active_tape() is None
+        outer.backward(loss)
+        for t, g in zip((x, w, b), ref):
+            assert np.array_equal(t.grad, g)
+
+    def test_input_of_another_tape_rejected_by_name(self):
+        # a tensor another tape recorded used to pass, and this tape's
+        # backward stopped at it: `a` got its gradient, x and w none
+        (x, w, b), ref = self.one_tape_gradients()
+        with Tape():
+            a = ad.linear(x, w, b)
+        with Tape() as tape:
+            message = "op input 0, Tensor(shape=(1, 2), requires_grad), is recorded on another tape"
+            with pytest.raises(ad.GradientError, match=re.escape(message)):
+                ad.sigmoid(a)
+            assert tape.nodes == []
+            # leaves and this tape's own tensors pass
+            loss = total(ad.sigmoid(ad.linear(x, w, b)))
+        tape.backward(loss)
+        for t, g in zip((x, w, b), ref):
+            assert np.array_equal(t.grad, g)
 
     def test_backward_frees_graph_without_cyclic_gc(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -188,6 +188,13 @@ class TestDecode:
         assert rows.dtype == np.float64 and rows.shape == (len(preds), 4)
         assert np.array_equal(rows, preds.boxes.data) and not np.shares_memory(rows, preds.boxes.data)
 
+    def test_scores_are_the_one_class_probability_per_query(self):
+        model = TrackingModel(dataclasses.replace(TINY, dtype="float32"), seed=9)
+        preds = model.forward_frame(random_image(np.random.default_rng(9), model.cfg), track_set_of(model, 2))
+        scores = preds.scores()
+        assert scores.shape == (len(preds),) and scores.dtype == np.float32
+        assert np.array_equal(scores, 1.0 / (1.0 + np.exp(-preds.class_logits.data[:, 0])))
+
     def test_slot_identity_under_track_embedding_swap(self):
         # output row follows its input slot: swapping two track embeddings
         # swaps the two output rows, and the detect block is untouched
