@@ -713,8 +713,9 @@ class AttentionParams:
     [0,d), [d,2d) and [2d,3d) project the queries, keys and values (DETR's
     `in_proj_weight`); wo [d,d] and bo [d] the out-projection; n_heads a
     positive integer (a numpy integer too, not a bool) that divides d.
-    Anything else raises a ShapeError naming it, here, so `attention`
-    checks only what changes per call. The record also derives, once, the
+    Anything else raises a ShapeError naming it, and tensors of more than
+    one dtype a ValueError naming theirs, here, so `attention` checks only
+    what changes per call. The record also derives, once, the
     head width dh = d / n_heads and the score scale 1/sqrt(dh), a Python
     float (an np.float64 would promote float32 work). The record holds the
     tensors, so an update of their data in place reaches it; rebinding a
@@ -745,6 +746,7 @@ class AttentionParams:
                 f"attention needs [{d},{3 * d}] and [{d},{d}] weights and [{3 * d}] and [{d}] "
                 f"biases, got {[t.shape for t in proj]}"
             )
+        _check_dtypes((self.gain, self.bias, *proj), "AttentionParams tensors")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "dh", d // n_heads)
         object.__setattr__(self, "scale", 1.0 / math.sqrt(self.dh))
@@ -755,8 +757,9 @@ class FeedForwardParams:
     """One feed-forward sublayer's parameters, checked once, when it is made.
 
     gain and bias [d] are its layer norm's affine and fix the width d;
-    w1 [d,h], b1 [h], w2 [h,d] and b2 [d] the net's. Anything else raises a
-    ShapeError naming it, here, so `feed_forward` checks only its input.
+    w1 [d,h], b1 [h], w2 [h,d] and b2 [d] the net's, all of one dtype.
+    Anything else raises a ShapeError naming it, or a ValueError naming
+    the dtypes, here, so `feed_forward` checks only its input.
     As with `AttentionParams`, rebinding a tensor's `.data` is not
     re-checked.
     """
@@ -774,6 +777,7 @@ class FeedForwardParams:
         _check_mlp("feed_forward", d, self.w1, self.b1, self.w2, self.b2)
         if self.w2.shape[1] != d:
             raise ShapeError(f"feed_forward output width {self.w2.shape[1]} != input width {d}")
+        _check_dtypes((self.gain, self.bias, self.w1, self.b1, self.w2, self.b2), "FeedForwardParams tensors")
         object.__setattr__(self, "d", d)
 
 

@@ -574,16 +574,26 @@ def save_checkpoint(path, model: TrackingModel, extra: dict | None = None) -> No
     The file is written under a temporary name in the same directory and
     then renamed onto `path`, so a write that fails midway leaves a file
     already at `path` as it was, and no temporary file behind. `extra`
-    must be a dict, as the loader requires of the header's `extra`.
+    must be a dict, as the loader requires of the header's `extra`, that
+    loads back equal: JSON has string keys only and no tuples, so
+    `{1: "a"}` would load as `{"1": "a"}`. Either raises a ValueError
+    before any file is made.
     """
     if extra is not None and not isinstance(extra, dict):
         raise ValueError(f"extra must be a dict, got a {type(extra).__name__}")
+    extra = extra or {}
+    try:
+        back = json.loads(json.dumps(extra))
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"extra is not JSON: {e}") from None
+    if back != extra:
+        raise ValueError(f"extra {extra!r} would load back as {back!r}")
     payload = np.ascontiguousarray(model.theta, dtype=_payload_dtype(model.cfg))
     header = json.dumps(
         {
             "config": {f.name: getattr(model.cfg, f.name) for f in fields(model.cfg)},
             "crc32": zlib.crc32(payload),
-            "extra": extra or {},
+            "extra": extra,
             "params": _manifest(model),
         },
         sort_keys=True,

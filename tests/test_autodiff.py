@@ -10,12 +10,11 @@ import pytest
 
 import querytrack.autodiff as ad
 from querytrack.autodiff import Tape, Tensor
-from querytrack.boxes import box_l1_rows
-from querytrack.losses import focal_loss
 from querytrack.model import TrackingModel
 
 from chain_ops import scale, slice_axis, total, weighted_sum
 from gradcheck import grad_check
+from op_table import OPS, Sizes
 from tiny import TINY, two_frame_clip_loss
 
 
@@ -82,16 +81,6 @@ class TestMatmul:
             ad.linear(a, b, Tensor(np.zeros(3)))
         with pytest.raises(ad.ShapeError, match=r"\(3, 2\) and \(3,\)"):
             ad.linear(a, Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
-
-    def test_gradient_vs_finite_differences(self):
-        rng = np.random.default_rng(0)
-        a = rng_tensor(rng, 3, 4)
-        b = rng_tensor(rng, 4, 2)
-        c = rng_tensor(rng, 2)
-        w = rng.standard_normal((3, 2))
-        report = grad_check(lambda a, b, c: weighted_sum(ad.linear(a, b, c), w), [a, b, c])
-        assert report.passed, report.max_rel_err
-        assert report.max_rel_err < 1e-6
 
 
 class TestMlp:
@@ -380,35 +369,6 @@ class TestAttentionOp:
     def weighted(x, gain, bias, proj, n_heads, w, **kw):
         return weighted_sum(ad.attention(x, ad.AttentionParams(gain, bias, *proj, n_heads), **kw), w.data)
 
-    @pytest.mark.parametrize("n,m,d,n_heads", [(3, 5, 4, 1), (2, 4, 6, 2), (4, 3, 8, 4)])
-    def test_grad_check(self, n, m, d, n_heads):
-        # cross-attention: x attends to m memory rows
-        rng = np.random.default_rng(n * 100 + m * 10 + n_heads)
-        x, memory, w = rng_tensor(rng, n, d), rng_tensor(rng, m, d), rng_tensor(rng, n, d)
-        report = grad_check(
-            lambda x, gain, bias, memory, *proj: self.weighted(
-                x, gain, bias, proj, n_heads, w, memory=memory
-            ),
-            [x, *random_norm(rng, d), memory, *random_proj(rng, d)],
-        )
-        assert report.passed, report.max_rel_err
-        assert len(report.rel_errs) == 8
-
-    @pytest.mark.parametrize("n_heads", [1, 2])
-    def test_grad_check_shared_query_key(self, n_heads):
-        # self-attention with positions, as in the temporal aggregation layer:
-        # query and key are LN(x) + positions, the value is LN(x)
-        rng = np.random.default_rng(20 + n_heads)
-        x, positions, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
-        report = grad_check(
-            lambda x, gain, bias, positions, *proj: self.weighted(
-                x, gain, bias, proj, n_heads, w, positions=positions
-            ),
-            [x, *random_norm(rng, 6), positions, *random_proj(rng, 6)],
-        )
-        assert report.passed, report.max_rel_err
-        assert len(report.rel_errs) == 8
-
     @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
     def test_grad_check_each_input_alone(self, mode):
         # only the checked input requires a gradient, so each pruned path
@@ -431,18 +391,6 @@ class TestAttentionOp:
                 other.requires_grad = False
             report = grad_check(f, [t])
             assert report.passed, (checked, report.max_rel_err)
-
-    @pytest.mark.parametrize("n_heads", [1, 2])
-    def test_grad_check_shared_query_key_value(self, n_heads):
-        # self-attention, as in the encoder layers and decoder self-attention
-        rng = np.random.default_rng(30 + n_heads)
-        x, w = rng_tensor(rng, 4, 6), rng_tensor(rng, 4, 6)
-        report = grad_check(
-            lambda x, gain, bias, *proj: self.weighted(x, gain, bias, proj, n_heads, w),
-            [x, *random_norm(rng, 6), *random_proj(rng, 6)],
-        )
-        assert report.passed, report.max_rel_err
-        assert len(report.rel_errs) == 7
 
     # the reference chain's attention core gets q, k and v shared as named:
     # q_is_k is self-attention with positions (the temporal layer), k_is_v is
@@ -547,18 +495,6 @@ class TestAttentionOp:
                     assert np.array_equal(g, every[name]), (needs, name)
                 else:
                     assert g is None, (needs, name)
-
-    @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
-    def test_tape_free_call_builds_no_backward_rule(self, mode, monkeypatch):
-        rng = np.random.default_rng(56)
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        extra = {"self": {}, "positions": {"positions": rng_tensor(rng, 3, 4)},
-                 "memory": {"memory": rng_tensor(rng, 5, 4)}}[mode]
-        leaves = [*random_norm(rng, 4), *random_proj(rng, 4), *extra.values()]
-        for t in leaves:
-            t.requires_grad = True
-        p = ad.AttentionParams(*leaves[:6], 2)
-        assert_no_rule_without_a_tape(lambda: ad.attention(x, p, **extra), monkeypatch)
 
     def test_one_tape_node(self):
         # the layer norm, the projections and the residual add are part of
@@ -753,16 +689,6 @@ class TestFeedForwardOp:
         return [rng_tensor(rng, n, d), *random_norm(rng, d), rng_tensor(rng, d, h),
                 rng_tensor(rng, h), rng_tensor(rng, h, d), rng_tensor(rng, d)]
 
-    def test_grad_check_all_inputs(self):
-        rng = np.random.default_rng(70)
-        inputs = self.inputs(rng)
-        w = rng.standard_normal((5, 4))
-        report = grad_check(
-            lambda x, *p: weighted_sum(ad.feed_forward(x, ad.FeedForwardParams(*p)), w), inputs
-        )
-        assert report.passed, report.max_rel_err
-        assert len(report.rel_errs) == 7
-
     @pytest.mark.parametrize("seed", [71, 72, 73])
     def test_bits_match_unfused_composition(self, seed):
         rng = np.random.default_rng(seed)
@@ -819,20 +745,6 @@ class TestLayerNorm:
     def test_zero_width_rejected(self):
         with pytest.raises(ad.ShapeError, match="at least one column"):
             ad.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0)))
-
-    def test_gradient(self):
-        rng = np.random.default_rng(3)
-        x = rng_tensor(rng, 3, 6)
-        gain = Tensor(rng.standard_normal(6))
-        bias = Tensor(rng.standard_normal(6))
-
-        w = rng.standard_normal((3, 6))
-
-        def f(x, gain, bias):
-            return weighted_sum(ad.layer_norm(x, gain, bias), w)
-
-        report = grad_check(f, [x, gain, bias], tol=1e-5)
-        assert report.passed, report.max_rel_err
 
 
 class TestElementwise:
@@ -1330,29 +1242,23 @@ def assert_no_rule_without_a_tape(call, monkeypatch):
     assert np.array_equal(out.data, taped.data)
 
 
-# (input shapes, op) for each op but attention, whose three forms
-# `TestAttentionOp` checks
-TAPE_FREE_OPS = {
-    "linear": ([(3, 4), (4, 2), (2,)], ad.linear),
-    "mlp": ([(3, 4), (4, 5), (5,), (5, 2), (2,)], ad.mlp),
-    "layer_norm": ([(3, 4), (4,), (4,)], ad.layer_norm),
-    "add": ([(3, 4), (3, 4)], ad.add),
-    "sigmoid": ([(3, 4)], ad.sigmoid),
-    "concat": ([(3, 4), (2, 4)], lambda *xs: ad.concat(xs)),
-    "gather_rows": ([(3, 4)], lambda x: ad.gather_rows(x, [2, 0, 2])),
-    "feed_forward": (
-        [(3, 4), (4,), (4,), (4, 5), (5,), (5, 4), (4,)],
-        lambda x, *p: ad.feed_forward(x, ad.FeedForwardParams(*p)),
-    ),
-}
+# the names of `ad.__all__` that are no op: the records, the errors, the
+# tape, the leaves and the one way onto the tape
+NOT_OPS = {"AttentionParams", "FeedForwardParams", "GradientError", "ShapeError", "Tape", "Tensor",
+           "custom_op", "leaf_group", "reset_grads", "view_leaf"}
 
 
-@pytest.mark.parametrize("op", list(TAPE_FREE_OPS))
-def test_tape_free_call_builds_no_backward_rule(op, monkeypatch):
-    shapes, call = TAPE_FREE_OPS[op]
+def test_op_table_lists_every_op():
+    assert NOT_OPS <= set(ad.__all__)
+    assert set(ad.__all__) - NOT_OPS - {name.split("-")[0] for name in OPS} == set()
+
+
+@pytest.mark.parametrize("name", [name for name, row in OPS.items() if row.tape_free])
+def test_tape_free_call_builds_no_backward_rule(name, monkeypatch):
+    row, s = OPS[name], Sizes(n=3, m=5, k=4, h=5, heads=2, dh=2)
     rng = np.random.default_rng(57)
-    leaves = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
-    assert_no_rule_without_a_tape(lambda: call(*leaves), monkeypatch)
+    leaves = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in row.shapes(s)]
+    assert_no_rule_without_a_tape(lambda: row.call(s, *leaves), monkeypatch)
 
 
 class TestTensorDtype:
@@ -1383,41 +1289,16 @@ def test_item_needs_one_element(shape):
 
 
 def test_randomized_gradient_sweep():
-    """Every differentiable op, random shapes and seeds."""
+    """Every row of the op table at random sizes, against central differences
+    of a random weighting of its output, to the row's tolerance: attention
+    at 1, 2 and 4 heads in turn, and memory keys never as many as queries."""
     rng = np.random.default_rng(12)
-    cases = 0
     for trial in range(25):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 5))
-        k = int(rng.integers(1, 5))
-        a = Tensor(rng.standard_normal((n, m)))
-        b = Tensor(rng.standard_normal((n, m)))
-        c = Tensor(rng.standard_normal((m, k)))
-        bias = Tensor(rng.standard_normal(k))
-        w2 = Tensor(rng.standard_normal((k, m)))
-        b2 = Tensor(rng.standard_normal(m))
-        pred, target = Tensor(rng.standard_normal((n, 4))), Tensor(rng.standard_normal((n, 4)))
-        targets = (rng.random((n, m)) < 0.3).astype(float)
-        proj = random_proj(rng, m)
-        gain, shift = Tensor(rng.standard_normal(m)), Tensor(rng.standard_normal(m))
-        for f, args in [
-            (scalar(ad.add), [a, b]),
-            (scalar(ad.linear), [a, c, bias]),
-            (scalar(ad.mlp), [a, c, bias, w2, b2]),
-            (scalar(box_l1_rows), [pred, target]),
-            (scalar(ad.sigmoid), [a]),
-            (lambda x: focal_loss(x, targets), [a]),
-            (lambda x, g, s, mem, *proj: weighted_sum(
-                ad.attention(x, ad.AttentionParams(g, s, *proj, 1), memory=mem), 1.0),
-             [a, gain, shift, b, *proj]),
-            (lambda x, g, s, pos, *proj: weighted_sum(
-                ad.attention(x, ad.AttentionParams(g, s, *proj, 1), positions=pos), 1.0),
-             [a, gain, shift, b, *proj]),
-            (lambda x, *p: weighted_sum(ad.feed_forward(x, ad.FeedForwardParams(*p)), 1.0),
-             [a, gain, shift, c, bias, w2, b2]),
-            (lambda x: weighted_sum(ad.concat([x, x]), 1.0), [a]),
-        ]:
-            report = grad_check(f, args)
-            assert report.passed, (trial, f, report.max_rel_err)
-            cases += 1
-    assert cases >= 100
+        n, m = (int(v) for v in rng.choice(np.arange(1, 6), size=2, replace=False))
+        s = Sizes(n, m, k=int(rng.integers(2, 6)), h=int(rng.integers(1, 6)),
+                  heads=(1, 2, 4)[trial % 3], dh=int(rng.integers(1, 3)))
+        for name, row in OPS.items():
+            leaves = [Tensor(rng.standard_normal(shape)) for shape in row.shapes(s)]
+            w = rng.standard_normal(row.call(s, *leaves).shape)
+            report = grad_check(lambda *xs: weighted_sum(row.call(s, *xs), w), leaves, tol=row.tol)
+            assert report.passed, (trial, s, name, report.max_rel_err)

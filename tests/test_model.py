@@ -471,23 +471,34 @@ class TestQuerySet:
 
 
 class TestCheckpoint:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        model = TrackingModel(TINY64, seed=14)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model, extra={"iteration": 7})
-        loaded, extra = load_checkpoint(path)
-        assert extra == {"iteration": 7}
-        assert loaded.cfg == model.cfg
-        for name, p in model.params.items():
-            assert np.array_equal(p.data, loaded.params[name].data), name
-
     def test_double_save_byte_identical(self, tmp_path):
+        # the loaded model and extra save back byte for byte, so every
+        # value loads back as it was saved
         model = TrackingModel(TINY64, seed=15)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(p1, model)
-        loaded, _ = load_checkpoint(p1)
-        save_checkpoint(p2, loaded)
+        save_checkpoint(p1, model, extra={"iteration": 7})
+        loaded, extra = load_checkpoint(p1)
+        assert extra == {"iteration": 7} and loaded.cfg == model.cfg
+        save_checkpoint(p2, loaded, extra=extra)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({1: "a"}, r"would load back as \{'1': 'a'\}$"),
+            ({True: 1}, r"would load back as \{'true': 1\}$"),
+            ({"a": (1, 2)}, r"would load back as \{'a': \[1, 2\]\}$"),
+            ({1: "a", "b": 2}, r"would load back as \{'1': 'a', 'b': 2\}$"),
+            ({"n": np.int64(3)}, r"^extra is not JSON: Object of type int64 is not JSON serializable$"),
+        ],
+        ids=["int_key", "bool_key", "tuple", "mixed_keys", "numpy_int"],
+    )
+    def test_extra_that_would_not_load_back_equal_rejected(self, tmp_path, extra, message):
+        # unchecked, the first three loaded back changed, and the mixed keys
+        # and the numpy integer raised a bare TypeError from json
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(tmp_path / "m.ckpt", TrackingModel(TINY64), extra=extra)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"

@@ -16,78 +16,53 @@ import pytest
 
 import querytrack.autodiff as ad
 from querytrack.autodiff import Tape, Tensor
-from querytrack.boxes import box_giou_rows, box_l1_rows, giou
+from querytrack.boxes import box_giou_rows, giou
 from querytrack.losses import focal_loss
 from querytrack.model import ModelConfig, TrackingModel
 
 import bench
-from chain_ops import scale, slice_axis, total
+from chain_ops import total
+from op_table import OPS, Sizes
 from tiny import TINY, two_frame_clip_loss
 
 DTYPES = ["float32", "float64"]
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-def test_every_op_computes_in_its_inputs_dtype(dtype):
+def test_every_op_computes_in_its_inputs_dtype():
     # forward outputs, the backward seed and every gradient stay in the
-    # inputs' dtype
+    # inputs' dtype, every op table row in float64 and then in float32 at
+    # the same widths: the constant columns that the layer norm, the bias
+    # gradients and the attention core multiply by are cached, and a
+    # float64 call must not leave its columns to a float32 call
+    ad._column.cache_clear()
     rng = np.random.default_rng(21)
-
-    def leaf(*shape):
-        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
-
-    a, b, c, bias, w2, b2 = leaf(3, 4), leaf(3, 4), leaf(4, 2), leaf(2), leaf(2, 4), leaf(4)
-    gain, shift, mem, pos = leaf(4), leaf(4), leaf(5, 4), leaf(3, 4)
-    pred, target, proj = leaf(3, 4), leaf(3, 4), [leaf(4, 12), leaf(12), leaf(4, 4), leaf(4)]
-    targets = (rng.random((3, 4)) < 0.5).astype(np.float64)
-    for f, args in [
-        (ad.add, [a, b]), (ad.add, [a, a]), (lambda x: scale(x, 0.3), [a]),
-        (ad.sigmoid, [a]), (ad.linear, [a, c, bias]), (ad.mlp, [a, c, bias, w2, b2]),
-        (ad.layer_norm, [a, gain, shift]), (lambda x: slice_axis(x, 0, 1, 3), [a]),
-        (lambda x: ad.gather_rows(x, [2, 0, 2]), [a]), (lambda x, y: ad.concat([x, y]), [a, b]),
-        (lambda x, g, s, m, *p: ad.attention(x, ad.AttentionParams(g, s, *p, 2), memory=m),
-         [a, gain, shift, mem, *proj]),
-        (lambda x, g, s, q, *p: ad.attention(x, ad.AttentionParams(g, s, *p, 2), positions=q),
-         [a, gain, shift, pos, *proj]),
-        (lambda x, *p: ad.feed_forward(x, ad.FeedForwardParams(*p)), [a, gain, shift, c, bias, w2, b2]),
-        (lambda x: focal_loss(x, targets), [a]), (box_l1_rows, [pred, target]),
-    ]:
-        ad.reset_grads(args)
-        with Tape() as tape:
-            out = f(*args)
-            loss = total(out)
-        tape.backward(loss)
-        assert out.data.dtype == loss.data.dtype == dtype, f
-        assert [t.grad.dtype for t in args] == [np.dtype(dtype)] * len(args), f
-
-
-def test_float32_after_float64_at_the_same_width_stays_float32():
-    # the layer norm and the attention core multiply by constant columns
-    # that are cached: a float64 call must not leave its columns to a
-    # float32 call of the same width
-    rng = np.random.default_rng(22)
     for dtype in ("float64", "float32"):
+        for s in (Sizes(n=3, m=5, k=4, h=6, heads=2, dh=4), Sizes(n=3, m=5, k=4, h=6, heads=4, dh=2)):
+            for name, row in OPS.items():
+                args = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                        for shape in row.shapes(s)]
+                with Tape() as tape:
+                    out = row.call(s, *args)
+                    loss = total(out)
+                tape.backward(loss)
+                assert out.data.dtype == loss.data.dtype == dtype, (dtype, s, name)
+                assert [t.grad.dtype for t in args] == [np.dtype(dtype)] * len(args), (dtype, s, name)
 
-        def leaf(*shape):
-            return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
 
-        x, gain, shift, mem = leaf(3, 8), leaf(8), leaf(8), leaf(5, 8)
-        proj = [leaf(8, 24), leaf(24), leaf(8, 8), leaf(8)]
-        net = [leaf(8, 6), leaf(6), leaf(6, 8), leaf(8)]
-        for f, args in [
-            (ad.layer_norm, [x, gain, shift]),
-            (lambda x, g, s, *p: ad.attention(x, ad.AttentionParams(g, s, *p, 2)), [x, gain, shift, *proj]),
-            (lambda x, g, s, m, *p: ad.attention(x, ad.AttentionParams(g, s, *p, 4), memory=m),
-             [x, gain, shift, mem, *proj]),
-            (lambda x, *p: ad.feed_forward(x, ad.FeedForwardParams(*p)), [x, gain, shift, *net]),
-        ]:
-            ad.reset_grads(args)
-            with Tape() as tape:
-                out = f(*args)
-                loss = total(out)
-            tape.backward(loss)
-            assert out.data.dtype == dtype, (dtype, f)
-            assert [t.grad.dtype for t in args] == [np.dtype(dtype)] * len(args), (dtype, f)
+def test_params_in_two_dtypes_rejected_when_made():
+    # unchecked, a float64 w_in gave a float32 attention output whose
+    # backward blamed b_in, and a float64 b1 was cast down in place
+    def leaf(dtype, *shape):
+        return Tensor(np.zeros(shape, dtype=dtype))
+
+    with pytest.raises(ValueError, match=r"^AttentionParams tensors are float32, float32, float64, float32, "
+                                         r"float32, float32; they need one dtype$"):
+        ad.AttentionParams(leaf("f4", 4), leaf("f4", 4), leaf("f8", 4, 12), leaf("f4", 12), leaf("f4", 4, 4),
+                           leaf("f4", 4), 2)
+    with pytest.raises(ValueError, match=r"^FeedForwardParams tensors are float32, float32, float32, float64, "
+                                         r"float32, float32; they need one dtype$"):
+        ad.FeedForwardParams(leaf("f4", 4), leaf("f4", 4), leaf("f4", 4, 6), leaf("f8", 6), leaf("f4", 6, 4),
+                             leaf("f4", 4))
 
 
 def test_float32_tape_holds_only_float32(monkeypatch):
