@@ -12,11 +12,17 @@ case (`add` of one tensor to itself) gets one row per form, named
   row's gradients against central differences, in float64, at random
   sizes, to the row's tolerance;
 - `tests/test_precision.py::test_every_op_computes_in_its_inputs_dtype`
-  runs every row in float64 and then in float32 at the same widths, and
-  checks the dtype of the output, of the loss and of every gradient;
+  runs every row in each dtype, and
+  `test_float32_after_float64_at_the_same_width_stays_float32` in float64
+  and then in float32 at the same widths; both check the dtype of the
+  output, of the loss and of every gradient;
 - `tests/test_autodiff.py::test_tape_free_call_builds_no_backward_rule`
   runs every row with a tape-free path without a tape and checks that it
   builds no backward rule.
+
+The per-op gradient tests (`TestMatmul`, `TestLayerNorm`, `TestFeedForwardOp`
+and `TestAttentionOp`) check a row too, at fixed sizes and seeds, through
+`tests/test_autodiff.py::check_row`, as the gradient sweep does.
 
 `tests/test_autodiff.py::test_op_table_lists_every_op` fails when a name
 of `ad.__all__` is neither a row's op nor one of the module's non-op

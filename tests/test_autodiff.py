@@ -54,6 +54,18 @@ def random_norm(rng, d):
     return [Tensor(1.0 + 0.3 * rng.standard_normal(d)), Tensor(0.3 * rng.standard_normal(d))]
 
 
+def check_row(name, s, rng):
+    """`grad_check` of the op table's row `name` at sizes s: random float64
+    inputs of the row's shapes, a random weighting of its output, the row's
+    tolerance."""
+    row = OPS[name]
+    leaves = [rng_tensor(rng, *shape) for shape in row.shapes(s)]
+    w = rng.standard_normal(row.call(s, *leaves).shape)
+    report = grad_check(lambda *xs: weighted_sum(row.call(s, *xs), w), leaves, tol=row.tol)
+    assert report.passed, (name, s, report.max_rel_err)
+    return report
+
+
 def square(x):
     """x**2 elementwise, as one test-local tape op."""
 
@@ -81,6 +93,10 @@ class TestMatmul:
             ad.linear(a, b, Tensor(np.zeros(3)))
         with pytest.raises(ad.ShapeError, match=r"\(3, 2\) and \(3,\)"):
             ad.linear(a, Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+
+    def test_gradient_vs_finite_differences(self):
+        # the row's tolerance is 1e-6
+        check_row("linear", Sizes(n=3, m=1, k=4, h=2, heads=1, dh=1), np.random.default_rng(0))
 
 
 class TestMlp:
@@ -368,6 +384,28 @@ class TestAttentionOp:
     @staticmethod
     def weighted(x, gain, bias, proj, n_heads, w, **kw):
         return weighted_sum(ad.attention(x, ad.AttentionParams(gain, bias, *proj, n_heads), **kw), w.data)
+
+    @pytest.mark.parametrize("n,m,d,n_heads", [(3, 5, 4, 1), (2, 4, 6, 2), (4, 3, 8, 4)])
+    def test_grad_check(self, n, m, d, n_heads):
+        # cross-attention: x attends to m memory rows
+        s = Sizes(n, m, k=1, h=1, heads=n_heads, dh=d // n_heads)
+        report = check_row("attention-memory", s, np.random.default_rng(n * 100 + m * 10 + n_heads))
+        assert len(report.rel_errs) == 8
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_grad_check_shared_query_key(self, n_heads):
+        # self-attention with positions, as in the temporal aggregation layer:
+        # query and key are LN(x) + positions, the value is LN(x)
+        s = Sizes(n=4, m=1, k=1, h=1, heads=n_heads, dh=6 // n_heads)
+        report = check_row("attention-positions", s, np.random.default_rng(20 + n_heads))
+        assert len(report.rel_errs) == 8
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_grad_check_shared_query_key_value(self, n_heads):
+        # self-attention, as in the encoder layers and decoder self-attention
+        s = Sizes(n=4, m=1, k=1, h=1, heads=n_heads, dh=6 // n_heads)
+        report = check_row("attention", s, np.random.default_rng(30 + n_heads))
+        assert len(report.rel_errs) == 7
 
     @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
     def test_grad_check_each_input_alone(self, mode):
@@ -689,6 +727,10 @@ class TestFeedForwardOp:
         return [rng_tensor(rng, n, d), *random_norm(rng, d), rng_tensor(rng, d, h),
                 rng_tensor(rng, h), rng_tensor(rng, h, d), rng_tensor(rng, d)]
 
+    def test_grad_check_all_inputs(self):
+        report = check_row("feed_forward", Sizes(n=5, m=1, k=4, h=6, heads=1, dh=1), np.random.default_rng(70))
+        assert len(report.rel_errs) == 7
+
     @pytest.mark.parametrize("seed", [71, 72, 73])
     def test_bits_match_unfused_composition(self, seed):
         rng = np.random.default_rng(seed)
@@ -745,6 +787,10 @@ class TestLayerNorm:
     def test_zero_width_rejected(self):
         with pytest.raises(ad.ShapeError, match="at least one column"):
             ad.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0)))
+
+    def test_gradient(self):
+        # the row's tolerance is 1e-5
+        check_row("layer_norm", Sizes(n=3, m=1, k=6, h=1, heads=1, dh=1), np.random.default_rng(3))
 
 
 class TestElementwise:
@@ -1297,8 +1343,5 @@ def test_randomized_gradient_sweep():
         n, m = (int(v) for v in rng.choice(np.arange(1, 6), size=2, replace=False))
         s = Sizes(n, m, k=int(rng.integers(2, 6)), h=int(rng.integers(1, 6)),
                   heads=(1, 2, 4)[trial % 3], dh=int(rng.integers(1, 3)))
-        for name, row in OPS.items():
-            leaves = [Tensor(rng.standard_normal(shape)) for shape in row.shapes(s)]
-            w = rng.standard_normal(row.call(s, *leaves).shape)
-            report = grad_check(lambda *xs: weighted_sum(row.call(s, *xs), w), leaves, tol=row.tol)
-            assert report.passed, (trial, s, name, report.max_rel_err)
+        for name in OPS:
+            check_row(name, s, rng)

@@ -28,25 +28,34 @@ from tiny import TINY, two_frame_clip_loss
 DTYPES = ["float32", "float64"]
 
 
-def test_every_op_computes_in_its_inputs_dtype():
-    # forward outputs, the backward seed and every gradient stay in the
-    # inputs' dtype, every op table row in float64 and then in float32 at
-    # the same widths: the constant columns that the layer norm, the bias
-    # gradients and the attention core multiply by are cached, and a
-    # float64 call must not leave its columns to a float32 call
+def assert_rows_compute_in(dtype, rng):
+    """Every op table row in dtype, at d = 8 in 2 heads and in 4: the
+    forward output, the backward seed and every gradient stay in dtype."""
+    for s in (Sizes(n=3, m=5, k=4, h=6, heads=2, dh=4), Sizes(n=3, m=5, k=4, h=6, heads=4, dh=2)):
+        for name, row in OPS.items():
+            args = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                    for shape in row.shapes(s)]
+            with Tape() as tape:
+                out = row.call(s, *args)
+                loss = total(out)
+            tape.backward(loss)
+            assert out.data.dtype == loss.data.dtype == dtype, (dtype, s, name)
+            assert [t.grad.dtype for t in args] == [np.dtype(dtype)] * len(args), (dtype, s, name)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_every_op_computes_in_its_inputs_dtype(dtype):
+    assert_rows_compute_in(dtype, np.random.default_rng(21))
+
+
+def test_float32_after_float64_at_the_same_width_stays_float32():
+    # the constant columns that the layer norm, the bias gradients and the
+    # attention core multiply by are cached: a float64 call must not leave
+    # its columns to a float32 call of the same width
     ad._column.cache_clear()
-    rng = np.random.default_rng(21)
+    rng = np.random.default_rng(22)
     for dtype in ("float64", "float32"):
-        for s in (Sizes(n=3, m=5, k=4, h=6, heads=2, dh=4), Sizes(n=3, m=5, k=4, h=6, heads=4, dh=2)):
-            for name, row in OPS.items():
-                args = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
-                        for shape in row.shapes(s)]
-                with Tape() as tape:
-                    out = row.call(s, *args)
-                    loss = total(out)
-                tape.backward(loss)
-                assert out.data.dtype == loss.data.dtype == dtype, (dtype, s, name)
-                assert [t.grad.dtype for t in args] == [np.dtype(dtype)] * len(args), (dtype, s, name)
+        assert_rows_compute_in(dtype, rng)
 
 
 def test_params_in_two_dtypes_rejected_when_made():
