@@ -78,8 +78,6 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2-d, got shape {cost.shape}")
-    if cost.size == 0:
-        return []
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
     rows, cols = linear_sum_assignment(cost)

@@ -346,11 +346,9 @@ def leaf_group(data: np.ndarray, views) -> Tensor:
     return group
 
 
-def reset_grads(tensors) -> None:
-    """Clear gradients on an iterable or dict of tensors."""
-    if isinstance(tensors, dict):
-        tensors = tensors.values()
-    for t in tensors:
+def reset_grads(tensors: dict) -> None:
+    """Clear the gradient of every tensor of a name -> tensor dict."""
+    for t in tensors.values():
         t.reset_grad()
 
 
@@ -805,6 +803,41 @@ def _split_heads(a: np.ndarray, p: AttentionParams) -> np.ndarray:
     return a.reshape(a.shape[0], p.n_heads, p.dh).transpose(1, 0, 2)
 
 
+def _attention_core_forward(qh, kh, vh, scale: float, o):
+    """`attention`'s softmax core forward on [heads, rows, dh] blocks:
+    scales qh in place to Q̃, writes O into o and returns (E, den).
+
+    E [heads, keys, queries] is exp of the key-major scores K Q̃ᵀ less each
+    query's max over the keys, computed in place; den [heads, queries, 1]
+    is 1ᵀ E, a product with a ones column; O = (Eᵀ V) / den.
+    """
+    qh *= scale
+    e = kh @ qh.transpose(0, 2, 1)
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    den = (_column(e.shape[1], 1.0, e.dtype).T @ e).transpose(0, 2, 1)
+    np.matmul(e.transpose(0, 2, 1), vh, out=o)
+    o /= den
+    return e, den
+
+
+def _attention_core_backward(gh, qh, kh, vh, e, den, o, scale: float, gq, gk, gv) -> None:
+    """`_attention_core_forward`'s backward: from the gradient gh of O, which
+    it overwrites, write dQ, dK and dV into the [heads, rows, dh] buffers
+    gq, gk and gv. With G = gh / den, D = rowsum(G ⊙ O) (a product with a
+    ones column) and dZᵀ = (V Gᵀ − D) ⊙ E:
+    dV = E G,  dK = dZᵀ Q̃,  dQ = c · (dZ K)."""
+    gh /= den
+    np.matmul(e, gh, out=gv)
+    dz = vh @ gh.transpose(0, 2, 1)
+    gh *= o  # G ⊙ O: its row sums are D
+    dz -= (gh @ _column(gh.shape[2], 1.0, gh.dtype)).transpose(0, 2, 1)
+    dz *= e
+    np.matmul(dz, qh, out=gk)
+    np.matmul(dz.transpose(0, 2, 1), kh, out=gq)
+    gq *= scale
+
+
 def attention(
     x: Tensor, p: AttentionParams, memory: Tensor | None = None, positions: Tensor | None = None,
 ) -> Tensor:
@@ -849,8 +882,10 @@ def attention(
     run along the contiguous query axis. The heads run as one batched product
     over [n_heads, rows, dh] views of the projections' outputs, E is
     computed in place in one [n_heads, m, n] buffer, and the value product
-    writes each O_h straight into its columns of A. Backward, for the
-    output gradient g, in this order:
+    writes each O_h straight into its columns of A. This core, from Q̃ to
+    O and back from G to dQ, is the kernel pair `_attention_core_forward`
+    and `_attention_core_backward`. Backward, for the output gradient g,
+    in this order:
 
         dx = g  (the residual term),  dwo = Aᵀ g,  dbo = column sums of g,
         dA = g woᵀ
@@ -873,15 +908,16 @@ def attention(
     term: rowsum(dS ⊙ S) of the textbook backward, with S the softmax and
     dS = dA_h V_hᵀ, equals the row dot products of dA_h and O_h, so no
     [n, m] product is needed for it. The result equals the textbook
-    formula up to rounding (`tests/test_autodiff.py` checks both against
-    each other).
+    formula up to rounding (`tests/test_autodiff.py` checks it against a
+    chain whose core is the textbook softmax).
 
     These are also the products of the unfused chain (`layer_norm`, the
     `add` of the positions, one `linear` per in-projection product over
     its columns of w_in and b_in, the slices of its output into q, k and v,
-    the core as its own op, the output `linear` and the residual `add`;
-    `tests/test_autodiff.py` builds it), in the order its tape replays
-    them. So the output and every gradient match the chain bit for bit.
+    the core as its own op, which runs the two kernels, the output `linear`
+    and the residual `add`; `tests/test_autodiff.py` builds it), in the
+    order its tape replays them. So the output and every gradient match the
+    chain bit for bit.
 
     With a tape recording, the node's rule closes over one saved tuple:
     the inputs x, p, memory and positions; the layer norm's normalised rows
@@ -920,14 +956,8 @@ def attention(
     xn, y, inv = _layer_norm_forward(xd, gain, bias)
     outs = [_project(*r) for r in _in_products(xn, p, memory, positions)]
     qh, kh, vh = _head_blocks(outs, p)
-    qh *= p.scale
-    e = kh @ qh.transpose(0, 2, 1)  # key-major: [heads, keys, queries]
-    e -= e.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    den = (_column(e.shape[1], 1.0, e.dtype).T @ e).transpose(0, 2, 1)
     heads = np.empty_like(xd)  # A; its head view is O
-    o = np.matmul(e.transpose(0, 2, 1), vh, out=_split_heads(heads, p))
-    o /= den
+    e, den = _attention_core_forward(qh, kh, vh, p.scale, _split_heads(heads, p))
     out = _project(heads, p.wo.data, p.bo.data)
     out += xd
     if active_tape() is None:
@@ -940,17 +970,9 @@ def attention(
         gain, bias = p.gain, p.bias
         x._accumulate(g)
         gh = _split_heads(_project_back(heads, p.wo, p.bo, g), p)
-        gh /= den
         grads = [np.empty_like(a) for a in outs]
-        gq, gk, gv = _head_blocks(grads, p)
-        np.matmul(e, gh, out=gv)
-        dz = vh @ gh.transpose(0, 2, 1)
-        gh *= _split_heads(heads, p)  # G ⊙ O: its row sums are D
-        dz -= (gh @ _column(p.dh, 1.0, gh.dtype)).transpose(0, 2, 1)
-        dz *= e
-        np.matmul(dz, qh, out=gk)
-        np.matmul(dz.transpose(0, 2, 1), kh, out=gq)
-        gq *= p.scale
+        o = _split_heads(heads, p)
+        _attention_core_backward(gh, qh, kh, vh, e, den, o, p.scale, *_head_blocks(grads, p))
         dw, db, dr = [], [], []
         for (r, w, _), gr in zip(_in_products(_affine(y, gain, bias), p, memory, positions), grads):
             dw.append(r.T @ gr)

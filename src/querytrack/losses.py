@@ -89,7 +89,8 @@ def _focal_cells_back(saved, gamma: float) -> np.ndarray:
     return pos * (-gamma * p * nlog_p - q) + neg * (gamma * q * nlog_q + p)
 
 
-def focal_loss(logits: Tensor, targets: np.ndarray, alpha: float = 0.25, gamma: float = 2.0) -> Tensor:
+def focal_loss(logits: Tensor, targets: np.ndarray, alpha: float = LossWeights.focal_alpha,
+               gamma: float = LossWeights.focal_gamma) -> Tensor:
     """Summed binary focal loss of class logits against 0/1 targets, as one op.
 
     With p = sigmoid(x), positive cells contribute -alpha * (1-p)^gamma * log p

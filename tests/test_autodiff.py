@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import sys
 import threading
@@ -219,30 +220,24 @@ def merge_heads(x):
 
 
 def flash_core(qp, kp, vp, n_heads):
-    """The batched-head core with the formula `ad.attention` uses, as one
-    test-local op: key-major scores of the scaled queries, normalisation
-    after the value product and FlashAttention's backward row term."""
-    dh = qp.shape[1] // n_heads
-    c = 1.0 / np.sqrt(dh)
-    qh, kh, vh = (split_heads(a, n_heads) for a in (qp.data * c, kp.data, vp.data))
-    zt = kh @ qh.transpose(0, 2, 1)  # key-major scores [heads, keys, queries]
-    e = np.exp(zt - zt.max(axis=1, keepdims=True))
-    den = (np.ones((1, e.shape[1]), dtype=e.dtype) @ e).transpose(0, 2, 1)
-    o = (e.transpose(0, 2, 1) @ vh) / den
+    """`ad.attention`'s core as one test-local op over its own kernels,
+    `ad._attention_core_forward` and `ad._attention_core_backward`, so a
+    chain through it checks how the op wires the core in, bit for bit."""
+    c = 1.0 / math.sqrt(qp.shape[1] // n_heads)
+    # the kernels scale the queries and overwrite the gradient of O in place
+    qh, kh, vh = (split_heads(a, n_heads) for a in (qp.data.copy(), kp.data, vp.data))
+    o = np.empty_like(qp.data)
+    e, den = ad._attention_core_forward(qh, kh, vh, c, split_heads(o, n_heads))
 
     def pull(g):
-        gl = split_heads(g, n_heads) / den
-        if vp.requires_grad:
-            vp._accumulate(merge_heads(e @ gl))
-        if qp.requires_grad or kp.requires_grad:
-            row = ((gl * o) @ np.ones((dh, 1), dtype=o.dtype)).transpose(0, 2, 1)
-            dzt = (vh @ gl.transpose(0, 2, 1) - row) * e
-            if kp.requires_grad:
-                kp._accumulate(merge_heads(dzt @ qh))
-            if qp.requires_grad:
-                qp._accumulate(merge_heads(dzt.transpose(0, 2, 1) @ kh) * c)
+        grads = [np.empty_like(t.data) for t in (qp, kp, vp)]
+        gq, gk, gv = (split_heads(a, n_heads) for a in grads)
+        ad._attention_core_backward(split_heads(g.copy(), n_heads), qh, kh, vh, e, den, split_heads(o, n_heads),
+                                    c, gq, gk, gv)
+        for t, a in zip((qp, kp, vp), grads):
+            t._accumulate(a)
 
-    return ad.custom_op(merge_heads(o), (qp, kp, vp), pull)
+    return ad.custom_op(o, (qp, kp, vp), pull)
 
 
 def textbook_core(qp, kp, vp, n_heads):
@@ -258,15 +253,11 @@ def textbook_core(qp, kp, vp, n_heads):
 
     def pull(g):
         gh = split_heads(g, n_heads)
-        if vp.requires_grad:
-            vp._accumulate(merge_heads(s.transpose(0, 2, 1) @ gh))
-        if qp.requires_grad or kp.requires_grad:
-            ds = gh @ vh.transpose(0, 2, 1)
-            dz = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * c
-            if qp.requires_grad:
-                qp._accumulate(merge_heads(dz @ kh))
-            if kp.requires_grad:
-                kp._accumulate(merge_heads(dz.transpose(0, 2, 1) @ qh))
+        vp._accumulate(merge_heads(s.transpose(0, 2, 1) @ gh))
+        ds = gh @ vh.transpose(0, 2, 1)
+        dz = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * c
+        qp._accumulate(merge_heads(dz @ kh))
+        kp._accumulate(merge_heads(dz.transpose(0, 2, 1) @ qh))
 
     return ad.custom_op(merge_heads(s @ vh), (qp, kp, vp), pull)
 
@@ -322,60 +313,6 @@ def tape_bits(block, leaves, w, w_extra):
     return out.data, [t.grad.copy() for t in leaves]
 
 
-def per_head_attention(x, norm, proj, n_heads, w, memory=None):
-    """Reference in numpy, one head at a time with 2-d products.
-
-    Returns the sublayer output x + attend(LN(x)) and the gradients of
-    sum(output * w) w.r.t. x, the norm's gain and bias, the memory (when
-    given) and the four projection parameters: `tape_bits`' leaf order.
-    """
-    gain, bias = (t.data for t in norm)
-    w_in, b_in, wo, bo = (t.data for t in proj)
-    d = x.shape[1]
-    wq, wk, wv = w_in[:, :d], w_in[:, d : 2 * d], w_in[:, 2 * d :]
-    bq, bk, bv = b_in[:d], b_in[d : 2 * d], b_in[2 * d :]
-    xd = x.data
-    mu = xd.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(((xd - mu) ** 2).mean(axis=1, keepdims=True) + 1e-5)
-    y = (xd - mu) * inv
-    xn = y * gain + bias
-    kv = xn if memory is None else memory.data
-    qp, kp, vp = xn @ wq + bq, kv @ wk + bk, kv @ wv + bv
-    dh = d // n_heads
-    c = 1.0 / np.sqrt(dh)
-    cols = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
-    weights, heads = [], []
-    for hc in cols:
-        z = qp[:, hc] @ kp[:, hc].T * c
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        weights.append(e / e.sum(axis=1, keepdims=True))
-        heads.append(weights[-1] @ vp[:, hc])
-    merged = np.concatenate(heads, axis=1)
-    out = xd + merged @ wo + bo
-
-    g_merged = w @ wo.T
-    dqp, dkp, dvp = np.zeros_like(qp), np.zeros_like(kp), np.zeros_like(vp)
-    for hc, s in zip(cols, weights):
-        g_head = g_merged[:, hc]
-        dvp[:, hc] = s.T @ g_head
-        ds = g_head @ vp[:, hc].T
-        dz = s * (ds - (ds * s).sum(axis=1, keepdims=True)) * c
-        dqp[:, hc] = dz @ kp[:, hc]
-        dkp[:, hc] = dz.T @ qp[:, hc]
-    dxn = dqp @ wq.T
-    dkv = dkp @ wk.T + dvp @ wv.T
-    if memory is None:
-        dxn = dxn + dkv
-    gy = dxn * gain
-    dx = w + inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
-    return out, [
-        dx, (dxn * y).sum(axis=0), dxn.sum(axis=0), *([] if memory is None else [dkv]),
-        np.hstack([xn.T @ dqp, kv.T @ dkp, kv.T @ dvp]),
-        np.concatenate([dqp.sum(axis=0), dkp.sum(axis=0), dvp.sum(axis=0)]),
-        merged.T @ w, w.sum(axis=0),
-    ]
-
-
 class TestAttentionOp:
     """`ad.attention`: a pre-norm residual attention sublayer, x + attend(LN(x)),
     with its projections and batched-head softmax(Q Kᵀ / sqrt(dh)) V, as one
@@ -406,29 +343,6 @@ class TestAttentionOp:
         s = Sizes(n=4, m=1, k=1, h=1, heads=n_heads, dh=6 // n_heads)
         report = check_row("attention", s, np.random.default_rng(30 + n_heads))
         assert len(report.rel_errs) == 7
-
-    @pytest.mark.parametrize("mode", ["self", "positions", "memory"])
-    def test_grad_check_each_input_alone(self, mode):
-        # only the checked input requires a gradient, so each pruned path
-        # of the backward (no weight term, no row term, ...) runs alone
-        rng = np.random.default_rng(40)
-        n, m, d = 3, 4, 4
-        x, w = rng_tensor(rng, n, d), rng_tensor(rng, n, d)
-        extra = {"self": {}, "positions": {"positions": rng_tensor(rng, n, d)},
-                 "memory": {"memory": rng_tensor(rng, m, d)}}[mode]
-        norm, proj = random_norm(rng, d), random_proj(rng, d)
-        inputs = {"x": x, "gain": norm[0], "bias": norm[1], **extra, **dict(zip(PROJ_NAMES, proj))}
-
-        def f(t):
-            ts = {name: t if name == checked else other for name, other in inputs.items()}
-            return self.weighted(ts["x"], ts["gain"], ts["bias"], [ts[k] for k in PROJ_NAMES], 2, w,
-                                 **{k: ts[k] for k in extra})
-
-        for checked, t in inputs.items():
-            for other in inputs.values():
-                other.requires_grad = False
-            report = grad_check(f, [t])
-            assert report.passed, (checked, report.max_rel_err)
 
     # the reference chain's attention core gets q, k and v shared as named:
     # q_is_k is self-attention with positions (the temporal layer), k_is_v is
@@ -644,9 +558,9 @@ class TestAttentionOp:
 
 
 class TestAttentionFormula:
-    """`ad.attention`'s arithmetic against the textbook formula and against
-    `per_head_attention`: the same math, so the output and every gradient
-    agree to rounding."""
+    """`ad.attention`'s arithmetic against its one independent reference,
+    the unfused chain with `textbook_core`: the same math, so the output
+    and every gradient agree to rounding."""
 
     @staticmethod
     def assert_match(x, norm, proj, n_heads, extra, seed):
@@ -698,7 +612,9 @@ class TestAttentionFormula:
             p = ad.AttentionParams(*norm, *proj, n_heads)
             leaves = [x, *norm, *extra.values(), *proj]
             out, grads = tape_bits(lambda: ad.attention(x, p, **extra), leaves, w, np.zeros((n, d)))
-            ref_out, ref_grads = per_head_attention(x, norm, proj, n_heads, w, **extra)
+            ref_out, ref_grads = tape_bits(
+                lambda: unfused_attention_sublayer(x, p, core=textbook_core, **extra), leaves, w, np.zeros((n, d)),
+            )
             np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
             assert len(grads) == len(ref_grads) == (7 if shared_query_key else 8)
             for a, b in zip(grads, ref_grads):
@@ -1229,10 +1145,8 @@ class TestGradCheck:
 
     def test_corrupted_backward_rule_is_caught(self):
         def bad_square(x):
-            def pull(g):
-                if x.requires_grad:
-                    x._accumulate(g * 3.0 * x.data)  # wrong factor on purpose
-            return ad.custom_op(x.data**2, (x,), pull)
+            # wrong factor on purpose
+            return ad.custom_op(x.data**2, (x,), lambda g: x._accumulate(g * 3.0 * x.data))
 
         x = Tensor(np.array([1.0, -2.0]))
         report = grad_check(lambda x: weighted_sum(bad_square(x), 1.0), [x])
@@ -1242,10 +1156,7 @@ class TestGradCheck:
     def test_strided_leaf_is_perturbed_where_f_reads_it(self):
         # the op claims a zero gradient; a transposed leaf views its base array
         def zero_grad_square(x):
-            def pull(g):
-                if x.requires_grad:
-                    x._accumulate(np.zeros_like(x.data))
-            return ad.custom_op(np.sum(x.data**2), (x,), pull)
+            return ad.custom_op(np.sum(x.data**2), (x,), lambda g: x._accumulate(np.zeros_like(x.data)))
 
         a = np.random.default_rng(15).uniform(0.5, 2.0, size=(3, 4))
         before = a.copy()

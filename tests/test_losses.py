@@ -30,7 +30,7 @@ def logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-def probability_focal(x, target, alpha=0.25, gamma=2.0):
+def probability_focal(x, target, alpha=LossWeights.focal_alpha, gamma=LossWeights.focal_gamma):
     """Reference: the focal loss of one cell written on p = sigmoid(x)."""
     p = 1.0 / (1.0 + np.exp(-x))
     if target:
